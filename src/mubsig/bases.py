@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .finite_field import PrimeDim
+from .finite_field import _prime_dim
 from .quantum import Ket, OrthonormalBasis, TOLERANCE, _frozen
 
 
@@ -82,17 +82,12 @@ class BasisId:
 def basis_alphabet(d: int, families: tuple[Family, ...] = (Family.PLAIN,)
                    ) -> tuple[BasisId, ...]:
     """All basis labels of the given families, computational first."""
-    _prime(d)
+    _prime_dim(d)
     out: list[BasisId] = []
     for family in families:
         out.append(BasisId(family, None))
         out.extend(BasisId(family, b) for b in range(d))
     return tuple(out)
-
-
-@functools.lru_cache(maxsize=None)
-def _prime(d: int) -> PrimeDim:
-    return PrimeDim(d)
 
 
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
@@ -109,7 +104,7 @@ def omega_power(d: int, exponent: int) -> complex:
     The exponent is reduced modulo the actual period of omega: 4 for
     d = 2 (omega = i), d otherwise.
     """
-    _prime(d)
+    _prime_dim(d)
     if d == 2:
         return _I_POWERS[exponent % 4]
     return complex(np.exp(2j * np.pi * (exponent % d) / d))
@@ -117,7 +112,7 @@ def omega_power(d: int, exponent: int) -> complex:
 
 def mub_ket(d: int, basis: BasisId, m: int) -> Ket:
     """The m-th ket of one measurement basis (either family)."""
-    _prime(d)
+    _prime_dim(d)
     if not 0 <= m < d:
         raise ValueError(f"ket index {m} outside [0, {d})")
     if basis.quad is not None and basis.quad >= d:
@@ -153,7 +148,7 @@ def hadamard_root(d: int) -> np.ndarray:
     Eigenvalues that land infinitesimally below the branch cut at -pi
     are folded back to +pi so roundoff cannot flip a branch.
     """
-    _prime(d)
+    _prime_dim(d)
     f = _fourier_matrix(d)
     t, q = scipy.linalg.schur(f, output="complex")
     off = np.abs(t - np.diag(np.diag(t))).max()
@@ -203,7 +198,7 @@ def hat_unitary(d: int) -> np.ndarray:
 
 def entangled_ket(d: int, c: int, r: int, s: int) -> Ket:
     """|c,r;s> = (1/sqrt d) sum_n |n>|c-n> w^(s n^2 - 2 r n), indices mod d."""
-    _prime(d)
+    _prime_dim(d)
     for name, v in (("c", c), ("r", r), ("s", s)):
         if not 0 <= v < d:
             raise ValueError(f"label {name}={v} outside [0, {d})")
@@ -222,7 +217,7 @@ def hat_entangled_ket(d: int, c: int, r: int) -> Ket:
 
 def pair_outcome_labels(d: int) -> tuple[tuple[int, int], ...]:
     """(c, r) labels of the entangled basis, in flat index order c*d + r."""
-    _prime(d)
+    _prime_dim(d)
     return tuple((c, r) for c in range(d) for r in range(d))
 
 
@@ -233,7 +228,7 @@ def entangled_basis(d: int, s: int = 0, family: Family = Family.PLAIN
 
     The hat family is defined only at s = 0.
     """
-    _prime(d)
+    _prime_dim(d)
     if not 0 <= s < d:
         raise ValueError(f"label s={s} outside [0, {d})")
     if family is Family.HAT:

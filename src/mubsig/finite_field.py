@@ -9,6 +9,7 @@ here touches floating point.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 
@@ -47,6 +48,12 @@ class PrimeDim:
     def elements(self) -> tuple[FieldElement, ...]:
         """All residues 0..d-1, in order."""
         return tuple(FieldElement(v, self) for v in range(self.d))
+
+
+@functools.lru_cache(maxsize=None)
+def _prime_dim(d: int) -> PrimeDim:
+    """Cached :class:`PrimeDim` lookup; raises for non-primes like the constructor."""
+    return PrimeDim(d)
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,10 @@ from .protocol import (
     SessionReport,
     _decode_codes,
     _INCONCLUSIVE_CODE,
+    _run_session,
     ideal_pretest_distribution,
     pair_outcome_labels,
     pair_outcome_probs,
-    run_original_session,
-    run_protocol1_session,
-    run_protocol2_session,
 )
 from .quantum import _frozen
 from .streams import derive_round_stream
@@ -285,22 +283,13 @@ def run_trials(config: HarnessConfig, *, workers: int = 1,
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    weights = config.message_weights()
-    eve = config.eve is not EveMode.OFF
-    if config.protocol is Protocol.ORIGINAL:
-        report, records = run_original_session(
-            config.d, config.rounds, config.seed, eve=eve,
-            message_weights=weights, workers=workers, collect=return_rounds)
-    elif config.protocol is Protocol.TOMOGRAPHIC:
-        report, records = run_protocol1_session(
-            config.d, config.rounds, config.pretest_fraction,
-            config.posttest_fraction, config.seed, eve=eve,
-            message_weights=weights, workers=workers, collect=return_rounds)
-    else:
-        report, records = run_protocol2_session(
-            config.d, config.rounds, config.posttest_fraction, config.seed,
-            eve=eve, message_weights=weights, workers=workers,
-            collect=return_rounds)
+    report, records = _run_session(
+        config.d, config.rounds, config.seed,
+        n_families=len(_PROTOCOL_FAMILIES[config.protocol]),
+        eve=config.eve is not EveMode.OFF, message_weights=config.message_weights(),
+        pretest_fraction=config.pretest_fraction,
+        posttest_fraction=config.posttest_fraction,
+        workers=workers, collect=return_rounds)
     if return_rounds:
         return report, records
     return report

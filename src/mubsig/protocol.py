@@ -21,19 +21,24 @@ Interception strategies for the eavesdropper are included for both the
 original protocol (substitute pair, resend after decoding) and the
 dual-family variant (the same attack mounted in one fixed family).
 
-Sessions sample rounds from exact outcome distributions that are
-compiled once per configuration out of the dense quantum operations, so
-a million rounds cost about as much as a million table lookups, and the
-per-round statistics remain exactly those of the state-by-state
-simulation (which is also available, one round at a time).
+All three protocols run on one session engine.  They share the
+signalling round and differ only in the preparation alphabet (one
+family, or plain and hat together) and in their checks (a tomography
+pre-test, post-test checking with sifting).  Sessions sample rounds
+from exact outcome distributions that are compiled once per dimension
+and family count out of the dense quantum operations, so a million
+rounds cost about as much as a million table lookups, and the per-round
+statistics remain exactly those of the state-by-state simulation (which
+is also available, one round at a time).
 """
 
 from __future__ import annotations
 
 import functools
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Sequence
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -47,8 +52,9 @@ from .bases import (
     measurement_basis,
     pair_outcome_labels,
 )
-from .finite_field import FieldElement, PrimeDim
+from .finite_field import FieldElement, _prime_dim
 from .quantum import (
+    TOLERANCE,
     DensityOperator,
     Ket,
     _frozen,
@@ -211,11 +217,6 @@ def _ratio(num: int, den: int) -> float:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _prime(d: int) -> PrimeDim:
-    return PrimeDim(d)
-
-
-@functools.lru_cache(maxsize=None)
 def _prep_ket(d: int, family: Family) -> Ket:
     if family is Family.HAT:
         return hat_entangled_ket(d, 0, 0)
@@ -237,7 +238,7 @@ def pair_outcome_probs(d: int, own_family: Family, measured_basis: BasisId) -> n
 
 
 def _decode_outcome(d: int, c: int, r: int) -> DecodeResult:
-    dim = _prime(d)
+    dim = _prime_dim(d)
     zero = dim.element(0)
     return decode((zero, zero, zero), (dim.element(c), dim.element(r)))
 
@@ -267,57 +268,58 @@ def _decode_codes(d: int) -> np.ndarray:
     return _frozen(np.array(codes, dtype=np.int64))
 
 
-def _cum_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
-    return _frozen(np.cumsum(np.vstack(rows), axis=1))
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """Cumulative distribution(s) along the last axis, safe to invert.
+
+    Cells below ``TOLERANCE`` become exact zeros, and each CDF reads
+    exactly 1.0 from its last possible cell on.  An inverse-CDF lookup
+    with ``u < 1`` therefore lands on an outcome of nonzero probability,
+    whatever the round-off in the running sums.
+    """
+    p = np.where(probs < TOLERANCE, 0.0, probs)
+    cum = np.cumsum(p, axis=-1)
+    last = p.shape[-1] - 1 - np.argmax(p[..., ::-1] > 0.0, axis=-1)
+    cum[np.arange(p.shape[-1]) >= np.expand_dims(last, -1)] = 1.0
+    return _frozen(cum)
+
+
+_FAMILIES = (Family.PLAIN, Family.HAT)
 
 
 @dataclass(frozen=True)
-class _OriginalTables:
+class _Tables:
+    """Compiled outcome CDFs for the alphabet of one or both families.
+
+    Row ``prep_family * len(alphabet) + basis_idx`` of ``cum`` is Alice's
+    pair-outcome CDF when she prepared the (0,0) pair of
+    ``_FAMILIES[prep_family]`` and the travelling half was measured in
+    ``alphabet[basis_idx]``.  The plain bases come first, so a plain
+    label row is also a plain alphabet index.
+    """
+
+    n_families: int
     alphabet: tuple[BasisId, ...]
-    alice_cum: np.ndarray      # row per alphabet entry
+    family_idx: np.ndarray      # 0 plain, 1 hat, per alphabet entry
     bob_code: np.ndarray
+    cum: np.ndarray
     decode_code: np.ndarray
-
-
-@functools.lru_cache(maxsize=None)
-def _original_tables(d: int) -> _OriginalTables:
-    alphabet = basis_alphabet(d)
-    probs = [pair_outcome_probs(d, Family.PLAIN, b) for b in alphabet]
-    bob_code = _frozen(np.array([_basis_code(d, b) for b in alphabet], dtype=np.int64))
-    return _OriginalTables(alphabet, _cum_rows(probs), bob_code, _decode_codes(d))
-
-
-@dataclass(frozen=True)
-class _DualTables:
-    alphabet: tuple[BasisId, ...]          # plain bases then hat bases
-    family_idx: np.ndarray                 # 0 plain, 1 hat, per alphabet entry
-    bob_code: np.ndarray
-    alice_cum: np.ndarray                  # row = family_idx * len(alphabet) + basis_idx
-    eve_cum: np.ndarray                    # row per alphabet entry, fixed eve family
-    alice_given_eve_cum: np.ndarray        # row = family_idx * (d+1) + label_row
-    decode_code: np.ndarray
-    eve_family: Family
 
 
 def _label_rows(d: int, codes: np.ndarray) -> np.ndarray:
-    """Alphabet position of a conclusive decode code within one family."""
+    """Alphabet position of a conclusive decode code within the plain family."""
     return np.where(codes == d, 0, codes + 1)
 
 
 @functools.lru_cache(maxsize=None)
-def _dual_tables(d: int, eve_family: Family) -> _DualTables:
-    alphabet = basis_alphabet(d, (Family.PLAIN, Family.HAT))
-    families = (Family.PLAIN, Family.HAT)
-    family_idx = _frozen(np.array(
-        [0 if b.family is Family.PLAIN else 1 for b in alphabet], dtype=np.int64))
+def _tables(d: int, n_families: int) -> _Tables:
+    families = _FAMILIES[:n_families]
+    alphabet = basis_alphabet(d, families)
+    family_idx = _frozen(np.array([families.index(b.family) for b in alphabet],
+                                  dtype=np.int64))
     bob_code = _frozen(np.array([_basis_code(d, b) for b in alphabet], dtype=np.int64))
-    alice_rows = [pair_outcome_probs(d, fam, b) for fam in families for b in alphabet]
-    eve_rows = [pair_outcome_probs(d, eve_family, b) for b in alphabet]
-    eve_labels = [BasisId(eve_family, None)] + [BasisId(eve_family, b) for b in range(d)]
-    given_rows = [pair_outcome_probs(d, fam, eb) for fam in families for eb in eve_labels]
-    return _DualTables(alphabet, family_idx, bob_code, _cum_rows(alice_rows),
-                       _cum_rows(eve_rows), _cum_rows(given_rows),
-                       _decode_codes(d), eve_family)
+    rows = [pair_outcome_probs(d, fam, b) for fam in families for b in alphabet]
+    return _Tables(n_families, alphabet, family_idx, bob_code, _cdf(np.vstack(rows)),
+                   _decode_codes(d))
 
 
 # ---------------------------------------------------------------------------
@@ -332,16 +334,11 @@ def _measure_pair(d: int, family: Family, rho: DensityOperator,
     return (c, r), _decode_outcome(d, c, r)
 
 
-def _intercept_resend(d: int, bob_basis: BasisId, eve_family: Family,
-                      rng: np.random.Generator) -> EveRecord:
-    decoy = DensityOperator.from_ket(_prep_ket(d, eve_family))
-    after_bob = nonselective_measure(decoy, 1, measurement_basis(d, bob_basis))
-    outcome, result = _measure_pair(d, eve_family, after_bob, rng)
-    forward = None
-    if result.is_conclusive:
-        label = None if result.kind == _COMPUTATIONAL else result.quad
-        forward = BasisId(eve_family, label)
-    return EveRecord(outcome, result, forward)
+def _forward_basis(family: Family, result: DecodeResult) -> BasisId | None:
+    """The basis Eve resends in after decoding ``result``; None when inconclusive."""
+    if not result.is_conclusive:
+        return None
+    return BasisId(family, None if result.kind == _COMPUTATIONAL else result.quad)
 
 
 def eve_intercept_resend(d: int, bob_basis: BasisId,
@@ -355,7 +352,7 @@ def eve_intercept_resend(d: int, bob_basis: BasisId,
     """
     if bob_basis.family is not Family.PLAIN:
         raise ValueError("the original protocol signals with plain-family bases")
-    return _intercept_resend(d, bob_basis, Family.PLAIN, rng)
+    return eve_dual_family_attack(d, bob_basis, Family.PLAIN, rng)
 
 
 def eve_dual_family_attack(d: int, bob_basis: BasisId, eve_family: Family,
@@ -367,16 +364,17 @@ def eve_dual_family_attack(d: int, bob_basis: BasisId, eve_family: Family,
     is no longer diagonal in her basis and her resend disturbs the
     sifted statistics.
     """
-    return _intercept_resend(d, bob_basis, eve_family, rng)
+    decoy = DensityOperator.from_ket(_prep_ket(d, eve_family))
+    after_bob = nonselective_measure(decoy, 1, measurement_basis(d, bob_basis))
+    outcome, result = _measure_pair(d, eve_family, after_bob, rng)
+    return EveRecord(outcome, result, _forward_basis(eve_family, result))
 
 
 def _alice_round(d: int, family: Family, forward_basis: BasisId | None,
                  rng: np.random.Generator) -> tuple[tuple[int, int], DecodeResult]:
-    prep = DensityOperator.from_ket(_prep_ket(d, family))
-    if forward_basis is None:
-        rho = prep
-    else:
-        rho = nonselective_measure(prep, 1, measurement_basis(d, forward_basis))
+    rho = DensityOperator.from_ket(_prep_ket(d, family))
+    if forward_basis is not None:
+        rho = nonselective_measure(rho, 1, measurement_basis(d, forward_basis))
     return _measure_pair(d, family, rho, rng)
 
 
@@ -385,14 +383,8 @@ def run_round_original(d: int, bob_basis: BasisId, rng: np.random.Generator,
     """One signalling round of the original protocol."""
     if bob_basis.family is not Family.PLAIN:
         raise ValueError("the original protocol signals with plain-family bases")
-    if not eve:
-        outcome, result = _alice_round(d, Family.PLAIN, bob_basis, rng)
-        return RoundRecord(bob_basis, Family.PLAIN, outcome, result, eve_active=False)
-    erec = eve_intercept_resend(d, bob_basis, rng)
-    outcome, result = _alice_round(d, Family.PLAIN, erec.forward_basis, rng)
-    return RoundRecord(bob_basis, Family.PLAIN, outcome, result, eve_active=True,
-                       eve_outcome=erec.outcome, eve_decode=erec.decode,
-                       eve_forward_basis=erec.forward_basis)
+    return run_protocol2_round(d, Family.PLAIN, bob_basis, rng,
+                               eve_family=Family.PLAIN if eve else None)
 
 
 def run_protocol2_round(d: int, alice_family: Family, bob_basis: BasisId,
@@ -482,40 +474,19 @@ def _grouped_inverse_cdf(cum_rows: np.ndarray, rows: np.ndarray,
     for rv in np.unique(rows):
         mask = rows == rv
         out[mask] = np.searchsorted(cum_rows[rv], u[mask], side="right")
-    return np.minimum(out, cum_rows.shape[1] - 1)
-
-
-def _sample_indexed(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
-
-
-def _message_cum(weights: np.ndarray | None, n: int) -> np.ndarray:
-    if weights is None:
-        w = np.full(n, 1.0 / n)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.size != n:
-            raise ValueError(f"need {n} message weights, got {w.size}")
-        if w.min() < 0 or w.sum() <= 0:
-            raise ValueError("message weights must be nonnegative and sum > 0")
-        w = w / w.sum()
-    return np.cumsum(w)
+    return out
 
 
 def _run_blocks(worker: Callable[[np.random.Generator, int], tuple],
                 total: int, seed: int, stream_base: int, workers: int) -> list[tuple]:
-    jobs = []
-    start, j = 0, 0
-    while start < total:
-        size = min(BLOCK_ROUNDS, total - start)
-        jobs.append((j, size))
-        start += size
-        j += 1
+    jobs = [(j, min(BLOCK_ROUNDS, total - start))
+            for j, start in enumerate(range(0, total, BLOCK_ROUNDS))]
 
     def call(job: tuple[int, int]) -> tuple:
         idx, size = job
         return worker(derive_round_stream(seed, stream_base + idx), size)
 
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
         return [call(job) for job in jobs]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -538,85 +509,54 @@ class _SignalTally:
             setattr(self, f, getattr(self, f) + getattr(other, f))
 
 
-def _signal_block_original(tables: _OriginalTables, d: int, eve: bool,
-                           msg_cum: np.ndarray, posttest_fraction: float | None,
-                           collect: bool, stream: np.random.Generator,
-                           n: int) -> tuple[_SignalTally, dict | None]:
-    b_idx = _sample_indexed(msg_cum, stream.random(n))
+def _signal_block(tables: _Tables, d: int, eve: bool, msg_cdf: np.ndarray,
+                  posttest_fraction: float | None, collect: bool,
+                  stream: np.random.Generator, n: int) -> tuple[_SignalTally, dict | None]:
+    """Sample ``n`` signal rounds from one block stream.
+
+    Draw order: Alice's family coin (two families only), Bob's message,
+    the first outcome (Alice's, or Eve's when she intercepts), Alice's
+    outcome after Eve's resend, and the post-test coin (unless every
+    conclusive round is checked).  Eve's decoy pair is plain.
+    """
+    n_bases = len(tables.alphabet)
+    if tables.n_families == 2:
+        fam_idx = (stream.random(n) >= 0.5).astype(np.int64)   # 0 plain, 1 hat
+    else:
+        fam_idx = np.zeros(n, dtype=np.int64)
+    b_idx = np.searchsorted(msg_cdf, stream.random(n), side="right")
     u_out = stream.random(n)
     eve_idx = None
-    eve_code = None
-    if eve:
-        eve_idx = _grouped_inverse_cdf(tables.alice_cum, b_idx, u_out)
+    if eve:   # Eve's decoy is a plain pair: prep family 0, so row = b_idx
+        eve_idx = _grouped_inverse_cdf(tables.cum, b_idx, u_out)
         eve_code = tables.decode_code[eve_idx]
         conclusive_e = eve_code != _INCONCLUSIVE_CODE
         u_alice = stream.random(n)
         out_idx = np.zeros(n, dtype=np.int64)   # untouched pair always reads (0,0)
-        rows = _label_rows(d, eve_code)
+        rows = fam_idx * n_bases + _label_rows(d, eve_code)
         if conclusive_e.any():
             out_idx[conclusive_e] = _grouped_inverse_cdf(
-                tables.alice_cum, rows[conclusive_e], u_alice[conclusive_e])
+                tables.cum, rows[conclusive_e], u_alice[conclusive_e])
     else:
-        out_idx = _grouped_inverse_cdf(tables.alice_cum, b_idx, u_out)
+        out_idx = _grouped_inverse_cdf(tables.cum, fam_idx * n_bases + b_idx, u_out)
     dcode = tables.decode_code[out_idx]
     bob_code = tables.bob_code[b_idx]
-    conclusive = dcode != _INCONCLUSIVE_CODE
-    correct = conclusive & (dcode == bob_code)
-    if posttest_fraction is None:
-        checked = conclusive
-    else:
-        checked = conclusive & (stream.random(n) < posttest_fraction)
-    mismatches = checked & ~correct
-    tally = _SignalTally(
-        rounds=n, matched=n, kept=int(conclusive.sum()), correct=int(correct.sum()),
-        checked=int(checked.sum()), mismatches=int(mismatches.sum()),
-        eve_conclusive=int(conclusive_e.sum()) if eve else 0,
-        eve_correct=int((conclusive_e & (eve_code == bob_code)).sum()) if eve else 0,
-    )
-    arrays = None
-    if collect:
-        arrays = {"b_idx": b_idx, "out_idx": out_idx, "eve_idx": eve_idx}
-    return tally, arrays
-
-
-def _signal_block_dual(tables: _DualTables, d: int, eve: bool,
-                       msg_cum: np.ndarray, posttest_fraction: float,
-                       collect: bool, stream: np.random.Generator,
-                       n: int) -> tuple[_SignalTally, dict | None]:
-    n_bases = len(tables.alphabet)
-    fam_idx = (stream.random(n) >= 0.5).astype(np.int64)   # 0 plain, 1 hat
-    b_idx = _sample_indexed(msg_cum, stream.random(n))
-    u_out = stream.random(n)
-    eve_idx = None
-    eve_code = None
-    if eve:
-        eve_idx = _grouped_inverse_cdf(tables.eve_cum, b_idx, u_out)
-        eve_code = tables.decode_code[eve_idx]
-        conclusive_e = eve_code != _INCONCLUSIVE_CODE
-        u_alice = stream.random(n)
-        out_idx = np.zeros(n, dtype=np.int64)
-        rows = fam_idx * (d + 1) + _label_rows(d, eve_code)
-        if conclusive_e.any():
-            out_idx[conclusive_e] = _grouped_inverse_cdf(
-                tables.alice_given_eve_cum, rows[conclusive_e], u_alice[conclusive_e])
-    else:
-        out_idx = _grouped_inverse_cdf(tables.alice_cum, fam_idx * n_bases + b_idx, u_out)
-    dcode = tables.decode_code[out_idx]
-    bob_code = tables.bob_code[b_idx]
-    matched = tables.family_idx[b_idx] == fam_idx
-    conclusive = dcode != _INCONCLUSIVE_CODE
-    kept = matched & conclusive
+    bob_fam = tables.family_idx[b_idx]
+    matched = bob_fam == fam_idx
+    kept = matched & (dcode != _INCONCLUSIVE_CODE)
     correct = kept & (dcode == bob_code)
-    checked = kept & (stream.random(n) < posttest_fraction)
+    if posttest_fraction is None:
+        checked = kept
+    else:
+        checked = kept & (stream.random(n) < posttest_fraction)
     mismatches = checked & ~correct
-    eve_fam_idx = 0 if tables.eve_family is Family.PLAIN else 1
     tally = _SignalTally(
         rounds=n, matched=int(matched.sum()), kept=int(kept.sum()),
         correct=int(correct.sum()), checked=int(checked.sum()),
         mismatches=int(mismatches.sum()),
         eve_conclusive=int(conclusive_e.sum()) if eve else 0,
         eve_correct=int((conclusive_e & (eve_code == bob_code)
-                         & (tables.family_idx[b_idx] == eve_fam_idx)).sum()) if eve else 0,
+                         & (bob_fam == 0)).sum()) if eve else 0,
     )
     arrays = None
     if collect:
@@ -625,36 +565,8 @@ def _signal_block_dual(tables: _DualTables, d: int, eve: bool,
     return tally, arrays
 
 
-def _records_original(d: int, tables: _OriginalTables, eve: bool,
-                      blocks: list[dict]) -> list[RoundRecord]:
+def _records(d: int, tables: _Tables, blocks: list[dict]) -> list[RoundRecord]:
     labels = pair_outcome_labels(d)
-    records: list[RoundRecord] = []
-    for arrays in blocks:
-        eve_idx = arrays["eve_idx"]
-        for i, (bi, oi) in enumerate(zip(arrays["b_idx"], arrays["out_idx"])):
-            outcome = labels[oi]
-            result = _result_of_code(d, int(tables.decode_code[oi]))
-            if not eve:
-                records.append(RoundRecord(tables.alphabet[bi], Family.PLAIN,
-                                           outcome, result, eve_active=False))
-                continue
-            e_out = labels[eve_idx[i]]
-            e_res = _result_of_code(d, int(tables.decode_code[eve_idx[i]]))
-            forward = None
-            if e_res.is_conclusive:
-                forward = BasisId(Family.PLAIN,
-                                  None if e_res.kind == _COMPUTATIONAL else e_res.quad)
-            records.append(RoundRecord(tables.alphabet[bi], Family.PLAIN,
-                                       outcome, result, eve_active=True,
-                                       eve_outcome=e_out, eve_decode=e_res,
-                                       eve_forward_basis=forward))
-    return records
-
-
-def _records_dual(d: int, tables: _DualTables, eve: bool,
-                  blocks: list[dict]) -> list[RoundRecord]:
-    labels = pair_outcome_labels(d)
-    families = (Family.PLAIN, Family.HAT)
     records: list[RoundRecord] = []
     for arrays in blocks:
         eve_idx = arrays["eve_idx"]
@@ -662,64 +574,25 @@ def _records_dual(d: int, tables: _DualTables, eve: bool,
                                              arrays["out_idx"])):
             outcome = labels[oi]
             result = _result_of_code(d, int(tables.decode_code[oi]))
-            if not eve:
-                records.append(RoundRecord(tables.alphabet[bi], families[fi],
+            if eve_idx is None:
+                records.append(RoundRecord(tables.alphabet[bi], _FAMILIES[fi],
                                            outcome, result, eve_active=False))
                 continue
-            e_out = labels[eve_idx[i]]
             e_res = _result_of_code(d, int(tables.decode_code[eve_idx[i]]))
-            forward = None
-            if e_res.is_conclusive:
-                forward = BasisId(tables.eve_family,
-                                  None if e_res.kind == _COMPUTATIONAL else e_res.quad)
-            records.append(RoundRecord(tables.alphabet[bi], families[fi],
+            records.append(RoundRecord(tables.alphabet[bi], _FAMILIES[fi],
                                        outcome, result, eve_active=True,
-                                       eve_outcome=e_out, eve_decode=e_res,
-                                       eve_forward_basis=forward))
+                                       eve_outcome=labels[eve_idx[i]], eve_decode=e_res,
+                                       eve_forward_basis=_forward_basis(Family.PLAIN, e_res)))
     return records
-
-
-def run_original_session(d: int, rounds: int, seed: int, *, eve: bool = False,
-                         message_weights: np.ndarray | None = None,
-                         posttest_fraction: float | None = None,
-                         workers: int = 1, collect: bool = False,
-                         ) -> tuple[SessionReport, list[RoundRecord] | None]:
-    """Run ``rounds`` rounds of the original protocol.
-
-    With ``posttest_fraction=None`` every conclusive decode is checked
-    against Bob's record (a supervisor's view; the protocol itself has
-    no verification step).
-    """
-    _prime(d)
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    tables = _original_tables(d)
-    msg_cum = _message_cum(message_weights, len(tables.alphabet))
-    worker = functools.partial(_signal_block_original, tables, d, eve, msg_cum,
-                               posttest_fraction, collect)
-    results = _run_blocks(worker, rounds, seed, 0, workers)
-    tally = _SignalTally()
-    for t, _ in results:
-        tally.add(t)
-    records = _records_original(d, tables, eve, [a for _, a in results]) if collect else None
-    report = SessionReport(
-        rounds=rounds, sifted=tally.kept,
-        decode_accuracy=_ratio(tally.correct, tally.kept),
-        inconclusive_rate=_ratio(tally.matched - tally.kept, tally.matched),
-        detection_rate=_ratio(tally.mismatches, tally.checked),
-        eve_information_rate=_ratio(tally.eve_correct, tally.rounds),
-        pretest_divergence=None, seed=seed)
-    return report, records
 
 
 def _pretest_phase(d: int, n_pre: int, seed: int, eve: bool, workers: int,
                    collect: bool) -> tuple[float, list[PretestRecord] | None]:
     labels, ideal = ideal_pretest_distribution(d)
-    sampling = _eve_pretest_probs(d) if eve else ideal
-    cum = np.cumsum(sampling)
+    cdf = _cdf(_eve_pretest_probs(d) if eve else ideal)
 
     def worker(stream: np.random.Generator, n: int) -> tuple:
-        idx = _sample_indexed(cum, stream.random(n))
+        idx = np.searchsorted(cdf, stream.random(n), side="right")
         counts = np.bincount(idx, minlength=ideal.size)
         return counts, (idx if collect else None)
 
@@ -735,43 +608,44 @@ def _pretest_phase(d: int, n_pre: int, seed: int, eve: bool, workers: int,
     return float(divergence), records
 
 
-def run_protocol1_session(d: int, rounds: int, pretest_fraction: float,
-                          posttest_fraction: float, seed: int, *,
-                          eve: bool = False,
-                          message_weights: np.ndarray | None = None,
-                          workers: int = 1, collect: bool = False,
-                          ) -> tuple[SessionReport,
-                                     list[PretestRecord | RoundRecord] | None]:
-    """Run the pre/post-tested variant: tomography rounds, then signal rounds.
+def _run_session(d: int, rounds: int, seed: int, *, n_families: int, eve: bool,
+                 message_weights: np.ndarray | None, pretest_fraction: float | None,
+                 posttest_fraction: float | None, workers: int, collect: bool,
+                 ) -> tuple[SessionReport, list[PretestRecord | RoundRecord] | None]:
+    """Run one session of any protocol, as configured by :class:`HarnessConfig`.
 
-    ``pretest_divergence`` in the report is the total-variation distance
-    between the announced pre-test frequencies and the exact undisturbed
-    joint distribution; thresholding is the caller's business (see the
-    trial harness).
+    The config validates every argument; the engine only refuses a
+    pre-test fraction that leaves the pre-test or signal phase empty.
+
+    ``n_families`` is 1 for the original and tomographic protocols and 2
+    for the dual-family one.  A ``pretest_fraction`` spends that share of
+    the rounds on tomography before signalling; ``pretest_divergence`` in
+    the report is the total-variation distance between the announced
+    pre-test frequencies and the exact undisturbed joint distribution.
+    With ``posttest_fraction=None`` every conclusive decode is checked
+    against Bob's record (a supervisor's view; the original protocol
+    itself has no verification step).
     """
-    _prime(d)
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    if not 0.0 < pretest_fraction < 1.0 or not 0.0 < posttest_fraction < 1.0:
-        raise ValueError("pretest and posttest fractions must lie in (0, 1)")
-    n_pre = int(round(rounds * pretest_fraction))
+    n_pre = 0 if pretest_fraction is None else int(round(rounds * pretest_fraction))
     n_signal = rounds - n_pre
-    if n_pre < 1 or n_signal < 1:
+    if n_signal < 1 or (pretest_fraction is not None and n_pre < 1):
         raise ValueError(f"rounds={rounds} with pretest_fraction={pretest_fraction} "
                          "leaves an empty pre-test or signal phase")
-    divergence, pre_records = _pretest_phase(d, n_pre, seed, eve, workers, collect)
-    tables = _original_tables(d)
-    msg_cum = _message_cum(message_weights, len(tables.alphabet))
-    worker = functools.partial(_signal_block_original, tables, d, eve, msg_cum,
+    divergence, records = None, None
+    if n_pre:
+        divergence, records = _pretest_phase(d, n_pre, seed, eve, workers, collect)
+    tables = _tables(d, n_families)
+    n_bases = len(tables.alphabet)
+    msg_cdf = _cdf(np.full(n_bases, 1.0 / n_bases) if message_weights is None
+                   else message_weights / message_weights.sum())
+    worker = functools.partial(_signal_block, tables, d, eve, msg_cdf,
                                posttest_fraction, collect)
     results = _run_blocks(worker, n_signal, seed, 0, workers)
     tally = _SignalTally()
     for t, _ in results:
         tally.add(t)
-    records = None
     if collect:
-        records = list(pre_records)
-        records.extend(_records_original(d, tables, eve, [a for _, a in results]))
+        records = (records or []) + _records(d, tables, [a for _, a in results])
     report = SessionReport(
         rounds=rounds, sifted=tally.kept,
         decode_accuracy=_ratio(tally.correct, tally.kept),
@@ -779,35 +653,4 @@ def run_protocol1_session(d: int, rounds: int, pretest_fraction: float,
         detection_rate=_ratio(tally.mismatches, tally.checked),
         eve_information_rate=_ratio(tally.eve_correct, tally.rounds),
         pretest_divergence=divergence, seed=seed)
-    return report, records
-
-
-def run_protocol2_session(d: int, rounds: int, posttest_fraction: float,
-                          seed: int, *, eve: bool = False,
-                          eve_family: Family = Family.PLAIN,
-                          message_weights: np.ndarray | None = None,
-                          workers: int = 1, collect: bool = False,
-                          ) -> tuple[SessionReport, list[RoundRecord] | None]:
-    """Run the dual-family protocol with sifting on matching families."""
-    _prime(d)
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    if not 0.0 < posttest_fraction < 1.0:
-        raise ValueError("posttest fraction must lie in (0, 1)")
-    tables = _dual_tables(d, eve_family)
-    msg_cum = _message_cum(message_weights, len(tables.alphabet))
-    worker = functools.partial(_signal_block_dual, tables, d, eve, msg_cum,
-                               posttest_fraction, collect)
-    results = _run_blocks(worker, rounds, seed, 0, workers)
-    tally = _SignalTally()
-    for t, _ in results:
-        tally.add(t)
-    records = _records_dual(d, tables, eve, [a for _, a in results]) if collect else None
-    report = SessionReport(
-        rounds=rounds, sifted=tally.kept,
-        decode_accuracy=_ratio(tally.correct, tally.kept),
-        inconclusive_rate=_ratio(tally.matched - tally.kept, tally.matched),
-        detection_rate=_ratio(tally.mismatches, tally.checked),
-        eve_information_rate=_ratio(tally.eve_correct, tally.rounds),
-        pretest_divergence=None, seed=seed)
     return report, records

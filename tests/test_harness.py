@@ -18,7 +18,7 @@ from mubsig.harness import (
     pretest_reference_distribution,
     run_trials,
 )
-from mubsig.protocol import pair_outcome_probs, run_original_session
+from mubsig.protocol import pair_outcome_probs
 
 
 def original(rounds=100, **kw):
@@ -223,7 +223,7 @@ def test_dual_detection_probability_with_weights():
 
 def test_run_trials_matches_direct_session_call():
     cfg = original(rounds=2000, seed=3, eve=EveMode.INTERCEPT)
-    direct, _ = run_original_session(2, 2000, seed=3, eve=True)
+    direct, _ = run_trials(cfg, return_rounds=True)
     assert run_trials(cfg) == direct
 
 

@@ -2,21 +2,23 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from mubsig import protocol
 from mubsig.bases import BasisId, Family, basis_alphabet, pair_outcome_labels
 from mubsig.finite_field import PrimeDim
+from mubsig.harness import EveMode, HarnessConfig, Protocol, run_trials
 from mubsig.protocol import (
+    BLOCK_ROUNDS,
     DecodeResult,
+    PretestRecord,
     RoundRecord,
     decode,
     eve_intercept_resend,
     ideal_pretest_distribution,
     pair_outcome_probs,
-    run_original_session,
-    run_protocol1_session,
-    run_protocol2_session,
     run_round_original,
     run_protocol2_round,
 )
+from mubsig.quantum import TOLERANCE
 
 
 def decode_oracle(d, c, r, s, cp, rp):
@@ -281,10 +283,27 @@ def recompute_original(records):
     return len(kept), len(correct), len(eve_correct)
 
 
+def original(d, rounds, seed, eve=EveMode.OFF, **kw):
+    return HarnessConfig(d=d, protocol=Protocol.ORIGINAL, rounds=rounds, seed=seed,
+                         eve=eve, **kw)
+
+
+def dual(d, rounds, seed, eve=EveMode.OFF, posttest_fraction=0.5, **kw):
+    return HarnessConfig(d=d, protocol=Protocol.DUAL_FAMILY, rounds=rounds, seed=seed,
+                         eve=eve, posttest_fraction=posttest_fraction, **kw)
+
+
+def tomographic(d, rounds, seed, eve=EveMode.OFF, pretest_fraction=0.2,
+                posttest_fraction=0.5, **kw):
+    return HarnessConfig(d=d, protocol=Protocol.TOMOGRAPHIC, rounds=rounds, seed=seed,
+                         eve=eve, pretest_fraction=pretest_fraction,
+                         posttest_fraction=posttest_fraction, **kw)
+
+
 def test_original_session_report_matches_records():
-    for eve in (False, True):
-        report, records = run_original_session(2, 600, seed=21, eve=eve,
-                                               collect=True)
+    for eve in (EveMode.OFF, EveMode.INTERCEPT):
+        report, records = run_trials(original(2, 600, seed=21, eve=eve),
+                                     return_rounds=True)
         assert len(records) == 600
         kept, correct, eve_correct = recompute_original(records)
         assert report.sifted == kept
@@ -298,7 +317,7 @@ def test_original_session_report_matches_records():
 
 
 def test_original_session_exact_rates_no_eve():
-    report, _ = run_original_session(3, 5000, seed=2)
+    report, _ = run_trials(original(3, 5000, seed=2), return_rounds=True)
     assert report.decode_accuracy == 1.0
     assert report.detection_rate == 0.0
     p = 1.0 / 3
@@ -311,7 +330,8 @@ def test_original_session_under_attack_is_invisible():
     """The attack never trips the supervisor check: every conclusive decode
     still names Bob's basis, while Eve reads most of the traffic."""
     d = 3
-    report, _ = run_original_session(d, 20000, seed=4, eve=True)
+    report, _ = run_trials(original(d, 20000, seed=4, eve=EveMode.INTERCEPT),
+                           return_rounds=True)
     assert report.decode_accuracy == 1.0
     assert report.detection_rate == 0.0
     target = 1.0 - 1.0 / d
@@ -324,8 +344,9 @@ def test_original_session_under_attack_is_invisible():
 
 
 def test_dual_session_report_matches_records():
-    report, records = run_protocol2_session(2, 800, posttest_fraction=0.3,
-                                            seed=13, eve=True, collect=True)
+    report, records = run_trials(dual(2, 800, seed=13, eve=EveMode.DUAL_FAMILY,
+                                      posttest_fraction=0.3),
+                                 return_rounds=True)
     assert len(records) == 800
     matched = [r for r in records if r.sifted]
     kept = [r for r in matched if r.alice_decode.is_conclusive]
@@ -342,17 +363,13 @@ def test_dual_session_report_matches_records():
 
 
 def test_dual_session_clean_run_never_flags():
-    report, _ = run_protocol2_session(3, 4000, posttest_fraction=0.5, seed=8)
+    report, _ = run_trials(dual(3, 4000, seed=8), return_rounds=True)
     assert report.decode_accuracy == 1.0
     assert report.detection_rate == 0.0
 
 
 def test_tomographic_session_record_structure():
-    from mubsig.protocol import PretestRecord
-
-    report, records = run_protocol1_session(2, 1000, pretest_fraction=0.2,
-                                            posttest_fraction=0.5, seed=30,
-                                            collect=True)
+    report, records = run_trials(tomographic(2, 1000, seed=30), return_rounds=True)
     pre = [r for r in records if isinstance(r, PretestRecord)]
     sig = [r for r in records if isinstance(r, RoundRecord)]
     assert len(pre) == 200
@@ -364,20 +381,117 @@ def test_tomographic_session_record_structure():
 
 def test_session_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        run_original_session(2, 0, seed=0)
+        original(2, 0, seed=0)
     with pytest.raises(ValueError):
-        run_protocol1_session(2, 100, pretest_fraction=0.0,
-                              posttest_fraction=0.5, seed=0)
+        tomographic(2, 100, seed=0, pretest_fraction=0.0)
     with pytest.raises(ValueError):
-        run_protocol1_session(2, 100, pretest_fraction=0.5,
-                              posttest_fraction=1.0, seed=0)
+        tomographic(2, 100, seed=0, posttest_fraction=1.0)
     with pytest.raises(ValueError):
-        run_protocol2_session(2, 100, posttest_fraction=0.0, seed=0)
+        dual(2, 100, seed=0, posttest_fraction=0.0)
+    # valid fractions can still leave a phase empty: the engine refuses
+    with pytest.raises(ValueError, match="empty pre-test or signal phase"):
+        run_trials(tomographic(2, 2, seed=0, pretest_fraction=0.1))
+    with pytest.raises(ValueError, match="empty pre-test or signal phase"):
+        run_trials(tomographic(2, 2, seed=0, pretest_fraction=0.9))
 
 
 def test_sessions_deterministic_in_seed():
-    a, _ = run_original_session(3, 3000, seed=77, eve=True)
-    b, _ = run_original_session(3, 3000, seed=77, eve=True)
-    c, _ = run_original_session(3, 3000, seed=78, eve=True)
+    a, _ = run_trials(original(3, 3000, seed=77, eve=EveMode.INTERCEPT), return_rounds=True)
+    b, _ = run_trials(original(3, 3000, seed=77, eve=EveMode.INTERCEPT), return_rounds=True)
+    c, _ = run_trials(original(3, 3000, seed=78, eve=EveMode.INTERCEPT), return_rounds=True)
     assert a == b
     assert a != c
+
+
+# ---------------------------------------------------------------------------
+# Engine internals: CDF tails and worker threads.
+# ---------------------------------------------------------------------------
+
+class _TopOfUnitInterval:
+    """A stand-in block stream whose every uniform draw is the largest float below 1."""
+
+    def random(self, n):
+        return np.full(n, np.nextafter(1.0, 0.0))
+
+
+def _exact_prob(d, family, basis, outcome):
+    return pair_outcome_probs(d, family, basis)[pair_outcome_labels(d).index(outcome)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 13])
+def test_cdf_tail_never_samples_impossible_outcomes(d, monkeypatch):
+    """Every draw at u = 1 - 2^-53 lands on an outcome of nonzero probability.
+
+    One session per message label steers Bob through every basis.  The
+    family coin then always picks hat, so the dual-family sessions read
+    each hat-prepared row directly and each plain-prepared row through
+    Eve's plain decoy; the original sessions read every plain row.
+    """
+    monkeypatch.setattr(protocol, "derive_round_stream",
+                        lambda seed, index: _TopOfUnitInterval())
+    configs = []
+    for make, eves in ((original, (EveMode.OFF, EveMode.INTERCEPT)),
+                       (dual, (EveMode.OFF, EveMode.DUAL_FAMILY))):
+        for basis in make(d, 1, 0).alphabet():
+            for eve in eves:
+                configs.append(make(d, 2, 0, eve=eve,
+                                    message_distribution={basis.text(): 1.0}))
+    configs.append(tomographic(d, 10, 0))
+    if d == 3:   # these weights sum to 0.9999999999999999 = u, short of 1
+        configs.append(original(d, 2, 0, message_distribution={
+            "comp": 0.1, "q0": 0.2, "q1": 0.3}))
+    labels, pretest = ideal_pretest_distribution(d)
+    for cfg in configs:
+        weights = cfg.message_weights()
+        sendable = {b for i, b in enumerate(cfg.alphabet())
+                    if weights is None or weights[i] > 0.0}
+        for rec in run_trials(cfg, return_rounds=True)[1]:
+            if isinstance(rec, PretestRecord):
+                key = (rec.bob_basis, rec.bob_outcome, rec.alice_basis, rec.alice_outcome)
+                assert pretest[labels.index(key)] > TOLERANCE, (cfg, rec)
+                continue
+            assert rec.bob_basis in sendable, (cfg, rec)
+            if not rec.eve_active:
+                p = _exact_prob(d, rec.alice_prep_family, rec.bob_basis, rec.alice_outcome)
+                assert p > TOLERANCE, (cfg, rec)
+                continue
+            assert _exact_prob(d, Family.PLAIN, rec.bob_basis, rec.eve_outcome) > TOLERANCE
+            if rec.eve_forward_basis is None:
+                assert rec.alice_outcome == (0, 0)
+            else:
+                p = _exact_prob(d, rec.alice_prep_family, rec.eve_forward_basis,
+                                rec.alice_outcome)
+                assert p > TOLERANCE, (cfg, rec)
+
+
+def test_worker_threads_are_capped(monkeypatch):
+    """The pool never outgrows the blocks or the cores; no real thread starts."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(protocol, "ThreadPoolExecutor", RecordingPool)
+    three_blocks = original(2, 3 * BLOCK_ROUNDS, seed=1)
+    expected = run_trials(three_blocks)
+    for cpus, workers, pools in ((8, 10 ** 6, [3]), (2, 10 ** 6, [2]), (8, 2, [2]),
+                                 (None, 10 ** 6, []), (1, 4, [])):
+        monkeypatch.setattr(protocol.os, "cpu_count", lambda: cpus)
+        sizes.clear()
+        assert run_trials(three_blocks, workers=workers) == expected
+        assert sizes == pools, (cpus, workers)
+    # a single block never asks for a pool, however many workers are offered
+    monkeypatch.setattr(protocol.os, "cpu_count", lambda: 8)
+    sizes.clear()
+    run_trials(original(2, 100, seed=1), workers=10 ** 6)
+    assert sizes == []

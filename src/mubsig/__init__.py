@@ -4,122 +4,28 @@ A numpy-based toolkit: exact constructions of the mutually unbiased
 bases and entangled pair bases the protocols use, state-level round
 simulation, eavesdropping strategies, seeded Monte Carlo sessions with
 exact analytic cross-checks, and a small CLI (``mubsig``).
+
+The top level exports the session API; everything else is imported
+from its submodule (``mubsig.bases``, ``mubsig.protocol``, ...).
 """
 
-from .bases import (
-    BasisId,
-    Family,
-    basis_alphabet,
-    entangled_basis,
-    entangled_ket,
-    hadamard_root,
-    hat_entangled_ket,
-    hat_ket,
-    hat_unitary,
-    measurement_basis,
-    mub_ket,
-    omega,
-    omega_power,
-    pair_outcome_labels,
-)
-from .finite_field import FieldElement, PrimeDim, is_prime
 from .harness import (
-    AnalyticDistribution,
-    ComparisonResult,
     EveMode,
     HarnessConfig,
     Protocol,
     analytic_outcome_distribution,
-    calibrate_tv_threshold,
-    compare_distributions,
-    derive_round_stream,
     dual_family_detection_probability,
-    pretest_reference_distribution,
     run_trials,
 )
-from .protocol import (
-    DecodeResult,
-    EveRecord,
-    PretestRecord,
-    RoundRecord,
-    SessionReport,
-    decode,
-    eve_dual_family_attack,
-    eve_intercept_resend,
-    ideal_pretest_distribution,
-    pair_outcome_probs,
-    run_protocol2_round,
-    run_round_original,
-)
-from .quantum import (
-    TOLERANCE,
-    DensityOperator,
-    Ket,
-    OrthonormalBasis,
-    born_probabilities,
-    inner,
-    nonselective_measure,
-    partial_trace,
-    sample_outcome,
-    tensor,
-)
-from .verify import CheckResult, run_invariant_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticDistribution",
-    "BasisId",
-    "CheckResult",
-    "ComparisonResult",
-    "DecodeResult",
-    "DensityOperator",
     "EveMode",
-    "EveRecord",
-    "Family",
-    "FieldElement",
     "HarnessConfig",
-    "Ket",
-    "OrthonormalBasis",
-    "PretestRecord",
-    "PrimeDim",
     "Protocol",
-    "RoundRecord",
-    "SessionReport",
-    "TOLERANCE",
     "analytic_outcome_distribution",
-    "basis_alphabet",
-    "born_probabilities",
-    "calibrate_tv_threshold",
-    "compare_distributions",
-    "decode",
-    "derive_round_stream",
     "dual_family_detection_probability",
-    "entangled_basis",
-    "entangled_ket",
-    "eve_dual_family_attack",
-    "eve_intercept_resend",
-    "hadamard_root",
-    "hat_entangled_ket",
-    "hat_ket",
-    "hat_unitary",
-    "ideal_pretest_distribution",
-    "inner",
-    "is_prime",
-    "measurement_basis",
-    "mub_ket",
-    "nonselective_measure",
-    "omega",
-    "omega_power",
-    "pair_outcome_labels",
-    "pair_outcome_probs",
-    "partial_trace",
-    "pretest_reference_distribution",
-    "run_invariant_suite",
-    "run_protocol2_round",
-    "run_round_original",
     "run_trials",
-    "sample_outcome",
-    "tensor",
     "__version__",
 ]

@@ -20,13 +20,13 @@ variant transports the s = 0 basis through the hat unitary on both halves.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .finite_field import _prime_dim
 from .quantum import Ket, OrthonormalBasis, TOLERANCE, _frozen
@@ -136,29 +136,30 @@ def measurement_basis(d: int, basis: BasisId) -> OrthonormalBasis:
 
 def _fourier_matrix(d: int) -> np.ndarray:
     n = np.arange(d)
-    return np.exp(2j * np.pi * np.outer(n, n) / d) / math.sqrt(d)
+    # reduce the exponent first: exp of a phase near 2 pi d loses digits
+    return np.exp(2j * np.pi * (np.outer(n, n) % d) / d) / math.sqrt(d)
+
+
+# (lam, sqrt(lam)) for each eigenvalue of F, on the principal branch.
+_FOURIER_EIGENVALUE_ROOTS = ((1, 1), (-1, 1j), (1j, cmath.exp(0.25j * math.pi)),
+                             (-1j, cmath.exp(-0.25j * math.pi)))
 
 
 @functools.lru_cache(maxsize=None)
 def hadamard_root(d: int) -> np.ndarray:
     """Principal square root h of the Fourier matrix, so h @ h = F.
 
-    F is unitary, hence normal; its Schur form is diagonal and the
-    eigenphases theta in (-pi, pi] halve to give the principal root.
-    Eigenvalues that land infinitesimally below the branch cut at -pi
-    are folded back to +pi so roundoff cannot flip a branch.
+    F^4 = I, so the eigenvalues of F lie in {1, -1, i, -i} and its
+    spectral projectors are the exact polynomials
+    P_lam = 1/4 sum_j lam^-j F^j.  Then h = sum_lam sqrt(lam) P_lam,
+    with the principal roots sqrt(-1) = i, sqrt(i) = exp(i pi/4) and
+    sqrt(-i) = exp(-i pi/4).  F^2 is the parity n -> -n and F^3 = conj(F).
     """
     _prime_dim(d)
     f = _fourier_matrix(d)
-    t, q = scipy.linalg.schur(f, output="complex")
-    off = np.abs(t - np.diag(np.diag(t))).max()
-    if off > 1e-8:
-        raise RuntimeError(f"Schur form of a normal matrix not diagonal (off={off!r})")
-    eig = np.diag(t)
-    eig = eig / np.abs(eig)
-    theta = np.angle(eig)
-    theta[theta < -np.pi + 1e-9] = np.pi
-    h = (q * np.exp(0.5j * theta)) @ q.conj().T
+    powers = (np.eye(d), f, np.eye(d)[-np.arange(d) % d], f.conj())
+    h = sum(root * sum(lam ** -j * fj for j, fj in enumerate(powers)) / 4
+            for lam, root in _FOURIER_EIGENVALUE_ROOTS)
     if np.abs(h @ h - f).max() > TOLERANCE:
         raise RuntimeError("matrix square root failed to reproduce the Fourier matrix")
     if np.abs(h @ h.conj().T - np.eye(d)).max() > TOLERANCE:

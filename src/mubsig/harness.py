@@ -230,7 +230,9 @@ def dual_family_detection_probability(d: int, eve_family: Family = Family.PLAIN,
     Closed-form summation over Alice's family, Bob's basis, the
     attacker's outcome, and Alice's outcome, with the attacker running
     her substitution attack in ``eve_family``.  This is the quantity the
-    dual-family session's ``detection_rate`` estimates.
+    dual-family session's ``detection_rate`` estimates.  ``message_weights``
+    has one finite, nonnegative entry per basis of both families, in
+    :func:`basis_alphabet` order, and a positive sum.
     """
     PrimeDim(d)
     alphabet = basis_alphabet(d, (Family.PLAIN, Family.HAT))
@@ -239,6 +241,13 @@ def dual_family_detection_probability(d: int, eve_family: Family = Family.PLAIN,
         weights = np.full(len(alphabet), 1.0 / len(alphabet))
     else:
         weights = np.asarray(weights, dtype=float)
+        if weights.shape != (len(alphabet),):
+            raise ValueError(f"expected {len(alphabet)} message weights, "
+                             f"got shape {weights.shape}")
+        if not np.isfinite(weights).all() or (weights < 0).any():
+            raise ValueError("message weights must be finite and >= 0")
+        if weights.sum() <= 0:
+            raise ValueError("message weights must not all vanish")
         weights = weights / weights.sum()
     codes = _decode_codes(d)
     eve_labels = [BasisId(eve_family, None)] + [BasisId(eve_family, b) for b in range(d)]

@@ -54,9 +54,9 @@ from .bases import (
 )
 from .finite_field import FieldElement, _prime_dim
 from .quantum import (
-    TOLERANCE,
     DensityOperator,
     Ket,
+    _cdf,
     _frozen,
     born_probabilities,
     nonselective_measure,
@@ -268,21 +268,6 @@ def _decode_codes(d: int) -> np.ndarray:
     return _frozen(np.array(codes, dtype=np.int64))
 
 
-def _cdf(probs: np.ndarray) -> np.ndarray:
-    """Cumulative distribution(s) along the last axis, safe to invert.
-
-    Cells below ``TOLERANCE`` become exact zeros, and each CDF reads
-    exactly 1.0 from its last possible cell on.  An inverse-CDF lookup
-    with ``u < 1`` therefore lands on an outcome of nonzero probability,
-    whatever the round-off in the running sums.
-    """
-    p = np.where(probs < TOLERANCE, 0.0, probs)
-    cum = np.cumsum(p, axis=-1)
-    last = p.shape[-1] - 1 - np.argmax(p[..., ::-1] > 0.0, axis=-1)
-    cum[np.arange(p.shape[-1]) >= np.expand_dims(last, -1)] = 1.0
-    return _frozen(cum)
-
-
 _FAMILIES = (Family.PLAIN, Family.HAT)
 
 
@@ -441,27 +426,11 @@ def _eve_pretest_probs(d: int) -> np.ndarray:
     """Pre-test joint distribution while the substitution attack is running.
 
     Bob measures half of Eve's decoy pair and Alice's own half is away in
-    Eve's hands, so both reduced states are maximally mixed and the
-    announced pairs decouple.
+    Eve's hands, so both reduced states are maximally mixed, the announced
+    pairs decouple, and every (b, m, a, m') has probability 1/((d+1) d)^2.
     """
-    from .quantum import partial_trace
-
-    decoy = DensityOperator.from_ket(_prep_ket(d, Family.PLAIN))
-    bob_side = partial_trace(decoy, keep=1)
-    alice_side = partial_trace(DensityOperator.from_ket(_prep_ket(d, Family.PLAIN)), keep=2)
-    alphabet = basis_alphabet(d)
-    n_bases = len(alphabet)
-    probs = np.zeros((n_bases * d) ** 2)
-    flat = 0
-    for b in alphabet:
-        pm = born_probabilities(bob_side, measurement_basis(d, b))
-        for m in range(d):
-            for a in alphabet:
-                pa = born_probabilities(alice_side, measurement_basis(d, a))
-                for mp in range(d):
-                    probs[flat] = pm[m] * pa[mp] / n_bases ** 2
-                    flat += 1
-    return _frozen(probs)
+    n_cells = (len(basis_alphabet(d)) * d) ** 2
+    return _frozen(np.full(n_cells, 1.0 / n_cells))
 
 
 # ---------------------------------------------------------------------------

@@ -265,17 +265,31 @@ def partial_trace(rho: DensityOperator, keep: int) -> DensityOperator:
     return DensityOperator(reduced, dims=(d,))
 
 
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """Cumulative distribution(s) along the last axis, safe to invert.
+
+    Cells below ``TOLERANCE`` become exact zeros, and each CDF reads
+    exactly 1.0 from its last possible cell on.  An inverse-CDF lookup
+    with ``u < 1`` therefore lands on an outcome of nonzero probability,
+    whatever the round-off in the running sums.
+    """
+    p = np.where(probs < TOLERANCE, 0.0, probs)
+    cum = np.cumsum(p, axis=-1)
+    last = p.shape[-1] - 1 - np.argmax(p[..., ::-1] > 0.0, axis=-1)
+    cum[np.arange(p.shape[-1]) >= np.expand_dims(last, -1)] = 1.0
+    return _frozen(cum)
+
+
 def sample_outcome(probs: np.ndarray, rng: np.random.Generator,
                    size: int | None = None) -> int | np.ndarray:
     """Draw outcome indices by inverse-CDF in the given ordering.
 
+    No outcome below ``TOLERANCE`` is ever drawn (see :func:`_cdf`).
     With ``size=None`` returns a single int; otherwise an int64 array.
     """
-    p = _clean_probabilities(np.asarray(probs, dtype=float))
-    cdf = np.cumsum(p)
+    cdf = _cdf(_clean_probabilities(np.asarray(probs, dtype=float)))
     u = rng.random() if size is None else rng.random(size)
     idx = np.searchsorted(cdf, u, side="right")
-    idx = np.minimum(idx, p.size - 1)
     if size is None:
         return int(idx)
     return idx.astype(np.int64)

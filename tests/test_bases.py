@@ -143,11 +143,19 @@ def test_plain_unbiasedness_exhaustive():
 # The square root of the Fourier matrix and the hat family.
 # ---------------------------------------------------------------------------
 
+PRIMES_TO_97 = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
+# sqrt(lam) for lam = 1, -1, i, -i on the principal branch
+PRINCIPAL_ROOTS = np.array([1, 1j, np.exp(0.25j * np.pi), np.exp(-0.25j * np.pi)])
+
+
 def test_hadamard_root_squares_to_fourier():
-    for d in (2, 3, 5, 7, 11):
+    for d in PRIMES_TO_97:
         h = hadamard_root(d)
         assert_allclose(h @ h, fourier_matrix(d), atol=1e-12)
         assert_allclose(h @ h.conj().T, np.eye(d), atol=1e-12)
+        eigenvalues = np.linalg.eigvals(h)
+        branch_gap = np.abs(eigenvalues[:, None] - PRINCIPAL_ROOTS).min(axis=1)
+        assert branch_gap.max() < 1e-12, d
 
 
 def test_hadamard_root_cached_and_frozen():

@@ -217,6 +217,18 @@ def test_dual_detection_probability_with_weights():
     assert q > 0.25          # mismatched family: strongly visible
 
 
+def test_dual_detection_probability_validates_weights():
+    """Weights follow the message-weight rules: one per basis of both families."""
+    assert dual_family_detection_probability(2, message_weights=np.ones(6)) \
+        == dual_family_detection_probability(2)
+    for bad in (np.ones(3), np.ones(9), np.ones((2, 3)), np.zeros(6),
+                np.array([1.0, -1.0, 1.0, 1.0, 1.0, 1.0]),
+                np.array([1.0, np.nan, 1.0, 1.0, 1.0, 1.0]),
+                np.array([1.0, np.inf, 1.0, 1.0, 1.0, 1.0])):
+        with pytest.raises(ValueError):
+            dual_family_detection_probability(2, message_weights=bad)
+
+
 # ---------------------------------------------------------------------------
 # run_trials dispatch
 # ---------------------------------------------------------------------------

@@ -1,0 +1,29 @@
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import mubsig
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_cli_import_loads_no_scipy():
+    """numpy is the only numerical dependency; scipy must not creep back in."""
+    code = ("import json, sys, mubsig.cli; print(json.dumps(sorted("
+            "m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert json.loads(proc.stdout) == []
+
+
+def test_top_level_exports_are_the_readme_api():
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"from mubsig import \((.*?)\)", readme, re.DOTALL).group(1)
+    documented = {name for name in re.split(r"[\s,]+", block) if name}
+    assert sorted(mubsig.__all__) == sorted(documented | {"__version__"})
+    for name in mubsig.__all__:
+        assert hasattr(mubsig, name), name

@@ -3,7 +3,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mubsig import protocol
-from mubsig.bases import BasisId, Family, basis_alphabet, pair_outcome_labels
+from mubsig.bases import (
+    BasisId,
+    Family,
+    basis_alphabet,
+    entangled_ket,
+    measurement_basis,
+    pair_outcome_labels,
+)
 from mubsig.finite_field import PrimeDim
 from mubsig.harness import EveMode, HarnessConfig, Protocol, run_trials
 from mubsig.protocol import (
@@ -18,7 +25,13 @@ from mubsig.protocol import (
     run_round_original,
     run_protocol2_round,
 )
-from mubsig.quantum import TOLERANCE
+from mubsig.quantum import (
+    TOLERANCE,
+    DensityOperator,
+    born_probabilities,
+    partial_trace,
+    sample_outcome,
+)
 
 
 def decode_oracle(d, c, r, s, cp, rp):
@@ -270,6 +283,29 @@ def test_pretest_distribution_computational_anticorrelation():
                 assert abs(p - expected) < 1e-12
 
 
+def dense_eve_pretest_probs(d):
+    """Reduced states of the decoy pair, then Born probabilities per basis pair."""
+    decoy = DensityOperator.from_ket(entangled_ket(d, 0, 0, 0))
+    bob_side = partial_trace(decoy, keep=1)
+    alice_side = partial_trace(decoy, keep=2)
+    alphabet = basis_alphabet(d)
+    probs = []
+    for b in alphabet:
+        pm = born_probabilities(bob_side, measurement_basis(d, b))
+        for m in range(d):
+            for a in alphabet:
+                pa = born_probabilities(alice_side, measurement_basis(d, a))
+                probs.extend(pm[m] * pa / len(alphabet) ** 2)
+    return np.array(probs)
+
+
+def test_eve_pretest_probs_match_dense_derivation():
+    for d in (2, 3, 5):
+        closed = protocol._eve_pretest_probs(d)
+        assert closed.shape == (((d + 1) * d) ** 2,)
+        assert_allclose(closed, dense_eve_pretest_probs(d), rtol=0, atol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # Sessions: reports must be exact functions of their records.
 # ---------------------------------------------------------------------------
@@ -408,10 +444,11 @@ def test_sessions_deterministic_in_seed():
 # ---------------------------------------------------------------------------
 
 class _TopOfUnitInterval:
-    """A stand-in block stream whose every uniform draw is the largest float below 1."""
+    """A stand-in stream or generator: every uniform draw is the largest float below 1."""
 
-    def random(self, n):
-        return np.full(n, np.nextafter(1.0, 0.0))
+    def random(self, n=None):
+        top = np.nextafter(1.0, 0.0)
+        return top if n is None else np.full(n, top)
 
 
 def _exact_prob(d, family, basis, outcome):
@@ -422,11 +459,17 @@ def _exact_prob(d, family, basis, outcome):
 def test_cdf_tail_never_samples_impossible_outcomes(d, monkeypatch):
     """Every draw at u = 1 - 2^-53 lands on an outcome of nonzero probability.
 
+    The single-round sampler takes every row of both families directly.
     One session per message label steers Bob through every basis.  The
     family coin then always picks hat, so the dual-family sessions read
     each hat-prepared row directly and each plain-prepared row through
     Eve's plain decoy; the original sessions read every plain row.
     """
+    for family in (Family.PLAIN, Family.HAT):
+        for basis in basis_alphabet(d, (Family.PLAIN, Family.HAT)):
+            probs = pair_outcome_probs(d, family, basis)
+            assert probs[sample_outcome(probs, _TopOfUnitInterval())] > TOLERANCE, \
+                (family, basis)
     monkeypatch.setattr(protocol, "derive_round_stream",
                         lambda seed, index: _TopOfUnitInterval())
     configs = []

@@ -212,8 +212,8 @@ def entangled_ket(d: int, c: int, r: int, s: int) -> Ket:
 def hat_entangled_ket(d: int, c: int, r: int) -> Ket:
     """The s = 0 entangled ket with both halves transported to the hat basis."""
     u = hat_unitary(d)
-    plain = entangled_ket(d, c, r, 0)
-    return Ket(np.kron(u, u) @ plain.amplitudes, dims=(d, d))
+    plain = entangled_ket(d, c, r, 0).amplitudes.reshape(d, d)
+    return Ket(u @ plain @ u.T, dims=(d, d))
 
 
 def pair_outcome_labels(d: int) -> tuple[tuple[int, int], ...]:

@@ -88,9 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_prime_dim(d: int | None) -> int:
-    if d is None:
-        raise _CliError("--dim is required (directly or via --config)")
+def _require_prime_dim(d: int) -> int:
     if not is_prime(d):
         raise _CliError(f"--dim must be prime, got {d}")
     return d
@@ -129,7 +127,8 @@ def _merge_run_config(args: argparse.Namespace) -> HarnessConfig:
     base.update({k: v for k, v in overrides.items() if v is not None})
     base.setdefault("eve", "off")
     base.setdefault("seed", 0)
-    _require_prime_dim(base.get("dim"))
+    if base.get("dim") is None:
+        raise _CliError("--dim is required (directly or via --config)")
     try:
         return config_from_document(base)
     except (ValueError, TypeError) as exc:

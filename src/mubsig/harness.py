@@ -9,7 +9,9 @@ so reports are byte-for-byte reproducible at any degree of parallelism.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import numbers
+import sys
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -20,9 +22,9 @@ from .protocol import (
     PretestRecord,
     RoundRecord,
     SessionReport,
-    _decode_codes,
     _INCONCLUSIVE_CODE,
     _run_session,
+    _tables,
     ideal_pretest_distribution,
     pair_outcome_labels,
     pair_outcome_probs,
@@ -112,6 +114,9 @@ class HarnessConfig:
             if dist != "uniform":
                 raise ValueError(f"unknown message distribution {dist!r}")
             return None
+        if not isinstance(dist, Mapping):
+            raise ValueError("message distribution must be 'uniform' or a mapping "
+                             "from basis label to weight")
         alphabet = self.alphabet()
         known = {b.text(): i for i, b in enumerate(alphabet)}
         weights = np.zeros(len(alphabet))
@@ -119,8 +124,10 @@ class HarnessConfig:
             if label not in known:
                 raise ValueError(f"message label {label!r} not in the "
                                  f"{self.protocol.value} alphabet")
-            if not np.isfinite(w) or w < 0:
-                raise ValueError(f"message weight for {label!r} must be >= 0")
+            if (isinstance(w, bool) or not isinstance(w, numbers.Real)
+                    or not 0 <= w <= sys.float_info.max):
+                raise ValueError(f"message weight for {label!r} must be a finite "
+                                 f"number >= 0")
             weights[known[label]] = w
         if weights.sum() <= 0:
             raise ValueError("message weights must not all vanish")
@@ -151,9 +158,10 @@ def analytic_outcome_distribution(d: int, bob_basis: BasisId) -> AnalyticDistrib
 
     Alice prepares the (0,0) pair of ``bob_basis.family``, Bob measures
     the travelling half in ``bob_basis``, and Alice measures the pair in
-    her family's entangled basis.  Computed by full matrix algebra; this
-    is the brute-force reference the Monte Carlo paths are checked
-    against.
+    her family's entangled basis.  This is a row of the exact table the
+    sessions sample, compiled from the pure pair state; the tests check it
+    against the dense density-matrix derivation, and against the
+    state-by-state single-round path.
     """
     probs = pair_outcome_probs(d, bob_basis.family, bob_basis)
     return AnalyticDistribution(pair_outcome_labels(d), probs)
@@ -227,56 +235,42 @@ def dual_family_detection_probability(d: int, eve_family: Family = Family.PLAIN,
                                       ) -> float:
     """Exact P(checked decode names the wrong basis | round survived sifting).
 
-    Closed-form summation over Alice's family, Bob's basis, the
-    attacker's outcome, and Alice's outcome, with the attacker running
-    her substitution attack in ``eve_family``.  This is the quantity the
-    dual-family session's ``detection_rate`` estimates.  ``message_weights``
-    has one finite, nonnegative entry per basis of both families, in
-    :func:`basis_alphabet` order, and a positive sum.
+    Two contractions over the exact outcome array, with the attacker
+    running her substitution attack in ``eve_family``: her outcome for
+    each of Bob's bases, folded into the row her resend leaves Alice with,
+    and Alice's outcome, folded into the basis she decodes.  This is the
+    quantity the dual-family session's ``detection_rate`` estimates.
+    ``message_weights`` has one finite, nonnegative entry per basis of both
+    families, in :func:`basis_alphabet` order, and a positive sum.
     """
-    PrimeDim(d)
-    alphabet = basis_alphabet(d, (Family.PLAIN, Family.HAT))
-    weights = message_weights
-    if weights is None:
-        weights = np.full(len(alphabet), 1.0 / len(alphabet))
-    else:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (len(alphabet),):
-            raise ValueError(f"expected {len(alphabet)} message weights, "
-                             f"got shape {weights.shape}")
-        if not np.isfinite(weights).all() or (weights < 0).any():
-            raise ValueError("message weights must be finite and >= 0")
-        if weights.sum() <= 0:
-            raise ValueError("message weights must not all vanish")
-        weights = weights / weights.sum()
-    codes = _decode_codes(d)
-    eve_labels = [BasisId(eve_family, None)] + [BasisId(eve_family, b) for b in range(d)]
-    p_kept = 0.0
-    p_mismatch = 0.0
-    for alice_family in (Family.PLAIN, Family.HAT):
-        for w, bob in zip(weights, alphabet):
-            if bob.family is not alice_family:
-                continue
-            base = 0.5 * w  # alice family choice is a fair coin
-            bob_code = d if bob.quad is None else bob.quad
-            eve_probs = pair_outcome_probs(d, eve_family, bob)
-            for eve_idx, q in enumerate(eve_probs):
-                if q == 0.0:
-                    continue
-                eve_code = codes[eve_idx]
-                if eve_code == _INCONCLUSIVE_CODE:
-                    continue  # pair goes back untouched: Alice reads (0,0), discarded
-                row = 0 if eve_code == d else eve_code + 1
-                alice_probs = pair_outcome_probs(d, alice_family, eve_labels[row])
-                conclusive = codes != _INCONCLUSIVE_CODE
-                kept_weight = base * q * alice_probs[conclusive].sum()
-                wrong_weight = base * q * alice_probs[conclusive
-                                                      & (codes != bob_code)].sum()
-                p_kept += kept_weight
-                p_mismatch += wrong_weight
+    tables = _tables(d, 2)
+    n_bases = len(tables.alphabet)
+    weights = np.ones(n_bases) if message_weights is None else np.asarray(
+        message_weights, dtype=float)
+    if weights.shape != (n_bases,):
+        raise ValueError(f"expected {n_bases} message weights, "
+                         f"got shape {weights.shape}")
+    if not np.isfinite(weights).all() or (weights < 0).any():
+        raise ValueError("message weights must be finite and >= 0")
+    if weights.sum() <= 0:
+        raise ValueError("message weights must not all vanish")
+    codes = tables.decode_code
+    per_family = d + 1
+    bob_fam, bob_code = np.divmod(np.arange(n_bases), per_family)
+    # Eve's outcome on her decoy, folded into the row her resend leaves
+    # Alice with: 1 + the decoded basis, or the untouched row 0.
+    eve = 0 if eve_family is Family.PLAIN else 1
+    resend = np.where(codes == _INCONCLUSIVE_CODE, 0, 1 + eve * per_family + codes)
+    to_row = tables.probs[eve, 1:] @ (resend[:, None] == np.arange(n_bases + 1))
+    # Alice's outcome, folded into the basis she decodes; she prepared
+    # Bob's family (the rounds that survive sifting; her family coin is fair).
+    decoded = tables.probs[bob_fam] @ (codes[:, None] == np.arange(per_family))
+    wrong = np.arange(per_family) != bob_code[:, None]
+    p_kept = np.einsum("j,jr,jrc->", weights, to_row, decoded)
+    p_mismatch = np.einsum("j,jr,jrc,jc->", weights, to_row, decoded, wrong)
     if p_kept <= 0.0:
         raise RuntimeError("attack left no sifted conclusive rounds")
-    return p_mismatch / p_kept
+    return float(p_mismatch / p_kept)
 
 
 def run_trials(config: HarnessConfig, *, workers: int = 1,

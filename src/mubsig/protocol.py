@@ -25,11 +25,12 @@ All three protocols run on one session engine.  They share the
 signalling round and differ only in the preparation alphabet (one
 family, or plain and hat together) and in their checks (a tomography
 pre-test, post-test checking with sifting).  Sessions sample rounds
-from exact outcome distributions that are compiled once per dimension
-and family count out of the dense quantum operations, so a million
-rounds cost about as much as a million table lookups, and the per-round
-statistics remain exactly those of the state-by-state simulation (which
-is also available, one round at a time).
+from one exact array of outcome distributions, compiled once per
+dimension and family count from the pure pair states, so a million
+rounds cost about as much as a million table lookups.  The per-round
+statistics remain exactly those of the state-by-state simulation, which
+is also available one round at a time and runs on the dense density
+operators instead.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .bases import (
 )
 from .finite_field import FieldElement, _prime_dim
 from .quantum import (
+    TOLERANCE,
     DensityOperator,
     Ket,
     _cdf,
@@ -227,14 +229,20 @@ def _prep_ket(d: int, family: Family) -> Ket:
 def pair_outcome_probs(d: int, own_family: Family, measured_basis: BasisId) -> np.ndarray:
     """Exact pair-outcome distribution after the travelling half is measured.
 
-    The holder prepared the (0,0) pair of ``own_family``, the travelling
-    half was measured nonselectively in ``measured_basis``, and the pair
-    is then measured in the holder's own entangled basis.  Entries follow
-    :func:`pair_outcome_labels` order.
+    The holder prepared the (0,0) pair Psi of ``own_family``, the
+    travelling half was measured nonselectively in ``measured_basis``
+    {b_m}, and the pair is then measured in the holder's own entangled
+    basis {e_k}: p_k = sum_m |<e_k| b_m (x) phi_m>|^2 with
+    phi_m = (<b_m| (x) 1) Psi.  Cells below ``TOLERANCE`` are exactly 0.0.
+    Entries follow :func:`pair_outcome_labels` order.
     """
-    prep = DensityOperator.from_ket(_prep_ket(d, own_family))
-    rho = nonselective_measure(prep, 1, measurement_basis(d, measured_basis))
-    return _frozen(born_probabilities(rho, entangled_basis(d, 0, own_family)))
+    psi = _prep_ket(d, own_family).amplitudes.reshape(d, d)
+    b = measurement_basis(d, measured_basis).matrix
+    e = entangled_basis(d, 0, own_family).matrix.reshape(d, d, d * d)
+    phi = b.conj().T @ psi
+    amps = np.einsum("ijk,im,mj->km", e.conj(), b, phi, optimize=True)
+    p = (np.abs(amps) ** 2).sum(axis=1)
+    return _frozen(np.where(p < TOLERANCE, 0.0, p))
 
 
 def _decode_outcome(d: int, c: int, r: int) -> DecodeResult:
@@ -246,65 +254,51 @@ def _decode_outcome(d: int, c: int, r: int) -> DecodeResult:
 _INCONCLUSIVE_CODE = -1
 
 
-def _code_of(d: int, result: DecodeResult) -> int:
-    if result.kind == _INCONCLUSIVE:
-        return _INCONCLUSIVE_CODE
-    return d if result.kind == _COMPUTATIONAL else result.quad
-
-
-def _result_of_code(d: int, code: int) -> DecodeResult:
-    if code == _INCONCLUSIVE_CODE:
-        return DecodeResult.inconclusive()
-    return DecodeResult.computational() if code == d else DecodeResult.quadratic(code)
-
-
-def _basis_code(d: int, basis: BasisId) -> int:
-    return d if basis.quad is None else basis.quad
-
-
 @functools.lru_cache(maxsize=None)
 def _decode_codes(d: int) -> np.ndarray:
-    codes = [_code_of(d, _decode_outcome(d, c, r)) for c, r in pair_outcome_labels(d)]
+    """Per pair outcome, the alphabet index within a family of the basis it
+    decodes to: 0 for the computational basis, 1 + b for q_b, -1 when
+    inconclusive."""
+    results = (_decode_outcome(d, c, r) for c, r in pair_outcome_labels(d))
+    codes = [_INCONCLUSIVE_CODE if x.kind == _INCONCLUSIVE else
+             0 if x.kind == _COMPUTATIONAL else 1 + x.quad for x in results]
     return _frozen(np.array(codes, dtype=np.int64))
 
 
 _FAMILIES = (Family.PLAIN, Family.HAT)
+_UNIT = 1 << 53   # Generator.random() returns k / 2**53 with integer k
 
 
 @dataclass(frozen=True)
 class _Tables:
-    """Compiled outcome CDFs for the alphabet of one or both families.
+    """The exact outcome array for the alphabet of one or both families.
 
-    Row ``prep_family * len(alphabet) + basis_idx`` of ``cum`` is Alice's
-    pair-outcome CDF when she prepared the (0,0) pair of
-    ``_FAMILIES[prep_family]`` and the travelling half was measured in
-    ``alphabet[basis_idx]``.  The plain bases come first, so a plain
-    label row is also a plain alphabet index.
+    ``probs[f, 1 + j]`` is Alice's pair-outcome distribution when she
+    prepared the (0,0) pair of ``_FAMILIES[f]`` and the travelling half
+    was measured in ``alphabet[j]``; ``probs[f, 0]`` is the untouched
+    pair, all mass on (0,0).  The plain bases come first, so the row of a
+    plain basis is ``1 + code`` for its decode code, and the inconclusive
+    code lands on the untouched row.  ``thresholds`` flattens the CDFs of
+    all rows for :func:`_grouped_inverse_cdf`.
     """
 
-    n_families: int
     alphabet: tuple[BasisId, ...]
-    family_idx: np.ndarray      # 0 plain, 1 hat, per alphabet entry
-    bob_code: np.ndarray
-    cum: np.ndarray
+    probs: np.ndarray
     decode_code: np.ndarray
-
-
-def _label_rows(d: int, codes: np.ndarray) -> np.ndarray:
-    """Alphabet position of a conclusive decode code within the plain family."""
-    return np.where(codes == d, 0, codes + 1)
+    thresholds: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
 def _tables(d: int, n_families: int) -> _Tables:
     families = _FAMILIES[:n_families]
     alphabet = basis_alphabet(d, families)
-    family_idx = _frozen(np.array([families.index(b.family) for b in alphabet],
-                                  dtype=np.int64))
-    bob_code = _frozen(np.array([_basis_code(d, b) for b in alphabet], dtype=np.int64))
-    rows = [pair_outcome_probs(d, fam, b) for fam in families for b in alphabet]
-    return _Tables(n_families, alphabet, family_idx, bob_code, _cdf(np.vstack(rows)),
-                   _decode_codes(d))
+    untouched = np.eye(1, d * d)[0]
+    probs = np.array([[untouched] + [pair_outcome_probs(d, f, b) for b in alphabet]
+                      for f in families])
+    cum = _cdf(probs).reshape(-1, d * d)
+    rows = np.arange(len(cum), dtype=np.int64)[:, None]
+    thresholds = rows * _UNIT + np.ceil(cum * _UNIT).astype(np.int64) - 1
+    return _Tables(alphabet, _frozen(probs), _decode_codes(d), _frozen(thresholds.ravel()))
 
 
 # ---------------------------------------------------------------------------
@@ -437,13 +431,18 @@ def _eve_pretest_probs(d: int) -> np.ndarray:
 # Sessions: block-wise exact-table sampling.
 # ---------------------------------------------------------------------------
 
-def _grouped_inverse_cdf(cum_rows: np.ndarray, rows: np.ndarray,
+def _grouped_inverse_cdf(tables: _Tables, rows: np.ndarray,
                          u: np.ndarray) -> np.ndarray:
-    out = np.empty(u.size, dtype=np.int64)
-    for rv in np.unique(rows):
-        mask = rows == rv
-        out[mask] = np.searchsorted(cum_rows[rv], u[mask], side="right")
-    return out
+    """Outcome index per (row, u), by one lookup over all rows at once.
+
+    Row r holds the thresholds r*2^53 + ceil(cum*2^53) - 1.  For
+    u = k/2^53, the thresholds below r*2^53 + k are those of every
+    earlier row plus the cells of row r with cum <= u, so the result is
+    exactly ``np.searchsorted(cum[r], u, side="right")``.  The keys fit
+    in int64 for up to 1024 rows (d < 254).
+    """
+    keys = rows * _UNIT + (u * _UNIT).astype(np.int64)
+    return np.searchsorted(tables.thresholds, keys) - rows * tables.probs.shape[-1]
 
 
 def _run_blocks(worker: Callable[[np.random.Generator, int], tuple],
@@ -488,29 +487,24 @@ def _signal_block(tables: _Tables, d: int, eve: bool, msg_cdf: np.ndarray,
     outcome after Eve's resend, and the post-test coin (unless every
     conclusive round is checked).  Eve's decoy pair is plain.
     """
-    n_bases = len(tables.alphabet)
-    if tables.n_families == 2:
+    n_families, rows_per_family = tables.probs.shape[:2]
+    if n_families == 2:
         fam_idx = (stream.random(n) >= 0.5).astype(np.int64)   # 0 plain, 1 hat
     else:
         fam_idx = np.zeros(n, dtype=np.int64)
     b_idx = np.searchsorted(msg_cdf, stream.random(n), side="right")
-    u_out = stream.random(n)
+    alice_row = fam_idx * rows_per_family + 1
     eve_idx = None
-    if eve:   # Eve's decoy is a plain pair: prep family 0, so row = b_idx
-        eve_idx = _grouped_inverse_cdf(tables.cum, b_idx, u_out)
+    if eve:   # Eve's decoy is a plain pair, and she resends in the plain basis she decoded
+        eve_idx = _grouped_inverse_cdf(tables, 1 + b_idx, stream.random(n))
         eve_code = tables.decode_code[eve_idx]
-        conclusive_e = eve_code != _INCONCLUSIVE_CODE
-        u_alice = stream.random(n)
-        out_idx = np.zeros(n, dtype=np.int64)   # untouched pair always reads (0,0)
-        rows = fam_idx * n_bases + _label_rows(d, eve_code)
-        if conclusive_e.any():
-            out_idx[conclusive_e] = _grouped_inverse_cdf(
-                tables.cum, rows[conclusive_e], u_alice[conclusive_e])
+        alice_row += eve_code
     else:
-        out_idx = _grouped_inverse_cdf(tables.cum, fam_idx * n_bases + b_idx, u_out)
+        alice_row += b_idx
+    out_idx = _grouped_inverse_cdf(tables, alice_row, stream.random(n))
     dcode = tables.decode_code[out_idx]
-    bob_code = tables.bob_code[b_idx]
-    bob_fam = tables.family_idx[b_idx]
+    bob_code = b_idx % (d + 1)
+    bob_fam = b_idx // (d + 1)
     matched = bob_fam == fam_idx
     kept = matched & (dcode != _INCONCLUSIVE_CODE)
     correct = kept & (dcode == bob_code)
@@ -522,11 +516,12 @@ def _signal_block(tables: _Tables, d: int, eve: bool, msg_cdf: np.ndarray,
     tally = _SignalTally(
         rounds=n, matched=int(matched.sum()), kept=int(kept.sum()),
         correct=int(correct.sum()), checked=int(checked.sum()),
-        mismatches=int(mismatches.sum()),
-        eve_conclusive=int(conclusive_e.sum()) if eve else 0,
-        eve_correct=int((conclusive_e & (eve_code == bob_code)
-                         & (bob_fam == 0)).sum()) if eve else 0,
-    )
+        mismatches=int(mismatches.sum()))
+    if eve:
+        conclusive_e = eve_code != _INCONCLUSIVE_CODE
+        tally.eve_conclusive = int(conclusive_e.sum())
+        tally.eve_correct = int((conclusive_e & (eve_code == bob_code)
+                                 & (bob_fam == 0)).sum())
     arrays = None
     if collect:
         arrays = {"fam_idx": fam_idx, "b_idx": b_idx, "out_idx": out_idx,
@@ -536,22 +531,21 @@ def _signal_block(tables: _Tables, d: int, eve: bool, msg_cdf: np.ndarray,
 
 def _records(d: int, tables: _Tables, blocks: list[dict]) -> list[RoundRecord]:
     labels = pair_outcome_labels(d)
+    results = [_decode_outcome(d, c, r) for c, r in labels]
     records: list[RoundRecord] = []
     for arrays in blocks:
         eve_idx = arrays["eve_idx"]
         for i, (fi, bi, oi) in enumerate(zip(arrays["fam_idx"], arrays["b_idx"],
                                              arrays["out_idx"])):
-            outcome = labels[oi]
-            result = _result_of_code(d, int(tables.decode_code[oi]))
             if eve_idx is None:
                 records.append(RoundRecord(tables.alphabet[bi], _FAMILIES[fi],
-                                           outcome, result, eve_active=False))
+                                           labels[oi], results[oi], eve_active=False))
                 continue
-            e_res = _result_of_code(d, int(tables.decode_code[eve_idx[i]]))
-            records.append(RoundRecord(tables.alphabet[bi], _FAMILIES[fi],
-                                       outcome, result, eve_active=True,
-                                       eve_outcome=labels[eve_idx[i]], eve_decode=e_res,
-                                       eve_forward_basis=_forward_basis(Family.PLAIN, e_res)))
+            ei = eve_idx[i]
+            records.append(RoundRecord(
+                tables.alphabet[bi], _FAMILIES[fi], labels[oi], results[oi],
+                eve_active=True, eve_outcome=labels[ei], eve_decode=results[ei],
+                eve_forward_basis=_forward_basis(Family.PLAIN, results[ei])))
     return records
 
 

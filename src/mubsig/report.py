@@ -117,9 +117,14 @@ def config_from_document(document: Mapping) -> HarnessConfig:
         value = data.get(key)
         if value is None:
             return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"config key {key!r} must be a number")
-        return kind(value)
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+                kind is int and isinstance(value, float) and not value.is_integer()):
+            raise ValueError(f"config key {key!r} must be {kind.__name__}-valued, "
+                             f"got {value!r}")
+        try:
+            return kind(value)
+        except OverflowError:
+            raise ValueError(f"config key {key!r} is out of range") from None
     return HarnessConfig(
         d=_number("dim", int),
         protocol=protocol,

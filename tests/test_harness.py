@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mubsig.bases import BasisId, Family, pair_outcome_labels
+from mubsig.bases import BasisId, Family, basis_alphabet, pair_outcome_labels
+from mubsig.finite_field import PrimeDim
 from mubsig.harness import (
     AnalyticDistribution,
     EveMode,
@@ -18,7 +19,7 @@ from mubsig.harness import (
     pretest_reference_distribution,
     run_trials,
 )
-from mubsig.protocol import pair_outcome_probs
+from mubsig.protocol import decode, pair_outcome_probs
 
 
 def original(rounds=100, **kw):
@@ -217,6 +218,36 @@ def test_dual_detection_probability_with_weights():
     assert q > 0.25          # mismatched family: strongly visible
 
 
+def _detection_by_loop(d, eve_family, weights):
+    """The explicit sum over Bob's basis, the attacker's outcome and Alice's outcome."""
+    dim = PrimeDim(d)
+    prep = (dim.element(0),) * 3
+    decodes = [decode(prep, (dim.element(c), dim.element(r)))
+               for c, r in pair_outcome_labels(d)]
+    kept = wrong = 0.0
+    for w, bob in zip(weights, basis_alphabet(d, (Family.PLAIN, Family.HAT))):
+        for q, eve_decode in zip(pair_outcome_probs(d, eve_family, bob), decodes):
+            if not eve_decode.is_conclusive:
+                continue   # the pair goes back untouched and Alice reads (0,0)
+            resend = BasisId(eve_family, eve_decode.quad)
+            # sifting keeps the rounds where Alice prepared Bob's family
+            for p, alice_decode in zip(pair_outcome_probs(d, bob.family, resend), decodes):
+                if alice_decode.is_conclusive:
+                    kept += w * q * p
+                    wrong += w * q * p * (not alice_decode.matches_label(bob))
+    return wrong / kept
+
+
+def test_dual_detection_probability_matches_explicit_sum():
+    for d in (2, 3, 5, 7):
+        for eve_family in (Family.PLAIN, Family.HAT):
+            for weights in (None, np.arange(1.0, 2 * d + 3)):
+                loop = _detection_by_loop(d, eve_family, np.ones(2 * d + 2)
+                                          if weights is None else weights)
+                assert_allclose(dual_family_detection_probability(d, eve_family, weights),
+                                loop, rtol=0, atol=1e-14, err_msg=f"d={d} {eve_family}")
+
+
 def test_dual_detection_probability_validates_weights():
     """Weights follow the message-weight rules: one per basis of both families."""
     assert dual_family_detection_probability(2, message_weights=np.ones(6)) \
@@ -227,6 +258,21 @@ def test_dual_detection_probability_validates_weights():
                 np.array([1.0, np.inf, 1.0, 1.0, 1.0, 1.0])):
         with pytest.raises(ValueError):
             dual_family_detection_probability(2, message_weights=bad)
+
+
+def test_sessions_at_d31_match_exact_rates():
+    """The compiled engine reaches d = 31: both exact rates within 6 sigma."""
+    d = 31
+    report = run_trials(HarnessConfig(d=d, protocol=Protocol.ORIGINAL, rounds=40_000,
+                                      eve=EveMode.INTERCEPT, seed=31))
+    p = 1 / d + (d - 1) / d ** 2
+    assert abs(report.inconclusive_rate - p) < 6 * np.sqrt(p * (1 - p) / report.rounds)
+    cfg = HarnessConfig(d=d, protocol=Protocol.DUAL_FAMILY, rounds=40_000,
+                        posttest_fraction=0.5, eve=EveMode.DUAL_FAMILY, seed=31)
+    report = run_trials(cfg)
+    checked = report.sifted * cfg.posttest_fraction   # expected number of checked rounds
+    p = dual_family_detection_probability(d)
+    assert abs(report.detection_rate - p) < 6 * np.sqrt(p * (1 - p) / checked)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import mubsig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,3 +29,11 @@ def test_top_level_exports_are_the_readme_api():
     assert sorted(mubsig.__all__) == sorted(documented | {"__version__"})
     for name in mubsig.__all__:
         assert hasattr(mubsig, name), name
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

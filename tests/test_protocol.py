@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from mubsig import protocol
 from mubsig.bases import (
     BasisId,
     Family,
     basis_alphabet,
+    entangled_basis,
     entangled_ket,
+    hat_entangled_ket,
     measurement_basis,
     pair_outcome_labels,
 )
@@ -28,7 +30,9 @@ from mubsig.protocol import (
 from mubsig.quantum import (
     TOLERANCE,
     DensityOperator,
+    _cdf,
     born_probabilities,
+    nonselective_measure,
     partial_trace,
     sample_outcome,
 )
@@ -163,6 +167,25 @@ def test_pair_outcome_cross_family_normalized_and_spread():
 def test_pair_outcome_probs_cached():
     b = BasisId(Family.PLAIN, 0)
     assert pair_outcome_probs(3, Family.PLAIN, b) is pair_outcome_probs(3, Family.PLAIN, b)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_tables_match_dense_derivation(d):
+    """Every row of the exact array against the density-matrix derivation."""
+    tables = protocol._tables(d, 2)
+    assert len(tables.alphabet) == 2 * (d + 1)
+    for f, family in enumerate((Family.PLAIN, Family.HAT)):
+        prep = DensityOperator.from_ket(
+            entangled_ket(d, 0, 0, 0) if family is Family.PLAIN else hat_entangled_ket(d, 0, 0))
+        untouched = tables.probs[f, 0]
+        assert untouched[0] == 1.0 and not untouched[1:].any()
+        for j, basis in enumerate(tables.alphabet):
+            dense = born_probabilities(
+                nonselective_measure(prep, 1, measurement_basis(d, basis)),
+                entangled_basis(d, 0, family))
+            row = tables.probs[f, 1 + j]
+            assert_allclose(row, dense, rtol=0, atol=1e-14, err_msg=f"{family} {basis}")
+            assert (row[dense < 1e-12] == 0.0).all(), (family, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +528,20 @@ def test_cdf_tail_never_samples_impossible_outcomes(d, monkeypatch):
                 p = _exact_prob(d, rec.alice_prep_family, rec.eve_forward_basis,
                                 rec.alice_outcome)
                 assert p > TOLERANCE, (cfg, rec)
+
+
+@pytest.mark.parametrize("d,n_families", [(2, 2), (5, 1), (5, 2)])
+def test_grouped_lookup_equals_per_row_searchsorted(d, n_families):
+    """The integer lookup is the per-row float inverse CDF, also at u on a cell edge."""
+    tables = protocol._tables(d, n_families)
+    cum = _cdf(tables.probs).reshape(-1, d * d)
+    unit = 2.0 ** 53
+    edges = np.concatenate([np.floor(cum * unit), np.ceil(cum * unit)]).ravel() / unit
+    u = np.concatenate([edges[edges < 1.0], np.random.default_rng(3).random(4000)])
+    rows = np.repeat(np.arange(len(cum)), u.size)
+    expected = np.concatenate([np.searchsorted(row, u, side="right") for row in cum])
+    assert_array_equal(protocol._grouped_inverse_cdf(tables, rows, np.tile(u, len(cum))),
+                       expected)
 
 
 def test_worker_threads_are_capped(monkeypatch):

@@ -102,6 +102,34 @@ def test_config_from_document_errors():
         config_from_document({**good, "rounds": "ten"})
 
 
+_MALFORMED = {
+    "fractional-dim": {"dim": 3.5},
+    "fractional-rounds": {"rounds": 100.9},
+    "fractional-seed": {"seed": 7.8},
+    "overflowing-rounds": {"rounds": 1e400},
+    "list-distribution": {"message_distribution": [1, 2]},
+    "boolean-weight": {"message_distribution": {"comp": True}},
+}
+
+
+@pytest.mark.parametrize("override", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_malformed_config_values_fail_cleanly(override, tmp_path, capsys):
+    """Values that cannot be taken as given raise ValueError; the CLI exits 2."""
+    doc = {"dim": 3, "protocol": "original", "rounds": 100, "seed": 7, **override}
+    with pytest.raises(ValueError):
+        config_from_document(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path)]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_config_from_document_accepts_integral_floats():
+    cfg = config_from_document({"dim": 3.0, "protocol": "original",
+                                "rounds": 100.0, "seed": 7.0})
+    assert (cfg.d, cfg.rounds, cfg.seed) == (3, 100, 7)
+
+
 def test_render_text_summary():
     cfg = HarnessConfig(d=2, protocol=Protocol.TOMOGRAPHIC, rounds=500,
                         pretest_fraction=0.2, posttest_fraction=0.5, seed=2)

@@ -147,9 +147,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise _CliError("--workers must be >= 1")
     if args.format == "csv":
-        report, records = run_trials(config, workers=args.workers,
-                                     return_rounds=True)
-        _emit(round_log_csv(records), args.out)
+        _, log = run_trials(config, workers=args.workers, return_rounds=True)
+        _emit(round_log_csv(log), args.out)
         return 0
     report = run_trials(config, workers=args.workers)
     document = build_document(config, report, include_tables=args.include_tables)

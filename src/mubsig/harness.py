@@ -19,8 +19,7 @@ import numpy as np
 from .bases import BasisId, Family, basis_alphabet
 from .finite_field import PrimeDim
 from .protocol import (
-    PretestRecord,
-    RoundRecord,
+    RoundLog,
     SessionReport,
     _INCONCLUSIVE_CODE,
     _run_session,
@@ -275,18 +274,17 @@ def dual_family_detection_probability(d: int, eve_family: Family = Family.PLAIN,
 
 def run_trials(config: HarnessConfig, *, workers: int = 1,
                return_rounds: bool = False,
-               ) -> SessionReport | tuple[SessionReport,
-                                          list[RoundRecord | PretestRecord]]:
+               ) -> SessionReport | tuple[SessionReport, RoundLog]:
     """Run one session described by ``config``.
 
     Deterministic given ``config.seed``; ``workers`` only spreads the
     fixed blocks over threads and cannot change any reported value.
-    With ``return_rounds=True`` also returns the per-round records, in
-    round order.
+    With ``return_rounds=True`` also returns every round as a
+    :class:`~mubsig.protocol.RoundLog`, in round order.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    report, records = _run_session(
+    report, log = _run_session(
         config.d, config.rounds, config.seed,
         n_families=len(_PROTOCOL_FAMILIES[config.protocol]),
         eve=config.eve is not EveMode.OFF, message_weights=config.message_weights(),
@@ -294,5 +292,5 @@ def run_trials(config: HarnessConfig, *, workers: int = 1,
         posttest_fraction=config.posttest_fraction,
         workers=workers, collect=return_rounds)
     if return_rounds:
-        return report, records
+        return report, log
     return report

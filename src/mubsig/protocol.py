@@ -178,13 +178,29 @@ class RoundRecord:
 
 
 @dataclass(frozen=True)
-class PretestRecord:
-    """One public tomography round: announced (b, m) against Alice's (a, m')."""
+class RoundLog:
+    """Every round of one collected session, as the index arrays the engine sampled.
 
-    bob_basis: BasisId
-    bob_outcome: int
-    alice_basis: BasisId
-    alice_outcome: int
+    Pre-test rounds come first, then signal rounds, each phase in block
+    order.  ``pretest`` holds one flat cell of
+    :func:`ideal_pretest_distribution` per pre-test round.  Per signal
+    round, ``family`` is Alice's preparation family (0 plain, 1 hat),
+    ``basis`` Bob's basis as an index into ``alphabet``, and ``outcome``
+    Alice's pair outcome as an index into :func:`pair_outcome_labels`;
+    ``eve_outcome`` is the eavesdropper's outcome on her plain decoy, in
+    the same numbering, or None when nobody intercepts.
+    """
+
+    d: int
+    alphabet: tuple[BasisId, ...]
+    pretest: np.ndarray
+    family: np.ndarray
+    basis: np.ndarray
+    outcome: np.ndarray
+    eve_outcome: np.ndarray | None
+
+    def __len__(self) -> int:
+        return self.pretest.size + self.basis.size
 
 
 @dataclass(frozen=True)
@@ -479,13 +495,14 @@ class _SignalTally:
 
 def _signal_block(tables: _Tables, d: int, eve: bool, msg_cdf: np.ndarray,
                   posttest_fraction: float | None, collect: bool,
-                  stream: np.random.Generator, n: int) -> tuple[_SignalTally, dict | None]:
+                  stream: np.random.Generator, n: int) -> tuple[_SignalTally, tuple | None]:
     """Sample ``n`` signal rounds from one block stream.
 
     Draw order: Alice's family coin (two families only), Bob's message,
     the first outcome (Alice's, or Eve's when she intercepts), Alice's
     outcome after Eve's resend, and the post-test coin (unless every
-    conclusive round is checked).  Eve's decoy pair is plain.
+    conclusive round is checked).  Eve's decoy pair is plain.  With
+    ``collect`` the block's :class:`RoundLog` columns come back as well.
     """
     n_families, rows_per_family = tables.probs.shape[:2]
     if n_families == 2:
@@ -522,36 +539,12 @@ def _signal_block(tables: _Tables, d: int, eve: bool, msg_cdf: np.ndarray,
         tally.eve_conclusive = int(conclusive_e.sum())
         tally.eve_correct = int((conclusive_e & (eve_code == bob_code)
                                  & (bob_fam == 0)).sum())
-    arrays = None
-    if collect:
-        arrays = {"fam_idx": fam_idx, "b_idx": b_idx, "out_idx": out_idx,
-                  "eve_idx": eve_idx}
-    return tally, arrays
-
-
-def _records(d: int, tables: _Tables, blocks: list[dict]) -> list[RoundRecord]:
-    labels = pair_outcome_labels(d)
-    results = [_decode_outcome(d, c, r) for c, r in labels]
-    records: list[RoundRecord] = []
-    for arrays in blocks:
-        eve_idx = arrays["eve_idx"]
-        for i, (fi, bi, oi) in enumerate(zip(arrays["fam_idx"], arrays["b_idx"],
-                                             arrays["out_idx"])):
-            if eve_idx is None:
-                records.append(RoundRecord(tables.alphabet[bi], _FAMILIES[fi],
-                                           labels[oi], results[oi], eve_active=False))
-                continue
-            ei = eve_idx[i]
-            records.append(RoundRecord(
-                tables.alphabet[bi], _FAMILIES[fi], labels[oi], results[oi],
-                eve_active=True, eve_outcome=labels[ei], eve_decode=results[ei],
-                eve_forward_basis=_forward_basis(Family.PLAIN, results[ei])))
-    return records
+    return tally, ((fam_idx, b_idx, out_idx, eve_idx) if collect else None)
 
 
 def _pretest_phase(d: int, n_pre: int, seed: int, eve: bool, workers: int,
-                   collect: bool) -> tuple[float, list[PretestRecord] | None]:
-    labels, ideal = ideal_pretest_distribution(d)
+                   collect: bool) -> tuple[float, np.ndarray | None]:
+    _, ideal = ideal_pretest_distribution(d)
     cdf = _cdf(_eve_pretest_probs(d) if eve else ideal)
 
     def worker(stream: np.random.Generator, n: int) -> tuple:
@@ -564,17 +557,14 @@ def _pretest_phase(d: int, n_pre: int, seed: int, eve: bool, workers: int,
     for c, _ in results:
         counts += c
     divergence = 0.5 * np.abs(counts / n_pre - ideal).sum()
-    records = None
-    if collect:
-        records = [PretestRecord(labels[i][0], labels[i][1], labels[i][2], labels[i][3])
-                   for _, idx in results for i in idx]
-    return float(divergence), records
+    cells = np.concatenate([idx for _, idx in results]) if collect else None
+    return float(divergence), cells
 
 
 def _run_session(d: int, rounds: int, seed: int, *, n_families: int, eve: bool,
                  message_weights: np.ndarray | None, pretest_fraction: float | None,
                  posttest_fraction: float | None, workers: int, collect: bool,
-                 ) -> tuple[SessionReport, list[PretestRecord | RoundRecord] | None]:
+                 ) -> tuple[SessionReport, RoundLog | None]:
     """Run one session of any protocol, as configured by :class:`HarnessConfig`.
 
     The config validates every argument; the engine only refuses a
@@ -587,16 +577,17 @@ def _run_session(d: int, rounds: int, seed: int, *, n_families: int, eve: bool,
     pre-test frequencies and the exact undisturbed joint distribution.
     With ``posttest_fraction=None`` every conclusive decode is checked
     against Bob's record (a supervisor's view; the original protocol
-    itself has no verification step).
+    itself has no verification step).  With ``collect`` the rounds come
+    back as a :class:`RoundLog`.
     """
     n_pre = 0 if pretest_fraction is None else int(round(rounds * pretest_fraction))
     n_signal = rounds - n_pre
     if n_signal < 1 or (pretest_fraction is not None and n_pre < 1):
         raise ValueError(f"rounds={rounds} with pretest_fraction={pretest_fraction} "
                          "leaves an empty pre-test or signal phase")
-    divergence, records = None, None
+    divergence, pretest = None, np.zeros(0, dtype=np.int64)
     if n_pre:
-        divergence, records = _pretest_phase(d, n_pre, seed, eve, workers, collect)
+        divergence, pretest = _pretest_phase(d, n_pre, seed, eve, workers, collect)
     tables = _tables(d, n_families)
     n_bases = len(tables.alphabet)
     msg_cdf = _cdf(np.full(n_bases, 1.0 / n_bases) if message_weights is None
@@ -607,8 +598,11 @@ def _run_session(d: int, rounds: int, seed: int, *, n_families: int, eve: bool,
     tally = _SignalTally()
     for t, _ in results:
         tally.add(t)
+    log = None
     if collect:
-        records = (records or []) + _records(d, tables, [a for _, a in results])
+        columns = zip(*(arrays for _, arrays in results))
+        log = RoundLog(d, tables.alphabet, pretest, *(
+            None if column[0] is None else np.concatenate(column) for column in columns))
     report = SessionReport(
         rounds=rounds, sifted=tally.kept,
         decode_accuracy=_ratio(tally.correct, tally.kept),
@@ -616,4 +610,4 @@ def _run_session(d: int, rounds: int, seed: int, *, n_families: int, eve: bool,
         detection_rate=_ratio(tally.mismatches, tally.checked),
         eve_information_rate=_ratio(tally.eve_correct, tally.rounds),
         pretest_divergence=divergence, seed=seed)
-    return report, records
+    return report, log

@@ -9,13 +9,15 @@ document.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-from typing import Mapping, Sequence
+from itertools import chain, repeat
+from typing import Mapping
 
+import numpy as np
+
+from .bases import basis_alphabet, pair_outcome_labels
 from .harness import EveMode, HarnessConfig, Protocol, analytic_outcome_distribution
-from .protocol import PretestRecord, RoundRecord, SessionReport
+from .protocol import _FAMILIES, RoundLog, SessionReport, _decode_outcome
 
 SCHEMA = "mubsig.report/1"
 
@@ -161,32 +163,25 @@ _CSV_COLUMNS = ("round", "phase", "bob_basis", "bob_outcome", "alice_basis",
                 "eve_decode", "eve_forward_basis")
 
 
-def round_log_csv(records: Sequence[PretestRecord | RoundRecord]) -> str:
+def _pick(table: list[str], idx: np.ndarray) -> list[str]:
+    return np.array(table, dtype=object)[idx].tolist()
+
+
+def round_log_csv(log: RoundLog) -> str:
     """Flat per-round CSV log, one row per round in session order."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
-    for i, rec in enumerate(records):
-        row = {"round": i}
-        if isinstance(rec, PretestRecord):
-            row.update(phase="pretest",
-                       bob_basis=rec.bob_basis.text(),
-                       bob_outcome=rec.bob_outcome,
-                       alice_basis=rec.alice_basis.text(),
-                       alice_outcome_m=rec.alice_outcome)
-        else:
-            c, r = rec.alice_outcome
-            row.update(phase="signal",
-                       bob_basis=rec.bob_basis.text(),
-                       alice_family=rec.alice_prep_family.value,
-                       alice_outcome_c=int(c),
-                       alice_outcome_r=int(r),
-                       decode=rec.alice_decode.text())
-            if rec.eve_active:
-                ec, er = rec.eve_outcome
-                row.update(eve_outcome_c=int(ec), eve_outcome_r=int(er),
-                           eve_decode=rec.eve_decode.text(),
-                           eve_forward_basis=(rec.eve_forward_basis.text()
-                                              if rec.eve_forward_basis else ""))
-        writer.writerow([row.get(col, "") for col in _CSV_COLUMNS])
-    return out.getvalue()
+    d, labels = log.d, pair_outcome_labels(log.d)
+    decodes = [_decode_outcome(d, c, r).text() for c, r in labels]
+    pairs = [f"{c},{r}" for c, r in labels]
+    bob = [f"{b.text()},{m}" for b in basis_alphabet(d) for m in range(d)]
+    alice = [f"{a.text()},,,,{m}" for a in basis_alphabet(d) for m in range(d)]
+    heads = [f"{b.text()},,,{f.value}," for f in _FAMILIES for b in log.alphabet]
+    n_pre = log.pretest.size
+    pretest_rows = map("{},pretest,{},{},,,,,\n".format, range(n_pre),
+                       _pick(bob, log.pretest // len(bob)), _pick(alice, log.pretest % len(bob)))
+    eve = repeat(",,,,") if log.eve_outcome is None else _pick(
+        [f",{p},{t},{'' if t == 'inconclusive' else t}" for p, t in zip(pairs, decodes)],
+        log.eve_outcome)
+    signal_rows = map("{},signal,{}{}{}\n".format, range(n_pre, len(log)),
+                      _pick(heads, log.family * len(log.alphabet) + log.basis),
+                      _pick([f"{p},,{t}" for p, t in zip(pairs, decodes)], log.outcome), eve)
+    return "".join(chain([",".join(_CSV_COLUMNS) + "\n"], pretest_rows, signal_rows))

@@ -222,23 +222,24 @@ def test_travelling_qudit_reveals_nothing_in_transit():
 # ---------------------------------------------------------------------------
 
 @acceptance
-def test_intercept_resend_reads_messages_without_detection():
+def test_intercept_resend_reads_messages_without_detection(signal_rounds):
     for d in (2, 3):
         n = 100_000
         config = HarnessConfig(d=d, protocol=Protocol.ORIGINAL, rounds=n,
                                eve=EveMode.INTERCEPT, seed=71)
-        report, records = run_trials(config, return_rounds=True)
+        report, log = run_trials(config, return_rounds=True)
         assert report.detection_rate == 0.0
         assert report.decode_accuracy == 1.0
 
-        conclusive = [r for r in records if r.eve_decode.is_conclusive]
+        rounds = signal_rounds(log)
+        conclusive = [r for r in rounds if r.eve_decode.is_conclusive]
         p_read = 1.0 - 1.0 / d
         assert abs(len(conclusive) / n - p_read) < five_sigma(p_read, n)
         assert all(r.eve_decode.matches_label(r.bob_basis) for r in conclusive)
         assert report.eve_information_rate == len(conclusive) / n
 
         # an unread round sends the pair back untouched
-        for r in records:
+        for r in rounds:
             if not r.eve_decode.is_conclusive:
                 assert r.alice_outcome == (0, 0)
                 assert not r.alice_decode.is_conclusive

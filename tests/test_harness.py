@@ -295,13 +295,13 @@ def test_run_trials_worker_count_is_invisible():
 
 def test_run_trials_return_rounds():
     cfg = original(rounds=250, seed=1)
-    report, records = run_trials(cfg, return_rounds=True)
-    assert len(records) == 250
+    report, log = run_trials(cfg, return_rounds=True)
+    assert len(log) == 250
     assert report.rounds == 250
 
 
 def test_run_trials_message_distribution_steers_bob():
     cfg = original(rounds=300, seed=6,
                    message_distribution={"q0": 1.0})
-    _, records = run_trials(cfg, return_rounds=True)
-    assert all(r.bob_basis == BasisId(Family.PLAIN, 0) for r in records)
+    _, log = run_trials(cfg, return_rounds=True)
+    assert all(log.alphabet[b] == BasisId(Family.PLAIN, 0) for b in log.basis)

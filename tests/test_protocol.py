@@ -18,7 +18,6 @@ from mubsig.harness import EveMode, HarnessConfig, Protocol, run_trials
 from mubsig.protocol import (
     BLOCK_ROUNDS,
     DecodeResult,
-    PretestRecord,
     RoundRecord,
     decode,
     eve_intercept_resend,
@@ -330,13 +329,13 @@ def test_eve_pretest_probs_match_dense_derivation():
 
 
 # ---------------------------------------------------------------------------
-# Sessions: reports must be exact functions of their records.
+# Sessions: reports must be exact functions of their round logs.
 # ---------------------------------------------------------------------------
 
-def recompute_original(records):
-    kept = [r for r in records if r.alice_decode.is_conclusive]
+def recompute_original(rounds):
+    kept = [r for r in rounds if r.alice_decode.is_conclusive]
     correct = [r for r in kept if r.alice_decode.matches_label(r.bob_basis)]
-    eve_correct = [r for r in records if r.eve_active
+    eve_correct = [r for r in rounds if r.eve_decode is not None
                    and r.eve_decode.is_conclusive
                    and r.eve_decode.matches_label(r.bob_basis)]
     return len(kept), len(correct), len(eve_correct)
@@ -359,12 +358,11 @@ def tomographic(d, rounds, seed, eve=EveMode.OFF, pretest_fraction=0.2,
                          posttest_fraction=posttest_fraction, **kw)
 
 
-def test_original_session_report_matches_records():
+def test_original_session_report_matches_records(signal_rounds):
     for eve in (EveMode.OFF, EveMode.INTERCEPT):
-        report, records = run_trials(original(2, 600, seed=21, eve=eve),
-                                     return_rounds=True)
-        assert len(records) == 600
-        kept, correct, eve_correct = recompute_original(records)
+        report, log = run_trials(original(2, 600, seed=21, eve=eve), return_rounds=True)
+        assert len(log) == 600
+        kept, correct, eve_correct = recompute_original(signal_rounds(log))
         assert report.sifted == kept
         assert report.decode_accuracy == correct / kept
         assert report.inconclusive_rate == (600 - kept) / 600
@@ -402,15 +400,16 @@ def test_original_session_under_attack_is_invisible():
     assert abs(report.inconclusive_rate - uncond) < 5 * sigma
 
 
-def test_dual_session_report_matches_records():
-    report, records = run_trials(dual(2, 800, seed=13, eve=EveMode.DUAL_FAMILY,
-                                      posttest_fraction=0.3),
-                                 return_rounds=True)
-    assert len(records) == 800
-    matched = [r for r in records if r.sifted]
+def test_dual_session_report_matches_records(signal_rounds):
+    report, log = run_trials(dual(2, 800, seed=13, eve=EveMode.DUAL_FAMILY,
+                                  posttest_fraction=0.3),
+                             return_rounds=True)
+    assert len(log) == 800
+    rounds = signal_rounds(log)
+    matched = [r for r in rounds if r.alice_prep_family is r.bob_basis.family]
     kept = [r for r in matched if r.alice_decode.is_conclusive]
     correct = [r for r in kept if r.alice_decode.matches_label(r.bob_basis)]
-    eve_correct = [r for r in records if r.eve_active
+    eve_correct = [r for r in rounds if r.eve_decode is not None
                    and r.eve_decode.is_conclusive
                    and r.eve_decode.matches_label(r.bob_basis)
                    and r.bob_basis.family is Family.PLAIN]
@@ -428,14 +427,38 @@ def test_dual_session_clean_run_never_flags():
 
 
 def test_tomographic_session_record_structure():
-    report, records = run_trials(tomographic(2, 1000, seed=30), return_rounds=True)
-    pre = [r for r in records if isinstance(r, PretestRecord)]
-    sig = [r for r in records if isinstance(r, RoundRecord)]
-    assert len(pre) == 200
-    assert len(sig) == 800
+    report, log = run_trials(tomographic(2, 1000, seed=30), return_rounds=True)
+    assert log.pretest.size == 200
+    assert log.basis.size == 800
     assert report.pretest_divergence is not None
     assert 0.0 <= report.pretest_divergence < 0.5
     assert report.decode_accuracy == 1.0
+
+
+def test_round_log_arrays_are_integer_per_phase():
+    """Every RoundLog array is an integer ndarray with one entry per round of
+    its phase, indexing the alphabet, the pair outcomes or the pre-test cells."""
+    d = 3
+    for cfg in (original(d, 1000, 1), original(d, 1000, 1, eve=EveMode.INTERCEPT),
+                tomographic(d, 1000, 1), tomographic(d, 1000, 1, eve=EveMode.INTERCEPT),
+                dual(d, 1000, 1), dual(d, 1000, 1, eve=EveMode.DUAL_FAMILY)):
+        log = run_trials(cfg, return_rounds=True)[1]
+        n_pre = 0 if cfg.pretest_fraction is None else 200
+        assert (log.d, log.alphabet, len(log)) == (d, cfg.alphabet(), 1000)
+        assert (log.eve_outcome is None) == (cfg.eve is EveMode.OFF)
+        n_families = 2 if cfg.protocol is Protocol.DUAL_FAMILY else 1
+        columns = {"pretest": (log.pretest, n_pre, ((d + 1) * d) ** 2),
+                   "family": (log.family, 1000 - n_pre, n_families),
+                   "basis": (log.basis, 1000 - n_pre, len(cfg.alphabet())),
+                   "outcome": (log.outcome, 1000 - n_pre, d * d),
+                   "eve_outcome": (log.eve_outcome, 1000 - n_pre, d * d)}
+        for name, (array, size, bound) in columns.items():
+            if array is None:
+                continue
+            assert isinstance(array, np.ndarray), (cfg, name)
+            assert np.issubdtype(array.dtype, np.integer), (cfg, name)
+            assert array.shape == (size,), (cfg, name)
+            assert size == 0 or 0 <= array.min() <= array.max() < bound, (cfg, name)
 
 
 def test_session_rejects_bad_arguments():
@@ -479,7 +502,7 @@ def _exact_prob(d, family, basis, outcome):
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 13])
-def test_cdf_tail_never_samples_impossible_outcomes(d, monkeypatch):
+def test_cdf_tail_never_samples_impossible_outcomes(d, monkeypatch, signal_rounds):
     """Every draw at u = 1 - 2^-53 lands on an outcome of nonzero probability.
 
     The single-round sampler takes every row of both families directly.
@@ -506,27 +529,26 @@ def test_cdf_tail_never_samples_impossible_outcomes(d, monkeypatch):
     if d == 3:   # these weights sum to 0.9999999999999999 = u, short of 1
         configs.append(original(d, 2, 0, message_distribution={
             "comp": 0.1, "q0": 0.2, "q1": 0.3}))
-    labels, pretest = ideal_pretest_distribution(d)
+    _, pretest = ideal_pretest_distribution(d)
     for cfg in configs:
         weights = cfg.message_weights()
         sendable = {b for i, b in enumerate(cfg.alphabet())
                     if weights is None or weights[i] > 0.0}
-        for rec in run_trials(cfg, return_rounds=True)[1]:
-            if isinstance(rec, PretestRecord):
-                key = (rec.bob_basis, rec.bob_outcome, rec.alice_basis, rec.alice_outcome)
-                assert pretest[labels.index(key)] > TOLERANCE, (cfg, rec)
-                continue
+        log = run_trials(cfg, return_rounds=True)[1]
+        for cell in log.pretest.tolist():
+            assert pretest[cell] > TOLERANCE, (cfg, cell)
+        for rec in signal_rounds(log):
             assert rec.bob_basis in sendable, (cfg, rec)
-            if not rec.eve_active:
+            if rec.eve_decode is None:
                 p = _exact_prob(d, rec.alice_prep_family, rec.bob_basis, rec.alice_outcome)
                 assert p > TOLERANCE, (cfg, rec)
                 continue
             assert _exact_prob(d, Family.PLAIN, rec.bob_basis, rec.eve_outcome) > TOLERANCE
-            if rec.eve_forward_basis is None:
+            if not rec.eve_decode.is_conclusive:
                 assert rec.alice_outcome == (0, 0)
             else:
-                p = _exact_prob(d, rec.alice_prep_family, rec.eve_forward_basis,
-                                rec.alice_outcome)
+                forward = BasisId(Family.PLAIN, rec.eve_decode.quad)
+                p = _exact_prob(d, rec.alice_prep_family, forward, rec.alice_outcome)
                 assert p > TOLERANCE, (cfg, rec)
 
 

@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .bases import BasisId, Family, basis_alphabet
-from .finite_field import is_prime
+from .finite_field import PrimeDim
 from .harness import HarnessConfig, analytic_outcome_distribution, run_trials
 from .protocol import pair_outcome_labels
 from .report import (
@@ -86,12 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="prime Hilbert-space dimension (default 2)")
     verify.add_argument("--format", choices=["json", "text"], default="text")
     return parser
-
-
-def _require_prime_dim(d: int) -> int:
-    if not is_prime(d):
-        raise _CliError(f"--dim must be prime, got {d}")
-    return d
 
 
 def _load_config_file(path: Path) -> dict:
@@ -172,7 +166,7 @@ def _table_rows(d: int, basis_arg: str | None) -> list[BasisId]:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    d = _require_prime_dim(args.dim)
+    d = PrimeDim(args.dim).d
     rows = _table_rows(d, args.basis)
     labels = pair_outcome_labels(d)
     dists = {b: analytic_outcome_distribution(d, b) for b in rows}
@@ -201,7 +195,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    d = _require_prime_dim(args.dim)
+    d = PrimeDim(args.dim).d
     results = run_invariant_suite(d)
     failed = [r for r in results if not r.passed]
     if args.format == "json":

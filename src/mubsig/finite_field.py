@@ -12,6 +12,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+# The largest dimension accepted.  The dual-family outcome table has 4d + 6
+# rows, and ``protocol._grouped_inverse_cdf`` keys row r and draw k / 2^53
+# as the int64 r * 2^53 + k, which stays below 2^63 only for 4d + 6 <= 1024.
+MAX_DIM = 251
+
 
 def is_prime(n: int) -> bool:
     """Deterministic primality check by trial division (desk-scale inputs)."""
@@ -31,13 +36,15 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeDim:
-    """A prime dimension d.  Construction fails loudly for non-primes."""
+    """A prime dimension d <= MAX_DIM.  Construction fails loudly otherwise."""
 
     d: int
 
     def __post_init__(self) -> None:
         if isinstance(self.d, bool) or not isinstance(self.d, int):
             raise TypeError(f"dimension must be an int, got {type(self.d).__name__}")
+        if self.d > MAX_DIM:
+            raise ValueError(f"dimension {self.d} exceeds the largest supported, {MAX_DIM}")
         if not is_prime(self.d):
             raise ValueError(f"dimension must be prime, got {self.d}")
 

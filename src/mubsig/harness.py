@@ -81,8 +81,8 @@ class HarnessConfig:
 
     def __post_init__(self) -> None:
         PrimeDim(self.d)
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
+        if not 1 <= self.rounds <= 2 ** 32:   # at most 131072 blocks per session
+            raise ValueError("rounds must lie in [1, 2**32]")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
         if self.eve is EveMode.INTERCEPT and self.protocol is Protocol.DUAL_FAMILY:
@@ -128,9 +128,17 @@ class HarnessConfig:
                 raise ValueError(f"message weight for {label!r} must be a finite "
                                  f"number >= 0")
             weights[known[label]] = w
-        if weights.sum() <= 0:
-            raise ValueError("message weights must not all vanish")
+        _check_weight_sum(weights)
         return weights
+
+
+def _check_weight_sum(weights: np.ndarray) -> None:
+    with np.errstate(over="ignore"):
+        total = weights.sum()
+    if total <= 0:
+        raise ValueError("message weights must not all vanish")
+    if not np.isfinite(total):
+        raise ValueError("message weights must have a finite sum")
 
 
 @dataclass(frozen=True)
@@ -240,7 +248,7 @@ def dual_family_detection_probability(d: int, eve_family: Family = Family.PLAIN,
     and Alice's outcome, folded into the basis she decodes.  This is the
     quantity the dual-family session's ``detection_rate`` estimates.
     ``message_weights`` has one finite, nonnegative entry per basis of both
-    families, in :func:`basis_alphabet` order, and a positive sum.
+    families, in :func:`basis_alphabet` order, and a positive, finite sum.
     """
     tables = _tables(d, 2)
     n_bases = len(tables.alphabet)
@@ -251,8 +259,7 @@ def dual_family_detection_probability(d: int, eve_family: Family = Family.PLAIN,
                          f"got shape {weights.shape}")
     if not np.isfinite(weights).all() or (weights < 0).any():
         raise ValueError("message weights must be finite and >= 0")
-    if weights.sum() <= 0:
-        raise ValueError("message weights must not all vanish")
+    _check_weight_sum(weights)
     codes = tables.decode_code
     per_family = d + 1
     bob_fam, bob_code = np.divmod(np.arange(n_bases), per_family)

@@ -455,7 +455,7 @@ def _grouped_inverse_cdf(tables: _Tables, rows: np.ndarray,
     u = k/2^53, the thresholds below r*2^53 + k are those of every
     earlier row plus the cells of row r with cum <= u, so the result is
     exactly ``np.searchsorted(cum[r], u, side="right")``.  The keys fit
-    in int64 for up to 1024 rows (d < 254).
+    in int64 for up to 1024 rows, which ``finite_field.MAX_DIM`` ensures.
     """
     keys = rows * _UNIT + (u * _UNIT).astype(np.int64)
     return np.searchsorted(tables.thresholds, keys) - rows * tables.probs.shape[-1]

@@ -105,7 +105,7 @@ def config_from_document(document: Mapping) -> HarnessConfig:
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key in ("dim", "protocol", "rounds"):
-        if key not in data:
+        if data.get(key) is None:
             raise ValueError(f"config is missing required key {key!r}")
     try:
         protocol = Protocol(data["protocol"])
@@ -168,7 +168,23 @@ def _pick(table: list[str], idx: np.ndarray) -> list[str]:
 
 
 def round_log_csv(log: RoundLog) -> str:
-    """Flat per-round CSV log, one row per round in session order."""
+    """Flat per-round CSV log, one row per round in session order.
+
+    Columns, with cells that do not apply to a row left empty:
+
+    * ``round``: 0-based, pre-test rounds first; ``phase``: ``pretest``
+      or ``signal``; ``bob_basis``: Bob's basis (``comp``, ``q<b>``,
+      ``hat-comp``, ``hat-q<b>``);
+    * pre-test rows: ``bob_outcome`` (Bob's announced m),
+      ``alice_basis`` and ``alice_outcome_m`` (Alice's basis and m');
+    * signal rows: ``alice_family`` (``plain`` or ``hat``),
+      ``alice_outcome_c`` and ``alice_outcome_r`` (her pair outcome), and
+      ``decode`` (a basis label or ``inconclusive``);
+    * intercepted signal rows: ``eve_outcome_c``, ``eve_outcome_r`` and
+      ``eve_decode`` (the eavesdropper's outcome and reading), and
+      ``eve_forward_basis`` (the basis she measured the stolen qudit in,
+      empty when she forwarded it unmeasured).
+    """
     d, labels = log.d, pair_outcome_labels(log.d)
     decodes = [_decode_outcome(d, c, r).text() for c, r in labels]
     pairs = [f"{c},{r}" for c, r in labels]

@@ -1,6 +1,6 @@
 import pytest
 
-from mubsig.finite_field import FieldElement, PrimeDim, is_prime
+from mubsig.finite_field import MAX_DIM, FieldElement, PrimeDim, is_prime
 
 PRIMES = [2, 3, 5, 7, 11]
 
@@ -14,6 +14,18 @@ def test_is_prime_small_values():
 def test_prime_dim_rejects_composites_and_units():
     for bad in [0, 1, 4, 6, 9, 10, -5]:
         with pytest.raises(ValueError):
+            PrimeDim(bad)
+
+
+def test_prime_dim_refuses_dimensions_above_max_dim():
+    """251 is the largest prime whose dual-family table (4d + 6 rows) keeps
+    the int64 lookup keys row * 2^53 + k below 2^63; larger d is refused
+    before the primality test runs."""
+    assert MAX_DIM == 251 and is_prime(MAX_DIM)
+    assert (4 * MAX_DIM + 6) * 2 ** 53 <= 2 ** 63 < (4 * 257 + 6) * 2 ** 53
+    assert PrimeDim(251).d == 251
+    for bad in (257, 1_000_000_000_000_000_003):
+        with pytest.raises(ValueError, match="largest supported"):
             PrimeDim(bad)
 
 

@@ -49,6 +49,24 @@ def test_config_rejects_bad_dimension_rounds_seed():
         original(seed=2 ** 64)
 
 
+def test_config_bounds_rounds():
+    """At most 2**32 rounds, refused before any block is planned."""
+    assert original(rounds=2 ** 32).rounds == 2 ** 32
+    with pytest.raises(ValueError):
+        original(rounds=2 ** 32 + 1)
+
+
+def test_weights_with_an_overflowing_sum_are_refused():
+    """Two weights of 1e308 sum to inf and would normalise every weight to 0."""
+    with pytest.raises(ValueError, match="finite sum"):
+        HarnessConfig(d=3, protocol=Protocol.ORIGINAL, rounds=1000,
+                      message_distribution={"comp": 1e308, "q0": 1e308})
+    weights = np.ones(8)
+    weights[:2] = 1e308
+    with pytest.raises(ValueError, match="finite sum"):
+        dual_family_detection_probability(3, message_weights=weights)
+
+
 def test_config_rejects_mismatched_attacks():
     with pytest.raises(ValueError):
         HarnessConfig(d=2, protocol=Protocol.DUAL_FAMILY, rounds=10,

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -109,6 +110,9 @@ _MALFORMED = {
     "overflowing-rounds": {"rounds": 1e400},
     "list-distribution": {"message_distribution": [1, 2]},
     "boolean-weight": {"message_distribution": {"comp": True}},
+    "null-dim": {"dim": None},
+    "null-rounds": {"rounds": None},
+    "overflowing-weight-sum": {"message_distribution": {"comp": 1e308, "q0": 1e308}},
 }
 
 
@@ -122,6 +126,28 @@ def test_malformed_config_values_fail_cleanly(override, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["run", "--config", str(path)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_rounds_above_the_cap_are_refused_before_any_session(monkeypatch, capsys):
+    def no_session(*args, **kwargs):
+        raise AssertionError("a session ran")
+
+    monkeypatch.setattr("mubsig.cli.run_trials", no_session)
+    doc = {"dim": 3, "protocol": "original", "rounds": 2 ** 32}
+    assert config_from_document(doc).rounds == 2 ** 32
+    with pytest.raises(ValueError):
+        config_from_document({**doc, "rounds": 2 ** 32 + 1})
+    assert main(["run", "--dim", "3", "--protocol", "original",
+                 "--rounds", "1000000000000"]) == 2
+    assert "rounds" in capsys.readouterr().err
+
+
+def test_cli_refuses_dimensions_above_max_dim_at_once(capsys):
+    for args in (["table", "--dim", "1000000000000000003"], ["verify", "--dim", "257"]):
+        start = time.monotonic()
+        assert main(args) == 2
+        assert time.monotonic() - start < 1.0, args
+        assert "largest supported" in capsys.readouterr().err
 
 
 def test_config_from_document_accepts_integral_floats():

@@ -1,3 +1,9 @@
+import json
+from pathlib import Path
+
+import pytest
+
+from mubsig.cli import main
 from mubsig.verify import CheckResult, run_invariant_suite
 
 EXPECTED_NAMES = (
@@ -46,3 +52,23 @@ def test_suite_is_stable_between_runs():
     second = run_invariant_suite(3)
     assert [(r.name, r.passed, r.assertions) for r in first] == \
            [(r.name, r.passed, r.assertions) for r in second]
+
+
+# Pinned ``mubsig verify --format json`` documents.  attack-bookkeeping's
+# assertion count depends on the single-round draws, so only its name,
+# flag and detail are compared.
+GOLDEN = Path(__file__).parent / "golden"
+_DRAW_DEPENDENT_COUNTS = {"attack-bookkeeping"}
+
+
+@pytest.mark.parametrize("d", (2, 3, 5, 7))
+def test_verify_document_matches_golden(d, capsys):
+    assert main(["verify", "--dim", str(d), "--format", "json"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    want = json.loads((GOLDEN / f"verify-d{d}.json").read_text())
+    assert (got["dim"], got["passed"]) == (want["dim"], want["passed"]) == (d, True)
+    assert [c["name"] for c in got["checks"]] == [c["name"] for c in want["checks"]]
+    for g, w in zip(got["checks"], want["checks"]):
+        assert (g["passed"], g["detail"]) == (w["passed"], w["detail"]), g["name"]
+        if g["name"] not in _DRAW_DEPENDENT_COUNTS:
+            assert g["assertions"] == w["assertions"], g["name"]

@@ -6,7 +6,7 @@ import numpy as np
 
 from mubsig.bases import basis_alphabet, pair_outcome_labels
 from mubsig.harness import analytic_outcome_distribution
-from mubsig.protocol import run_round_original
+from mubsig.oracle import run_round_original
 
 d = 3
 rng = np.random.default_rng(7)

@@ -28,9 +28,8 @@ pre-test, post-test checking with sifting).  Sessions sample rounds
 from one exact array of outcome distributions, compiled once per
 dimension and family count from the pure pair states, so a million
 rounds cost about as much as a million table lookups.  The per-round
-statistics remain exactly those of the state-by-state simulation, which
-is also available one round at a time and runs on the dense density
-operators instead.
+statistics remain exactly those of the state-by-state simulation in
+:mod:`mubsig.oracle`, which runs one round at a time on pure states.
 """
 
 from __future__ import annotations
@@ -54,16 +53,7 @@ from .bases import (
     pair_outcome_labels,
 )
 from .finite_field import FieldElement, _prime_dim
-from .quantum import (
-    TOLERANCE,
-    DensityOperator,
-    Ket,
-    _cdf,
-    _frozen,
-    born_probabilities,
-    nonselective_measure,
-    sample_outcome,
-)
+from .quantum import TOLERANCE, Ket, _cdf, _frozen
 from .streams import derive_round_stream
 
 # Rounds are processed in fixed-size blocks; each block draws from its own
@@ -131,50 +121,15 @@ def decode(prep: tuple[FieldElement, FieldElement, FieldElement],
     """
     c, r, s = prep
     cp, rp = outcome
-    dims = {e.dim for e in (c, r, s, cp, rp)}
-    if len(dims) != 1:
+    if len({c.dim.d, r.dim.d, s.dim.d, cp.dim.d, rp.dim.d}) != 1:
         raise ValueError("decode labels must share one dimension")
     if cp.value == c.value:
         if rp.value == r.value:
             return DecodeResult.inconclusive()
         return DecodeResult.computational()
-    b = s - (r - rp) / (c - cp)
-    return DecodeResult.quadratic(b.value)
-
-
-@dataclass(frozen=True)
-class EveRecord:
-    """What the eavesdropper saw and did in one intercepted round."""
-
-    outcome: tuple[int, int]
-    decode: DecodeResult
-    forward_basis: BasisId | None  # None: the stolen qudit went back unmeasured
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    """One signalling round, as visible to an all-seeing supervisor."""
-
-    bob_basis: BasisId
-    alice_prep_family: Family
-    alice_outcome: tuple[int, int]
-    alice_decode: DecodeResult
-    eve_active: bool
-    eve_outcome: tuple[int, int] | None = None
-    eve_decode: DecodeResult | None = None
-    eve_forward_basis: BasisId | None = None
-
-    def __post_init__(self) -> None:
-        if not self.eve_active and (self.eve_outcome is not None
-                                    or self.eve_decode is not None
-                                    or self.eve_forward_basis is not None):
-            raise ValueError("eve fields must be empty when eve is inactive")
-        if self.eve_active and (self.eve_outcome is None or self.eve_decode is None):
-            raise ValueError("active eve must record an outcome and a decode")
-
-    @property
-    def sifted(self) -> bool:
-        return self.alice_prep_family is self.bob_basis.family
+    d = c.dim.d
+    return DecodeResult.quadratic(
+        (s.value - (r.value - rp.value) * pow(c.value - cp.value, -1, d)) % d)
 
 
 @dataclass(frozen=True)
@@ -315,85 +270,6 @@ def _tables(d: int, n_families: int) -> _Tables:
     rows = np.arange(len(cum), dtype=np.int64)[:, None]
     thresholds = rows * _UNIT + np.ceil(cum * _UNIT).astype(np.int64) - 1
     return _Tables(alphabet, _frozen(probs), _decode_codes(d), _frozen(thresholds.ravel()))
-
-
-# ---------------------------------------------------------------------------
-# Single-round operations (state-by-state quantum path).
-# ---------------------------------------------------------------------------
-
-def _measure_pair(d: int, family: Family, rho: DensityOperator,
-                  rng: np.random.Generator) -> tuple[tuple[int, int], DecodeResult]:
-    probs = born_probabilities(rho, entangled_basis(d, 0, family))
-    idx = sample_outcome(probs, rng)
-    c, r = pair_outcome_labels(d)[idx]
-    return (c, r), _decode_outcome(d, c, r)
-
-
-def _forward_basis(family: Family, result: DecodeResult) -> BasisId | None:
-    """The basis Eve resends in after decoding ``result``; None when inconclusive."""
-    if not result.is_conclusive:
-        return None
-    return BasisId(family, None if result.kind == _COMPUTATIONAL else result.quad)
-
-
-def eve_intercept_resend(d: int, bob_basis: BasisId,
-                         rng: np.random.Generator) -> EveRecord:
-    """The intercept-resend attack on the original protocol.
-
-    Eve keeps the travelling qudit, feeds Bob half of her own plain
-    (0,0;0) pair, measures her pair in the entangled basis once it
-    returns, and — when conclusive — decodes b and measures the stolen
-    qudit in that basis before forwarding it.
-    """
-    if bob_basis.family is not Family.PLAIN:
-        raise ValueError("the original protocol signals with plain-family bases")
-    return eve_dual_family_attack(d, bob_basis, Family.PLAIN, rng)
-
-
-def eve_dual_family_attack(d: int, bob_basis: BasisId, eve_family: Family,
-                           rng: np.random.Generator) -> EveRecord:
-    """The same substitution attack mounted against the dual-family protocol.
-
-    Eve must commit to one family for her decoy pair and her decoding
-    basis; when Bob happens to signal in the other family her held pair
-    is no longer diagonal in her basis and her resend disturbs the
-    sifted statistics.
-    """
-    decoy = DensityOperator.from_ket(_prep_ket(d, eve_family))
-    after_bob = nonselective_measure(decoy, 1, measurement_basis(d, bob_basis))
-    outcome, result = _measure_pair(d, eve_family, after_bob, rng)
-    return EveRecord(outcome, result, _forward_basis(eve_family, result))
-
-
-def _alice_round(d: int, family: Family, forward_basis: BasisId | None,
-                 rng: np.random.Generator) -> tuple[tuple[int, int], DecodeResult]:
-    rho = DensityOperator.from_ket(_prep_ket(d, family))
-    if forward_basis is not None:
-        rho = nonselective_measure(rho, 1, measurement_basis(d, forward_basis))
-    return _measure_pair(d, family, rho, rng)
-
-
-def run_round_original(d: int, bob_basis: BasisId, rng: np.random.Generator,
-                       *, eve: bool = False) -> RoundRecord:
-    """One signalling round of the original protocol."""
-    if bob_basis.family is not Family.PLAIN:
-        raise ValueError("the original protocol signals with plain-family bases")
-    return run_protocol2_round(d, Family.PLAIN, bob_basis, rng,
-                               eve_family=Family.PLAIN if eve else None)
-
-
-def run_protocol2_round(d: int, alice_family: Family, bob_basis: BasisId,
-                        rng: np.random.Generator, *,
-                        eve_family: Family | None = None) -> RoundRecord:
-    """One round of the dual-family protocol (sifting left to the caller)."""
-    if eve_family is None:
-        outcome, result = _alice_round(d, alice_family, bob_basis, rng)
-        return RoundRecord(bob_basis, alice_family, outcome, result, eve_active=False)
-    erec = eve_dual_family_attack(d, bob_basis, eve_family, rng)
-    outcome, result = _alice_round(d, alice_family, erec.forward_basis, rng)
-    return RoundRecord(bob_basis, alice_family, outcome, result, eve_active=True,
-                       eve_outcome=erec.outcome, eve_decode=erec.decode,
-                       eve_forward_basis=erec.forward_basis)
 
 
 # ---------------------------------------------------------------------------

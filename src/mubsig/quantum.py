@@ -224,7 +224,7 @@ def born_probabilities(rho: DensityOperator, basis: OrthonormalBasis) -> np.ndar
     if rho.dims != basis.dims:
         raise ValueError(f"dims mismatch: state {rho.dims}, basis {basis.dims}")
     b = basis.matrix
-    p = np.einsum("ji,jk,ki->i", b.conj(), rho.matrix, b).real
+    p = np.einsum("ji,ji->i", b.conj(), rho.matrix @ b).real
     return _clean_probabilities(p)
 
 
@@ -232,7 +232,9 @@ def nonselective_measure(rho: DensityOperator, subsystem: int,
                          basis: OrthonormalBasis) -> DensityOperator:
     """Measure one half of a pair projectively and forget the outcome.
 
-    Returns sum_m P_m rho P_m with P_m acting on ``subsystem`` (1 or 2).
+    Returns sum_m P_m rho P_m with P_m acting on ``subsystem`` (1 or 2):
+    rotate the measured half into ``basis``, keep the d diagonal blocks
+    <b_m| rho |b_m> on the other half, and rotate back, in O(d^5).
     """
     if len(rho.dims) != 2:
         raise ValueError("nonselective_measure expects a two-qudit state")
@@ -241,13 +243,12 @@ def nonselective_measure(rho: DensityOperator, subsystem: int,
     d = rho.dims[0]
     if basis.dims != (d,):
         raise ValueError(f"basis dims {basis.dims} do not match subsystem dim {d}")
-    eye = np.eye(d, dtype=complex)
-    out = np.zeros_like(rho.matrix)
-    for ket in basis:
-        proj = np.outer(ket.amplitudes, ket.amplitudes.conj())
-        lifted = np.kron(proj, eye) if subsystem == 1 else np.kron(eye, proj)
-        out += lifted @ rho.matrix @ lifted
-    return DensityOperator(out, dims=rho.dims)
+    swap = (1, 0, 3, 2) if subsystem == 2 else (0, 1, 2, 3)   # measured half first
+    r = rho.matrix.reshape(d, d, d, d).transpose(swap)
+    b = basis.matrix
+    blocks = np.einsum("im,ijkl,km->mjl", b.conj(), r, b, optimize=True)
+    out = np.einsum("im,mjl,km->ijkl", b, blocks, b.conj(), optimize=True)
+    return DensityOperator(out.transpose(swap).reshape(d * d, d * d), dims=rho.dims)
 
 
 def partial_trace(rho: DensityOperator, keep: int) -> DensityOperator:

@@ -24,7 +24,6 @@ from .bases import (
     hat_entangled_ket,
     hat_unitary,
     measurement_basis,
-    mub_ket,
     omega_power,
 )
 from .finite_field import PrimeDim
@@ -36,13 +35,13 @@ from .harness import (
     dual_family_detection_probability,
     run_trials,
 )
-from .protocol import decode, pair_outcome_labels, run_round_original
+from .oracle import run_round_original
+from .protocol import decode, pair_outcome_labels
 from .quantum import (
     TOLERANCE,
     DensityOperator,
     Ket,
     born_probabilities,
-    inner,
     nonselective_measure,
     partial_trace,
 )
@@ -128,9 +127,11 @@ def _check_unbiasedness(d: int) -> CheckResult:
         ids = basis_alphabet(d, (family,))
         for i, first in enumerate(ids):
             for second in ids[i + 1:]:
+                gram = measurement_basis(d, first).matrix.conj().T \
+                    @ measurement_basis(d, second).matrix
+                overlaps = (np.abs(gram) ** 2).tolist()
                 for m, mp in product(range(d), repeat=2):
-                    ov = abs(inner(mub_ket(d, first, m), mub_ket(d, second, mp)))
-                    c.close(ov * ov, 1.0 / d,
+                    c.close(overlaps[m][mp], 1.0 / d,
                             f"|<{first.text()},{m}|{second.text()},{mp}>|^2",
                             tol=1e-9)
     return c.result()
@@ -215,9 +216,12 @@ def _check_decode_soundness(d: int) -> CheckResult:
     c = _Check("decode-soundness")
     dim = PrimeDim(d)
     prep = tuple(dim.element(0) for _ in range(3))
+    pair = DensityOperator.from_ket(entangled_ket(d, 0, 0, 0))
+    pair_basis = entangled_basis(d)
     for bob in basis_alphabet(d, (Family.PLAIN,)):
-        probs = analytic_outcome_distribution(d, bob)
-        for (cc, r), p in probs.as_mapping().items():
+        probs = dict(zip(pair_outcome_labels(d), born_probabilities(
+            nonselective_measure(pair, 1, measurement_basis(d, bob)), pair_basis)))
+        for (cc, r), p in probs.items():
             if p <= TOLERANCE:
                 continue
             res = decode(prep, (dim.element(cc), dim.element(r)))
@@ -226,7 +230,7 @@ def _check_decode_soundness(d: int) -> CheckResult:
             else:
                 c.expect(res.is_conclusive and res.matches_label(bob),
                          f"{bob.text()} outcome ({cc},{r}) -> {res.text()}")
-        c.close(probs.as_mapping()[(0, 0)], 1.0 / d,
+        c.close(probs[(0, 0)], 1.0 / d,
                 f"inconclusive weight for {bob.text()}", tol=TOLERANCE)
     return c.result()
 
@@ -234,12 +238,15 @@ def _check_decode_soundness(d: int) -> CheckResult:
 def _check_decode_completeness(d: int) -> CheckResult:
     """decode() is total and consistent on all preparations and outcomes."""
     c = _Check("decode-completeness")
-    dim = PrimeDim(d)
+    elements = PrimeDim(d).elements()
+    inverse = [0] + [pow(x, -1, d) for x in range(1, d)]
+    outcomes = [(cp, rp, (elements[cp], elements[rp]))
+                for cp, rp in product(range(d), repeat=2)]
     for cc, r, s in product(range(d), repeat=3):
-        prep = (dim.element(cc), dim.element(r), dim.element(s))
+        prep = (elements[cc], elements[r], elements[s])
         seen_inconclusive = 0
-        for cp, rp in product(range(d), repeat=2):
-            res = decode(prep, (dim.element(cp), dim.element(rp)))
+        for cp, rp, outcome in outcomes:
+            res = decode(prep, outcome)
             if cp == cc and rp == r:
                 c.expect(res.kind == "inconclusive", f"exact hit at {(cc, r, s)}")
                 seen_inconclusive += 1
@@ -247,7 +254,7 @@ def _check_decode_completeness(d: int) -> CheckResult:
                 c.expect(res.kind == "computational",
                          f"same-c outcome at {(cc, r, s)}->{(cp, rp)}")
             else:
-                b = (s - (r - rp) * pow(cc - cp, -1, d)) % d
+                b = (s - (r - rp) * inverse[(cc - cp) % d]) % d
                 c.expect(res.kind == "quadratic" and res.quad == b,
                          f"cross-c outcome at {(cc, r, s)}->{(cp, rp)}")
         c.expect(seen_inconclusive == 1, f"one inconclusive cell at {(cc, r, s)}")

@@ -15,16 +15,18 @@ from mubsig.bases import (
 )
 from mubsig.finite_field import PrimeDim
 from mubsig.harness import EveMode, HarnessConfig, Protocol, run_trials
+from mubsig.oracle import (
+    RoundRecord,
+    eve_intercept_resend,
+    run_round_original,
+    run_protocol2_round,
+)
 from mubsig.protocol import (
     BLOCK_ROUNDS,
     DecodeResult,
-    RoundRecord,
     decode,
-    eve_intercept_resend,
     ideal_pretest_distribution,
     pair_outcome_probs,
-    run_round_original,
-    run_protocol2_round,
 )
 from mubsig.quantum import (
     TOLERANCE,

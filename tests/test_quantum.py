@@ -146,7 +146,7 @@ def test_born_dimension_mismatch_rejected():
 
 def test_nonselective_measure_matches_kron_projector_sum():
     """Channel output equals sum_m (P_m x I) rho (P_m x I) built by hand."""
-    for d, seed in [(2, 11), (3, 12)]:
+    for d, seed in [(2, 11), (3, 12), (5, 13), (7, 14)]:
         rho = random_density(d, d, seed)
         basis = random_basis(d, seed + 1)
         eye = np.eye(d)

@@ -72,3 +72,12 @@ def test_verify_document_matches_golden(d, capsys):
         assert (g["passed"], g["detail"]) == (w["passed"], w["detail"]), g["name"]
         if g["name"] not in _DRAW_DEPENDENT_COUNTS:
             assert g["assertions"] == w["assertions"], g["name"]
+
+
+def test_suite_and_cli_pass_at_d11(capsys):
+    failures = [(r.name, r.detail) for r in run_invariant_suite(11) if not r.passed]
+    assert failures == []
+    assert main(["verify", "--dim", "11"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line.startswith("[ok  ]") for line in lines[:-1])
+    assert lines[-1].startswith(f"{len(EXPECTED_NAMES)}/{len(EXPECTED_NAMES)} checks passed")

@@ -127,8 +127,8 @@ def _check_unbiasedness(d: int) -> CheckResult:
         ids = basis_alphabet(d, (family,))
         for i, first in enumerate(ids):
             for second in ids[i + 1:]:
-                gram = measurement_basis(d, first).matrix.conj().T \
-                    @ measurement_basis(d, second).matrix
+                gram = (measurement_basis(d, first).matrix.conj().T
+                        @ measurement_basis(d, second).matrix)
                 overlaps = (np.abs(gram) ** 2).tolist()
                 for m, mp in product(range(d), repeat=2):
                     c.close(overlaps[m][mp], 1.0 / d,

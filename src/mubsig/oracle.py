@@ -76,13 +76,13 @@ def _travelling_branches(pair: np.ndarray, basis: OrthonormalBasis
     """Measure the travelling half of ``pair`` in ``basis`` = {b_m}.
 
     Returns the outcome weights ||phi_m||^2 and, per outcome m, the
-    collapsed pair b_m (x) phi_m / ||phi_m|| (zero where the weight is 0).
+    collapsed pair b_m (x) phi_m / ||phi_m||.  The pairs measured here are
+    maximally entangled, so every weight is 1/d.
     """
     b = basis.matrix
     phi = b.conj().T @ pair   # row m: phi_m = (<b_m| (x) 1) pair
     weights = (np.abs(phi) ** 2).sum(axis=1)
-    norms = np.sqrt(weights)[:, None]
-    kept = np.divide(phi, norms, out=np.zeros_like(phi), where=norms > 0)
+    kept = phi / np.sqrt(weights)[:, None]
     return weights, b.T[:, :, None] * kept[:, None, :]
 
 

@@ -92,7 +92,7 @@ def test_golden_report_and_round_log(name, config, workers, include_tables):
 
 def test_golden_directory_has_no_strays():
     names = {case[0] for case in CASES}
-    verify = {f"verify-d{d}" for d in (2, 3, 5, 7)}   # pinned by test_verify.py
+    verify = {f"verify-d{d}" for d in (2, 3, 5, 7, 11)}   # pinned by test_verify.py
     assert {p.stem for p in GOLDEN.glob("*.json")} == names | {"round_logs"} | verify
     assert set(_logs()) == names
 

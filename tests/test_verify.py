@@ -61,7 +61,7 @@ GOLDEN = Path(__file__).parent / "golden"
 _DRAW_DEPENDENT_COUNTS = {"attack-bookkeeping"}
 
 
-@pytest.mark.parametrize("d", (2, 3, 5, 7))
+@pytest.mark.parametrize("d", (2, 3, 5, 7, 11))
 def test_verify_document_matches_golden(d, capsys):
     assert main(["verify", "--dim", str(d), "--format", "json"]) == 0
     got = json.loads(capsys.readouterr().out)

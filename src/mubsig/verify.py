@@ -9,6 +9,7 @@ and reports one result per named check.  The CLI exposes this as
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import product
 
@@ -21,10 +22,10 @@ from .bases import (
     entangled_basis,
     entangled_ket,
     hadamard_root,
-    hat_entangled_ket,
     hat_unitary,
     measurement_basis,
     omega_power,
+    pair_outcome_labels,
 )
 from .finite_field import PrimeDim
 from .harness import (
@@ -35,19 +36,16 @@ from .harness import (
     dual_family_detection_probability,
     run_trials,
 )
-from .oracle import run_round_original
-from .protocol import decode, pair_outcome_labels
-from .quantum import (
-    TOLERANCE,
-    DensityOperator,
-    Ket,
-    born_probabilities,
-    nonselective_measure,
-    partial_trace,
-)
+from .oracle import _forward_basis, _pair_probs, _prep_pair, _travelling_branches, run_round_original
+from .protocol import DecodeResult, _decode_codes, _decode_outcome, decode
+from .quantum import TOLERANCE, DensityOperator, Ket, born_probabilities
 from .streams import derive_round_stream
 
 __all__ = ["CheckResult", "run_invariant_suite"]
+
+_FAMILIES = (Family.PLAIN, Family.HAT)
+_SHOWN_FAILURES = 3   # a result's detail names at most this many failures
+_INCONCLUSIVE_CODE = -1
 
 
 @dataclass(frozen=True)
@@ -61,26 +59,90 @@ class CheckResult:
 
 
 class _Check:
-    """Collects assertions for one named check."""
+    """Collects assertions for one named check.
+
+    A failure's detail text is built only when the assertion fails, and
+    only for the first few failures, which are all a result shows.
+    """
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.assertions = 0
         self.failures: list[str] = []
 
-    def expect(self, condition: bool, detail: str) -> None:
+    def expect(self, condition: bool, detail: str, *args: object) -> None:
+        """One assertion; its text on failure is ``detail.format(*args)``."""
         self.assertions += 1
-        if not condition:
-            self.failures.append(detail)
+        if not condition and len(self.failures) < _SHOWN_FAILURES:
+            self.failures.append(detail.format(*args))
 
-    def close(self, value: float, target: float, detail: str,
+    def close(self, value: float, target: float, detail: str, *args: object,
               tol: float = 1e-9) -> None:
-        self.expect(abs(value - target) <= tol,
-                    f"{detail}: {value!r} != {target!r}")
+        """One assertion that ``value`` lies within ``tol`` of ``target``."""
+        if abs(value - target) <= tol:
+            self.assertions += 1
+        else:
+            self.expect(False, "{}: {!r} != {!r}", detail.format(*args), value, target)
+
+    def expect_all(self, ok: np.ndarray, describe: Callable[..., str]) -> None:
+        """One assertion per cell of the boolean array ``ok``.
+
+        A failing cell at index ``(i, j, ...)`` reads ``describe(i, j, ...)``;
+        failures are taken in row-major order.
+        """
+        self.assertions += ok.size
+        for index in np.argwhere(~ok)[:_SHOWN_FAILURES - len(self.failures)]:
+            self.failures.append(describe(*index.tolist()))
 
     def result(self) -> CheckResult:
         return CheckResult(self.name, not self.failures, self.assertions,
-                           "; ".join(self.failures[:3]))
+                           "; ".join(self.failures))
+
+
+# ---------------------------------------------------------------------------
+# Pure-state route: the (0,0) pair of a family after its travelling half is
+# measured, as the collapsed branches b_m (x) phi_m of mubsig.oracle.
+# ---------------------------------------------------------------------------
+
+def _branches(d: int, family: Family, basis: BasisId) -> tuple[np.ndarray, np.ndarray]:
+    """Weights w_m and collapsed pairs v_m (d x d, travelling index first)
+    of the family's (0,0) pair after its travelling half is measured in
+    ``basis``."""
+    return _travelling_branches(_prep_pair(d, family), measurement_basis(d, basis))
+
+
+def _measured(d: int, family: Family, basis: BasisId) -> tuple[np.ndarray, np.ndarray]:
+    """Weights w_m and amplitudes a[m, k] = <e_k|v_m> of the same branches
+    in the family's entangled basis {e_k}: a = V E*."""
+    weights, collapsed = _branches(d, family, basis)
+    e = entangled_basis(d, 0, family).matrix
+    return weights, (collapsed.reshape(d, d * d).conj() @ e).conj()
+
+
+def _pair_coefficients(weights: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """<e_k| rho |e_l> of the measured pair rho = sum_m w_m |v_m><v_m|,
+    that is sum_m w_m a_m^T a_m^*."""
+    return (amps.T * weights) @ amps.conj()
+
+
+def _outcome_probs(weights: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """Born probabilities <e_k| rho |e_k> of the measured pair."""
+    return weights @ np.abs(amps) ** 2
+
+
+def _travelling_state(weights: np.ndarray, collapsed: np.ndarray) -> np.ndarray:
+    """Reduced state of the travelling half of sum_m w_m |v_m><v_m|."""
+    return np.einsum("m,mij,mkj->ik", weights, collapsed, collapsed.conj())
+
+
+def _reduced_states(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced states of both halves of the pure pair with amplitude matrix
+    ``psi``: Psi Psi^H for the first half, Psi^T Psi^* for the second."""
+    return psi @ psi.conj().T, psi.T @ psi.conj()
+
+
+def _off_diagonal(coeffs: np.ndarray) -> float:
+    return np.abs(coeffs - np.diag(np.diag(coeffs))).max()
 
 
 def _check_field_arithmetic(d: int) -> CheckResult:
@@ -88,14 +150,14 @@ def _check_field_arithmetic(d: int) -> CheckResult:
     dim = PrimeDim(d)
     for a in range(d):
         x = dim.element(a)
-        c.expect(int(x + dim.element(0)) == a, f"additive identity at {a}")
-        c.expect(int(x - x) == 0, f"additive inverse at {a}")
+        c.expect(int(x + dim.element(0)) == a, "additive identity at {}", a)
+        c.expect(int(x - x) == 0, "additive inverse at {}", a)
         if a:
-            c.expect(int(x * x.inverse()) == 1, f"multiplicative inverse at {a}")
+            c.expect(int(x * x.inverse()) == 1, "multiplicative inverse at {}", a)
         for b in range(d):
             y = dim.element(b)
-            c.expect(int(x + y) == (a + b) % d, f"add {a}+{b}")
-            c.expect(int(x * y) == (a * b) % d, f"mul {a}*{b}")
+            c.expect(int(x + y) == (a + b) % d, "add {}+{}", a, b)
+            c.expect(int(x * y) == (a * b) % d, "mul {}*{}", a, b)
     return c.result()
 
 
@@ -103,9 +165,9 @@ def _check_root_of_unity(d: int) -> CheckResult:
     c = _Check("root-of-unity")
     period = 4 if d == 2 else d
     for k in range(2 * period):
-        c.close(abs(omega_power(d, k)), 1.0, f"modulus at power {k}")
+        c.close(abs(omega_power(d, k)), 1.0, "modulus at power {}", k)
         c.close(abs(omega_power(d, k) - omega_power(d, k + period)), 0.0,
-                f"period at power {k}")
+                "period at power {}", k)
     total = sum(omega_power(d, k) for k in range(period))
     c.close(abs(total), 0.0, "powers over one period sum to 0")
     return c.result()
@@ -113,42 +175,39 @@ def _check_root_of_unity(d: int) -> CheckResult:
 
 def _check_single_orthonormality(d: int) -> CheckResult:
     c = _Check("single-basis-orthonormality")
-    for basis_id in basis_alphabet(d, (Family.PLAIN, Family.HAT)):
+    for basis_id in basis_alphabet(d, _FAMILIES):
         basis = measurement_basis(d, basis_id)
         gram = basis.matrix.conj().T @ basis.matrix
         c.close(np.abs(gram - np.eye(d)).max(), 0.0,
-                f"gram deviation for {basis_id.text()}", tol=TOLERANCE)
+                "gram deviation for {}", basis_id.text(), tol=TOLERANCE)
     return c.result()
 
 
 def _check_unbiasedness(d: int) -> CheckResult:
     c = _Check("mutual-unbiasedness")
-    for family in (Family.PLAIN, Family.HAT):
-        ids = basis_alphabet(d, (family,))
-        for i, first in enumerate(ids):
-            for second in ids[i + 1:]:
-                gram = (measurement_basis(d, first).matrix.conj().T
-                        @ measurement_basis(d, second).matrix)
-                overlaps = (np.abs(gram) ** 2).tolist()
-                for m, mp in product(range(d), repeat=2):
-                    c.close(overlaps[m][mp], 1.0 / d,
-                            f"|<{first.text()},{m}|{second.text()},{mp}>|^2",
-                            tol=1e-9)
+    for family in _FAMILIES:
+        bases = [(b, measurement_basis(d, b).matrix) for b in basis_alphabet(d, (family,))]
+        for i, (first, u) in enumerate(bases):
+            for second, v in bases[i + 1:]:
+                overlaps = np.abs(u.conj().T @ v) ** 2
+                c.expect_all(np.abs(overlaps - 1.0 / d) <= 1e-9, lambda m, mp: (
+                    f"|<{first.text()},{m}|{second.text()},{mp}>|^2: "
+                    f"{float(overlaps[m, mp])!r} != {1.0 / d!r}"))
     return c.result()
 
 
 def _check_entangled_basis(d: int) -> CheckResult:
     c = _Check("entangled-basis")
-    for family in (Family.PLAIN, Family.HAT):
+    for family in _FAMILIES:
         basis = entangled_basis(d, family=family)
         gram = basis.matrix.conj().T @ basis.matrix
         c.close(np.abs(gram - np.eye(d * d)).max(), 0.0,
-                f"{family.value} pair basis gram", tol=TOLERANCE)
+                "{} pair basis gram", family.value, tol=TOLERANCE)
     for s in range(1, d):
         basis = entangled_basis(d, s=s)
         gram = basis.matrix.conj().T @ basis.matrix
         c.close(np.abs(gram - np.eye(d * d)).max(), 0.0,
-                f"pair basis gram at s={s}", tol=TOLERANCE)
+                "pair basis gram at s={}", s, tol=TOLERANCE)
     return c.result()
 
 
@@ -156,11 +215,10 @@ def _check_pair_reduced_states(d: int) -> CheckResult:
     c = _Check("pair-reduced-states")
     mixed = np.eye(d) / d
     for (cc, r, s) in [(0, 0, 0), (1 % d, 0, 0), (0, 1 % d, 0), (1 % d, 1 % d, (d - 1) % d)]:
-        rho = DensityOperator.from_ket(entangled_ket(d, cc, r, s))
-        for keep in (1, 2):
-            reduced = partial_trace(rho, keep=keep)
-            c.close(np.abs(reduced.matrix - mixed).max(), 0.0,
-                    f"reduced side {keep} of ({cc},{r};{s})", tol=TOLERANCE)
+        psi = entangled_ket(d, cc, r, s).amplitudes.reshape(d, d)
+        for keep, reduced in zip((1, 2), _reduced_states(psi)):
+            c.close(np.abs(reduced - mixed).max(), 0.0,
+                    "reduced side {} of ({},{};{})", keep, cc, r, s, tol=TOLERANCE)
     return c.result()
 
 
@@ -184,30 +242,23 @@ def _check_measurement_backaction(d: int) -> CheckResult:
     matching entangled basis, with the expected support."""
     c = _Check("measurement-backaction")
     labels = pair_outcome_labels(d)
-    for family in (Family.PLAIN, Family.HAT):
-        prep = DensityOperator.from_ket(
-            hat_entangled_ket(d, 0, 0) if family is Family.HAT
-            else entangled_ket(d, 0, 0, 0))
-        pair_basis = entangled_basis(d, family=family)
+    for family in _FAMILIES:
         for bob in basis_alphabet(d, (family,)):
-            post = nonselective_measure(prep, 1, measurement_basis(d, bob))
-            coeffs = pair_basis.matrix.conj().T @ post.matrix @ pair_basis.matrix
-            off = coeffs - np.diag(np.diag(coeffs))
-            c.close(np.abs(off).max(), 0.0,
-                    f"{family.value}/{bob.text()} off-diagonal", tol=TOLERANCE)
-            support = {labels[i] for i in range(d * d)
-                       if coeffs[i, i].real > TOLERANCE}
+            coeffs = _pair_coefficients(*_measured(d, family, bob))
+            c.close(_off_diagonal(coeffs), 0.0,
+                    "{}/{} off-diagonal", family.value, bob.text(), tol=TOLERANCE)
+            diag = np.diag(coeffs).real
+            support = np.flatnonzero(diag > TOLERANCE)
+            found = {labels[i] for i in support}
             if bob.quad is None:
                 expected = {(0, r) for r in range(d)}
             else:
                 expected = {(cc, (-bob.quad * cc) % d) for cc in range(d)}
-            c.expect(support == expected,
-                     f"{family.value}/{bob.text()} support {sorted(support)}")
-            for lab in support:
-                idx = labels.index(lab)
-                c.close(coeffs[idx, idx].real, 1.0 / d,
-                        f"{family.value}/{bob.text()} weight {lab}",
-                        tol=TOLERANCE)
+            c.expect(found == expected, "{}/{} support {}",
+                     family.value, bob.text(), sorted(found))
+            c.expect_all(np.abs(diag[support] - 1.0 / d) <= TOLERANCE, lambda i: (
+                f"{family.value}/{bob.text()} weight {labels[support[i]]}: "
+                f"{diag[support[i]]!r} != {1.0 / d!r}"))
     return c.result()
 
 
@@ -216,48 +267,65 @@ def _check_decode_soundness(d: int) -> CheckResult:
     c = _Check("decode-soundness")
     dim = PrimeDim(d)
     prep = tuple(dim.element(0) for _ in range(3))
-    pair = DensityOperator.from_ket(entangled_ket(d, 0, 0, 0))
-    pair_basis = entangled_basis(d)
+    labels = pair_outcome_labels(d)
     for bob in basis_alphabet(d, (Family.PLAIN,)):
-        probs = dict(zip(pair_outcome_labels(d), born_probabilities(
-            nonselective_measure(pair, 1, measurement_basis(d, bob)), pair_basis)))
-        for (cc, r), p in probs.items():
-            if p <= TOLERANCE:
-                continue
+        probs = _outcome_probs(*_measured(d, Family.PLAIN, bob))
+        for k in np.flatnonzero(probs > TOLERANCE):
+            cc, r = labels[k]
             res = decode(prep, (dim.element(cc), dim.element(r)))
             if cc == 0 and r == 0:
                 c.expect(not res.is_conclusive, "(0,0) must stay inconclusive")
             else:
                 c.expect(res.is_conclusive and res.matches_label(bob),
-                         f"{bob.text()} outcome ({cc},{r}) -> {res.text()}")
-        c.close(probs[(0, 0)], 1.0 / d,
-                f"inconclusive weight for {bob.text()}", tol=TOLERANCE)
+                         "{} outcome ({},{}) -> {}", bob.text(), cc, r, res.text())
+        c.close(probs[0], 1.0 / d, "inconclusive weight for {}", bob.text(),
+                tol=TOLERANCE)
     return c.result()
 
 
+def _code(result: DecodeResult) -> int:
+    """A decode result in the numbering of ``_decode_codes``."""
+    if not result.is_conclusive:
+        return _INCONCLUSIVE_CODE
+    return 0 if result.quad is None else 1 + result.quad
+
+
+def _decode_cell(cc: int, r: int, s: int, cp: int, rp: int) -> str:
+    if cp == cc and rp == r:
+        return f"exact hit at {(cc, r, s)}"
+    if cp == cc:
+        return f"same-c outcome at {(cc, r, s)}->{(cp, rp)}"
+    return f"cross-c outcome at {(cc, r, s)}->{(cp, rp)}"
+
+
 def _check_decode_completeness(d: int) -> CheckResult:
-    """decode() is total and consistent on all preparations and outcomes."""
+    """The decode table the sessions use is total and consistent on every
+    preparation (c, r, s) and outcome (c', r'); decode() agrees with it on
+    every outcome of the preparations (j, j, j).
+
+    The table decodes the outcomes of the preparation (0, 0, 0).  Shifting
+    a preparation (c, r, s) to it moves the outcome by (-c, -r) and the
+    quadratic label by s.  A quadratic label b must satisfy the defining
+    relation (s - b)(c - c') = r - r' (mod d).  One preparation c is
+    checked at a time, on the whole (r, s, c', r') grid.
+    """
     c = _Check("decode-completeness")
     elements = PrimeDim(d).elements()
-    inverse = [0] + [pow(x, -1, d) for x in range(1, d)]
-    outcomes = [(cp, rp, (elements[cp], elements[rp]))
-                for cp, rp in product(range(d), repeat=2)]
-    for cc, r, s in product(range(d), repeat=3):
-        prep = (elements[cc], elements[r], elements[s])
-        seen_inconclusive = 0
-        for cp, rp, outcome in outcomes:
-            res = decode(prep, outcome)
-            if cp == cc and rp == r:
-                c.expect(res.kind == "inconclusive", f"exact hit at {(cc, r, s)}")
-                seen_inconclusive += 1
-            elif cp == cc:
-                c.expect(res.kind == "computational",
-                         f"same-c outcome at {(cc, r, s)}->{(cp, rp)}")
-            else:
-                b = (s - (r - rp) * inverse[(cc - cp) % d]) % d
-                c.expect(res.kind == "quadratic" and res.quad == b,
-                         f"cross-c outcome at {(cc, r, s)}->{(cp, rp)}")
-        c.expect(seen_inconclusive == 1, f"one inconclusive cell at {(cc, r, s)}")
+    table = _decode_codes(d).reshape(d, d)
+    r, s, cp, rp = np.ix_(*(np.arange(d),) * 4)
+    for cc in range(d):
+        shifted = table[(cp - cc) % d, (rp - r) % d]
+        code = np.where(shifted > 0, 1 + (shifted - 1 + s) % d, shifted)
+        related = ((s - code + 1) * (cc - cp) - (r - rp)) % d == 0
+        ok = np.where(cp != cc, (code > 0) & related,
+                      code == np.where(rp == r, _INCONCLUSIVE_CODE, 0))
+        prep = (elements[cc],) * 3
+        direct = [_code(decode(prep, (elements[a], elements[b])))
+                  for a, b in product(range(d), repeat=2)]
+        ok[cc, cc] &= code[cc, cc] == np.reshape(direct, (d, d))
+        c.expect_all(ok, lambda *cell: _decode_cell(cc, *cell))
+        c.expect_all((code == _INCONCLUSIVE_CODE).sum(axis=(2, 3)) == 1,
+                     lambda r, s: f"one inconclusive cell at {(cc, r, s)}")
     return c.result()
 
 
@@ -265,15 +333,11 @@ def _check_travelling_privacy(d: int) -> CheckResult:
     """The qudit in transit reveals nothing about the basis choice."""
     c = _Check("travelling-privacy")
     mixed = np.eye(d) / d
-    for family in (Family.PLAIN, Family.HAT):
-        rho = DensityOperator.from_ket(
-            hat_entangled_ket(d, 0, 0) if family is Family.HAT
-            else entangled_ket(d, 0, 0, 0))
+    for family in _FAMILIES:
         for bob in basis_alphabet(d, (family,)):
-            post = nonselective_measure(rho, 1, measurement_basis(d, bob))
-            back = partial_trace(post, keep=1)
-            c.close(np.abs(back.matrix - mixed).max(), 0.0,
-                    f"returning state after {family.value}/{bob.text()}",
+            back = _travelling_state(*_branches(d, family, bob))
+            c.close(np.abs(back - mixed).max(), 0.0,
+                    "returning state after {}/{}", family.value, bob.text(),
                     tol=TOLERANCE)
     return c.result()
 
@@ -284,31 +348,24 @@ def _check_cross_family_visibility(d: int) -> CheckResult:
     c = _Check("cross-family-visibility")
     for eve_family, bob_family in ((Family.PLAIN, Family.HAT),
                                    (Family.HAT, Family.PLAIN)):
-        decoy = DensityOperator.from_ket(
-            hat_entangled_ket(d, 0, 0) if eve_family is Family.HAT
-            else entangled_ket(d, 0, 0, 0))
-        pair_basis = entangled_basis(d, family=eve_family)
         worst = np.inf
         for bob in basis_alphabet(d, (bob_family,)):
-            post = nonselective_measure(decoy, 1, measurement_basis(d, bob))
-            coeffs = pair_basis.matrix.conj().T @ post.matrix @ pair_basis.matrix
-            off = np.abs(coeffs - np.diag(np.diag(coeffs))).max()
-            worst = min(worst, off)
+            worst = min(worst, _off_diagonal(_pair_coefficients(*_measured(d, eve_family, bob))))
         c.expect(worst > 1e-6,
-                 f"{eve_family.value} interceptor sees {bob_family.value} "
-                 f"rounds as diagonal (max off-diag {worst:.2e})")
+                 "{} interceptor sees {} rounds as diagonal (max off-diag {:.2e})",
+                 eve_family.value, bob_family.value, worst)
     return c.result()
 
 
 def _check_analytic_normalization(d: int) -> CheckResult:
     c = _Check("analytic-distributions")
-    for family in (Family.PLAIN, Family.HAT):
+    for family in _FAMILIES:
         for bob in basis_alphabet(d, (family,)):
             dist = analytic_outcome_distribution(d, bob)
             c.close(dist.probabilities.sum(), 1.0,
-                    f"normalization for {bob.text()}", tol=TOLERANCE)
+                    "normalization for {}", bob.text(), tol=TOLERANCE)
             c.expect(dist.probabilities.min() >= 0.0,
-                     f"negative probability for {bob.text()}")
+                     "negative probability for {}", bob.text())
     return c.result()
 
 
@@ -319,14 +376,14 @@ def _check_born_rule_consistency(d: int) -> CheckResult:
     raw = rng.normal(size=d) + 1j * rng.normal(size=d)
     psi = Ket.normalized(raw)
     rho = DensityOperator.from_ket(psi)
-    for bob in basis_alphabet(d, (Family.PLAIN, Family.HAT)):
+    for bob in basis_alphabet(d, _FAMILIES):
         basis = measurement_basis(d, bob)
         probs = born_probabilities(rho, basis)
         for m in range(d):
             v = basis.matrix[:, m]
             direct = float(np.real(np.vdot(v, rho.matrix @ v)))
-            c.close(probs[m], direct, f"{bob.text()} outcome {m}", tol=TOLERANCE)
-        c.close(probs.sum(), 1.0, f"{bob.text()} completeness", tol=TOLERANCE)
+            c.close(probs[m], direct, "{} outcome {}", bob.text(), m, tol=TOLERANCE)
+        c.close(probs.sum(), 1.0, "{} completeness", bob.text(), tol=TOLERANCE)
     return c.result()
 
 
@@ -350,12 +407,43 @@ def _check_attack_statistics(d: int) -> CheckResult:
     return c.result()
 
 
+def _summed_detection_probability(d: int, eve_family: Family) -> float:
+    """The quantity of :func:`dual_family_detection_probability`, with
+    Bob's bases equally likely, summed over the collapsed branches instead
+    of read from the compiled tables.
+
+    Eve's outcome on her decoy after Bob's measurement fixes the basis she
+    resends in (None: the stolen qudit goes back untouched); Alice, who
+    prepared Bob's family, then measures her own pair.
+    """
+    results = [_decode_outcome(d, cc, r) for cc, r in pair_outcome_labels(d)]
+    conclusive = np.array([x.is_conclusive for x in results])
+    resends: dict[BasisId | None, list[int]] = {}
+    for k, x in enumerate(results):
+        resends.setdefault(_forward_basis(eve_family, x), []).append(k)
+    kept = mismatch = 0.0
+    for family in _FAMILIES:
+        alice = {f: _pair_probs(d, family, _prep_pair(d, family)) if f is None
+                 else _outcome_probs(*_measured(d, family, f)) for f in resends}
+        for bob in basis_alphabet(d, (family,)):
+            wrong = conclusive & ~np.array([x.matches_label(bob) for x in results])
+            eve = _outcome_probs(*_measured(d, eve_family, bob))
+            for f, outcomes in resends.items():
+                kept += eve[outcomes].sum() * alice[f][conclusive].sum()
+                mismatch += eve[outcomes].sum() * alice[f][wrong].sum()
+    return float(mismatch / kept)
+
+
 def _check_dual_attack_detectability(d: int) -> CheckResult:
+    """The dual-family defence catches either single-family attack, and the
+    compiled tables and the collapsed branches agree on how often."""
     c = _Check("dual-attack-detectability")
-    for eve_family in (Family.PLAIN, Family.HAT):
+    for eve_family in _FAMILIES:
         p = dual_family_detection_probability(d, eve_family)
-        c.expect(0.0 < p < 1.0,
-                 f"{eve_family.value} attack detection probability {p}")
+        summed = _summed_detection_probability(d, eve_family)
+        c.expect(0.0 < p < 1.0 and abs(p - summed) <= 1e-12,
+                 "{} attack detection probability {} (summed over branches: {})",
+                 eve_family.value, p, summed)
     return c.result()
 
 

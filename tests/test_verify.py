@@ -1,9 +1,32 @@
 import json
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
+from mubsig import protocol, verify
+from mubsig.bases import (
+    BasisId,
+    Family,
+    basis_alphabet,
+    entangled_basis,
+    entangled_ket,
+    measurement_basis,
+)
 from mubsig.cli import main
+from mubsig.harness import dual_family_detection_probability
+from mubsig.protocol import DecodeResult, _prep_ket
+from mubsig.quantum import (
+    DensityOperator,
+    Ket,
+    OrthonormalBasis,
+    born_probabilities,
+    nonselective_measure,
+    partial_trace,
+)
+from mubsig.streams import derive_round_stream
 from mubsig.verify import CheckResult, run_invariant_suite
 
 EXPECTED_NAMES = (
@@ -81,3 +104,119 @@ def test_suite_and_cli_pass_at_d11(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert all(line.startswith("[ok  ]") for line in lines[:-1])
     assert lines[-1].startswith(f"{len(EXPECTED_NAMES)}/{len(EXPECTED_NAMES)} checks passed")
+
+
+def test_suite_passes_every_check_at_d17():
+    failures = [(r.name, r.detail) for r in run_invariant_suite(17) if not r.passed]
+    assert failures == []
+
+
+FAMILIES = (Family.PLAIN, Family.HAT)
+
+
+@pytest.mark.parametrize("d", (2, 3, 5, 7))
+def test_pure_state_route_matches_the_dense_density_operators(d):
+    """The coefficients, probabilities and reduced states the checks read off
+    the collapsed branches equal those of the dense density-operator route."""
+    for family in FAMILIES:
+        prep = DensityOperator.from_ket(_prep_ket(d, family))
+        pair_basis = entangled_basis(d, 0, family)
+        for basis in basis_alphabet(d, FAMILIES):
+            dense = nonselective_measure(prep, 1, measurement_basis(d, basis))
+            weights, amps = verify._measured(d, family, basis)
+            coeffs = pair_basis.matrix.conj().T @ dense.matrix @ pair_basis.matrix
+            assert_allclose(verify._pair_coefficients(weights, amps), coeffs,
+                            rtol=0, atol=1e-12, err_msg=f"{family} {basis}")
+            assert_allclose(verify._outcome_probs(weights, amps),
+                            born_probabilities(dense, pair_basis), rtol=0, atol=1e-12)
+            assert_allclose(verify._travelling_state(*verify._branches(d, family, basis)),
+                            partial_trace(dense, keep=1).matrix, rtol=0, atol=1e-12)
+    # Unequal weights and pairs that are not maximally entangled, so that
+    # the two halves' reduced states differ.
+    rng = derive_round_stream(3, d)
+    weights = rng.random(d)
+    weights /= weights.sum()
+    kets = [Ket.normalized(rng.normal(size=d * d) + 1j * rng.normal(size=d * d),
+                           dims=(d, d)) for _ in range(d)]
+    mixture = DensityOperator(sum(w * DensityOperator.from_ket(k).matrix
+                                  for w, k in zip(weights, kets)), dims=(d, d))
+    collapsed = np.stack([k.amplitudes.reshape(d, d) for k in kets])
+    assert_allclose(verify._travelling_state(weights, collapsed),
+                    partial_trace(mixture, keep=1).matrix, rtol=0, atol=1e-12)
+    for ket in kets + [entangled_ket(d, 1 % d, 1 % d, d - 1)]:
+        rho = DensityOperator.from_ket(ket)
+        first, second = verify._reduced_states(ket.amplitudes.reshape(d, d))
+        assert_allclose(first, partial_trace(rho, keep=1).matrix, rtol=0, atol=1e-12)
+        assert_allclose(second, partial_trace(rho, keep=2).matrix, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", (2, 3, 5, 7))
+def test_summed_detection_probability_matches_the_tables(d):
+    for family in FAMILIES:
+        summed = verify._summed_detection_probability(d, family)
+        assert abs(summed - dual_family_detection_probability(d, family)) <= 1e-12
+
+
+# Mutation checks: each patch breaks one fact, and the check that owns the
+# fact must fail with a detail that names the offending cell.
+
+def test_decode_completeness_catches_a_sign_flip_in_decode(monkeypatch):
+    d = 5
+    real = verify.decode
+
+    def flipped(prep, outcome):
+        res = real(prep, outcome)
+        return DecodeResult.quadratic(-res.quad % d) if res.quad is not None else res
+
+    monkeypatch.setattr(verify, "decode", flipped)
+    result = verify._check_decode_completeness(d)
+    assert not result.passed
+    assert result.assertions == d ** 5 + d ** 3
+    assert result.detail.startswith("cross-c outcome at (0, 0, 0)->(1, 1)")
+
+
+def test_decode_completeness_catches_one_wrong_table_cell(monkeypatch):
+    d = 5
+    codes = protocol._decode_codes(d).copy()
+    cell = d + 2   # outcome (1, 2) of the prep (0, 0, 0): q3, code 4
+    codes[cell] = 1 + codes[cell] % d
+    monkeypatch.setattr(verify, "_decode_codes", lambda dim: codes)
+    result = verify._check_decode_completeness(d)
+    assert not result.passed
+    assert result.detail.startswith("cross-c outcome at (0, 0, 0)->(1, 2)")
+
+
+def test_mutual_unbiasedness_catches_a_perturbed_column(monkeypatch):
+    d = 5
+    real = verify.measurement_basis
+    target = BasisId(Family.PLAIN, 2)
+
+    def perturbed(dim, basis):
+        out = real(dim, basis)
+        if basis != target:
+            return out
+        m = out.matrix.copy()   # rotate column 0 a little towards column 1
+        m[:, 0], m[:, 1] = (np.cos(0.1) * m[:, 0] + np.sin(0.1) * m[:, 1],
+                            np.cos(0.1) * m[:, 1] - np.sin(0.1) * m[:, 0])
+        return OrthonormalBasis([Ket(col, dims=(dim,)) for col in m.T])
+
+    monkeypatch.setattr(verify, "measurement_basis", perturbed)
+    result = verify._check_unbiasedness(d)
+    assert not result.passed
+    assert re.match(r"\|<comp,\d\|q2,0>\|\^2: ", result.detail), result.detail
+
+
+def test_measurement_backaction_catches_a_conjugated_kept_half(monkeypatch):
+    d = 5
+    real = verify._travelling_branches
+
+    def conjugated(pair, basis):
+        weights, collapsed = real(pair, basis)
+        b = basis.matrix
+        kept = np.einsum("im,mij->mj", b.conj(), collapsed)
+        return weights, b.T[:, :, None] * kept.conj()[:, None, :]
+
+    monkeypatch.setattr(verify, "_travelling_branches", conjugated)
+    result = verify._check_measurement_backaction(d)
+    assert not result.passed
+    assert re.match(r"(plain|hat)/(hat-)?(comp|q\d) off-diagonal: ", result.detail), result.detail

@@ -3,8 +3,10 @@
 Re-derives the structural facts the package relies on (orthonormality,
 unbiasedness, post-measurement structure, decode soundness, attack
 detectability, stream determinism) by brute force for one dimension,
-and reports one result per named check.  The CLI exposes this as
-``mubsig verify``; the test suite runs it as a meta-check.
+and reports one result per named check.  Post-measurement states are
+read off the collapsed pure branches of :mod:`mubsig.oracle`, never off
+the compiled tables or a dense density operator.  The CLI exposes this
+as ``mubsig verify``; the test suite runs it as a meta-check.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .harness import (
     run_trials,
 )
 from .oracle import _forward_basis, _pair_probs, _prep_pair, _travelling_branches, run_round_original
-from .protocol import DecodeResult, _decode_codes, _decode_outcome, decode
+from .protocol import _INCONCLUSIVE_CODE, DecodeResult, _decode_codes, _decode_outcome, decode
 from .quantum import TOLERANCE, DensityOperator, Ket, born_probabilities
 from .streams import derive_round_stream
 
@@ -45,7 +47,6 @@ __all__ = ["CheckResult", "run_invariant_suite"]
 
 _FAMILIES = (Family.PLAIN, Family.HAT)
 _SHOWN_FAILURES = 3   # a result's detail names at most this many failures
-_INCONCLUSIVE_CODE = -1
 
 
 @dataclass(frozen=True)
@@ -316,7 +317,7 @@ def _check_decode_completeness(d: int) -> CheckResult:
     for cc in range(d):
         shifted = table[(cp - cc) % d, (rp - r) % d]
         code = np.where(shifted > 0, 1 + (shifted - 1 + s) % d, shifted)
-        related = ((s - code + 1) * (cc - cp) - (r - rp)) % d == 0
+        related = ((s - (code - 1)) * (cc - cp) - (r - rp)) % d == 0
         ok = np.where(cp != cc, (code > 0) & related,
                       code == np.where(rp == r, _INCONCLUSIVE_CODE, 0))
         prep = (elements[cc],) * 3
@@ -325,7 +326,7 @@ def _check_decode_completeness(d: int) -> CheckResult:
         ok[cc, cc] &= code[cc, cc] == np.reshape(direct, (d, d))
         c.expect_all(ok, lambda *cell: _decode_cell(cc, *cell))
         c.expect_all((code == _INCONCLUSIVE_CODE).sum(axis=(2, 3)) == 1,
-                     lambda r, s: f"one inconclusive cell at {(cc, r, s)}")
+                     lambda *rs: f"one inconclusive cell at {(cc, *rs)}")
     return c.result()
 
 
@@ -429,8 +430,9 @@ def _summed_detection_probability(d: int, eve_family: Family) -> float:
             wrong = conclusive & ~np.array([x.matches_label(bob) for x in results])
             eve = _outcome_probs(*_measured(d, eve_family, bob))
             for f, outcomes in resends.items():
-                kept += eve[outcomes].sum() * alice[f][conclusive].sum()
-                mismatch += eve[outcomes].sum() * alice[f][wrong].sum()
+                q = eve[outcomes].sum()
+                kept += q * alice[f][conclusive].sum()
+                mismatch += q * alice[f][wrong].sum()
     return float(mismatch / kept)
 
 

@@ -9,7 +9,6 @@ from mubsig.bases import (
     basis_alphabet,
     hadamard_root,
     measurement_basis,
-    mub_ket,
 )
 
 d = 3
@@ -19,7 +18,7 @@ print()
 
 # The plain family: the computational basis plus d quadratic-phase bases.
 print("plain family kets (columns), basis q1:")
-m = measurement_basis(d, basis_alphabet(d)[2]).matrix
+m = measurement_basis(d, basis_alphabet(d)[2])
 with np.printoptions(precision=3, suppress=True):
     print(m)
 print()
@@ -30,9 +29,9 @@ for family in (Family.PLAIN, Family.HAT):
     ids = basis_alphabet(d, (family,))
     worst = 0.0
     for i in range(len(ids)):
-        a = measurement_basis(d, ids[i]).matrix
+        a = measurement_basis(d, ids[i])
         for j in range(i + 1, len(ids)):
-            b = measurement_basis(d, ids[j]).matrix
+            b = measurement_basis(d, ids[j])
             overlaps = np.abs(a.conj().T @ b) ** 2
             worst = max(worst, np.abs(overlaps - 1.0 / d).max())
     print(f"{family.value:5s} family: {len(ids)} bases, "
@@ -46,9 +45,7 @@ print(f"hadamard root check: max |h@h - F| = {np.abs(h @ h - f).max():.2e}")
 
 # The two families are close cousins but not interchangeable: a hat ket
 # is neither equal nor unbiased to the computational kets.
-overlaps = np.abs(np.column_stack(
-    [mub_ket(d, basis_alphabet(d, (Family.HAT,))[0], k).amplitudes
-     for k in range(d)])) ** 2
+overlaps = np.abs(measurement_basis(d, basis_alphabet(d, (Family.HAT,))[0])) ** 2
 print(f"hat-comp vs comp overlaps^2 (would all be {1/d:.3f} if unbiased):")
 with np.printoptions(precision=3, suppress=True):
     print(overlaps)

@@ -16,6 +16,9 @@ would silently corrupt the d = 2 bases.
 Entangled pair states |c,r;s> = (1/sqrt d) sum_n |n>|c-n> w^(s n^2 - 2 r n)
 form, for fixed s, an orthonormal basis of the pair space; the hat
 variant transports the s = 0 basis through the hat unitary on both halves.
+
+Every basis is built whole, as a read-only matrix whose column k is its
+k-th ket, from one cached table of the powers of w.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .finite_field import _prime_dim
-from .quantum import Ket, OrthonormalBasis, TOLERANCE, _frozen
+from .quantum import TOLERANCE, _frozen
 
 
 class Family(enum.Enum):
@@ -90,7 +93,14 @@ def basis_alphabet(d: int, families: tuple[Family, ...] = (Family.PLAIN,)
     return tuple(out)
 
 
-_I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
+@functools.lru_cache(maxsize=None)
+def _omega_table(d: int) -> np.ndarray:
+    """omega(d)^k over one period of omega (4 for d = 2, else d); every
+    phase of every basis is read here."""
+    _prime_dim(d)
+    if d == 2:
+        return _frozen(np.array([1, 1j, -1, -1j]))
+    return _frozen(np.exp(2j * np.pi * np.arange(d) / d))
 
 
 def omega(d: int) -> complex:
@@ -104,34 +114,32 @@ def omega_power(d: int, exponent: int) -> complex:
     The exponent is reduced modulo the actual period of omega: 4 for
     d = 2 (omega = i), d otherwise.
     """
-    _prime_dim(d)
-    if d == 2:
-        return _I_POWERS[exponent % 4]
-    return complex(np.exp(2j * np.pi * (exponent % d) / d))
+    table = _omega_table(d)
+    return complex(table[exponent % len(table)])
 
 
-def mub_ket(d: int, basis: BasisId, m: int) -> Ket:
-    """The m-th ket of one measurement basis (either family)."""
-    _prime_dim(d)
-    if not 0 <= m < d:
-        raise ValueError(f"ket index {m} outside [0, {d})")
-    if basis.quad is not None and basis.quad >= d:
-        raise ValueError(f"quad label {basis.quad} outside [0, {d})")
-    if basis.family is Family.HAT:
-        plain = mub_ket(d, BasisId(Family.PLAIN, basis.quad), m)
-        return Ket(hat_unitary(d) @ plain.amplitudes)
-    if basis.quad is None:
-        return Ket.basis_state(m, d)
-    b = basis.quad
-    n = np.arange(d)
-    amps = np.array([omega_power(d, b * k * k - 2 * k * m) for k in n]) / math.sqrt(d)
-    return Ket(amps)
+def _quadratic_phases(d: int, q: int) -> np.ndarray:
+    """[n, m] -> omega^(q n^2 - 2 n m) / sqrt(d)."""
+    table = _omega_table(d)
+    n = np.arange(d)[:, None]
+    return table[(q * n * n - 2 * n * n.T) % len(table)] / math.sqrt(d)
 
 
 @functools.lru_cache(maxsize=None)
-def measurement_basis(d: int, basis: BasisId) -> OrthonormalBasis:
-    """All d kets of one measurement basis, validated as orthonormal."""
-    return OrthonormalBasis([mub_ket(d, basis, m) for m in range(d)])
+def measurement_basis(d: int, basis: BasisId) -> np.ndarray:
+    """One measurement basis (either family) as a read-only d x d matrix
+    whose column m is its m-th ket."""
+    _prime_dim(d)
+    if basis.quad is not None and basis.quad >= d:
+        raise ValueError(f"quad label {basis.quad} outside [0, {d})")
+    if basis.family is Family.HAT:
+        plain = measurement_basis(d, BasisId(Family.PLAIN, basis.quad))
+        # a stack of matrix-vector products, one per ket: one matrix
+        # product would sum in another order and move entries by an ulp
+        return _frozen((hat_unitary(d) @ plain.T[:, :, None])[:, :, 0].T.copy())
+    if basis.quad is None:
+        return _frozen(np.eye(d, dtype=complex))
+    return _frozen(_quadratic_phases(d, basis.quad))
 
 
 def _fourier_matrix(d: int) -> np.ndarray:
@@ -167,22 +175,16 @@ def hadamard_root(d: int) -> np.ndarray:
     return _frozen(h)
 
 
-def hat_ket(d: int, m: int) -> Ket:
-    """|m-hat> = sum_n |n> h[m, n]."""
-    if not 0 <= m < d:
-        raise ValueError(f"ket index {m} outside [0, {d})")
-    return Ket(hadamard_root(d)[m, :])
-
-
 @functools.lru_cache(maxsize=None)
 def hat_unitary(d: int) -> np.ndarray:
-    """The unitary sending |m> to |m-hat> (column m is the m-th hat ket).
+    """The unitary sending |m> to |m-hat> = sum_n |n> h[m, n], so column m
+    is row m of the Hadamard root h.
 
     The hat basis is only useful if it is genuinely different from the
     computational basis and not mutually unbiased to it; both properties
     are checked here per dimension and violations raise.
     """
-    u = np.column_stack([hat_ket(d, m).amplitudes for m in range(d)])
+    u = hadamard_root(d).T.copy()
     eye = np.eye(d)
     separation = max(
         np.linalg.norm(u[:, [m]] - eye, axis=0).min() for m in range(d)
@@ -197,25 +199,6 @@ def hat_unitary(d: int) -> np.ndarray:
     return _frozen(u)
 
 
-def entangled_ket(d: int, c: int, r: int, s: int) -> Ket:
-    """|c,r;s> = (1/sqrt d) sum_n |n>|c-n> w^(s n^2 - 2 r n), indices mod d."""
-    _prime_dim(d)
-    for name, v in (("c", c), ("r", r), ("s", s)):
-        if not 0 <= v < d:
-            raise ValueError(f"label {name}={v} outside [0, {d})")
-    amps = np.zeros(d * d, dtype=complex)
-    for n in range(d):
-        amps[n * d + (c - n) % d] = omega_power(d, s * n * n - 2 * r * n)
-    return Ket(amps / math.sqrt(d), dims=(d, d))
-
-
-def hat_entangled_ket(d: int, c: int, r: int) -> Ket:
-    """The s = 0 entangled ket with both halves transported to the hat basis."""
-    u = hat_unitary(d)
-    plain = entangled_ket(d, c, r, 0).amplitudes.reshape(d, d)
-    return Ket(u @ plain @ u.T, dims=(d, d))
-
-
 def pair_outcome_labels(d: int) -> tuple[tuple[int, int], ...]:
     """(c, r) labels of the entangled basis, in flat index order c*d + r."""
     _prime_dim(d)
@@ -224,10 +207,13 @@ def pair_outcome_labels(d: int) -> tuple[tuple[int, int], ...]:
 
 @functools.lru_cache(maxsize=None)
 def entangled_basis(d: int, s: int = 0, family: Family = Family.PLAIN
-                    ) -> OrthonormalBasis:
-    """The d^2 entangled kets {|c,r;s>} as a pair basis, ordered by (c, r).
+                    ) -> np.ndarray:
+    """The pair basis {|c,r;s>} as a read-only d^2 x d^2 matrix whose
+    column c*d + r is |c,r;s> (:func:`pair_outcome_labels` order).
 
-    The hat family is defined only at s = 0.
+    The hat family is defined only at s = 0: its kets are (u (x) u)|c,r;0>
+    with u the hat unitary, that is u Psi u^T on each d x d amplitude
+    matrix Psi.
     """
     _prime_dim(d)
     if not 0 <= s < d:
@@ -235,7 +221,11 @@ def entangled_basis(d: int, s: int = 0, family: Family = Family.PLAIN
     if family is Family.HAT:
         if s != 0:
             raise ValueError("hat entangled basis exists only for s=0")
-        kets = [hat_entangled_ket(d, c, r) for c, r in pair_outcome_labels(d)]
-    else:
-        kets = [entangled_ket(d, c, r, s) for c, r in pair_outcome_labels(d)]
-    return OrthonormalBasis(kets)
+        u = hat_unitary(d)
+        plain = entangled_basis(d).T.reshape(d * d, d, d)
+        return _frozen((u @ plain @ u.T).reshape(d * d, d * d).T.copy())
+    # [n, n', c, r]: amplitude of |n, n'> in |c,r;s>, nonzero only at n' = c - n
+    n = np.arange(d)[:, None]
+    e = np.zeros((d, d, d, d), dtype=complex)
+    e[n, (n.T - n) % d, n.T] = _quadratic_phases(d, s)[:, None, :]
+    return _frozen(e.reshape(d * d, d * d))

@@ -28,8 +28,8 @@ from .bases import (
     measurement_basis,
     pair_outcome_labels,
 )
-from .protocol import DecodeResult, _decode_outcome, _prep_ket
-from .quantum import OrthonormalBasis, sample_outcome
+from .protocol import DecodeResult, _decode_outcome, _prep_pair
+from .quantum import sample_outcome
 
 
 @dataclass(frozen=True)
@@ -67,26 +67,21 @@ class RoundRecord:
         return self.alice_prep_family is self.bob_basis.family
 
 
-def _prep_pair(d: int, family: Family) -> np.ndarray:
-    return _prep_ket(d, family).amplitudes.reshape(d, d)
-
-
-def _travelling_branches(pair: np.ndarray, basis: OrthonormalBasis
+def _travelling_branches(pair: np.ndarray, basis: np.ndarray
                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Measure the travelling half of ``pair`` in ``basis`` = {b_m}.
+    """Measure the travelling half of ``pair`` in ``basis``, whose column m is b_m.
 
     Returns the outcome weights ||phi_m||^2 and, per outcome m, the
     collapsed pair b_m (x) phi_m / ||phi_m||.  The pairs measured here are
     maximally entangled, so every weight is 1/d.
     """
-    b = basis.matrix
-    phi = b.conj().T @ pair   # row m: phi_m = (<b_m| (x) 1) pair
+    phi = basis.conj().T @ pair   # row m: phi_m = (<b_m| (x) 1) pair
     weights = (np.abs(phi) ** 2).sum(axis=1)
     kept = phi / np.sqrt(weights)[:, None]
-    return weights, b.T[:, :, None] * kept[:, None, :]
+    return weights, basis.T[:, :, None] * kept[:, None, :]
 
 
-def _collapse(pair: np.ndarray, basis: OrthonormalBasis,
+def _collapse(pair: np.ndarray, basis: np.ndarray,
               rng: np.random.Generator) -> np.ndarray:
     """The pair after its travelling half is measured in ``basis`` and the
     outcome is drawn (one draw) and forgotten."""
@@ -96,7 +91,7 @@ def _collapse(pair: np.ndarray, basis: OrthonormalBasis,
 
 def _pair_probs(d: int, family: Family, pair: np.ndarray) -> np.ndarray:
     """Born probabilities |<e_k|v>|^2 of ``pair`` in the family's entangled basis."""
-    return np.abs(pair.ravel().conj() @ entangled_basis(d, 0, family).matrix) ** 2
+    return np.abs(pair.ravel().conj() @ entangled_basis(d, 0, family)) ** 2
 
 
 def _measure_pair(d: int, family: Family, pair: np.ndarray,

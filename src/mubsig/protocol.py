@@ -47,13 +47,11 @@ from .bases import (
     Family,
     basis_alphabet,
     entangled_basis,
-    entangled_ket,
-    hat_entangled_ket,
     measurement_basis,
     pair_outcome_labels,
 )
 from .finite_field import FieldElement, _prime_dim
-from .quantum import TOLERANCE, Ket, _cdf, _frozen
+from .quantum import TOLERANCE, _cdf, _frozen
 from .streams import derive_round_stream
 
 # Rounds are processed in fixed-size blocks; each block draws from its own
@@ -190,10 +188,10 @@ def _ratio(num: int, den: int) -> float:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _prep_ket(d: int, family: Family) -> Ket:
-    if family is Family.HAT:
-        return hat_entangled_ket(d, 0, 0)
-    return entangled_ket(d, 0, 0, 0)
+def _prep_pair(d: int, family: Family) -> np.ndarray:
+    """The (0,0;0) pair of ``family`` as a d x d amplitude matrix, travelling
+    index first: column 0 of the family's pair basis."""
+    return _frozen(entangled_basis(d, 0, family)[:, 0].reshape(d, d).copy())
 
 
 @functools.lru_cache(maxsize=None)
@@ -207,9 +205,9 @@ def pair_outcome_probs(d: int, own_family: Family, measured_basis: BasisId) -> n
     phi_m = (<b_m| (x) 1) Psi.  Cells below ``TOLERANCE`` are exactly 0.0.
     Entries follow :func:`pair_outcome_labels` order.
     """
-    psi = _prep_ket(d, own_family).amplitudes.reshape(d, d)
-    b = measurement_basis(d, measured_basis).matrix
-    e = entangled_basis(d, 0, own_family).matrix.reshape(d, d, d * d)
+    psi = _prep_pair(d, own_family)
+    b = measurement_basis(d, measured_basis)
+    e = entangled_basis(d, 0, own_family).reshape(d, d, d * d)
     phi = b.conj().T @ psi
     amps = np.einsum("ijk,im,mj->km", e.conj(), b, phi, optimize=True)
     p = (np.abs(amps) ** 2).sum(axis=1)
@@ -285,18 +283,18 @@ def ideal_pretest_distribution(d: int) -> tuple[tuple, np.ndarray]:
     Returns (labels, probabilities) with labels (bob_basis, m, alice_basis, m')
     in row-major order.
     """
-    psi = _prep_ket(d, Family.PLAIN).amplitudes.reshape(d, d)
+    psi = _prep_pair(d, Family.PLAIN)
     alphabet = basis_alphabet(d)
     n_bases = len(alphabet)
     labels = []
     probs = np.zeros((n_bases * d) ** 2)
     flat = 0
     for b in alphabet:
-        ub = measurement_basis(d, b).matrix
+        ub = measurement_basis(d, b)
         for m in range(d):
             conditional = ub[:, m].conj() @ psi   # unnormalized kept-half state
             for a in alphabet:
-                ua = measurement_basis(d, a).matrix
+                ua = measurement_basis(d, a)
                 joint = np.abs(ua.conj().T @ conditional) ** 2 / n_bases ** 2
                 for mp in range(d):
                     labels.append((b, m, a, mp))

@@ -1,7 +1,11 @@
 """Dense complex linear algebra for one- and two-qudit states.
 
-States are plain numpy arrays wrapped in thin value types that validate
-their defining invariants once, at construction.  The joint index
+Kets, density operators, the Born rule, nonselective measurement and
+the partial trace are the dense reference route the faster paths are
+tested against; outcome sampling lives here too.  States are plain numpy
+arrays wrapped in thin value types that validate their defining
+invariants once, at construction; a measurement basis is a bare matrix
+whose column i is its i-th ket.  The joint index
 convention for a pair is (n1, n2) -> n1 * d + n2.  All comparisons use a
 single numeric tolerance; probabilities that dip below zero by more than
 that tolerance are treated as bugs, not noise.
@@ -9,7 +13,7 @@ that tolerance are treated as bugs, not noise.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -87,23 +91,6 @@ class Ket:
         return f"Ket(dims={self._dims}, amplitudes={self._amps!r})"
 
 
-def tensor(a: Ket, b: Ket) -> Ket:
-    """Joint state of two single qudits of equal dimension."""
-    if len(a.dims) != 1 or len(b.dims) != 1:
-        raise ValueError("tensor expects two single-qudit kets")
-    if a.dims != b.dims:
-        raise ValueError(f"tensor expects equal dims, got {a.dims} and {b.dims}")
-    d = a.dims[0]
-    return Ket(np.kron(a.amplitudes, b.amplitudes), dims=(d, d))
-
-
-def inner(a: Ket, b: Ket) -> complex:
-    """Hermitian inner product <a|b>, conjugate-linear in ``a``."""
-    if a.size != b.size:
-        raise ValueError(f"size mismatch: {a.size} vs {b.size}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
 class DensityOperator:
     """A density matrix: Hermitian, unit trace, positive semidefinite.
 
@@ -158,56 +145,6 @@ class DensityOperator:
         return f"DensityOperator(dims={self._dims}, trace={np.trace(self._matrix)!r})"
 
 
-class OrthonormalBasis:
-    """A complete orthonormal set of kets for one system.
-
-    Completeness and pairwise orthonormality are checked once via the
-    Gram matrix; the column matrix (ket i in column i) is kept for fast
-    vectorized projections.
-    """
-
-    __slots__ = ("_kets", "_matrix", "_dims")
-
-    def __init__(self, kets: Sequence[Ket]):
-        kets = tuple(kets)
-        if not kets:
-            raise ValueError("basis needs at least one ket")
-        dims = kets[0].dims
-        if any(k.dims != dims for k in kets):
-            raise ValueError("all basis kets must share the same dims")
-        size = kets[0].size
-        if len(kets) != size:
-            raise ValueError(f"basis must have {size} kets, got {len(kets)}")
-        matrix = np.column_stack([k.amplitudes for k in kets])
-        gram = matrix.conj().T @ matrix
-        if np.abs(gram - np.eye(size)).max() > TOLERANCE:
-            raise ValueError("kets are not orthonormal")
-        self._kets = kets
-        self._matrix = _frozen(matrix)
-        self._dims = dims
-
-    @property
-    def kets(self) -> tuple[Ket, ...]:
-        return self._kets
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._matrix
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self._dims
-
-    def __len__(self) -> int:
-        return len(self._kets)
-
-    def __getitem__(self, i: int) -> Ket:
-        return self._kets[i]
-
-    def __iter__(self) -> Iterator[Ket]:
-        return iter(self._kets)
-
-
 def _clean_probabilities(p: np.ndarray) -> np.ndarray:
     if p.min() < -TOLERANCE:
         raise ValueError(f"probability {p.min()!r} below -tolerance; "
@@ -219,35 +156,35 @@ def _clean_probabilities(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def born_probabilities(rho: DensityOperator, basis: OrthonormalBasis) -> np.ndarray:
-    """Outcome probabilities <e_i|rho|e_i| for a projective measurement."""
-    if rho.dims != basis.dims:
-        raise ValueError(f"dims mismatch: state {rho.dims}, basis {basis.dims}")
-    b = basis.matrix
-    p = np.einsum("ji,ji->i", b.conj(), rho.matrix @ b).real
+def born_probabilities(rho: DensityOperator, basis: np.ndarray) -> np.ndarray:
+    """Outcome probabilities <e_i|rho|e_i> for a projective measurement in
+    ``basis``, whose column i is e_i."""
+    if basis.shape != rho.matrix.shape:
+        raise ValueError(f"basis shape {basis.shape} does not match state {rho.matrix.shape}")
+    p = np.einsum("ji,ji->i", basis.conj(), rho.matrix @ basis).real
     return _clean_probabilities(p)
 
 
 def nonselective_measure(rho: DensityOperator, subsystem: int,
-                         basis: OrthonormalBasis) -> DensityOperator:
+                         basis: np.ndarray) -> DensityOperator:
     """Measure one half of a pair projectively and forget the outcome.
 
-    Returns sum_m P_m rho P_m with P_m acting on ``subsystem`` (1 or 2):
-    rotate the measured half into ``basis``, keep the d diagonal blocks
-    <b_m| rho |b_m> on the other half, and rotate back, in O(d^5).
+    Returns sum_m P_m rho P_m with P_m = |b_m><b_m| acting on ``subsystem``
+    (1 or 2), b_m being column m of ``basis``: rotate the measured half
+    into the basis, keep the d diagonal blocks <b_m| rho |b_m> on the
+    other half, and rotate back, in O(d^5).
     """
     if len(rho.dims) != 2:
         raise ValueError("nonselective_measure expects a two-qudit state")
     if subsystem not in (1, 2):
         raise ValueError(f"subsystem must be 1 or 2, got {subsystem}")
     d = rho.dims[0]
-    if basis.dims != (d,):
-        raise ValueError(f"basis dims {basis.dims} do not match subsystem dim {d}")
+    if basis.shape != (d, d):
+        raise ValueError(f"basis shape {basis.shape} does not match subsystem dim {d}")
     swap = (1, 0, 3, 2) if subsystem == 2 else (0, 1, 2, 3)   # measured half first
     r = rho.matrix.reshape(d, d, d, d).transpose(swap)
-    b = basis.matrix
-    blocks = np.einsum("im,ijkl,km->mjl", b.conj(), r, b, optimize=True)
-    out = np.einsum("im,mjl,km->ijkl", b, blocks, b.conj(), optimize=True)
+    blocks = np.einsum("im,ijkl,km->mjl", basis.conj(), r, basis, optimize=True)
+    out = np.einsum("im,mjl,km->ijkl", basis, blocks, basis.conj(), optimize=True)
     return DensityOperator(out.transpose(swap).reshape(d * d, d * d), dims=rho.dims)
 
 

@@ -22,7 +22,6 @@ from .bases import (
     Family,
     basis_alphabet,
     entangled_basis,
-    entangled_ket,
     hadamard_root,
     hat_unitary,
     measurement_basis,
@@ -38,8 +37,15 @@ from .harness import (
     dual_family_detection_probability,
     run_trials,
 )
-from .oracle import _forward_basis, _pair_probs, _prep_pair, _travelling_branches, run_round_original
-from .protocol import _INCONCLUSIVE_CODE, DecodeResult, _decode_codes, _decode_outcome, decode
+from .oracle import _forward_basis, _pair_probs, _travelling_branches, run_round_original
+from .protocol import (
+    _INCONCLUSIVE_CODE,
+    DecodeResult,
+    _decode_codes,
+    _decode_outcome,
+    _prep_pair,
+    decode,
+)
 from .quantum import TOLERANCE, DensityOperator, Ket, born_probabilities
 from .streams import derive_round_stream
 
@@ -116,7 +122,7 @@ def _measured(d: int, family: Family, basis: BasisId) -> tuple[np.ndarray, np.nd
     """Weights w_m and amplitudes a[m, k] = <e_k|v_m> of the same branches
     in the family's entangled basis {e_k}: a = V E*."""
     weights, collapsed = _branches(d, family, basis)
-    e = entangled_basis(d, 0, family).matrix
+    e = entangled_basis(d, 0, family)
     return weights, (collapsed.reshape(d, d * d).conj() @ e).conj()
 
 
@@ -178,7 +184,7 @@ def _check_single_orthonormality(d: int) -> CheckResult:
     c = _Check("single-basis-orthonormality")
     for basis_id in basis_alphabet(d, _FAMILIES):
         basis = measurement_basis(d, basis_id)
-        gram = basis.matrix.conj().T @ basis.matrix
+        gram = basis.conj().T @ basis
         c.close(np.abs(gram - np.eye(d)).max(), 0.0,
                 "gram deviation for {}", basis_id.text(), tol=TOLERANCE)
     return c.result()
@@ -187,7 +193,7 @@ def _check_single_orthonormality(d: int) -> CheckResult:
 def _check_unbiasedness(d: int) -> CheckResult:
     c = _Check("mutual-unbiasedness")
     for family in _FAMILIES:
-        bases = [(b, measurement_basis(d, b).matrix) for b in basis_alphabet(d, (family,))]
+        bases = [(b, measurement_basis(d, b)) for b in basis_alphabet(d, (family,))]
         for i, (first, u) in enumerate(bases):
             for second, v in bases[i + 1:]:
                 overlaps = np.abs(u.conj().T @ v) ** 2
@@ -201,12 +207,12 @@ def _check_entangled_basis(d: int) -> CheckResult:
     c = _Check("entangled-basis")
     for family in _FAMILIES:
         basis = entangled_basis(d, family=family)
-        gram = basis.matrix.conj().T @ basis.matrix
+        gram = basis.conj().T @ basis
         c.close(np.abs(gram - np.eye(d * d)).max(), 0.0,
                 "{} pair basis gram", family.value, tol=TOLERANCE)
     for s in range(1, d):
         basis = entangled_basis(d, s=s)
-        gram = basis.matrix.conj().T @ basis.matrix
+        gram = basis.conj().T @ basis
         c.close(np.abs(gram - np.eye(d * d)).max(), 0.0,
                 "pair basis gram at s={}", s, tol=TOLERANCE)
     return c.result()
@@ -216,7 +222,7 @@ def _check_pair_reduced_states(d: int) -> CheckResult:
     c = _Check("pair-reduced-states")
     mixed = np.eye(d) / d
     for (cc, r, s) in [(0, 0, 0), (1 % d, 0, 0), (0, 1 % d, 0), (1 % d, 1 % d, (d - 1) % d)]:
-        psi = entangled_ket(d, cc, r, s).amplitudes.reshape(d, d)
+        psi = entangled_basis(d, s)[:, cc * d + r].reshape(d, d)
         for keep, reduced in zip((1, 2), _reduced_states(psi)):
             c.close(np.abs(reduced - mixed).max(), 0.0,
                     "reduced side {} of ({},{};{})", keep, cc, r, s, tol=TOLERANCE)
@@ -381,7 +387,7 @@ def _check_born_rule_consistency(d: int) -> CheckResult:
         basis = measurement_basis(d, bob)
         probs = born_probabilities(rho, basis)
         for m in range(d):
-            v = basis.matrix[:, m]
+            v = basis[:, m]
             direct = float(np.real(np.vdot(v, rho.matrix @ v)))
             c.close(probs[m], direct, "{} outcome {}", bob.text(), m, tol=TOLERANCE)
         c.close(probs.sum(), 1.0, "{} completeness", bob.text(), tol=TOLERANCE)

@@ -17,8 +17,6 @@ from mubsig.bases import (
     Family,
     basis_alphabet,
     entangled_basis,
-    entangled_ket,
-    hat_entangled_ket,
     measurement_basis,
     pair_outcome_labels,
 )
@@ -34,7 +32,7 @@ from mubsig.harness import (
     run_trials,
 )
 from mubsig.protocol import decode, pair_outcome_probs
-from mubsig.quantum import DensityOperator, nonselective_measure, partial_trace
+from mubsig.quantum import DensityOperator, Ket, nonselective_measure, partial_trace
 from mubsig.report import build_document, canonical_json
 
 acceptance = pytest.mark.acceptance
@@ -45,9 +43,7 @@ BOTH_FAMILIES = (Family.PLAIN, Family.HAT)
 
 
 def pair_state(d, family):
-    if family is Family.HAT:
-        return DensityOperator.from_ket(hat_entangled_ket(d, 0, 0))
-    return DensityOperator.from_ket(entangled_ket(d, 0, 0, 0))
+    return DensityOperator.from_ket(Ket(entangled_basis(d, 0, family)[:, 0], dims=(d, d)))
 
 
 def five_sigma(p, n):
@@ -64,7 +60,7 @@ def test_basis_families_are_mutually_unbiased():
     for d in ALL_PRIMES:
         for family in BOTH_FAMILIES:
             ids = basis_alphabet(d, (family,))
-            mats = [measurement_basis(d, b).matrix for b in ids]
+            mats = [measurement_basis(d, b) for b in ids]
             for i in range(len(ids)):
                 for j in range(i + 1, len(ids)):
                     overlaps = np.abs(mats[i].conj().T @ mats[j]) ** 2
@@ -83,7 +79,7 @@ def test_entangled_alphabets_are_complete_orthonormal_bases():
         eye = np.eye(d * d)
         variants = [(s, Family.PLAIN) for s in range(d)] + [(0, Family.HAT)]
         for s, family in variants:
-            m = entangled_basis(d, s, family).matrix
+            m = entangled_basis(d, s, family)
             assert np.abs(m.conj().T @ m - eye).max() < 1e-10, (d, s, family)
             assert np.abs(m @ m.conj().T - eye).max() < 1e-10, (d, s, family)
 
@@ -123,19 +119,18 @@ def test_measurement_backaction_lands_on_the_decodable_support():
         for basis in basis_alphabet(d):
             after = nonselective_measure(pair, 1, measurement_basis(d, basis))
             if basis.quad is None:
-                kets = [entangled_ket(d, 0, r, 0) for r in range(d)]
+                labels = [(0, r) for r in range(d)]
             else:
-                kets = [entangled_ket(d, c, (-basis.quad * c) % d, 0)
-                        for c in range(d)]
-            expected = sum(np.outer(k.amplitudes, k.amplitudes.conj())
-                           for k in kets) / d
+                labels = [(c, (-basis.quad * c) % d) for c in range(d)]
+            kets = [entangled_basis(d)[:, c * d + r] for c, r in labels]
+            expected = sum(np.outer(k, k.conj()) for k in kets) / d
             assert np.abs(after.matrix - expected).max() < 1e-10, (d, basis.text())
     # measuring in the wrong family leaves visible coherences in the
     # holder's entangled basis, so the substitution attack is exposed
     for d in SMALL_PRIMES:
         for own, other in ((Family.PLAIN, Family.HAT), (Family.HAT, Family.PLAIN)):
             pair = pair_state(d, own)
-            m = entangled_basis(d, 0, own).matrix
+            m = entangled_basis(d, 0, own)
             worst = 0.0
             for basis in basis_alphabet(d, (other,)):
                 after = nonselective_measure(pair, 1, measurement_basis(d, basis))

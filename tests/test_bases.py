@@ -7,19 +7,21 @@ from mubsig.bases import (
     Family,
     basis_alphabet,
     entangled_basis,
-    entangled_ket,
     hadamard_root,
-    hat_entangled_ket,
-    hat_ket,
     hat_unitary,
     measurement_basis,
-    mub_ket,
     omega,
     omega_power,
     pair_outcome_labels,
 )
 
 SQRT2 = np.sqrt(2.0)
+EXACT_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def scalar_amplitude(d, exponent):
+    """omega^exponent / sqrt(d) for one entry, rounded as numpy divides."""
+    return np.divide(omega_power(d, exponent), np.sqrt(d))
 
 
 def fourier_matrix(d):
@@ -89,42 +91,72 @@ def test_omega_power_handles_negative_exponents():
     assert_allclose(omega_power(5, -2) * omega_power(5, 2), 1.0, atol=1e-14)
 
 
+def test_omega_power_ignores_the_integer_type():
+    """Python and numpy integer exponents read the same table entry."""
+    for d in (2, 3, 5, 7, 11, 13, 31):
+        for k in range(-d, d):
+            python, numpy = omega_power(d, k), omega_power(d, np.int64(k))
+            assert type(python) is type(numpy) is complex
+            assert python == numpy, (d, k)
+
+
 # ---------------------------------------------------------------------------
-# Single-qudit bases
+# Single-qudit bases: column m of measurement_basis is the m-th ket.
 # ---------------------------------------------------------------------------
+
+def test_bases_are_frozen_cached_matrices():
+    cases = [(measurement_basis, (3, b), 3)
+             for b in basis_alphabet(3, (Family.PLAIN, Family.HAT))]
+    cases += [(entangled_basis, (3, s, f), 9)
+              for s, f in ((0, Family.PLAIN), (2, Family.PLAIN), (0, Family.HAT))]
+    for build, args, size in cases:
+        m = build(*args)
+        assert type(m) is np.ndarray and m.shape == (size, size)
+        assert build(*args) is m
+        with pytest.raises(ValueError):
+            m[0, 0] = 0.0
+
 
 def test_mub_ket_d2_frozen_amplitudes():
     """The exact d=2 kets: quadratic phases land on {1, i, -1, -i}."""
-    assert_allclose(mub_ket(2, BasisId(Family.PLAIN, 0), 0).amplitudes,
-                    np.array([1, 1]) / SQRT2, atol=1e-15)
-    assert_allclose(mub_ket(2, BasisId(Family.PLAIN, 1), 0).amplitudes,
-                    np.array([1, 1j]) / SQRT2, atol=1e-15)
-    assert_allclose(mub_ket(2, BasisId(Family.PLAIN, 0), 1).amplitudes,
-                    np.array([1, -1]) / SQRT2, atol=1e-15)
-    assert_allclose(mub_ket(2, BasisId(Family.PLAIN, 1), 1).amplitudes,
-                    np.array([1, -1j]) / SQRT2, atol=1e-15)
+    q0 = measurement_basis(2, BasisId(Family.PLAIN, 0))
+    q1 = measurement_basis(2, BasisId(Family.PLAIN, 1))
+    assert_allclose(q0[:, 0], np.array([1, 1]) / SQRT2, atol=1e-15)
+    assert_allclose(q1[:, 0], np.array([1, 1j]) / SQRT2, atol=1e-15)
+    assert_allclose(q0[:, 1], np.array([1, -1]) / SQRT2, atol=1e-15)
+    assert_allclose(q1[:, 1], np.array([1, -1j]) / SQRT2, atol=1e-15)
 
 
 def test_mub_ket_computational():
     for d in (2, 3):
+        comp = measurement_basis(d, BasisId(Family.PLAIN, None))
         for m in range(d):
-            amps = mub_ket(d, BasisId(Family.PLAIN, None), m).amplitudes
             expected = np.zeros(d)
             expected[m] = 1.0
-            assert_allclose(amps, expected)
+            assert_allclose(comp[:, m], expected)
+
+
+def test_mub_ket_structure_is_exact():
+    """Entry [n, m] of every quadratic basis is omega^(b n^2 - 2 n m)/sqrt(d),
+    bit for bit."""
+    for d in EXACT_PRIMES:
+        for b in range(d):
+            m = measurement_basis(d, BasisId(Family.PLAIN, b))
+            for n, k in np.ndindex(d, d):
+                assert m[n, k] == scalar_amplitude(d, b * n * n - 2 * n * k), (d, b, n, k)
 
 
 def test_mub_ket_label_range():
-    with pytest.raises(ValueError):
-        mub_ket(3, BasisId(Family.PLAIN, 3), 0)
-    with pytest.raises(ValueError):
-        mub_ket(3, BasisId(Family.PLAIN, 0), 3)
+    for family in (Family.PLAIN, Family.HAT):
+        with pytest.raises(ValueError):
+            measurement_basis(3, BasisId(family, 3))
+        measurement_basis(3, BasisId(family, 2))
 
 
 def test_measurement_bases_orthonormal():
     for d in (2, 3, 5):
         for b in basis_alphabet(d, (Family.PLAIN, Family.HAT)):
-            m = measurement_basis(d, b).matrix
+            m = measurement_basis(d, b)
             assert_allclose(m.conj().T @ m, np.eye(d), atol=1e-10)
 
 
@@ -132,7 +164,7 @@ def test_plain_unbiasedness_exhaustive():
     """|<m;b|m';b'>|^2 = 1/d for every distinct plain pair."""
     for d in (2, 3, 5):
         ids = basis_alphabet(d)
-        mats = {b: measurement_basis(d, b).matrix for b in ids}
+        mats = {b: measurement_basis(d, b) for b in ids}
         for i, b1 in enumerate(ids):
             for b2 in ids[i + 1:]:
                 overlaps = np.abs(mats[b1].conj().T @ mats[b2]) ** 2
@@ -168,14 +200,18 @@ def test_hadamard_root_cached_and_frozen():
 def test_hat_kets_are_root_rows():
     for d in (2, 3):
         h = hadamard_root(d)
+        comp = measurement_basis(d, BasisId(Family.HAT, None))
+        q0 = measurement_basis(d, BasisId(Family.HAT, 0))
+        plain_q0 = measurement_basis(d, BasisId(Family.PLAIN, 0))
         for m in range(d):
-            assert_allclose(hat_ket(d, m).amplitudes, h[m, :], atol=1e-15)
+            assert_allclose(comp[:, m], h[m, :], atol=1e-15)
+            assert_allclose(q0[:, m], h.T @ plain_q0[:, m], atol=1e-15)
 
 
 def test_hat_unitary_columns_are_hat_kets():
     u = hat_unitary(3)
-    for m in range(3):
-        assert_allclose(u[:, m], hat_ket(3, m).amplitudes, atol=1e-15)
+    assert (u == hadamard_root(3).T).all()
+    assert_allclose(u, measurement_basis(3, BasisId(Family.HAT, None)), atol=1e-15)
 
 
 def test_hat_family_differs_from_computational_but_is_not_unbiased():
@@ -191,7 +227,7 @@ def test_hat_family_differs_from_computational_but_is_not_unbiased():
 def test_hat_unbiasedness_within_family():
     for d in (2, 3, 5):
         ids = basis_alphabet(d, (Family.HAT,))
-        mats = {b: measurement_basis(d, b).matrix for b in ids}
+        mats = {b: measurement_basis(d, b) for b in ids}
         for i, b1 in enumerate(ids):
             for b2 in ids[i + 1:]:
                 overlaps = np.abs(mats[b1].conj().T @ mats[b2]) ** 2
@@ -202,40 +238,46 @@ def test_hat_unbiasedness_within_family():
 # Entangled pair states
 # ---------------------------------------------------------------------------
 
+def ket_matrix(d, c, r, s=0, family=Family.PLAIN):
+    """|c,r;s> as a d x d amplitude matrix, read off its pair-basis column."""
+    return entangled_basis(d, s, family)[:, c * d + r].reshape(d, d)
+
+
 def test_entangled_ket_d2_is_bell_state():
-    amps = entangled_ket(2, 0, 0, 0).amplitudes
+    amps = entangled_basis(2, 0)[:, 0]
     assert_allclose(amps, np.array([1, 0, 0, 1]) / SQRT2, atol=1e-15)
 
 
 def test_entangled_ket_structure():
-    """Amplitude of |n, c-n> is w^(s n^2 - 2 r n)/sqrt(d); all else 0."""
-    for d in (2, 3, 5):
-        for (c, r, s) in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1),
-                          (d - 1, d - 1, d - 1)]:
-            amps = entangled_ket(d, c, r, s).amplitudes
-            for n in range(d):
-                expected = omega_power(d, s * n * n - 2 * r * n) / np.sqrt(d)
-                assert abs(amps[n * d + (c - n) % d] - expected) < 1e-14
-            assert np.count_nonzero(np.abs(amps) > 1e-14) == d
+    """Amplitude of |n, c-n> in |c,r;s> is w^(s n^2 - 2 r n)/sqrt(d), bit for
+    bit; all else is exactly 0."""
+    for d in EXACT_PRIMES:
+        for s in range(d):
+            for c, r in pair_outcome_labels(d):
+                psi = ket_matrix(d, c, r, s)
+                for n in range(d):
+                    expected = scalar_amplitude(d, s * n * n - 2 * r * n)
+                    assert psi[n, (c - n) % d] == expected, (d, c, r, s, n)
+                assert np.count_nonzero(psi) == d
 
 
 def test_entangled_ket_label_range():
     with pytest.raises(ValueError):
-        entangled_ket(3, 3, 0, 0)
+        entangled_basis(3, 3)
     with pytest.raises(ValueError):
-        entangled_ket(3, 0, -1, 0)
+        entangled_basis(3, -1)
 
 
 def test_entangled_basis_orthonormal_every_s():
     for d in (2, 3, 5):
         for s in range(d):
-            m = entangled_basis(d, s).matrix
+            m = entangled_basis(d, s)
             assert_allclose(m.conj().T @ m, np.eye(d * d), atol=1e-10)
 
 
 def test_entangled_basis_projector_completeness():
     for d in (2, 3):
-        m = entangled_basis(d, 0).matrix
+        m = entangled_basis(d, 0)
         total = sum(np.outer(m[:, i], m[:, i].conj()) for i in range(d * d))
         assert_allclose(total, np.eye(d * d), atol=1e-10)
 
@@ -244,8 +286,8 @@ def test_hat_entangled_ket_is_transported_plain():
     for d in (2, 3):
         u = hat_unitary(d)
         for (c, r) in [(0, 0), (1, 0), (0, 1)]:
-            expected = np.kron(u, u) @ entangled_ket(d, c, r, 0).amplitudes
-            assert_allclose(hat_entangled_ket(d, c, r).amplitudes, expected,
+            expected = np.kron(u, u) @ ket_matrix(d, c, r).ravel()
+            assert_allclose(ket_matrix(d, c, r, 0, Family.HAT).ravel(), expected,
                             atol=1e-12)
 
 
@@ -261,11 +303,11 @@ def test_pair_outcome_labels_row_major():
 
 def test_reduced_states_maximally_mixed():
     """Either half of any pair ket carries no information at all."""
-    from mubsig.quantum import DensityOperator, partial_trace
+    from mubsig.quantum import DensityOperator, Ket, partial_trace
 
     for d in (2, 3):
         for (c, r, s) in [(0, 0, 0), (1, 0, 0), (0, 1, 1)]:
-            rho = DensityOperator.from_ket(entangled_ket(d, c, r, s))
+            rho = DensityOperator.from_ket(Ket(ket_matrix(d, c, r, s), dims=(d, d)))
             for keep in (1, 2):
                 reduced = partial_trace(rho, keep=keep)
                 assert_allclose(reduced.matrix, np.eye(d) / d, atol=1e-10)

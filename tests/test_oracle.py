@@ -7,8 +7,7 @@ from numpy.testing import assert_allclose
 
 from mubsig import oracle
 from mubsig.bases import Family, basis_alphabet, entangled_basis, measurement_basis
-from mubsig.protocol import _prep_ket
-from mubsig.quantum import TOLERANCE, DensityOperator, born_probabilities, nonselective_measure
+from mubsig.quantum import TOLERANCE, DensityOperator, Ket, born_probabilities, nonselective_measure
 
 FAMILIES = (Family.PLAIN, Family.HAT)
 
@@ -33,7 +32,7 @@ def test_collapse_route_sums_to_the_nonselective_measurement(d):
     the dense density-operator route for every preparation and basis."""
     for family in FAMILIES:
         pair = oracle._prep_pair(d, family)
-        prep = DensityOperator.from_ket(_prep_ket(d, family))
+        prep = DensityOperator.from_ket(Ket(pair, dims=(d, d)))
         for basis in basis_alphabet(d, FAMILIES):
             weights, collapsed = oracle._travelling_branches(pair, measurement_basis(d, basis))
             assert_allclose(weights.sum(), 1.0, rtol=0, atol=1e-12)
@@ -52,6 +51,6 @@ def test_collapsed_branches_are_product_states():
     basis = measurement_basis(d, basis_alphabet(d)[2])
     _, collapsed = oracle._travelling_branches(pair, basis)
     for m, v in enumerate(collapsed):   # b_m (x) a unit vector
-        b_m = basis.matrix[:, m]
+        b_m = basis[:, m]
         assert_allclose(np.outer(b_m, b_m.conj() @ v), v, rtol=0, atol=1e-12)
         assert_allclose(np.linalg.norm(v), 1.0, rtol=0, atol=1e-12)

@@ -8,8 +8,6 @@ from mubsig.bases import (
     Family,
     basis_alphabet,
     entangled_basis,
-    entangled_ket,
-    hat_entangled_ket,
     measurement_basis,
     pair_outcome_labels,
 )
@@ -31,6 +29,7 @@ from mubsig.protocol import (
 from mubsig.quantum import (
     TOLERANCE,
     DensityOperator,
+    Ket,
     _cdf,
     born_probabilities,
     nonselective_measure,
@@ -176,8 +175,7 @@ def test_tables_match_dense_derivation(d):
     tables = protocol._tables(d, 2)
     assert len(tables.alphabet) == 2 * (d + 1)
     for f, family in enumerate((Family.PLAIN, Family.HAT)):
-        prep = DensityOperator.from_ket(
-            entangled_ket(d, 0, 0, 0) if family is Family.PLAIN else hat_entangled_ket(d, 0, 0))
+        prep = DensityOperator.from_ket(Ket(entangled_basis(d, 0, family)[:, 0], dims=(d, d)))
         untouched = tables.probs[f, 0]
         assert untouched[0] == 1.0 and not untouched[1:].any()
         for j, basis in enumerate(tables.alphabet):
@@ -309,7 +307,7 @@ def test_pretest_distribution_computational_anticorrelation():
 
 def dense_eve_pretest_probs(d):
     """Reduced states of the decoy pair, then Born probabilities per basis pair."""
-    decoy = DensityOperator.from_ket(entangled_ket(d, 0, 0, 0))
+    decoy = DensityOperator.from_ket(Ket(entangled_basis(d)[:, 0], dims=(d, d)))
     bob_side = partial_trace(decoy, keep=1)
     alice_side = partial_trace(decoy, keep=2)
     alphabet = basis_alphabet(d)

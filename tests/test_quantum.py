@@ -6,13 +6,10 @@ from mubsig.quantum import (
     TOLERANCE,
     DensityOperator,
     Ket,
-    OrthonormalBasis,
     born_probabilities,
-    inner,
     nonselective_measure,
     partial_trace,
     sample_outcome,
-    tensor,
 )
 
 
@@ -33,7 +30,7 @@ def random_basis(d, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, _ = np.linalg.qr(a)
-    return OrthonormalBasis([Ket(q[:, i]) for i in range(d)])
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -67,23 +64,6 @@ def test_ket_amplitudes_read_only():
         k.amplitudes[0] = 5.0
 
 
-def test_tensor_dims_and_values():
-    a = Ket.basis_state(1, 2)
-    b = Ket.normalized(np.array([1.0, 1.0]))
-    t = tensor(a, b)
-    assert t.dims == (2, 2)
-    assert_allclose(t.amplitudes, [0, 0, 2 ** -0.5, 2 ** -0.5])
-    with pytest.raises(ValueError):
-        tensor(a, Ket.basis_state(0, 3))
-
-
-def test_inner_conjugate_linearity():
-    a = random_ket(4, 1)
-    b = random_ket(4, 2)
-    assert abs(inner(a, b) - np.conj(inner(b, a))) < TOLERANCE
-    assert abs(inner(a, a) - 1.0) < TOLERANCE
-
-
 # ---------------------------------------------------------------------------
 # Density operators
 # ---------------------------------------------------------------------------
@@ -110,14 +90,16 @@ def test_maximally_mixed():
     assert_allclose(rho.matrix, np.eye(4) / 4)
 
 
-def test_orthonormal_basis_rejects_non_orthogonal_kets():
-    plus = Ket.normalized(np.array([1.0, 1.0]))
+def test_born_and_nonselective_reject_mismatched_basis_shape():
+    single = DensityOperator.maximally_mixed(2)
+    pair = DensityOperator.maximally_mixed((2, 2))
+    for basis in (np.eye(3), np.eye(4), np.eye(2)[:, :1]):
+        with pytest.raises(ValueError):
+            born_probabilities(single, basis)
+        with pytest.raises(ValueError):
+            nonselective_measure(pair, 1, basis)
     with pytest.raises(ValueError):
-        OrthonormalBasis([plus, plus])
-    with pytest.raises(ValueError):
-        OrthonormalBasis([plus])  # incomplete
-    with pytest.raises(ValueError):
-        OrthonormalBasis([])
+        born_probabilities(pair, np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +115,7 @@ def test_born_probabilities_match_projector_expectations():
         basis = random_basis(d, seed + 10)
         probs = born_probabilities(rho, basis)
         for i in range(d):
-            v = basis.matrix[:, i]
+            v = basis[:, i]
             assert abs(probs[i] - np.real(np.vdot(v, rho.matrix @ v))) < TOLERANCE
         assert abs(probs.sum() - 1.0) < TOLERANCE
 
@@ -154,7 +136,7 @@ def test_nonselective_measure_matches_kron_projector_sum():
             got = nonselective_measure(rho, subsystem, basis)
             expected = np.zeros((d * d, d * d), dtype=complex)
             for m in range(d):
-                v = basis.matrix[:, m]
+                v = basis[:, m]
                 p = np.outer(v, v.conj())
                 lifted = np.kron(p, eye) if subsystem == 1 else np.kron(eye, p)
                 expected += lifted @ rho.matrix @ lifted
@@ -164,7 +146,7 @@ def test_nonselective_measure_matches_kron_projector_sum():
 def test_nonselective_measure_keeps_diagonal_input():
     rho = DensityOperator(np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex),
                           dims=(2, 2))
-    basis = OrthonormalBasis([Ket.basis_state(0, 2), Ket.basis_state(1, 2)])
+    basis = np.eye(2, dtype=complex)
     got = nonselective_measure(rho, 2, basis)
     assert_allclose(got.matrix, rho.matrix, atol=1e-12)
 

@@ -12,16 +12,14 @@ from mubsig.bases import (
     Family,
     basis_alphabet,
     entangled_basis,
-    entangled_ket,
     measurement_basis,
 )
 from mubsig.cli import main
 from mubsig.harness import dual_family_detection_probability
-from mubsig.protocol import DecodeResult, _prep_ket
+from mubsig.protocol import DecodeResult, _prep_pair
 from mubsig.quantum import (
     DensityOperator,
     Ket,
-    OrthonormalBasis,
     born_probabilities,
     nonselective_measure,
     partial_trace,
@@ -119,12 +117,12 @@ def test_pure_state_route_matches_the_dense_density_operators(d):
     """The coefficients, probabilities and reduced states the checks read off
     the collapsed branches equal those of the dense density-operator route."""
     for family in FAMILIES:
-        prep = DensityOperator.from_ket(_prep_ket(d, family))
+        prep = DensityOperator.from_ket(Ket(_prep_pair(d, family), dims=(d, d)))
         pair_basis = entangled_basis(d, 0, family)
         for basis in basis_alphabet(d, FAMILIES):
             dense = nonselective_measure(prep, 1, measurement_basis(d, basis))
             weights, amps = verify._measured(d, family, basis)
-            coeffs = pair_basis.matrix.conj().T @ dense.matrix @ pair_basis.matrix
+            coeffs = pair_basis.conj().T @ dense.matrix @ pair_basis
             assert_allclose(verify._pair_coefficients(weights, amps), coeffs,
                             rtol=0, atol=1e-12, err_msg=f"{family} {basis}")
             assert_allclose(verify._outcome_probs(weights, amps),
@@ -143,7 +141,7 @@ def test_pure_state_route_matches_the_dense_density_operators(d):
     collapsed = np.stack([k.amplitudes.reshape(d, d) for k in kets])
     assert_allclose(verify._travelling_state(weights, collapsed),
                     partial_trace(mixture, keep=1).matrix, rtol=0, atol=1e-12)
-    for ket in kets + [entangled_ket(d, 1 % d, 1 % d, d - 1)]:
+    for ket in kets + [Ket(entangled_basis(d, d - 1)[:, (1 % d) * (d + 1)], dims=(d, d))]:
         rho = DensityOperator.from_ket(ket)
         first, second = verify._reduced_states(ket.amplitudes.reshape(d, d))
         assert_allclose(first, partial_trace(rho, keep=1).matrix, rtol=0, atol=1e-12)
@@ -195,10 +193,10 @@ def test_mutual_unbiasedness_catches_a_perturbed_column(monkeypatch):
         out = real(dim, basis)
         if basis != target:
             return out
-        m = out.matrix.copy()   # rotate column 0 a little towards column 1
+        m = out.copy()   # rotate column 0 a little towards column 1
         m[:, 0], m[:, 1] = (np.cos(0.1) * m[:, 0] + np.sin(0.1) * m[:, 1],
                             np.cos(0.1) * m[:, 1] - np.sin(0.1) * m[:, 0])
-        return OrthonormalBasis([Ket(col, dims=(dim,)) for col in m.T])
+        return m
 
     monkeypatch.setattr(verify, "measurement_basis", perturbed)
     result = verify._check_unbiasedness(d)
@@ -212,7 +210,7 @@ def test_measurement_backaction_catches_a_conjugated_kept_half(monkeypatch):
 
     def conjugated(pair, basis):
         weights, collapsed = real(pair, basis)
-        b = basis.matrix
+        b = basis
         kept = np.einsum("im,mij->mj", b.conj(), collapsed)
         return weights, b.T[:, :, None] * kept.conj()[:, None, :]
 

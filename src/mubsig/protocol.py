@@ -26,10 +26,14 @@ signalling round and differ only in the preparation alphabet (one
 family, or plain and hat together) and in their checks (a tomography
 pre-test, post-test checking with sifting).  Sessions sample rounds
 from one exact array of outcome distributions, compiled once per
-dimension and family count from the pure pair states, so a million
-rounds cost about as much as a million table lookups.  The per-round
-statistics remain exactly those of the state-by-state simulation in
-:mod:`mubsig.oracle`, which runs one round at a time on pure states.
+dimension and family count from the pure pair states.  Every draw (Bob's
+message, each pair outcome, each pre-test cell) is one exact integer
+inverse-CDF lookup, :class:`_InverseCdf`, through a guide table that
+answers most draws without a search, so a million rounds cost about as
+much as a few million array gathers.  The per-round statistics remain
+exactly those of the state-by-state simulation in :mod:`mubsig.oracle`,
+which runs one round at a time on pure states and samples with
+:func:`mubsig.quantum.sample_outcome`.
 """
 
 from __future__ import annotations
@@ -209,8 +213,10 @@ def pair_outcome_probs(d: int, own_family: Family, measured_basis: BasisId) -> n
     b = measurement_basis(d, measured_basis)
     e = entangled_basis(d, 0, own_family).reshape(d, d, d * d)
     phi = b.conj().T @ psi
-    amps = np.einsum("ijk,im,mj->km", e.conj(), b, phi, optimize=True)
-    p = (np.abs(amps) ** 2).sum(axis=1)
+    # the conjugate amplitudes, so that only the d x d factors are conjugated
+    # and not the d^2 x d^2 pair basis; the moduli are the same bits
+    amps_conj = np.einsum("ijk,im,mj->km", e, b.conj(), phi.conj(), optimize=True)
+    p = (np.abs(amps_conj) ** 2).sum(axis=1)
     return _frozen(np.where(p < TOLERANCE, 0.0, p))
 
 
@@ -235,7 +241,65 @@ def _decode_codes(d: int) -> np.ndarray:
 
 
 _FAMILIES = (Family.PLAIN, Family.HAT)
-_UNIT = 1 << 53   # Generator.random() returns k / 2**53 with integer k
+_UNIT_BITS = 53
+_UNIT = 1 << _UNIT_BITS   # Generator.random() returns k / 2**53 with integer k
+_GUIDE_ENTRIES = 1 << 20   # most int32 entries in one guide table
+
+
+def _bucket_bits(rows: int, cells: int) -> int:
+    """log2 of the guide buckets per row: the smallest power of two that
+    is at least 8 * cells, lowered until the rows * buckets + 1 guide
+    entries fit in ``_GUIDE_ENTRIES``."""
+    wanted = (8 * cells - 1).bit_length()
+    return min(wanted, ((_GUIDE_ENTRIES - 1) // rows).bit_length() - 1)
+
+
+@dataclass(frozen=True)
+class _InverseCdf:
+    """Exact inverse CDF of a stack of rows, by an indexed search.
+
+    Row r's CDF ``cum[r]`` becomes the int64 thresholds
+    r*2^53 + ceil(cum*2^53) - 1, flattened in row order.  A draw
+    u = k/2^53 on row r is the key r*2^53 + k; the thresholds below it
+    are those of every earlier row plus the cells of row r with
+    cum <= u, so their count minus r*cells is exactly
+    ``np.searchsorted(cum[r], u, side="right")``.  The keys fit in int64
+    for up to 1024 rows, which ``finite_field.MAX_DIM`` ensures.
+
+    ``guide[g]`` counts the thresholds below ``g << shift``, which splits
+    each row into 2^(53 - shift) buckets (a guide table; Chen & Asau
+    1974, Devroye 1986 sec. III.2.4).  When no threshold lies in a
+    key's bucket, ``guide[g] == guide[g + 1]`` is already its count; only
+    keys in the other buckets are searched.  The guide decides how fast
+    a draw is found, never which cell it finds.
+    """
+
+    cells: int
+    shift: int
+    thresholds: np.ndarray
+    guide: np.ndarray
+
+    def __call__(self, rows: np.ndarray | int, u: np.ndarray) -> np.ndarray:
+        """Cell index (int64) per draw ``u`` on row ``rows`` (array or scalar)."""
+        keys = rows * _UNIT + (u * _UNIT).astype(np.int64)
+        bucket = keys >> self.shift
+        count = self.guide[bucket]
+        search = np.flatnonzero(count != self.guide[bucket + 1])
+        count[search] = np.searchsorted(self.thresholds, keys[search])
+        return np.subtract(count, rows * self.cells, dtype=np.int64)
+
+
+def _inverse_cdf(cum: np.ndarray) -> _InverseCdf:
+    """The exact lookup for the CDF rows ``cum`` (last axis: cells)."""
+    cum = cum.reshape(-1, cum.shape[-1])
+    rows, cells = cum.shape
+    bits = _bucket_bits(rows, cells)
+    thresholds = (np.arange(rows, dtype=np.int64)[:, None] * _UNIT
+                  + np.ceil(cum * _UNIT).astype(np.int64) - 1).ravel()
+    # guide[g] = i for every g in (bucket of threshold i-1, bucket of threshold i]
+    steps = np.diff(thresholds >> (_UNIT_BITS - bits), prepend=-1, append=rows << bits)
+    guide = np.repeat(np.arange(thresholds.size + 1, dtype=np.int32), steps)
+    return _InverseCdf(cells, _UNIT_BITS - bits, _frozen(thresholds), _frozen(guide))
 
 
 @dataclass(frozen=True)
@@ -247,14 +311,14 @@ class _Tables:
     was measured in ``alphabet[j]``; ``probs[f, 0]`` is the untouched
     pair, all mass on (0,0).  The plain bases come first, so the row of a
     plain basis is ``1 + code`` for its decode code, and the inconclusive
-    code lands on the untouched row.  ``thresholds`` flattens the CDFs of
-    all rows for :func:`_grouped_inverse_cdf`.
+    code lands on the untouched row.  ``lookup`` is the exact inverse CDF
+    of all rows, numbered ``f * probs.shape[1] + row``.
     """
 
     alphabet: tuple[BasisId, ...]
     probs: np.ndarray
     decode_code: np.ndarray
-    thresholds: np.ndarray
+    lookup: _InverseCdf
 
 
 @functools.lru_cache(maxsize=None)
@@ -264,10 +328,7 @@ def _tables(d: int, n_families: int) -> _Tables:
     untouched = np.eye(1, d * d)[0]
     probs = np.array([[untouched] + [pair_outcome_probs(d, f, b) for b in alphabet]
                       for f in families])
-    cum = _cdf(probs).reshape(-1, d * d)
-    rows = np.arange(len(cum), dtype=np.int64)[:, None]
-    thresholds = rows * _UNIT + np.ceil(cum * _UNIT).astype(np.int64) - 1
-    return _Tables(alphabet, _frozen(probs), _decode_codes(d), _frozen(thresholds.ravel()))
+    return _Tables(alphabet, _frozen(probs), _decode_codes(d), _inverse_cdf(_cdf(probs)))
 
 
 # ---------------------------------------------------------------------------
@@ -321,20 +382,6 @@ def _eve_pretest_probs(d: int) -> np.ndarray:
 # Sessions: block-wise exact-table sampling.
 # ---------------------------------------------------------------------------
 
-def _grouped_inverse_cdf(tables: _Tables, rows: np.ndarray,
-                         u: np.ndarray) -> np.ndarray:
-    """Outcome index per (row, u), by one lookup over all rows at once.
-
-    Row r holds the thresholds r*2^53 + ceil(cum*2^53) - 1.  For
-    u = k/2^53, the thresholds below r*2^53 + k are those of every
-    earlier row plus the cells of row r with cum <= u, so the result is
-    exactly ``np.searchsorted(cum[r], u, side="right")``.  The keys fit
-    in int64 for up to 1024 rows, which ``finite_field.MAX_DIM`` ensures.
-    """
-    keys = rows * _UNIT + (u * _UNIT).astype(np.int64)
-    return np.searchsorted(tables.thresholds, keys) - rows * tables.probs.shape[-1]
-
-
 def _run_blocks(worker: Callable[[np.random.Generator, int], tuple],
                 total: int, seed: int, stream_base: int, workers: int) -> list[tuple]:
     jobs = [(j, min(BLOCK_ROUNDS, total - start))
@@ -367,7 +414,7 @@ class _SignalTally:
             setattr(self, f, getattr(self, f) + getattr(other, f))
 
 
-def _signal_block(tables: _Tables, d: int, eve: bool, msg_cdf: np.ndarray,
+def _signal_block(tables: _Tables, d: int, eve: bool, message: _InverseCdf,
                   posttest_fraction: float | None, collect: bool,
                   stream: np.random.Generator, n: int) -> tuple[_SignalTally, tuple | None]:
     """Sample ``n`` signal rounds from one block stream.
@@ -383,16 +430,16 @@ def _signal_block(tables: _Tables, d: int, eve: bool, msg_cdf: np.ndarray,
         fam_idx = (stream.random(n) >= 0.5).astype(np.int64)   # 0 plain, 1 hat
     else:
         fam_idx = np.zeros(n, dtype=np.int64)
-    b_idx = np.searchsorted(msg_cdf, stream.random(n), side="right")
+    b_idx = message(0, stream.random(n))
     alice_row = fam_idx * rows_per_family + 1
     eve_idx = None
     if eve:   # Eve's decoy is a plain pair, and she resends in the plain basis she decoded
-        eve_idx = _grouped_inverse_cdf(tables, 1 + b_idx, stream.random(n))
+        eve_idx = tables.lookup(1 + b_idx, stream.random(n))
         eve_code = tables.decode_code[eve_idx]
         alice_row += eve_code
     else:
         alice_row += b_idx
-    out_idx = _grouped_inverse_cdf(tables, alice_row, stream.random(n))
+    out_idx = tables.lookup(alice_row, stream.random(n))
     dcode = tables.decode_code[out_idx]
     bob_code = b_idx % (d + 1)
     bob_fam = b_idx // (d + 1)
@@ -416,13 +463,19 @@ def _signal_block(tables: _Tables, d: int, eve: bool, msg_cdf: np.ndarray,
     return tally, ((fam_idx, b_idx, out_idx, eve_idx) if collect else None)
 
 
+@functools.lru_cache(maxsize=None)
+def _pretest_lookup(d: int, eve: bool) -> _InverseCdf:
+    return _inverse_cdf(_cdf(_eve_pretest_probs(d) if eve
+                             else ideal_pretest_distribution(d)[1]))
+
+
 def _pretest_phase(d: int, n_pre: int, seed: int, eve: bool, workers: int,
                    collect: bool) -> tuple[float, np.ndarray | None]:
     _, ideal = ideal_pretest_distribution(d)
-    cdf = _cdf(_eve_pretest_probs(d) if eve else ideal)
+    lookup = _pretest_lookup(d, eve)
 
     def worker(stream: np.random.Generator, n: int) -> tuple:
-        idx = np.searchsorted(cdf, stream.random(n), side="right")
+        idx = lookup(0, stream.random(n))
         counts = np.bincount(idx, minlength=ideal.size)
         return counts, (idx if collect else None)
 
@@ -464,9 +517,9 @@ def _run_session(d: int, rounds: int, seed: int, *, n_families: int, eve: bool,
         divergence, pretest = _pretest_phase(d, n_pre, seed, eve, workers, collect)
     tables = _tables(d, n_families)
     n_bases = len(tables.alphabet)
-    msg_cdf = _cdf(np.full(n_bases, 1.0 / n_bases) if message_weights is None
-                   else message_weights / message_weights.sum())
-    worker = functools.partial(_signal_block, tables, d, eve, msg_cdf,
+    message = _inverse_cdf(_cdf(np.full(n_bases, 1.0 / n_bases) if message_weights is None
+                                else message_weights / message_weights.sum()))
+    worker = functools.partial(_signal_block, tables, d, eve, message,
                                posttest_fraction, collect)
     results = _run_blocks(worker, n_signal, seed, 0, workers)
     tally = _SignalTally()

@@ -6,17 +6,25 @@
 * Any JSON-like mapping either becomes a ``HarnessConfig`` or raises
   ``ValueError``, and quickly.
 * A report's config echo rebuilds the config it came from.
+* The guide-table inverse CDF is the float ``searchsorted`` on any
+  probability rows, however coarse its guide.
 """
 
 import csv
 import io
 import json
+from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.testing import assert_array_equal
 
+from mubsig import protocol
 from mubsig.bases import Family
+from mubsig.finite_field import MAX_DIM
 from mubsig.harness import EveMode, HarnessConfig, Protocol, run_trials
+from mubsig.quantum import TOLERANCE, _cdf
 from mubsig.report import build_document, canonical_json, config_from_document, round_log_csv
 
 _PAIRS = (
@@ -139,3 +147,58 @@ def test_report_config_echo_rebuilds_the_config(cfg):
     document = build_document(cfg, run_trials(cfg))
     assert config_from_document(document) == cfg
     assert config_from_document(json.loads(canonical_json(document))) == cfg
+
+
+@st.composite
+def probability_rows(draw):
+    """1-4 normalized rows of 1-400 cells: zero cells, cells far below one
+    guide bucket (some below TOLERANCE) and ordinary cells, in drawn shares."""
+    n_rows, n_cells = draw(st.integers(1, 4)), draw(st.integers(1, 400))
+    zero, tiny = draw(st.floats(0.0, 0.9)), draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32), label="seed"))
+    kind = rng.random((n_rows, n_cells))
+    weights = np.where(kind < zero, 0.0, np.where(
+        kind < zero + tiny * (1 - zero), 10.0 ** rng.uniform(-9, -5, kind.shape),
+        rng.uniform(1e-3, 1.0, kind.shape)))
+    weights[:, -1] = np.where(weights.any(axis=1), weights[:, -1], 1.0)
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(probability_rows(), st.data())
+def test_guide_lookup_is_the_float_searchsorted(probs, data):
+    """Random and cell-edge draws; the guide's size is drawn down to one bucket
+    per row, so most draws take the searchsorted fallback."""
+    n_rows, n_cells = probs.shape
+    cap = data.draw(st.integers(n_rows + 1, 1 << 20), label="guide entries")
+    cum = _cdf(probs)
+    with mock.patch.object(protocol, "_GUIDE_ENTRIES", cap):
+        lookup = protocol._inverse_cdf(cum)
+    assert lookup.guide.size <= cap
+    unit = 2 ** 53
+    k = (cum * unit).ravel()
+    k = np.concatenate([np.floor(k) - 1, np.floor(k), np.ceil(k), np.ceil(k) + 1])
+    edges = np.clip(k, 0, unit - 1).reshape(4, n_rows, n_cells).transpose(1, 0, 2)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32), label="seed"))
+    u = np.concatenate([edges.reshape(n_rows, -1), rng.integers(0, unit, (n_rows, 200)),
+                        np.tile([0.0, unit - 1], (n_rows, 1))], axis=1) / unit
+    rows = np.repeat(np.arange(n_rows), u.shape[1])
+    got = lookup(rows, u.ravel())
+    expected = np.concatenate([np.searchsorted(c, x, side="right") for c, x in zip(cum, u)])
+    assert_array_equal(got, expected)
+    assert (probs[rows, got] >= TOLERANCE).all()
+
+
+def test_guide_stays_within_its_entry_limit_at_max_dim():
+    """The bucket rule, at the largest table (dual-family, MAX_DIM) and the
+    largest pre-test row, without building either."""
+    table_rows = 2 * (1 + 2 * (MAX_DIM + 1))
+    pretest_cells = ((MAX_DIM + 1) * MAX_DIM) ** 2
+    for rows, cells in ((table_rows, MAX_DIM ** 2), (1, pretest_cells), (1, 2), (58, 169)):
+        bits = protocol._bucket_bits(rows, cells)
+        assert 0 <= bits <= 53
+        assert (rows << bits) + 1 <= protocol._GUIDE_ENTRIES == 1 << 20
+        # the smallest power of two >= 8 * cells, unless that overflows the limit
+        assert 1 << bits >= 8 * cells or (rows << (bits + 1)) + 1 > 1 << 20
+        assert bits == 0 or 1 << (bits - 1) < 8 * cells
+    assert table_rows == 1010 and table_rows * 2 ** 53 < 2 ** 63

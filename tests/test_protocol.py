@@ -552,18 +552,52 @@ def test_cdf_tail_never_samples_impossible_outcomes(d, monkeypatch, signal_round
                 assert p > TOLERANCE, (cfg, rec)
 
 
-@pytest.mark.parametrize("d,n_families", [(2, 2), (5, 1), (5, 2)])
-def test_grouped_lookup_equals_per_row_searchsorted(d, n_families):
-    """The integer lookup is the per-row float inverse CDF, also at u on a cell edge."""
-    tables = protocol._tables(d, n_families)
-    cum = _cdf(tables.probs).reshape(-1, d * d)
+def _edge_draws(row: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Draws k / 2^53 on every cell edge of a CDF row and one step either
+    side, 0 and 1 - 2^-53, and some uniform draws."""
     unit = 2.0 ** 53
-    edges = np.concatenate([np.floor(cum * unit), np.ceil(cum * unit)]).ravel() / unit
-    u = np.concatenate([edges[edges < 1.0], np.random.default_rng(3).random(4000)])
-    rows = np.repeat(np.arange(len(cum)), u.size)
-    expected = np.concatenate([np.searchsorted(row, u, side="right") for row in cum])
-    assert_array_equal(protocol._grouped_inverse_cdf(tables, rows, np.tile(u, len(cum))),
-                       expected)
+    k = row * unit
+    k = np.concatenate([np.floor(k) - 1, np.floor(k), np.ceil(k), np.ceil(k) + 1,
+                        [0.0, unit - 1]])
+    return np.concatenate([np.unique(np.clip(k, 0, unit - 1)) / unit, rng.random(300)])
+
+
+def _assert_lookup_is_searchsorted(lookup, probs: np.ndarray) -> None:
+    """Every row of ``lookup`` gives the float ``searchsorted`` of its CDF
+    on edge and random draws, and never a cell below ``TOLERANCE``."""
+    probs = probs.reshape(-1, probs.shape[-1])
+    cum = _cdf(probs)
+    rng = np.random.default_rng(3)
+    draws = [_edge_draws(row, rng) for row in cum]
+    if len(cum) == 1:   # one-row lookups take the row as a scalar, as the engine passes it
+        got = lookup(0, draws[0])
+    else:
+        got = lookup(np.repeat(np.arange(len(cum)), [u.size for u in draws]),
+                     np.concatenate(draws))
+    assert got.dtype == np.int64
+    expected = np.concatenate([np.searchsorted(row, u, side="right")
+                               for row, u in zip(cum, draws)])
+    assert_array_equal(got, expected)
+    rows = np.repeat(np.arange(len(cum)), [u.size for u in draws])
+    assert (probs[rows, got] >= TOLERANCE).all()
+
+
+@pytest.mark.parametrize("d,n_families", [(d, f) for d in (2, 5, 13, 31) for f in (1, 2)])
+def test_grouped_lookup_equals_per_row_searchsorted(d, n_families):
+    """The guide-table lookups of the outcome tables, of Bob's message and of
+    the pre-test cells are the per-row float inverse CDF, also on cell edges."""
+    tables = protocol._tables(d, n_families)
+    _assert_lookup_is_searchsorted(tables.lookup, tables.probs)
+    n_bases = len(tables.alphabet)
+    weights = np.random.default_rng(d).random(n_bases)
+    weights[::3] = 0.0
+    for w in (np.full(n_bases, 1.0 / n_bases), weights / weights.sum()):
+        _assert_lookup_is_searchsorted(protocol._inverse_cdf(_cdf(w)), w)
+    if n_families == 1:
+        _assert_lookup_is_searchsorted(protocol._pretest_lookup(d, False),
+                                       ideal_pretest_distribution(d)[1])
+        _assert_lookup_is_searchsorted(protocol._pretest_lookup(d, True),
+                                       protocol._eve_pretest_probs(d))
 
 
 def test_worker_threads_are_capped(monkeypatch):

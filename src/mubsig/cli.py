@@ -16,8 +16,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
+from typing import TextIO
 
 from .bases import BasisId, Family, basis_alphabet
 from .finite_field import PrimeDim
@@ -28,7 +32,7 @@ from .report import (
     canonical_json,
     config_from_document,
     render_text,
-    round_log_csv,
+    round_log_csv_chunks,
 )
 from .verify import run_invariant_suite
 
@@ -129,27 +133,34 @@ def _merge_run_config(args: argparse.Namespace) -> HarnessConfig:
         raise _CliError(str(exc)) from exc
 
 
-def _emit(text: str, out: Path | None) -> None:
+@contextmanager
+def _output(out: Path | None) -> Iterator[TextIO]:
+    """Where a command writes: stdout, or the ``--out`` file, opened
+    (and so checked) before the command does any work."""
     if out is None:
-        sys.stdout.write(text)
-    else:
-        out.write_text(text)
+        yield sys.stdout
+        return
+    try:
+        handle = out.open("w")
+    except OSError as exc:
+        raise _CliError(f"cannot write {out}: {exc.strerror or exc}") from exc
+    with handle:
+        yield handle
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _merge_run_config(args)
     if args.workers < 1:
         raise _CliError("--workers must be >= 1")
-    if args.format == "csv":
-        _, log = run_trials(config, workers=args.workers, return_rounds=True)
-        _emit(round_log_csv(log), args.out)
-        return 0
-    report = run_trials(config, workers=args.workers)
-    document = build_document(config, report, include_tables=args.include_tables)
-    if args.format == "json":
-        _emit(canonical_json(document), args.out)
-    else:
-        _emit(render_text(document), args.out)
+    with _output(args.out) as out:
+        if args.format == "csv":
+            _, log = run_trials(config, workers=args.workers, return_rounds=True)
+            out.writelines(round_log_csv_chunks(log))
+            return 0
+        report = run_trials(config, workers=args.workers)
+        document = build_document(config, report, include_tables=args.include_tables)
+        out.write(canonical_json(document) if args.format == "json"
+                  else render_text(document))
     return 0
 
 
@@ -168,30 +179,33 @@ def _table_rows(d: int, basis_arg: str | None) -> list[BasisId]:
 def _cmd_table(args: argparse.Namespace) -> int:
     d = PrimeDim(args.dim).d
     rows = _table_rows(d, args.basis)
+    with _output(args.out) as out:
+        out.write(_table_text(d, rows, args.format))
+    return 0
+
+
+def _table_text(d: int, rows: list[BasisId], fmt: str) -> str:
     labels = pair_outcome_labels(d)
     dists = {b: analytic_outcome_distribution(d, b) for b in rows}
-    if args.format == "json":
+    if fmt == "json":
         doc = {"dim": d,
                "rows": {b.text(): {f"{c},{r}": float(p)
                                    for (c, r), p in dists[b].as_mapping().items()}
                         for b in rows}}
-        _emit(canonical_json(doc), args.out)
-        return 0
-    if args.format == "csv":
+        return canonical_json(doc)
+    if fmt == "csv":
         lines = ["basis,c,r,probability"]
         for b in rows:
             for (c, r), p in dists[b].as_mapping().items():
                 lines.append(f"{b.text()},{c},{r},{float(p)!r}")
-        _emit("\n".join(lines) + "\n", args.out)
-        return 0
+        return "\n".join(lines) + "\n"
     width = max(8, max(len(b.text()) for b in rows) + 2)
     header = "".join(f"{f'({c},{r})':>9}" for c, r in labels)
     lines = [f"{'basis':<{width}}{header}"]
     for b in rows:
         cells = "".join(f"{p:>9.4f}" for p in dists[b].probabilities)
         lines.append(f"{b.text():<{width}}{cells}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -236,6 +250,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"mubsig: error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
+    except BrokenPipeError:
+        # The reader closed stdout early (``mubsig run ... | head``) and has
+        # all it wanted.  Point stdout at devnull so that the flush at exit
+        # does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

@@ -10,8 +10,7 @@ document.
 from __future__ import annotations
 
 import json
-from itertools import chain, repeat
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -28,6 +27,7 @@ __all__ = [
     "config_from_document",
     "render_text",
     "round_log_csv",
+    "round_log_csv_chunks",
 ]
 
 
@@ -163,8 +163,68 @@ _CSV_COLUMNS = ("round", "phase", "bob_basis", "bob_outcome", "alice_basis",
                 "eve_decode", "eve_forward_basis")
 
 
-def _pick(table: list[str], idx: np.ndarray) -> list[str]:
-    return np.array(table, dtype=object)[idx].tolist()
+# Rows per CSV chunk: enough to spread numpy's per-call cost thin, few
+# enough that a chunk's padded byte block stays near half a megabyte.
+_CHUNK_ROWS = 8192
+
+
+def _byte_table(cells: list[str]) -> np.ndarray:
+    """One row of ASCII bytes per cell, right-padded with NUL."""
+    raw = np.array([cell.encode("ascii") for cell in cells])
+    return raw.view(np.uint8).reshape(len(cells), -1)
+
+
+def _round_digits(start: int, stop: int) -> np.ndarray:
+    """Decimal digits of the rounds ``start..stop-1``, one row each, with
+    NUL in place of leading zeros."""
+    rounds = np.arange(start, stop)
+    digits = np.zeros((rounds.size, len(str(stop - 1))), np.uint8)
+    digits[:, -1] = rounds % 10 + ord("0")
+    for col in range(digits.shape[1] - 2, -1, -1):
+        rounds = rounds // 10
+        digits[:, col] = np.where(rounds > 0, rounds % 10 + ord("0"), 0)
+    return digits
+
+
+def _rows(*columns: np.ndarray) -> str:
+    """Concatenate byte columns row by row and drop their NUL padding."""
+    block = np.concatenate(columns, axis=1)
+    return block[block != 0].tobytes().decode("ascii")
+
+
+def round_log_csv_chunks(log: RoundLog) -> Iterator[str]:
+    """The text of :func:`round_log_csv` as successive pieces: the header,
+    then 8192 rows at most per piece, each phase on its own, so a caller
+    can write the log out without ever holding all of it."""
+    d, labels = log.d, pair_outcome_labels(log.d)
+    decodes = [_decode_outcome(d, c, r).text() for c, r in labels]
+    pairs = [f"{c},{r}" for c, r in labels]
+    yield ",".join(_CSV_COLUMNS) + "\n"
+    bob = _byte_table([f",pretest,{b.text()},{m},"
+                       for b in basis_alphabet(d) for m in range(d)])
+    alice = _byte_table([f"{a.text()},,,,{m},,,,,\n"
+                         for a in basis_alphabet(d) for m in range(d)])
+    n_pre = log.pretest.size
+    for start in range(0, n_pre, _CHUNK_ROWS):
+        cells = log.pretest[start:start + _CHUNK_ROWS]
+        yield _rows(_round_digits(start, start + cells.size),
+                    bob.take(cells // len(bob), axis=0), alice.take(cells % len(bob), axis=0))
+    heads = _byte_table([f",signal,{b.text()},,,{f.value},"
+                         for f in _FAMILIES for b in log.alphabet])
+    outcomes = _byte_table([f"{p},,{t}" for p, t in zip(pairs, decodes)])
+    if log.eve_outcome is None:
+        eve = _byte_table([",,,,\n"])
+    else:
+        eve = _byte_table([f",{p},{t},{'' if t == 'inconclusive' else t}\n"
+                           for p, t in zip(pairs, decodes)])
+    for start in range(0, log.basis.size, _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        basis = log.basis[rows]
+        eve_rows = (np.broadcast_to(eve, (basis.size, eve.shape[1])) if log.eve_outcome is None
+                    else eve.take(log.eve_outcome[rows], axis=0))
+        yield _rows(_round_digits(n_pre + start, n_pre + start + basis.size),
+                    heads.take(log.family[rows] * len(log.alphabet) + basis, axis=0),
+                    outcomes.take(log.outcome[rows], axis=0), eve_rows)
 
 
 def round_log_csv(log: RoundLog) -> str:
@@ -185,19 +245,4 @@ def round_log_csv(log: RoundLog) -> str:
       ``eve_forward_basis`` (the basis she measured the stolen qudit in,
       empty when she forwarded it unmeasured).
     """
-    d, labels = log.d, pair_outcome_labels(log.d)
-    decodes = [_decode_outcome(d, c, r).text() for c, r in labels]
-    pairs = [f"{c},{r}" for c, r in labels]
-    bob = [f"{b.text()},{m}" for b in basis_alphabet(d) for m in range(d)]
-    alice = [f"{a.text()},,,,{m}" for a in basis_alphabet(d) for m in range(d)]
-    heads = [f"{b.text()},,,{f.value}," for f in _FAMILIES for b in log.alphabet]
-    n_pre = log.pretest.size
-    pretest_rows = map("{},pretest,{},{},,,,,\n".format, range(n_pre),
-                       _pick(bob, log.pretest // len(bob)), _pick(alice, log.pretest % len(bob)))
-    eve = repeat(",,,,") if log.eve_outcome is None else _pick(
-        [f",{p},{t},{'' if t == 'inconclusive' else t}" for p, t in zip(pairs, decodes)],
-        log.eve_outcome)
-    signal_rows = map("{},signal,{}{}{}\n".format, range(n_pre, len(log)),
-                      _pick(heads, log.family * len(log.alphabet) + log.basis),
-                      _pick([f"{p},,{t}" for p, t in zip(pairs, decodes)], log.outcome), eve)
-    return "".join(chain([",".join(_CSV_COLUMNS) + "\n"], pretest_rows, signal_rows))
+    return "".join(round_log_csv_chunks(log))

@@ -12,6 +12,7 @@ as ``mubsig verify``; the test suite runs it as a meta-check.
 from __future__ import annotations
 
 from collections.abc import Callable
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import product
 
@@ -118,12 +119,27 @@ def _branches(d: int, family: Family, basis: BasisId) -> tuple[np.ndarray, np.nd
     return _travelling_branches(_prep_pair(d, family), measurement_basis(d, basis))
 
 
+# The amplitudes of _measured, shared by the checks of one
+# run_invariant_suite call (and only within its thread); None outside
+# one, so a check run on its own, or under a patched basis, computes
+# its amplitudes afresh.
+_suite_amplitudes: ContextVar[dict | None] = ContextVar("_suite_amplitudes", default=None)
+
+
 def _measured(d: int, family: Family, basis: BasisId) -> tuple[np.ndarray, np.ndarray]:
     """Weights w_m and amplitudes a[m, k] = <e_k|v_m> of the same branches
     in the family's entangled basis {e_k}: a = V E*."""
+    shared, key = _suite_amplitudes.get(), (d, family, basis)
+    if shared is not None and key in shared:
+        return shared[key]
     weights, collapsed = _branches(d, family, basis)
     e = entangled_basis(d, 0, family)
-    return weights, (collapsed.reshape(d, d * d).conj() @ e).conj()
+    amps = (collapsed.reshape(d, d * d).conj() @ e).conj()
+    weights.setflags(write=False)
+    amps.setflags(write=False)
+    if shared is not None:
+        shared[key] = weights, amps
+    return weights, amps
 
 
 def _pair_coefficients(weights: np.ndarray, amps: np.ndarray) -> np.ndarray:
@@ -508,4 +524,8 @@ def run_invariant_suite(d: int) -> tuple[CheckResult, ...]:
     even if early ones fail.
     """
     PrimeDim(d)
-    return tuple(check(d) for check in _CHECKS)
+    token = _suite_amplitudes.set({})
+    try:
+        return tuple(check(d) for check in _CHECKS)
+    finally:
+        _suite_amplitudes.reset(token)

@@ -266,6 +266,26 @@ def test_cli_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cli_run_refuses_an_unwritable_out_before_the_session(fmt, tmp_path, monkeypatch,
+                                                              capsys):
+    monkeypatch.setattr("mubsig.cli.run_trials", lambda *a, **k: pytest.fail("session ran"))
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        assert main(["run", "--dim", "3", "--protocol", "original", "--rounds", "10",
+                     "--format", fmt, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"mubsig: error: cannot write {out}: ") and err.count("\n") == 1
+
+
+def test_cli_table_refuses_an_unwritable_out(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("mubsig.cli.analytic_outcome_distribution",
+                        lambda *a, **k: pytest.fail("table computed"))
+    out = tmp_path / "missing" / "t.txt"
+    assert main(["table", "--dim", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"mubsig: error: cannot write {out}: No such file or directory\n"
+
+
 def test_cli_table_text(capsys):
     assert main(["table", "--dim", "2"]) == 0
     out = capsys.readouterr().out

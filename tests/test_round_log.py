@@ -1,0 +1,155 @@
+"""The per-round CSV log: the chunked byte-column writer against a
+per-row reference formatter, and the CLI streaming it chunk by chunk."""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from mubsig import cli, report
+from mubsig.bases import basis_alphabet, pair_outcome_labels
+from mubsig.harness import EveMode, HarnessConfig, Protocol, run_trials
+from mubsig.protocol import _FAMILIES, BLOCK_ROUNDS, _decode_outcome
+from mubsig.report import _CHUNK_ROWS, _CSV_COLUMNS, round_log_csv, round_log_csv_chunks
+from test_golden import _PAIRS, GOLDEN, _config
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+
+
+def reference_csv(log):
+    """The log formatted one row at a time with ``str.format``."""
+    d, labels = log.d, pair_outcome_labels(log.d)
+    decodes = [_decode_outcome(d, c, r).text() for c, r in labels]
+    pairs = [f"{c},{r}" for c, r in labels]
+    bob = [f"{b.text()},{m}" for b in basis_alphabet(d) for m in range(d)]
+    alice = [f"{a.text()},,,,{m}" for a in basis_alphabet(d) for m in range(d)]
+    heads = [f"{b.text()},,,{f.value}," for f in _FAMILIES for b in log.alphabet]
+    outcomes = [f"{p},,{t}" for p, t in zip(pairs, decodes)]
+    eve = [f",{p},{t},{'' if t == 'inconclusive' else t}" for p, t in zip(pairs, decodes)]
+    rows = [",".join(_CSV_COLUMNS) + "\n"]
+    for i, cell in enumerate(log.pretest.tolist()):
+        rows.append(f"{i},pretest,{bob[cell // len(bob)]},{alice[cell % len(bob)]},,,,,\n")
+    n_pre = log.pretest.size
+    for i in range(log.basis.size):
+        head = heads[log.family[i] * len(log.alphabet) + log.basis[i]]
+        tail = ",,,," if log.eve_outcome is None else eve[log.eve_outcome[i]]
+        rows.append(f"{n_pre + i},signal,{head}{outcomes[log.outcome[i]]}{tail}\n")
+    return "".join(rows)
+
+
+def first_difference(got, want):
+    """None when the texts are equal, else the first row where they differ,
+    as (row, got, want); pytest's own diff of two multi-megabyte strings
+    would take minutes."""
+    if got == want:
+        return None
+    got_rows, want_rows = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    for i, (g, w) in enumerate(zip(got_rows, want_rows)):
+        if g != w:
+            return i, g, w
+    i = min(len(got_rows), len(want_rows))
+    return i, got_rows[i:i + 1], want_rows[i:i + 1]
+
+
+def _log(config, workers=1):
+    return run_trials(config, workers=workers, return_rounds=True)[1]
+
+
+@pytest.mark.parametrize("d", (2, 3, 5, 13, 31))
+def test_writer_matches_the_reference_for_every_protocol(d):
+    # d = 13 and 31 give two-digit c,r cells and hat-q10.. labels.
+    for protocol, eve in _PAIRS:
+        config = _config(d, protocol, eve, BLOCK_ROUNDS + 100, d)
+        log = _log(config)
+        text = round_log_csv(log)
+        assert first_difference(text, reference_csv(log)) is None, (protocol, eve)
+        assert first_difference(round_log_csv(_log(config, 2)), text) is None, (protocol, eve)
+    if d >= 13:
+        assert f"hat-q{d - 1}" in text and f",{d - 1},{d - 1}," in text
+
+
+@pytest.mark.parametrize("rounds", (_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 10_001))
+def test_writer_matches_the_reference_across_chunks_and_digit_widths(rounds):
+    # 10_001 rows number 0..10000: every width step 9->10 up to 9999->10000.
+    log = _log(_config(3, Protocol.ORIGINAL, EveMode.INTERCEPT, rounds, 3))
+    chunks = list(round_log_csv_chunks(log))
+    assert len(chunks) == 1 + -(-rounds // _CHUNK_ROWS)
+    assert first_difference("".join(chunks), reference_csv(log)) is None
+
+
+def test_writer_matches_the_reference_when_the_pretest_ends_mid_chunk(monkeypatch):
+    log = _log(HarnessConfig(d=5, protocol=Protocol.TOMOGRAPHIC, rounds=20_001,
+                             eve=EveMode.INTERCEPT, seed=3, pretest_fraction=0.45,
+                             posttest_fraction=0.5))
+    assert _CHUNK_ROWS < log.pretest.size < 2 * _CHUNK_ROWS
+    assert first_difference(round_log_csv(log), reference_csv(log)) is None
+    for chunk_rows in (1, 7, 1000):   # boundaries in both phases, one row at a time
+        monkeypatch.setattr(report, "_CHUNK_ROWS", chunk_rows)
+        chunks = list(round_log_csv_chunks(log))
+        assert max(chunk.count("\n") for chunk in chunks) == chunk_rows
+        assert first_difference("".join(chunks), reference_csv(log)) is None
+
+
+def test_writer_matches_the_reference_for_a_single_round():
+    log = _log(_config(2, Protocol.ORIGINAL, EveMode.OFF, 1, 3))
+    assert round_log_csv(log) == reference_csv(log)
+    assert round_log_csv(log).count("\n") == 2
+
+
+# The 70 000-round golden log (more than two session blocks), from the CLI.
+_GOLDEN_CASE = "long-tomographic-intercept-d5-w1"
+_GOLDEN_ARGS = ["run", "--dim", "5", "--protocol", "tomographic", "--eve", "intercept",
+                "--rounds", "70000", "--seed", "11", "--pretest-fraction", "0.2",
+                "--posttest-fraction", "0.5", "--format", "csv"]
+
+
+def test_cli_streams_the_golden_csv_to_stdout_and_to_a_file(tmp_path):
+    config = _config(5, Protocol.TOMOGRAPHIC, EveMode.INTERCEPT, 70_000, 11)
+    sha256 = json.loads((GOLDEN / "round_logs.json").read_text())[_GOLDEN_CASE]["sha256"]
+    assert hashlib.sha256(round_log_csv(_log(config)).encode()).hexdigest() == sha256
+    proc = subprocess.run([sys.executable, "-m", "mubsig.cli", *_GOLDEN_ARGS],
+                          env=_ENV, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == sha256
+    out = tmp_path / "log.csv"
+    assert cli.main(_GOLDEN_ARGS + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+def test_cli_writes_the_csv_chunk_by_chunk(monkeypatch):
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(len(text))
+
+        def writelines(self, lines):
+            for line in lines:
+                self.write(line)
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert cli.main(["run", "--dim", "3", "--protocol", "original", "--rounds", "20000",
+                     "--format", "csv"]) == 0
+    assert len(writes) == 1 + -(-20_000 // _CHUNK_ROWS)
+    assert max(writes) < sum(writes) / 2
+
+
+def test_cli_stops_quietly_when_the_reader_closes_the_pipe():
+    # About 10 MB of CSV: far more than a pipe buffers.
+    proc = subprocess.Popen([sys.executable, "-m", "mubsig.cli", "run", "--dim", "3",
+                             "--protocol", "original", "--rounds", "200000", "--format", "csv"],
+                            env=_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"round,phase,")
+    proc.stdout.close()
+    try:
+        assert proc.wait(timeout=120) == 0
+    finally:
+        proc.kill()
+    assert proc.stderr.read() == b""
+    proc.stderr.close()

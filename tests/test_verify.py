@@ -1,5 +1,6 @@
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,28 @@ def test_suite_is_stable_between_runs():
     second = run_invariant_suite(3)
     assert [(r.name, r.passed, r.assertions) for r in first] == \
            [(r.name, r.passed, r.assertions) for r in second]
+
+
+def test_suite_computes_each_branch_amplitude_once_per_run(monkeypatch):
+    calls = []
+    real = verify._branches
+
+    def counted(d, family, basis):
+        calls.append((family, basis))
+        return real(d, family, basis)
+
+    monkeypatch.setattr(verify, "_branches", counted)
+    for _ in range(2):   # the second run shares nothing with the first
+        calls.clear()
+        assert all(r.passed for r in run_invariant_suite(3))
+        # Each (family, basis) once for its amplitudes; travelling-privacy
+        # also reads the branches of each basis of the family itself.
+        assert Counter(calls) == {(f, b): 1 + (b.family is f)
+                                  for f in FAMILIES for b in basis_alphabet(3, FAMILIES)}
+        assert verify._suite_amplitudes.get() is None
+    verify._measured(3, Family.PLAIN, BasisId(Family.PLAIN, 0))
+    verify._measured(3, Family.PLAIN, BasisId(Family.PLAIN, 0))
+    assert calls[-2:] == [(Family.PLAIN, BasisId(Family.PLAIN, 0))] * 2   # no cache outside
 
 
 # Pinned ``mubsig verify --format json`` documents.  attack-bookkeeping's

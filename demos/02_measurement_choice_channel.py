@@ -28,13 +28,16 @@ print("each basis owns d disjoint conclusive outcomes of weight 1/d;")
 print("(0,0) is always inconclusive with weight 1/d.")
 print()
 
-# A few live rounds.
+# A few live rounds.  Alice's decode is a code: -1 when inconclusive,
+# otherwise the index of the basis it names in the alphabet above.
 print("ten rounds, Bob signalling q1 every time:")
-basis = basis_alphabet(d)[2]
+sent = 2
+basis = basis_alphabet(d)[sent]
 for i in range(10):
     rec = run_round_original(d, basis, rng)
-    print(f"  round {i}: alice outcome {rec.alice_outcome}"
-          f" -> {rec.alice_decode.text()}")
+    code = rec.alice_decode
+    named = "inconclusive" if code < 0 else basis_alphabet(d)[code].text()
+    print(f"  round {i}: alice outcome {rec.alice_outcome} -> {named}")
 print()
 
 # Over many rounds every conclusive decode is correct and a 1/d
@@ -42,9 +45,9 @@ print()
 n, hits, conclusive = 3000, 0, 0
 for _ in range(n):
     rec = run_round_original(d, basis, rng)
-    if rec.alice_decode.is_conclusive:
+    if rec.alice_decode >= 0:
         conclusive += 1
-        hits += rec.alice_decode.matches_label(basis)
+        hits += rec.alice_decode == sent
 print(f"{n} rounds: {conclusive} conclusive, "
       f"{hits} correct, inconclusive fraction {(n - conclusive) / n:.3f} "
       f"(exactly 1/d = {1 / d:.3f} in expectation)")

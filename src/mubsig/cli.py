@@ -9,7 +9,8 @@ Subcommands:
              pair outcome,
 * ``verify`` run the built-in invariant suite for one dimension.
 
-Exit codes: 0 success, 1 invariant failure, 2 usage or config error.
+Exit codes: 0 success, 1 invariant failure, 2 usage or config error, or
+a dimension too large for the memory at hand.
 """
 
 from __future__ import annotations
@@ -150,6 +151,7 @@ def _output(out: Path | None) -> Iterator[TextIO]:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _merge_run_config(args)
+    args.dim = config.d   # named by an out-of-memory error
     if args.workers < 1:
         raise _CliError("--workers must be >= 1")
     with _output(args.out) as out:
@@ -249,6 +251,10 @@ def main(argv: list[str] | None = None) -> int:
         return _USAGE_ERROR
     except (ValueError, TypeError) as exc:
         print(f"mubsig: error: {exc}", file=sys.stderr)
+        return _USAGE_ERROR
+    except MemoryError:
+        print(f"mubsig: error: dimension {args.dim} needs more memory than this "
+              "process may use", file=sys.stderr)
         return _USAGE_ERROR
     except BrokenPipeError:
         # The reader closed stdout early (``mubsig run ... | head``) and has

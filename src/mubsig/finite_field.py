@@ -1,10 +1,10 @@
-"""Exact arithmetic on residues modulo a prime dimension.
+"""Prime dimensions.
 
 Every label that parametrises a basis or a two-qudit state (the residues
 c, r, s, b and the measurement outcomes c', r') lives in the field of
-integers modulo a prime d.  Decoding needs exact subtraction and division
-in that field, so these are plain Python integers end to end; nothing
-here touches floating point.
+integers modulo a prime d.  This module decides which d are accepted;
+the field arithmetic itself is the int64 residue arithmetic of
+:func:`mubsig.protocol.decode`.
 """
 
 from __future__ import annotations
@@ -50,64 +50,8 @@ class PrimeDim:
         if not is_prime(self.d):
             raise ValueError(f"dimension must be prime, got {self.d}")
 
-    def element(self, value: int) -> FieldElement:
-        """Reduce an arbitrary integer into the field."""
-        return FieldElement(value % self.d, self)
-
-    def elements(self) -> tuple[FieldElement, ...]:
-        """All residues 0..d-1, in order."""
-        return tuple(FieldElement(v, self) for v in range(self.d))
-
 
 @functools.lru_cache(maxsize=None)
 def _prime_dim(d: int) -> PrimeDim:
     """Cached :class:`PrimeDim` lookup; raises for non-primes like the constructor."""
     return PrimeDim(d)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A residue modulo a prime, with exact field arithmetic."""
-
-    value: int
-    dim: PrimeDim
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < self.dim.d:
-            raise ValueError(f"residue {self.value} outside [0, {self.dim.d})")
-
-    def _require_same_dim(self, other: FieldElement) -> None:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if self.dim != other.dim:
-            raise ValueError(
-                f"mixed dimensions: {self.dim.d} and {other.dim.d}"
-            )
-
-    def __add__(self, other: FieldElement) -> FieldElement:
-        self._require_same_dim(other)
-        return FieldElement((self.value + other.value) % self.dim.d, self.dim)
-
-    def __sub__(self, other: FieldElement) -> FieldElement:
-        self._require_same_dim(other)
-        return FieldElement((self.value - other.value) % self.dim.d, self.dim)
-
-    def __mul__(self, other: FieldElement) -> FieldElement:
-        self._require_same_dim(other)
-        return FieldElement((self.value * other.value) % self.dim.d, self.dim)
-
-    def __neg__(self) -> FieldElement:
-        return FieldElement((-self.value) % self.dim.d, self.dim)
-
-    def inverse(self) -> FieldElement:
-        """Multiplicative inverse; exact, via extended Euclid under the hood."""
-        if self.value == 0:
-            raise ZeroDivisionError(f"0 has no inverse modulo {self.dim.d}")
-        return FieldElement(pow(self.value, -1, self.dim.d), self.dim)
-
-    def __truediv__(self, other: FieldElement) -> FieldElement:
-        self._require_same_dim(other)
-        return self * other.inverse()
-
-    def __int__(self) -> int:
-        return self.value

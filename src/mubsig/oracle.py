@@ -28,30 +28,35 @@ from .bases import (
     measurement_basis,
     pair_outcome_labels,
 )
-from .protocol import DecodeResult, _decode_outcome, _prep_pair
+from .protocol import _INCONCLUSIVE_CODE, _prep_pair, decode
 from .quantum import sample_outcome
 
 
 @dataclass(frozen=True)
 class EveRecord:
-    """What the eavesdropper saw and did in one intercepted round."""
+    """What the eavesdropper saw and did in one intercepted round; ``decode``
+    is her reading of ``outcome``, as a :func:`mubsig.protocol.decode` code."""
 
     outcome: tuple[int, int]
-    decode: DecodeResult
+    decode: int
     forward_basis: BasisId | None  # None: the stolen qudit went back unmeasured
 
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """One signalling round, as visible to an all-seeing supervisor."""
+    """One signalling round, as visible to an all-seeing supervisor.
+
+    The decodes are :func:`mubsig.protocol.decode` codes: -1 inconclusive,
+    0 computational, 1 + b for q_b.
+    """
 
     bob_basis: BasisId
     alice_prep_family: Family
     alice_outcome: tuple[int, int]
-    alice_decode: DecodeResult
+    alice_decode: int
     eve_active: bool
     eve_outcome: tuple[int, int] | None = None
-    eve_decode: DecodeResult | None = None
+    eve_decode: int | None = None
     eve_forward_basis: BasisId | None = None
 
     def __post_init__(self) -> None:
@@ -95,14 +100,16 @@ def _pair_probs(d: int, family: Family, pair: np.ndarray) -> np.ndarray:
 
 
 def _measure_pair(d: int, family: Family, pair: np.ndarray,
-                  rng: np.random.Generator) -> tuple[tuple[int, int], DecodeResult]:
+                  rng: np.random.Generator) -> tuple[tuple[int, int], int]:
     c, r = pair_outcome_labels(d)[sample_outcome(_pair_probs(d, family, pair), rng)]
-    return (c, r), _decode_outcome(d, c, r)
+    return (c, r), int(decode(d, (0, 0, 0), (c, r)))
 
 
-def _forward_basis(family: Family, result: DecodeResult) -> BasisId | None:
-    """The basis Eve resends in after decoding ``result``; None when inconclusive."""
-    return BasisId(family, result.quad) if result.is_conclusive else None
+def _forward_basis(family: Family, code: int) -> BasisId | None:
+    """The basis Eve resends in after decoding ``code``; None when inconclusive."""
+    if code == _INCONCLUSIVE_CODE:
+        return None
+    return BasisId(family, None if code == 0 else code - 1)
 
 
 def eve_intercept_resend(d: int, bob_basis: BasisId,
@@ -129,12 +136,12 @@ def eve_dual_family_attack(d: int, bob_basis: BasisId, eve_family: Family,
     sifted statistics.
     """
     after_bob = _collapse(_prep_pair(d, eve_family), measurement_basis(d, bob_basis), rng)
-    outcome, result = _measure_pair(d, eve_family, after_bob, rng)
-    return EveRecord(outcome, result, _forward_basis(eve_family, result))
+    outcome, code = _measure_pair(d, eve_family, after_bob, rng)
+    return EveRecord(outcome, code, _forward_basis(eve_family, code))
 
 
 def _alice_round(d: int, family: Family, forward_basis: BasisId | None,
-                 rng: np.random.Generator) -> tuple[tuple[int, int], DecodeResult]:
+                 rng: np.random.Generator) -> tuple[tuple[int, int], int]:
     pair = _prep_pair(d, family)
     if forward_basis is not None:
         pair = _collapse(pair, measurement_basis(d, forward_basis), rng)
@@ -155,10 +162,10 @@ def run_protocol2_round(d: int, alice_family: Family, bob_basis: BasisId,
                         eve_family: Family | None = None) -> RoundRecord:
     """One round of the dual-family protocol (sifting left to the caller)."""
     if eve_family is None:
-        outcome, result = _alice_round(d, alice_family, bob_basis, rng)
-        return RoundRecord(bob_basis, alice_family, outcome, result, eve_active=False)
+        outcome, code = _alice_round(d, alice_family, bob_basis, rng)
+        return RoundRecord(bob_basis, alice_family, outcome, code, eve_active=False)
     erec = eve_dual_family_attack(d, bob_basis, eve_family, rng)
-    outcome, result = _alice_round(d, alice_family, erec.forward_basis, rng)
-    return RoundRecord(bob_basis, alice_family, outcome, result, eve_active=True,
+    outcome, code = _alice_round(d, alice_family, erec.forward_basis, rng)
+    return RoundRecord(bob_basis, alice_family, outcome, code, eve_active=True,
                        eve_outcome=erec.outcome, eve_decode=erec.decode,
                        eve_forward_basis=erec.forward_basis)

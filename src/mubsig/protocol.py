@@ -17,6 +17,12 @@ Convention: the first tensor factor of the pair is the half that travels
 This orientation is what makes every conclusive outcome decode to Bob's
 basis, and the decode-soundness checks pin it down.
 
+Alice's reading of an outcome is one integer code, from the field
+arithmetic of :func:`decode` on int arrays: -1 when inconclusive, 0 for
+the computational basis and 1 + b for q_b.  The sessions, the
+single-round oracle, the invariant suite and the CSV log all use these
+codes.
+
 Interception strategies for the eavesdropper are included for both the
 original protocol (substitute pair, resend after decoding) and the
 dual-family variant (the same attack mounted in one fixed family).
@@ -42,7 +48,7 @@ import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, ClassVar
+from typing import Callable
 
 import numpy as np
 
@@ -54,7 +60,6 @@ from .bases import (
     measurement_basis,
     pair_outcome_labels,
 )
-from .finite_field import FieldElement, _prime_dim
 from .quantum import TOLERANCE, _cdf, _frozen
 from .streams import derive_round_stream
 
@@ -63,75 +68,30 @@ from .streams import derive_round_stream
 BLOCK_ROUNDS = 1 << 15
 _PRETEST_STREAM_BASE = 1 << 40
 
-_INCONCLUSIVE = "inconclusive"
-_COMPUTATIONAL = "computational"
-_QUADRATIC = "quadratic"
+_INCONCLUSIVE_CODE = -1
 
 
-@dataclass(frozen=True)
-class DecodeResult:
-    """Alice's reading of one joint outcome: a basis label or inconclusive."""
-
-    kind: str
-    quad: int | None = None
-
-    _KINDS: ClassVar[frozenset[str]] = frozenset({_INCONCLUSIVE, _COMPUTATIONAL, _QUADRATIC})
-
-    def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown decode kind {self.kind!r}")
-        if (self.quad is not None) != (self.kind == _QUADRATIC):
-            raise ValueError("quad label present iff kind is quadratic")
-
-    @classmethod
-    def inconclusive(cls) -> DecodeResult:
-        return cls(_INCONCLUSIVE)
-
-    @classmethod
-    def computational(cls) -> DecodeResult:
-        return cls(_COMPUTATIONAL)
-
-    @classmethod
-    def quadratic(cls, b: int) -> DecodeResult:
-        return cls(_QUADRATIC, int(b))
-
-    @property
-    def is_conclusive(self) -> bool:
-        return self.kind != _INCONCLUSIVE
-
-    def matches_label(self, basis: BasisId) -> bool:
-        """True when this decode names the basis label (family ignored)."""
-        if self.kind == _INCONCLUSIVE:
-            return False
-        if self.kind == _COMPUTATIONAL:
-            return basis.quad is None
-        return basis.quad == self.quad
-
-    def text(self) -> str:
-        if self.kind == _INCONCLUSIVE:
-            return "inconclusive"
-        return "comp" if self.kind == _COMPUTATIONAL else f"q{self.quad}"
+def _inverses(d: int) -> np.ndarray:
+    """The int64 table of a^-1 mod d for a = 1..d-1, with 0 at index 0."""
+    return np.array([0] + [pow(a, -1, d) for a in range(1, d)], dtype=np.int64)
 
 
-def decode(prep: tuple[FieldElement, FieldElement, FieldElement],
-           outcome: tuple[FieldElement, FieldElement]) -> DecodeResult:
-    """Decode Bob's basis from Alice's outcome (c', r') given prep (c, r, s).
+def decode(d: int, prep: tuple, outcome: tuple) -> np.ndarray:
+    """The code of Bob's basis, as Alice reads it off her outcome (c', r')
+    of the preparation (c, r, s).
 
-    c' != c names the quadratic basis s - (r - r') / (c - c'); c' = c with
-    r' != r names the computational basis; reproducing the preparation
-    labels exactly is inconclusive.
+    The labels are ints or int arrays in 0..d-1 that broadcast together.
+    c' != c names the quadratic basis q_b with b = s - (r - r') / (c - c')
+    mod d, code 1 + b; c' = c with r' != r names the computational basis,
+    code 0; reproducing (c, r) is inconclusive, code -1.  Within a family,
+    the code of a basis is its index in :func:`basis_alphabet`.
     """
-    c, r, s = prep
-    cp, rp = outcome
-    if len({c.dim.d, r.dim.d, s.dim.d, cp.dim.d, rp.dim.d}) != 1:
-        raise ValueError("decode labels must share one dimension")
-    if cp.value == c.value:
-        if rp.value == r.value:
-            return DecodeResult.inconclusive()
-        return DecodeResult.computational()
-    d = c.dim.d
-    return DecodeResult.quadratic(
-        (s.value - (r.value - rp.value) * pow(c.value - cp.value, -1, d)) % d)
+    c, r, s = (np.asarray(x, dtype=np.int64) for x in prep)
+    cp, rp = (np.asarray(x, dtype=np.int64) for x in outcome)
+    code = s - (r - rp) * _inverses(d)[(c - cp) % d]
+    code %= d
+    code += 1   # 1 + b, in place: decode-completeness runs this on d^4 cells per c
+    return np.where(cp == c, np.where(rp == r, _INCONCLUSIVE_CODE, 0), code)
 
 
 @dataclass(frozen=True)
@@ -220,24 +180,11 @@ def pair_outcome_probs(d: int, own_family: Family, measured_basis: BasisId) -> n
     return _frozen(np.where(p < TOLERANCE, 0.0, p))
 
 
-def _decode_outcome(d: int, c: int, r: int) -> DecodeResult:
-    dim = _prime_dim(d)
-    zero = dim.element(0)
-    return decode((zero, zero, zero), (dim.element(c), dim.element(r)))
-
-
-_INCONCLUSIVE_CODE = -1
-
-
 @functools.lru_cache(maxsize=None)
 def _decode_codes(d: int) -> np.ndarray:
-    """Per pair outcome, the alphabet index within a family of the basis it
-    decodes to: 0 for the computational basis, 1 + b for q_b, -1 when
-    inconclusive."""
-    results = (_decode_outcome(d, c, r) for c, r in pair_outcome_labels(d))
-    codes = [_INCONCLUSIVE_CODE if x.kind == _INCONCLUSIVE else
-             0 if x.kind == _COMPUTATIONAL else 1 + x.quad for x in results]
-    return _frozen(np.array(codes, dtype=np.int64))
+    """:func:`decode` of every pair outcome, in :func:`pair_outcome_labels`
+    order, for the preparation (0, 0, 0)."""
+    return _frozen(decode(d, (0, 0, 0), np.array(pair_outcome_labels(d)).T))
 
 
 _FAMILIES = (Family.PLAIN, Family.HAT)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bases import basis_alphabet, pair_outcome_labels
 from .harness import EveMode, HarnessConfig, Protocol, analytic_outcome_distribution
-from .protocol import _FAMILIES, RoundLog, SessionReport, _decode_outcome
+from .protocol import _FAMILIES, RoundLog, SessionReport, _decode_codes
 
 SCHEMA = "mubsig.report/1"
 
@@ -197,13 +197,15 @@ def round_log_csv_chunks(log: RoundLog) -> Iterator[str]:
     then 8192 rows at most per piece, each phase on its own, so a caller
     can write the log out without ever holding all of it."""
     d, labels = log.d, pair_outcome_labels(log.d)
-    decodes = [_decode_outcome(d, c, r).text() for c, r in labels]
+    plain = basis_alphabet(d)
+    decodes = ["inconclusive" if code < 0 else plain[code].text()
+               for code in _decode_codes(d).tolist()]
     pairs = [f"{c},{r}" for c, r in labels]
     yield ",".join(_CSV_COLUMNS) + "\n"
     bob = _byte_table([f",pretest,{b.text()},{m},"
-                       for b in basis_alphabet(d) for m in range(d)])
+                       for b in plain for m in range(d)])
     alice = _byte_table([f"{a.text()},,,,{m},,,,,\n"
-                         for a in basis_alphabet(d) for m in range(d)])
+                         for a in plain for m in range(d)])
     n_pre = log.pretest.size
     for start in range(0, n_pre, _CHUNK_ROWS):
         cells = log.pretest[start:start + _CHUNK_ROWS]

@@ -1,32 +1,14 @@
-from collections import namedtuple
-
 import pytest
 
-from mubsig.bases import Family, pair_outcome_labels
-from mubsig.finite_field import PrimeDim
-from mubsig.protocol import decode
-
-SignalRound = namedtuple("SignalRound", "bob_basis alice_prep_family alice_outcome "
-                                        "alice_decode eve_outcome eve_decode")
-
-
-def _signal_rounds(log):
-    """The signal rounds of a RoundLog, each outcome read by the scalar decode rule."""
-    dim = PrimeDim(log.d)
-    prep = (dim.element(0),) * 3
-    labels = pair_outcome_labels(log.d)
-    decodes = [decode(prep, (dim.element(c), dim.element(r))) for c, r in labels]
-    eve = [None] * log.basis.size if log.eve_outcome is None else log.eve_outcome.tolist()
-    return [SignalRound(log.alphabet[b], (Family.PLAIN, Family.HAT)[f], labels[o], decodes[o],
-                        None if e is None else labels[e], None if e is None else decodes[e])
-            for f, b, o, e in zip(log.family.tolist(), log.basis.tolist(),
-                                  log.outcome.tolist(), eve)]
+from dense import signal_rounds as _signal_rounds
 
 
 @pytest.fixture(scope="session")
 def signal_rounds():
-    """Reads a RoundLog back round by round, independently of the engine's code table."""
+    """Reads a RoundLog back round by round with the plain-integer decode
+    oracle, independently of ``protocol.decode`` and the engine's code table."""
     return _signal_rounds
+
 
 _ACCEPTANCE_RESULTS = []
 

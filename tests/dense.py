@@ -1,0 +1,88 @@
+"""Reference routes the package is tested against, kept out of the package.
+
+* The dense density-operator route: a d^2 x d^2 matrix per pair state,
+  the Born rule, the nonselective measurement of one half and the
+  partial trace.  The package itself works on pure states and exact
+  tables; these plain functions on arrays are what those are checked
+  against.
+* The decode rule in plain-integer arithmetic, with ``pow(a, -1, d)``
+  for the inverse, and the round-by-round reading of a ``RoundLog`` built
+  on it, so a log is read back without the engine's code table.
+
+Conventions as in the package: a basis is a matrix whose column i is its
+i-th ket, a pair index (n1, n2) is n1 * d + n2, and the first half of a
+pair is the one that travels.  Decode codes are -1 for inconclusive, 0
+for the computational basis and 1 + b for q_b.
+"""
+
+import math
+from collections import namedtuple
+
+import numpy as np
+
+from mubsig.bases import Family, pair_outcome_labels
+
+
+def density(ket):
+    """|psi><psi| of an amplitude vector or a d x d amplitude matrix."""
+    v = np.asarray(ket, dtype=complex).reshape(-1)
+    return np.outer(v, v.conj())
+
+
+def born_probabilities(rho, basis):
+    """<e_i| rho |e_i> for the columns e_i of ``basis``."""
+    return np.einsum("ji,ji->i", basis.conj(), rho @ basis).real
+
+
+def nonselective_measure(rho, subsystem, basis):
+    """sum_m P_m rho P_m with P_m = |b_m><b_m| on ``subsystem`` (1 or 2) of a pair.
+
+    The measured half is rotated into the basis, the d diagonal blocks
+    <b_m| rho |b_m> on the other half are kept, and the result is
+    rotated back.
+    """
+    d = basis.shape[0]
+    swap = (1, 0, 3, 2) if subsystem == 2 else (0, 1, 2, 3)   # measured half first
+    r = rho.reshape(d, d, d, d).transpose(swap)
+    blocks = np.einsum("im,ijkl,km->mjl", basis.conj(), r, basis, optimize=True)
+    out = np.einsum("im,mjl,km->ijkl", basis, blocks, basis.conj(), optimize=True)
+    return out.transpose(swap).reshape(d * d, d * d)
+
+
+def partial_trace(rho, keep):
+    """Reduced state of half ``keep`` (1 or 2) of a pair."""
+    d = math.isqrt(rho.shape[0])
+    r = rho.reshape(d, d, d, d)
+    return np.trace(r, axis1=1, axis2=3) if keep == 1 else np.trace(r, axis1=0, axis2=2)
+
+
+def decode_oracle(d, c, r, s, cp, rp):
+    """The decode code of outcome (c', r') of preparation (c, r, s), in plain ints."""
+    if cp == c:
+        return -1 if rp == r else 0
+    return 1 + (s - (r - rp) * pow((c - cp) % d, -1, d)) % d
+
+
+def basis_code(basis):
+    """The decode code that names ``basis`` (its family aside)."""
+    return 0 if basis.quad is None else 1 + basis.quad
+
+
+def decode_text(code):
+    """A decode code as the CSV log writes it."""
+    return "inconclusive" if code < 0 else "comp" if code == 0 else f"q{code - 1}"
+
+
+SignalRound = namedtuple("SignalRound", "bob_basis alice_prep_family alice_outcome "
+                                        "alice_decode eve_outcome eve_decode")
+
+
+def signal_rounds(log):
+    """The signal rounds of a RoundLog, each outcome read with :func:`decode_oracle`."""
+    labels = pair_outcome_labels(log.d)
+    codes = [decode_oracle(log.d, 0, 0, 0, c, r) for c, r in labels]
+    eve = [None] * log.basis.size if log.eve_outcome is None else log.eve_outcome.tolist()
+    return [SignalRound(log.alphabet[b], (Family.PLAIN, Family.HAT)[f], labels[o], codes[o],
+                        None if e is None else labels[e], None if e is None else codes[e])
+            for f, b, o, e in zip(log.family.tolist(), log.basis.tolist(),
+                                  log.outcome.tolist(), eve)]

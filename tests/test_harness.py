@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mubsig.bases import BasisId, Family, basis_alphabet, pair_outcome_labels
-from mubsig.finite_field import PrimeDim
 from mubsig.harness import (
     AnalyticDistribution,
     EveMode,
@@ -19,7 +18,8 @@ from mubsig.harness import (
     pretest_reference_distribution,
     run_trials,
 )
-from mubsig.protocol import decode, pair_outcome_probs
+from mubsig.protocol import pair_outcome_probs
+from dense import basis_code, decode_oracle
 
 
 def original(rounds=100, **kw):
@@ -238,21 +238,18 @@ def test_dual_detection_probability_with_weights():
 
 def _detection_by_loop(d, eve_family, weights):
     """The explicit sum over Bob's basis, the attacker's outcome and Alice's outcome."""
-    dim = PrimeDim(d)
-    prep = (dim.element(0),) * 3
-    decodes = [decode(prep, (dim.element(c), dim.element(r)))
-               for c, r in pair_outcome_labels(d)]
+    decodes = [decode_oracle(d, 0, 0, 0, c, r) for c, r in pair_outcome_labels(d)]
     kept = wrong = 0.0
     for w, bob in zip(weights, basis_alphabet(d, (Family.PLAIN, Family.HAT))):
         for q, eve_decode in zip(pair_outcome_probs(d, eve_family, bob), decodes):
-            if not eve_decode.is_conclusive:
+            if eve_decode < 0:
                 continue   # the pair goes back untouched and Alice reads (0,0)
-            resend = BasisId(eve_family, eve_decode.quad)
+            resend = BasisId(eve_family, None if eve_decode == 0 else eve_decode - 1)
             # sifting keeps the rounds where Alice prepared Bob's family
             for p, alice_decode in zip(pair_outcome_probs(d, bob.family, resend), decodes):
-                if alice_decode.is_conclusive:
+                if alice_decode >= 0:
                     kept += w * q * p
-                    wrong += w * q * p * (not alice_decode.matches_label(bob))
+                    wrong += w * q * p * (alice_decode != basis_code(bob))
     return wrong / kept
 
 

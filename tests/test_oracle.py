@@ -7,7 +7,8 @@ from numpy.testing import assert_allclose
 
 from mubsig import oracle
 from mubsig.bases import Family, basis_alphabet, entangled_basis, measurement_basis
-from mubsig.quantum import TOLERANCE, DensityOperator, Ket, born_probabilities, nonselective_measure
+from mubsig.quantum import TOLERANCE
+from dense import born_probabilities, density, nonselective_measure
 
 FAMILIES = (Family.PLAIN, Family.HAT)
 
@@ -33,7 +34,7 @@ def test_collapse_route_sums_to_the_nonselective_measurement(d):
     the dense density-operator route for every preparation and basis."""
     for family in FAMILIES:
         pair = oracle._prep_pair(d, family)
-        prep = DensityOperator.from_ket(Ket(pair, dims=(d, d)))
+        prep = density(pair)
         for basis in basis_alphabet(d, FAMILIES):
             weights, collapsed = oracle._travelling_branches(pair, measurement_basis(d, basis))
             assert_allclose(weights.sum(), 1.0, rtol=0, atol=1e-12)

@@ -31,6 +31,16 @@ def test_top_level_exports_are_the_readme_api():
         assert hasattr(mubsig, name), name
 
 
+def test_readme_layout_table_lists_every_module():
+    """The modules in README's layout table are exactly src/mubsig/*.py."""
+    readme = (ROOT / "README.md").read_text()
+    table = readme[readme.index("## Layout"):]
+    listed = re.findall(r"^\| `mubsig\.(\w+)`", table, re.MULTILINE)
+    modules = {p.stem for p in (ROOT / "src" / "mubsig").glob("*.py")} - {"__init__"}
+    assert len(listed) == len(set(listed))
+    assert set(listed) == modules
+
+
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -1,8 +1,8 @@
 """Property tests over generated sessions and config documents.
 
 * A session's report is exactly what its round log says, when every
-  round is read back with the scalar decode rule, and its CSV log has
-  one row per round that says the same.
+  round is read back with the plain-integer decode oracle, and its CSV
+  log has one row per round that says the same.
 * Any JSON-like mapping either becomes a ``HarnessConfig`` or raises
   ``ValueError``, and quickly.
 * A report's config echo rebuilds the config it came from.
@@ -26,6 +26,7 @@ from mubsig.finite_field import MAX_DIM
 from mubsig.harness import EveMode, HarnessConfig, Protocol, run_trials
 from mubsig.quantum import TOLERANCE, _cdf
 from mubsig.report import build_document, canonical_json, config_from_document, round_log_csv
+from dense import basis_code, decode_text
 
 _PAIRS = (
     (Protocol.ORIGINAL, EveMode.OFF),
@@ -72,10 +73,9 @@ def test_report_is_the_round_log_read_with_the_scalar_decode(signal_rounds, cfg)
     report, log = run_trials(cfg, return_rounds=True)
     rounds = signal_rounds(log)
     matched = [r for r in rounds if r.alice_prep_family is r.bob_basis.family]
-    kept = [r for r in matched if r.alice_decode.is_conclusive]
-    correct = [r for r in kept if r.alice_decode.matches_label(r.bob_basis)]
-    eve_correct = [r for r in rounds if r.eve_decode is not None
-                   and r.eve_decode.matches_label(r.bob_basis)
+    kept = [r for r in matched if r.alice_decode >= 0]
+    correct = [r for r in kept if r.alice_decode == basis_code(r.bob_basis)]
+    eve_correct = [r for r in rounds if r.eve_decode == basis_code(r.bob_basis)
                    and r.bob_basis.family is Family.PLAIN]
     assert report.sifted == len(kept)
     assert report.decode_accuracy == _ratio(len(correct), len(kept))
@@ -90,8 +90,8 @@ def test_report_is_the_round_log_read_with_the_scalar_decode(signal_rounds, cfg)
     assert [row["phase"] for row in signal] == ["signal"] * len(rounds)
     assert [(row["bob_basis"], row["alice_family"], row["decode"], row["eve_decode"])
             for row in signal] == [
-        (r.bob_basis.text(), r.alice_prep_family.value, r.alice_decode.text(),
-         "" if r.eve_decode is None else r.eve_decode.text()) for r in rounds]
+        (r.bob_basis.text(), r.alice_prep_family.value, decode_text(r.alice_decode),
+         "" if r.eve_decode is None else decode_text(r.eve_decode)) for r in rounds]
 
 
 _JSON = st.recursive(

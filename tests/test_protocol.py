@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from mubsig import protocol
+from mubsig import oracle, protocol
 from mubsig.bases import (
     BasisId,
     Family,
@@ -11,7 +11,6 @@ from mubsig.bases import (
     measurement_basis,
     pair_outcome_labels,
 )
-from mubsig.finite_field import PrimeDim
 from mubsig.harness import EveMode, HarnessConfig, Protocol, run_trials
 from mubsig.oracle import (
     RoundRecord,
@@ -21,101 +20,58 @@ from mubsig.oracle import (
 )
 from mubsig.protocol import (
     BLOCK_ROUNDS,
-    DecodeResult,
     decode,
     ideal_pretest_distribution,
     pair_outcome_probs,
 )
-from mubsig.quantum import (
-    TOLERANCE,
-    DensityOperator,
-    Ket,
-    _cdf,
+from mubsig.quantum import TOLERANCE, _cdf, sample_outcome
+from dense import (
+    basis_code,
     born_probabilities,
+    decode_oracle,
+    density,
     nonselective_measure,
     partial_trace,
-    sample_outcome,
 )
-
-
-def decode_oracle(d, c, r, s, cp, rp):
-    """Independent arithmetic over plain ints, pow(-1) for the inverse."""
-    if cp == c:
-        return ("inconclusive", None) if rp == r else ("computational", None)
-    b = (s - (r - rp) * pow((c - cp) % d, -1, d)) % d
-    return ("quadratic", b)
-
-
-def as_pair(result):
-    return (result.kind, result.quad)
-
 
 # ---------------------------------------------------------------------------
 # Decode rule
 # ---------------------------------------------------------------------------
 
 def test_decode_matches_oracle_exhaustively():
+    """One call of decode on the whole (c, r, s, c', r') grid, against the
+    plain-integer oracle cell by cell; the engine's code table is the
+    (0, 0, 0) slice."""
     for d in (2, 3, 5, 7):
-        dim = PrimeDim(d)
-        for c in range(d):
-            for r in range(d):
-                for s in range(d):
-                    prep = (dim.element(c), dim.element(r), dim.element(s))
-                    for cp in range(d):
-                        for rp in range(d):
-                            got = decode(prep, (dim.element(cp), dim.element(rp)))
-                            assert as_pair(got) == decode_oracle(d, c, r, s, cp, rp)
-
-
-def test_decode_rejects_mixed_dimensions():
-    two, three = PrimeDim(2), PrimeDim(3)
-    prep = (two.element(0), two.element(0), two.element(0))
-    with pytest.raises(ValueError):
-        decode(prep, (three.element(0), three.element(0)))
-
-
-def test_decode_result_factories_and_text():
-    assert DecodeResult.inconclusive().text() == "inconclusive"
-    assert DecodeResult.computational().text() == "comp"
-    assert DecodeResult.quadratic(2).text() == "q2"
-    assert not DecodeResult.inconclusive().is_conclusive
-    assert DecodeResult.computational().is_conclusive
-
-
-def test_decode_result_validation():
-    with pytest.raises(ValueError):
-        DecodeResult("quadratic")          # missing quad label
-    with pytest.raises(ValueError):
-        DecodeResult("computational", 1)   # stray quad label
-    with pytest.raises(ValueError):
-        DecodeResult("sideways")
+        grid = np.indices((d,) * 5)
+        got = decode(d, grid[:3], grid[3:])
+        assert got.dtype == np.int64
+        assert_array_equal(got, np.vectorize(decode_oracle)(d, *grid))
+        assert_array_equal(protocol._decode_codes(d), got[0, 0, 0].ravel())
+    assert decode(3, (0, 0, 0), (1, 2)).ndim == 0
 
 
 def test_decode_result_matches_label():
-    comp = BasisId(Family.PLAIN, None)
-    q1 = BasisId(Family.PLAIN, 1)
-    assert DecodeResult.computational().matches_label(comp)
-    assert not DecodeResult.computational().matches_label(q1)
-    assert DecodeResult.quadratic(1).matches_label(q1)
-    assert not DecodeResult.quadratic(0).matches_label(q1)
-    assert not DecodeResult.inconclusive().matches_label(comp)
-    # family is Bob's secret in the dual protocol; the label alone decides
-    assert DecodeResult.quadratic(1).matches_label(BasisId(Family.HAT, 1))
+    """A code names a basis label, its family aside: it is the basis's index
+    within its family's alphabet, and Eve resends in that basis."""
+    for d in (2, 3, 5):
+        for j, basis in enumerate(basis_alphabet(d, (Family.PLAIN, Family.HAT))):
+            code = j % (d + 1)
+            assert code == basis_code(basis)
+            assert oracle._forward_basis(basis.family, code) == basis
+        assert oracle._forward_basis(Family.HAT, -1) is None
 
 
 def test_round_record_consistency():
     comp = BasisId(Family.PLAIN, None)
-    ok = RoundRecord(comp, Family.PLAIN, (0, 1), DecodeResult.computational(),
-                     eve_active=False)
+    ok = RoundRecord(comp, Family.PLAIN, (0, 1), 0, eve_active=False)
     assert ok.sifted
     with pytest.raises(ValueError):
-        RoundRecord(comp, Family.PLAIN, (0, 1), DecodeResult.computational(),
-                    eve_active=False, eve_outcome=(0, 0))
+        RoundRecord(comp, Family.PLAIN, (0, 1), 0, eve_active=False, eve_outcome=(0, 0))
     with pytest.raises(ValueError):
-        RoundRecord(comp, Family.PLAIN, (0, 1), DecodeResult.computational(),
-                    eve_active=True)
-    hat_round = RoundRecord(BasisId(Family.HAT, 0), Family.PLAIN, (0, 0),
-                            DecodeResult.inconclusive(), eve_active=False)
+        RoundRecord(comp, Family.PLAIN, (0, 1), 0, eve_active=True)
+    hat_round = RoundRecord(BasisId(Family.HAT, 0), Family.PLAIN, (0, 0), -1,
+                            eve_active=False)
     assert not hat_round.sifted
 
 
@@ -175,7 +131,7 @@ def test_tables_match_dense_derivation(d):
     tables = protocol._tables(d, 2)
     assert len(tables.alphabet) == 2 * (d + 1)
     for f, family in enumerate((Family.PLAIN, Family.HAT)):
-        prep = DensityOperator.from_ket(Ket(entangled_basis(d, 0, family)[:, 0], dims=(d, d)))
+        prep = density(entangled_basis(d, 0, family)[:, 0])
         untouched = tables.probs[f, 0]
         assert untouched[0] == 1.0 and not untouched[1:].any()
         for j, basis in enumerate(tables.alphabet):
@@ -198,8 +154,8 @@ def test_round_original_conclusive_decodes_match_bob():
             for _ in range(40):
                 rec = run_round_original(d, basis, rng)
                 assert not rec.eve_active
-                if rec.alice_decode.is_conclusive:
-                    assert rec.alice_decode.matches_label(basis)
+                if rec.alice_decode >= 0:
+                    assert rec.alice_decode == basis_code(basis)
 
 
 def test_round_original_rejects_hat_basis():
@@ -214,7 +170,7 @@ def test_round_original_inconclusive_rate():
     rng = np.random.default_rng(7)
     d, n = 2, 2000
     hits = sum(
-        not run_round_original(d, BasisId(Family.PLAIN, 0), rng).alice_decode.is_conclusive
+        run_round_original(d, BasisId(Family.PLAIN, 0), rng).alice_decode < 0
         for _ in range(n))
     p = 1.0 / d
     assert abs(hits - n * p) < 5 * np.sqrt(n * p * (1 - p))
@@ -229,14 +185,14 @@ def test_eve_inconclusive_leaves_pair_untouched():
     for _ in range(200):
         rec = run_round_original(d, BasisId(Family.PLAIN, 1), rng, eve=True)
         assert rec.eve_active
-        if not rec.eve_decode.is_conclusive:
+        if rec.eve_decode < 0:
             saw_branch += 1
             assert rec.eve_forward_basis is None
             assert rec.alice_outcome == (0, 0)
-            assert not rec.alice_decode.is_conclusive
+            assert rec.alice_decode < 0
         else:
             assert rec.eve_forward_basis is not None
-            assert rec.eve_decode.matches_label(rec.eve_forward_basis)
+            assert rec.eve_decode == basis_code(rec.eve_forward_basis)
     assert saw_branch > 10
 
 
@@ -246,8 +202,8 @@ def test_eve_conclusive_decodes_match_bob():
         for basis in basis_alphabet(d):
             for _ in range(30):
                 rec = run_round_original(d, basis, rng, eve=True)
-                if rec.eve_decode.is_conclusive:
-                    assert rec.eve_decode.matches_label(basis)
+                if rec.eve_decode >= 0:
+                    assert rec.eve_decode == basis_code(basis)
 
 
 def test_dual_round_record_structure():
@@ -307,7 +263,7 @@ def test_pretest_distribution_computational_anticorrelation():
 
 def dense_eve_pretest_probs(d):
     """Reduced states of the decoy pair, then Born probabilities per basis pair."""
-    decoy = DensityOperator.from_ket(Ket(entangled_basis(d)[:, 0], dims=(d, d)))
+    decoy = density(entangled_basis(d)[:, 0])
     bob_side = partial_trace(decoy, keep=1)
     alice_side = partial_trace(decoy, keep=2)
     alphabet = basis_alphabet(d)
@@ -333,11 +289,9 @@ def test_eve_pretest_probs_match_dense_derivation():
 # ---------------------------------------------------------------------------
 
 def recompute_original(rounds):
-    kept = [r for r in rounds if r.alice_decode.is_conclusive]
-    correct = [r for r in kept if r.alice_decode.matches_label(r.bob_basis)]
-    eve_correct = [r for r in rounds if r.eve_decode is not None
-                   and r.eve_decode.is_conclusive
-                   and r.eve_decode.matches_label(r.bob_basis)]
+    kept = [r for r in rounds if r.alice_decode >= 0]
+    correct = [r for r in kept if r.alice_decode == basis_code(r.bob_basis)]
+    eve_correct = [r for r in rounds if r.eve_decode == basis_code(r.bob_basis)]
     return len(kept), len(correct), len(eve_correct)
 
 
@@ -407,11 +361,9 @@ def test_dual_session_report_matches_records(signal_rounds):
     assert len(log) == 800
     rounds = signal_rounds(log)
     matched = [r for r in rounds if r.alice_prep_family is r.bob_basis.family]
-    kept = [r for r in matched if r.alice_decode.is_conclusive]
-    correct = [r for r in kept if r.alice_decode.matches_label(r.bob_basis)]
-    eve_correct = [r for r in rounds if r.eve_decode is not None
-                   and r.eve_decode.is_conclusive
-                   and r.eve_decode.matches_label(r.bob_basis)
+    kept = [r for r in matched if r.alice_decode >= 0]
+    correct = [r for r in kept if r.alice_decode == basis_code(r.bob_basis)]
+    eve_correct = [r for r in rounds if r.eve_decode == basis_code(r.bob_basis)
                    and r.bob_basis.family is Family.PLAIN]
     assert report.sifted == len(kept)
     assert report.decode_accuracy == len(correct) / len(kept)
@@ -544,10 +496,11 @@ def test_cdf_tail_never_samples_impossible_outcomes(d, monkeypatch, signal_round
                 assert p > TOLERANCE, (cfg, rec)
                 continue
             assert _exact_prob(d, Family.PLAIN, rec.bob_basis, rec.eve_outcome) > TOLERANCE
-            if not rec.eve_decode.is_conclusive:
+            if rec.eve_decode < 0:
                 assert rec.alice_outcome == (0, 0)
             else:
-                forward = BasisId(Family.PLAIN, rec.eve_decode.quad)
+                forward = BasisId(Family.PLAIN, None if rec.eve_decode == 0
+                                  else rec.eve_decode - 1)
                 p = _exact_prob(d, rec.alice_prep_family, forward, rec.alice_outcome)
                 assert p > TOLERANCE, (cfg, rec)
 

@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +152,29 @@ def test_cli_refuses_dimensions_above_max_dim_at_once(capsys):
         assert main(args) == 2
         assert time.monotonic() - start < 1.0, args
         assert "largest supported" in capsys.readouterr().err
+
+
+def test_cli_out_of_memory_is_a_usage_error():
+    """A dimension whose pair basis cannot be allocated ends in one error
+    line and exit 2, not a traceback.  The session runs in a child process
+    under a 1.5 GB address-space cap, where d = 101 asks for 1.55 GiB."""
+    resource = pytest.importorskip("resource")
+    cap = 1536 * 2 ** 20
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mubsig.cli", "run", "--dim", "101", "--protocol", "original",
+         "--rounds", "100"],
+        env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit_memory)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "mubsig: error: dimension 101 needs more memory than this process may use"]
+    assert proc.stdout == ""
 
 
 def test_config_from_document_accepts_integral_floats():

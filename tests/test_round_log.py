@@ -13,8 +13,9 @@ import pytest
 from mubsig import cli, report
 from mubsig.bases import basis_alphabet, pair_outcome_labels
 from mubsig.harness import EveMode, HarnessConfig, Protocol, run_trials
-from mubsig.protocol import _FAMILIES, BLOCK_ROUNDS, _decode_outcome
+from mubsig.protocol import _FAMILIES, BLOCK_ROUNDS
 from mubsig.report import _CHUNK_ROWS, _CSV_COLUMNS, round_log_csv, round_log_csv_chunks
+from dense import decode_oracle, decode_text
 from test_golden import _PAIRS, GOLDEN, _config
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -25,7 +26,7 @@ _ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
 def reference_csv(log):
     """The log formatted one row at a time with ``str.format``."""
     d, labels = log.d, pair_outcome_labels(log.d)
-    decodes = [_decode_outcome(d, c, r).text() for c, r in labels]
+    decodes = [decode_text(decode_oracle(d, 0, 0, 0, c, r)) for c, r in labels]
     pairs = [f"{c},{r}" for c, r in labels]
     bob = [f"{b.text()},{m}" for b in basis_alphabet(d) for m in range(d)]
     alice = [f"{a.text()},,,,{m}" for a in basis_alphabet(d) for m in range(d)]

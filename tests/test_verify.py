@@ -17,16 +17,10 @@ from mubsig.bases import (
 )
 from mubsig.cli import main
 from mubsig.harness import dual_family_detection_probability
-from mubsig.protocol import DecodeResult, _prep_pair
-from mubsig.quantum import (
-    DensityOperator,
-    Ket,
-    born_probabilities,
-    nonselective_measure,
-    partial_trace,
-)
+from mubsig.protocol import _prep_pair
 from mubsig.streams import derive_round_stream
 from mubsig.verify import CheckResult, run_invariant_suite
+from dense import born_probabilities, density, nonselective_measure, partial_trace
 
 EXPECTED_NAMES = (
     "field-arithmetic",
@@ -140,35 +134,33 @@ def test_pure_state_route_matches_the_dense_density_operators(d):
     """The coefficients, probabilities and reduced states the checks read off
     the collapsed branches equal those of the dense density-operator route."""
     for family in FAMILIES:
-        prep = DensityOperator.from_ket(Ket(_prep_pair(d, family), dims=(d, d)))
+        prep = density(_prep_pair(d, family))
         pair_basis = entangled_basis(d, 0, family)
         for basis in basis_alphabet(d, FAMILIES):
             dense = nonselective_measure(prep, 1, measurement_basis(d, basis))
             weights, amps = verify._measured(d, family, basis)
-            coeffs = pair_basis.conj().T @ dense.matrix @ pair_basis
+            coeffs = pair_basis.conj().T @ dense @ pair_basis
             assert_allclose(verify._pair_coefficients(weights, amps), coeffs,
                             rtol=0, atol=1e-12, err_msg=f"{family} {basis}")
             assert_allclose(verify._outcome_probs(weights, amps),
                             born_probabilities(dense, pair_basis), rtol=0, atol=1e-12)
             assert_allclose(verify._travelling_state(*verify._branches(d, family, basis)),
-                            partial_trace(dense, keep=1).matrix, rtol=0, atol=1e-12)
+                            partial_trace(dense, keep=1), rtol=0, atol=1e-12)
     # Unequal weights and pairs that are not maximally entangled, so that
     # the two halves' reduced states differ.
     rng = derive_round_stream(3, d)
     weights = rng.random(d)
     weights /= weights.sum()
-    kets = [Ket.normalized(rng.normal(size=d * d) + 1j * rng.normal(size=d * d),
-                           dims=(d, d)) for _ in range(d)]
-    mixture = DensityOperator(sum(w * DensityOperator.from_ket(k).matrix
-                                  for w, k in zip(weights, kets)), dims=(d, d))
-    collapsed = np.stack([k.amplitudes.reshape(d, d) for k in kets])
+    raw = np.stack([rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+                    for _ in range(d)]).reshape(d, d, d)
+    collapsed = raw / np.linalg.norm(raw, axis=(1, 2), keepdims=True)
+    mixture = sum(w * density(v) for w, v in zip(weights, collapsed))
     assert_allclose(verify._travelling_state(weights, collapsed),
-                    partial_trace(mixture, keep=1).matrix, rtol=0, atol=1e-12)
-    for ket in kets + [Ket(entangled_basis(d, d - 1)[:, (1 % d) * (d + 1)], dims=(d, d))]:
-        rho = DensityOperator.from_ket(ket)
-        first, second = verify._reduced_states(ket.amplitudes.reshape(d, d))
-        assert_allclose(first, partial_trace(rho, keep=1).matrix, rtol=0, atol=1e-12)
-        assert_allclose(second, partial_trace(rho, keep=2).matrix, rtol=0, atol=1e-12)
+                    partial_trace(mixture, keep=1), rtol=0, atol=1e-12)
+    for psi in [*collapsed, entangled_basis(d, d - 1)[:, (1 % d) * (d + 1)].reshape(d, d)]:
+        first, second = verify._reduced_states(psi)
+        assert_allclose(first, partial_trace(density(psi), keep=1), rtol=0, atol=1e-12)
+        assert_allclose(second, partial_trace(density(psi), keep=2), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", (2, 3, 5, 7))
@@ -185,9 +177,9 @@ def test_decode_completeness_catches_a_sign_flip_in_decode(monkeypatch):
     d = 5
     real = verify.decode
 
-    def flipped(prep, outcome):
-        res = real(prep, outcome)
-        return DecodeResult.quadratic(-res.quad % d) if res.quad is not None else res
+    def flipped(dim, prep, outcome):
+        code = real(dim, prep, outcome)   # q_b becomes q_(-b)
+        return np.where(code > 0, 1 + (1 - code) % dim, code)
 
     monkeypatch.setattr(verify, "decode", flipped)
     result = verify._check_decode_completeness(d)

@@ -43,7 +43,10 @@ def test_readme_layout_table_lists_every_module():
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
 def test_demo_runs(demo):
+    """Each demo exits 0 and prints exactly its pinned stdout."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    pinned = ROOT / "tests" / "golden" / "demos" / f"{demo.stem}.txt"
+    assert proc.stdout == pinned.read_bytes()

@@ -92,11 +92,9 @@ def test_suite_computes_each_branch_amplitude_once_per_run(monkeypatch):
     assert calls[-2:] == [(Family.PLAIN, BasisId(Family.PLAIN, 0))] * 2   # no cache outside
 
 
-# Pinned ``mubsig verify --format json`` documents.  attack-bookkeeping's
-# assertion count depends on the single-round draws, so only its name,
-# flag and detail are compared.
+# Pinned ``mubsig verify --format json`` documents, every check's
+# assertion count included (attack-bookkeeping's follows the oracle's draws).
 GOLDEN = Path(__file__).parent / "golden"
-_DRAW_DEPENDENT_COUNTS = {"attack-bookkeeping"}
 
 
 @pytest.mark.parametrize("d", (2, 3, 5, 7, 11))
@@ -107,9 +105,8 @@ def test_verify_document_matches_golden(d, capsys):
     assert (got["dim"], got["passed"]) == (want["dim"], want["passed"]) == (d, True)
     assert [c["name"] for c in got["checks"]] == [c["name"] for c in want["checks"]]
     for g, w in zip(got["checks"], want["checks"]):
-        assert (g["passed"], g["detail"]) == (w["passed"], w["detail"]), g["name"]
-        if g["name"] not in _DRAW_DEPENDENT_COUNTS:
-            assert g["assertions"] == w["assertions"], g["name"]
+        assert (g["passed"], g["detail"], g["assertions"]) == (
+            w["passed"], w["detail"], w["assertions"]), g["name"]
 
 
 def test_suite_and_cli_pass_at_d11(capsys):

@@ -8,7 +8,6 @@ from mubsig.harness import (
     HarnessConfig,
     Protocol,
     calibrate_tv_threshold,
-    pretest_reference_distribution,
     run_trials,
 )
 
@@ -19,8 +18,7 @@ n_pre = int(rounds * pre)
 
 # Calibrate the alarm threshold from the exact reference distribution:
 # the 99.9th percentile of undisturbed sampling noise, with headroom.
-reference = pretest_reference_distribution(d)
-threshold = calibrate_tv_threshold(reference, n_pre, seed=11)
+threshold = calibrate_tv_threshold(d, n_pre, seed=11)
 print(f"calibrated TV threshold for {n_pre} pre-test rounds: {threshold:.4f}")
 print()
 

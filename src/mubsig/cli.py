@@ -29,6 +29,8 @@ from .finite_field import PrimeDim
 from .harness import HarnessConfig, analytic_outcome_distribution, run_trials
 from .protocol import pair_outcome_labels
 from .report import (
+    _config_fields,
+    _outcome_tables,
     build_document,
     canonical_json,
     config_from_document,
@@ -108,12 +110,7 @@ def _load_config_file(path: Path) -> dict:
 
 
 def _merge_run_config(args: argparse.Namespace) -> HarnessConfig:
-    base: dict = {}
-    if args.config is not None:
-        data = _load_config_file(args.config)
-        if "config" in data and isinstance(data["config"], dict):
-            data = data["config"]
-        base = {str(k).replace("-", "_"): v for k, v in data.items()}
+    base = {} if args.config is None else _config_fields(_load_config_file(args.config))
     overrides = {
         "dim": args.dim,
         "protocol": args.protocol,
@@ -124,8 +121,6 @@ def _merge_run_config(args: argparse.Namespace) -> HarnessConfig:
         "posttest_fraction": args.posttest_fraction,
     }
     base.update({k: v for k, v in overrides.items() if v is not None})
-    base.setdefault("eve", "off")
-    base.setdefault("seed", 0)
     if base.get("dim") is None:
         raise _CliError("--dim is required (directly or via --config)")
     try:
@@ -187,14 +182,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _table_text(d: int, rows: list[BasisId], fmt: str) -> str:
+    if fmt == "json":
+        return canonical_json({"dim": d, "rows": _outcome_tables(d, rows)})
     labels = pair_outcome_labels(d)
     dists = {b: analytic_outcome_distribution(d, b) for b in rows}
-    if fmt == "json":
-        doc = {"dim": d,
-               "rows": {b.text(): {f"{c},{r}": float(p)
-                                   for (c, r), p in dists[b].as_mapping().items()}
-                        for b in rows}}
-        return canonical_json(doc)
     if fmt == "csv":
         lines = ["basis,c,r,probability"]
         for b in rows:

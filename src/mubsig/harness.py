@@ -24,6 +24,7 @@ from .protocol import (
     _INCONCLUSIVE_CODE,
     _run_session,
     _tables,
+    _total_variation,
     ideal_pretest_distribution,
     pair_outcome_labels,
     pair_outcome_probs,
@@ -33,16 +34,12 @@ from .streams import derive_round_stream
 
 __all__ = [
     "AnalyticDistribution",
-    "ComparisonResult",
     "EveMode",
     "HarnessConfig",
     "Protocol",
     "analytic_outcome_distribution",
     "calibrate_tv_threshold",
-    "compare_distributions",
-    "derive_round_stream",
     "dual_family_detection_probability",
-    "pretest_reference_distribution",
     "run_trials",
 ]
 
@@ -174,67 +171,35 @@ def analytic_outcome_distribution(d: int, bob_basis: BasisId) -> AnalyticDistrib
     return AnalyticDistribution(pair_outcome_labels(d), probs)
 
 
-def pretest_reference_distribution(d: int) -> AnalyticDistribution:
-    """The undisturbed pre-test joint distribution over (b, m, a, m')."""
-    labels, probs = ideal_pretest_distribution(d)
-    return AnalyticDistribution(labels, probs)
+# calibrate_tv_threshold takes this quantile of the statistic over this many
+# undisturbed runs, times this margin.  It draws the runs a chunk at a time,
+# from one stream, so it never holds more than a chunk of count vectors.
+_CALIBRATION_RUNS = 4000
+_CALIBRATION_QUANTILE = 0.999
+_CALIBRATION_MARGIN = 1.5
+_CALIBRATION_CHUNK = 64
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
-    """Total-variation distance of empirical counts from a reference."""
-
-    tv_distance: float
-    threshold: float
-    passed: bool
-
-
-def compare_distributions(counts: np.ndarray | Mapping, reference: AnalyticDistribution,
-                          threshold: float) -> ComparisonResult:
-    """Compare empirical counts against an exact reference distribution.
-
-    ``counts`` is either an array aligned to ``reference.labels`` or a
-    mapping from label to count.  The statistic is the total-variation
-    distance; it passes when it does not exceed ``threshold``.
-    """
-    if isinstance(counts, Mapping):
-        unknown = set(counts) - set(reference.labels)
-        if unknown:
-            raise ValueError(f"counts carry labels outside the reference: "
-                             f"{sorted(map(str, unknown))[:3]}")
-        aligned = np.array([counts.get(label, 0) for label in reference.labels],
-                           dtype=float)
-    else:
-        aligned = np.asarray(counts, dtype=float)
-        if aligned.size != reference.probabilities.size:
-            raise ValueError(f"expected {reference.probabilities.size} counts, "
-                             f"got {aligned.size}")
-    if aligned.min() < 0:
-        raise ValueError("counts must be nonnegative")
-    total = aligned.sum()
-    if total <= 0:
-        raise ValueError("counts must not be empty")
-    tv = 0.5 * np.abs(aligned / total - reference.probabilities).sum()
-    return ComparisonResult(float(tv), float(threshold), bool(tv <= threshold))
-
-
-def calibrate_tv_threshold(reference: AnalyticDistribution, sample_size: int,
-                           seed: int, *, runs: int = 4000, quantile: float = 0.999,
-                           margin: float = 1.5) -> float:
+def calibrate_tv_threshold(d: int, sample_size: int, seed: int) -> float:
     """Threshold for the pre-test statistic, calibrated by simulation.
 
-    Draws ``runs`` undisturbed count vectors of ``sample_size`` rounds,
-    takes the requested quantile of their total-variation distances, and
-    inflates it by ``margin``.  The margin keeps the false-alarm rate
-    negligible across many repetitions while staying far below the
-    order-one divergence an interception produces.
+    Draws undisturbed count vectors of ``sample_size`` pre-test rounds at
+    dimension ``d``, takes a high quantile of their total-variation
+    distances from the exact joint, and inflates it by a margin.  The
+    margin keeps the false-alarm rate negligible across many repetitions
+    while staying far below the order-one divergence an interception
+    produces at small d.
     """
-    if sample_size < 1 or runs < 1:
-        raise ValueError("sample_size and runs must be >= 1")
+    if sample_size < 1:
+        raise ValueError("sample_size must be >= 1")
+    ideal = ideal_pretest_distribution(d).ravel()
     rng = derive_round_stream(seed, 0)
-    draws = rng.multinomial(sample_size, reference.probabilities, size=runs)
-    tvs = 0.5 * np.abs(draws / sample_size - reference.probabilities).sum(axis=1)
-    return float(margin * np.quantile(tvs, quantile))
+    tvs = []
+    for start in range(0, _CALIBRATION_RUNS, _CALIBRATION_CHUNK):
+        size = min(_CALIBRATION_CHUNK, _CALIBRATION_RUNS - start)
+        draws = rng.multinomial(sample_size, ideal, size=size)
+        tvs.append(_total_variation(draws, sample_size, ideal))
+    return float(_CALIBRATION_MARGIN * np.quantile(np.concatenate(tvs), _CALIBRATION_QUANTILE))
 
 
 def dual_family_detection_probability(d: int, eve_family: Family = Family.PLAIN,

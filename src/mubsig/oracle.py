@@ -112,28 +112,18 @@ def _forward_basis(family: Family, code: int) -> BasisId | None:
     return BasisId(family, None if code == 0 else code - 1)
 
 
-def eve_intercept_resend(d: int, bob_basis: BasisId,
-                         rng: np.random.Generator) -> EveRecord:
-    """The intercept-resend attack on the original protocol.
-
-    Eve keeps the travelling qudit, feeds Bob half of her own plain
-    (0,0;0) pair, measures her pair in the entangled basis once it
-    returns, and — when conclusive — decodes b and measures the stolen
-    qudit in that basis before forwarding it.
-    """
-    if bob_basis.family is not Family.PLAIN:
-        raise ValueError("the original protocol signals with plain-family bases")
-    return eve_dual_family_attack(d, bob_basis, Family.PLAIN, rng)
-
-
 def eve_dual_family_attack(d: int, bob_basis: BasisId, eve_family: Family,
                            rng: np.random.Generator) -> EveRecord:
-    """The same substitution attack mounted against the dual-family protocol.
+    """The substitution (intercept-resend) attack, with Eve's pair and
+    decoding basis in ``eve_family``.
 
-    Eve must commit to one family for her decoy pair and her decoding
-    basis; when Bob happens to signal in the other family her held pair
-    is no longer diagonal in her basis and her resend disturbs the
-    sifted statistics.
+    Eve keeps the travelling qudit, feeds Bob half of her own (0,0;0)
+    pair, measures her pair in the entangled basis once it returns, and
+    — when conclusive — decodes b and measures the stolen qudit in that
+    basis before forwarding it.  Against the original protocol her
+    family is plain.  Against the dual-family protocol she must commit to
+    one family; when Bob signals in the other, her held pair is no longer
+    diagonal in her basis and her resend disturbs the sifted statistics.
     """
     after_bob = _collapse(_prep_pair(d, eve_family), measurement_basis(d, bob_basis), rng)
     outcome, code = _measure_pair(d, eve_family, after_bob, rng)

@@ -99,8 +99,8 @@ class RoundLog:
     """Every round of one collected session, as the index arrays the engine sampled.
 
     Pre-test rounds come first, then signal rounds, each phase in block
-    order.  ``pretest`` holds one flat cell of
-    :func:`ideal_pretest_distribution` per pre-test round.  Per signal
+    order.  ``pretest`` holds one cell of :func:`ideal_pretest_distribution`
+    per pre-test round, as an index into its ``ravel()``.  Per signal
     round, ``family`` is Alice's preparation family (0 plain, 1 hat),
     ``basis`` Bob's basis as an index into ``alphabet``, and ``outcome``
     Alice's pair outcome as an index into :func:`pair_outcome_labels`;
@@ -283,34 +283,26 @@ def _tables(d: int, n_families: int) -> _Tables:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def ideal_pretest_distribution(d: int) -> tuple[tuple, np.ndarray]:
+def ideal_pretest_distribution(d: int) -> np.ndarray:
     """Joint distribution of (b, m, a, m') in an undisturbed pre-test round.
 
     Bob picks b uniformly over the d+1 plain bases and measures his half
     of the (0,0;0) pair; Alice picks a uniformly and measures hers.
-    Returns (labels, probabilities) with labels (bob_basis, m, alice_basis, m')
-    in row-major order.
+    Returns a read-only array of shape (d+1, d, d+1, d) indexed
+    [b, m, a, m'], bases in :func:`basis_alphabet` order; its ``ravel()``
+    numbers the pre-test cells.
     """
-    psi = _prep_pair(d, Family.PLAIN)
     alphabet = basis_alphabet(d)
-    n_bases = len(alphabet)
-    labels = []
-    probs = np.zeros((n_bases * d) ** 2)
-    flat = 0
-    for b in alphabet:
-        ub = measurement_basis(d, b)
-        for m in range(d):
-            conditional = ub[:, m].conj() @ psi   # unnormalized kept-half state
-            for a in alphabet:
-                ua = measurement_basis(d, a)
-                joint = np.abs(ua.conj().T @ conditional) ** 2 / n_bases ** 2
-                for mp in range(d):
-                    labels.append((b, m, a, mp))
-                    probs[flat] = joint[mp]
-                    flat += 1
+    # bh[b, m] is <b_m| of basis b.  Stacks of matrix-vector products on this
+    # transposed view sum in a fixed order per cell; a matrix product, or a
+    # contiguous copy of bh, would move cells by an ulp.
+    bh = np.array([measurement_basis(d, b) for b in alphabet]).conj().transpose(0, 2, 1)
+    kept = (_prep_pair(d, Family.PLAIN).T @ bh[..., None])[..., 0]   # [b, m]: Alice's half
+    amps = bh @ kept[:, :, None, :, None]   # [b, m, a, m', 1]
+    probs = np.abs(amps[..., 0]) ** 2 / len(alphabet) ** 2
     if abs(probs.sum() - 1.0) > 1e-12:
         raise RuntimeError("pre-test reference distribution does not normalize")
-    return tuple(labels), _frozen(probs)
+    return _frozen(probs)
 
 
 @functools.lru_cache(maxsize=None)
@@ -320,9 +312,16 @@ def _eve_pretest_probs(d: int) -> np.ndarray:
     Bob measures half of Eve's decoy pair and Alice's own half is away in
     Eve's hands, so both reduced states are maximally mixed, the announced
     pairs decouple, and every (b, m, a, m') has probability 1/((d+1) d)^2.
+    Same shape as :func:`ideal_pretest_distribution`.
     """
-    n_cells = (len(basis_alphabet(d)) * d) ** 2
-    return _frozen(np.full(n_cells, 1.0 / n_cells))
+    n_bases = d + 1
+    return _frozen(np.full((n_bases, d, n_bases, d), 1.0 / (n_bases * d) ** 2))
+
+
+def _total_variation(counts: np.ndarray, total: int, ideal: np.ndarray) -> np.ndarray:
+    """Total-variation distance of count vectors (last axis: the flat cells)
+    of ``total`` rounds each from the flat distribution ``ideal``."""
+    return 0.5 * np.abs(counts / total - ideal).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +411,13 @@ def _signal_block(tables: _Tables, d: int, eve: bool, message: _InverseCdf,
 
 @functools.lru_cache(maxsize=None)
 def _pretest_lookup(d: int, eve: bool) -> _InverseCdf:
-    return _inverse_cdf(_cdf(_eve_pretest_probs(d) if eve
-                             else ideal_pretest_distribution(d)[1]))
+    probs = _eve_pretest_probs(d) if eve else ideal_pretest_distribution(d)
+    return _inverse_cdf(_cdf(probs.ravel()))
 
 
 def _pretest_phase(d: int, n_pre: int, seed: int, eve: bool, workers: int,
                    collect: bool) -> tuple[float, np.ndarray | None]:
-    _, ideal = ideal_pretest_distribution(d)
+    ideal = ideal_pretest_distribution(d).ravel()
     lookup = _pretest_lookup(d, eve)
 
     def worker(stream: np.random.Generator, n: int) -> tuple:
@@ -430,9 +429,8 @@ def _pretest_phase(d: int, n_pre: int, seed: int, eve: bool, workers: int,
     counts = np.zeros(ideal.size, dtype=np.int64)
     for c, _ in results:
         counts += c
-    divergence = 0.5 * np.abs(counts / n_pre - ideal).sum()
     cells = np.concatenate([idx for _, idx in results]) if collect else None
-    return float(divergence), cells
+    return float(_total_variation(counts, n_pre, ideal)), cells
 
 
 def _run_session(d: int, rounds: int, seed: int, *, n_families: int, eve: bool,

@@ -10,11 +10,11 @@ document.
 from __future__ import annotations
 
 import json
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .bases import basis_alphabet, pair_outcome_labels
+from .bases import BasisId, basis_alphabet, pair_outcome_labels
 from .harness import EveMode, HarnessConfig, Protocol, analytic_outcome_distribution
 from .protocol import _FAMILIES, RoundLog, SessionReport, _decode_codes
 
@@ -72,19 +72,31 @@ def build_document(config: HarnessConfig, report: SessionReport, *,
         "results": _results(report),
     }
     if include_tables:
-        tables = {}
-        for basis in config.alphabet():
-            dist = analytic_outcome_distribution(config.d, basis)
-            tables[basis.text()] = {f"{c},{r}": float(p)
-                                    for (c, r), p in dist.as_mapping().items()}
-        doc["tables"] = tables
+        doc["tables"] = _outcome_tables(config.d, config.alphabet())
     return doc
+
+
+def _outcome_tables(d: int, bases: Iterable[BasisId]) -> dict:
+    """The exact outcome distribution of each basis, as {basis: {"c,r": p}}."""
+    return {b.text(): {f"{c},{r}": float(p) for (c, r), p in
+                       analytic_outcome_distribution(d, b).as_mapping().items()}
+            for b in bases}
 
 
 def canonical_json(document: Mapping) -> str:
     """Serialize a document deterministically (sorted keys, 2-space indent)."""
     return json.dumps(document, sort_keys=True, indent=2,
                       ensure_ascii=True, allow_nan=False) + "\n"
+
+
+def _config_fields(document: Mapping) -> dict:
+    """The config section of a report, or a bare config mapping, with
+    dashes in its keys turned into underscores."""
+    if not isinstance(document, Mapping):
+        raise ValueError("config document must be a mapping")
+    if "config" in document and isinstance(document["config"], Mapping):
+        document = document["config"]
+    return {str(k).replace("-", "_"): v for k, v in document.items()}
 
 
 def config_from_document(document: Mapping) -> HarnessConfig:
@@ -94,11 +106,7 @@ def config_from_document(document: Mapping) -> HarnessConfig:
     or an entire report document, whose ``config`` section is used.
     Raises ValueError on unknown keys or malformed values.
     """
-    if not isinstance(document, Mapping):
-        raise ValueError("config document must be a mapping")
-    if "config" in document and isinstance(document["config"], Mapping):
-        document = document["config"]
-    data = {str(k).replace("-", "_"): v for k, v in document.items()}
+    data = _config_fields(document)
     known = {"dim", "protocol", "eve", "rounds", "seed",
              "pretest_fraction", "posttest_fraction", "message_distribution"}
     unknown = set(data) - known

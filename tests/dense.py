@@ -5,6 +5,7 @@
   partial trace.  The package itself works on pure states and exact
   tables; these plain functions on arrays are what those are checked
   against.
+* The undisturbed pre-test joint, one (b, m, a, m') cell at a time.
 * The decode rule in plain-integer arithmetic, with ``pow(a, -1, d)``
   for the inverse, and the round-by-round reading of a ``RoundLog`` built
   on it, so a log is read back without the engine's code table.
@@ -20,7 +21,13 @@ from collections import namedtuple
 
 import numpy as np
 
-from mubsig.bases import Family, pair_outcome_labels
+from mubsig.bases import (
+    Family,
+    basis_alphabet,
+    entangled_basis,
+    measurement_basis,
+    pair_outcome_labels,
+)
 
 
 def density(ket):
@@ -54,6 +61,27 @@ def partial_trace(rho, keep):
     d = math.isqrt(rho.shape[0])
     r = rho.reshape(d, d, d, d)
     return np.trace(r, axis1=1, axis2=3) if keep == 1 else np.trace(r, axis1=0, axis2=2)
+
+
+def pretest_loop(d):
+    """The undisturbed pre-test joint over (b, m, a, m'), flat in row-major
+    order: Bob's kept-half state per (b, m), then Alice's Born rule per a."""
+    psi = entangled_basis(d)[:, 0].reshape(d, d)
+    alphabet = basis_alphabet(d)
+    n_bases = len(alphabet)
+    probs = np.zeros((n_bases * d) ** 2)
+    flat = 0
+    for b in alphabet:
+        ub = measurement_basis(d, b)
+        for m in range(d):
+            conditional = ub[:, m].conj() @ psi   # unnormalized kept-half state
+            for a in alphabet:
+                ua = measurement_basis(d, a)
+                joint = np.abs(ua.conj().T @ conditional) ** 2 / n_bases ** 2
+                for mp in range(d):
+                    probs[flat] = joint[mp]
+                    flat += 1
+    return probs
 
 
 def decode_oracle(d, c, r, s, cp, rp):

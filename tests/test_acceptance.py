@@ -27,7 +27,6 @@ from mubsig.harness import (
     analytic_outcome_distribution,
     calibrate_tv_threshold,
     dual_family_detection_probability,
-    pretest_reference_distribution,
     run_trials,
 )
 from mubsig.protocol import decode, pair_outcome_probs
@@ -289,8 +288,7 @@ def test_tomography_pretest_flags_interception():
     start = time.monotonic()
     d, rounds, frac = 2, 40_000, 0.5
     n_pre = int(round(rounds * frac))
-    reference = pretest_reference_distribution(d)
-    threshold = calibrate_tv_threshold(reference, n_pre, seed=1000)
+    threshold = calibrate_tv_threshold(d, n_pre, seed=1000)
     assert 0.0 < threshold < 0.5
 
     def divergence(seed, eve):

@@ -12,13 +12,12 @@ from mubsig.harness import (
     Protocol,
     analytic_outcome_distribution,
     calibrate_tv_threshold,
-    compare_distributions,
-    derive_round_stream,
     dual_family_detection_probability,
-    pretest_reference_distribution,
     run_trials,
 )
-from mubsig.protocol import pair_outcome_probs
+from mubsig import harness
+from mubsig.protocol import _total_variation, ideal_pretest_distribution, pair_outcome_probs
+from mubsig.streams import derive_round_stream
 from dense import basis_code, decode_oracle
 
 
@@ -146,47 +145,28 @@ def test_analytic_outcome_distribution_wraps_exact_table():
             assert abs(dist.as_mapping()[(0, 0)] - 1.0 / d) < 1e-12
 
 
-def test_pretest_reference_distribution_shape():
-    dist = pretest_reference_distribution(2)
-    assert dist.probabilities.size == 36
-    assert abs(dist.probabilities.sum() - 1.0) < 1e-12
-
-
-def test_compare_distributions_array_and_mapping():
-    ref = AnalyticDistribution(("x", "y"), np.array([0.5, 0.5]))
-    exact = compare_distributions(np.array([50, 50]), ref, threshold=0.01)
-    assert exact.tv_distance == 0.0 and exact.passed
-    skewed = compare_distributions({"x": 75, "y": 25}, ref, threshold=0.1)
-    assert_allclose(skewed.tv_distance, 0.25)
-    assert not skewed.passed
-    partial = compare_distributions({"x": 10}, ref, threshold=0.6)
-    assert_allclose(partial.tv_distance, 0.5)   # missing labels count as zero
-
-
-def test_compare_distributions_rejects_bad_counts():
-    ref = AnalyticDistribution(("x", "y"), np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        compare_distributions({"z": 3}, ref, threshold=0.1)
-    with pytest.raises(ValueError):
-        compare_distributions(np.array([1, 2, 3]), ref, threshold=0.1)
-    with pytest.raises(ValueError):
-        compare_distributions(np.array([-1, 2]), ref, threshold=0.1)
-    with pytest.raises(ValueError):
-        compare_distributions(np.array([0, 0]), ref, threshold=0.1)
-
-
 def test_calibrate_tv_threshold_behavior():
-    ref = pretest_reference_distribution(2)
-    t1 = calibrate_tv_threshold(ref, 2000, seed=5)
-    t2 = calibrate_tv_threshold(ref, 2000, seed=5)
-    t3 = calibrate_tv_threshold(ref, 2000, seed=6)
+    t1 = calibrate_tv_threshold(2, 2000, seed=5)
+    t2 = calibrate_tv_threshold(2, 2000, seed=5)
+    t3 = calibrate_tv_threshold(2, 2000, seed=6)
     assert t1 == t2
     assert t1 != t3
     assert 0.0 < t1 < 0.5
     # the statistic shrinks roughly as 1/sqrt(n)
-    assert calibrate_tv_threshold(ref, 20000, seed=5) < t1
+    assert calibrate_tv_threshold(2, 20000, seed=5) < t1
     with pytest.raises(ValueError):
-        calibrate_tv_threshold(ref, 0, seed=5)
+        calibrate_tv_threshold(2, 0, seed=5)
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_calibration_chunks_draw_the_one_shot_sample(d, monkeypatch):
+    """Drawing the runs in chunks of 7 gives the threshold of one draw of all runs."""
+    ideal = ideal_pretest_distribution(d).ravel()
+    draws = derive_round_stream(9, 0).multinomial(300, ideal, size=harness._CALIBRATION_RUNS)
+    one_shot = harness._CALIBRATION_MARGIN * np.quantile(
+        _total_variation(draws, 300, ideal), harness._CALIBRATION_QUANTILE)
+    monkeypatch.setattr(harness, "_CALIBRATION_CHUNK", 7)
+    assert calibrate_tv_threshold(d, 300, seed=9) == float(one_shot)
 
 
 def test_stream_derivation_pure_and_decoupled():

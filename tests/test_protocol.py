@@ -14,7 +14,6 @@ from mubsig.bases import (
 from mubsig.harness import EveMode, HarnessConfig, Protocol, run_trials
 from mubsig.oracle import (
     RoundRecord,
-    eve_intercept_resend,
     run_round_original,
     run_protocol2_round,
 )
@@ -32,6 +31,7 @@ from dense import (
     density,
     nonselective_measure,
     partial_trace,
+    pretest_loop,
 )
 
 # ---------------------------------------------------------------------------
@@ -163,7 +163,7 @@ def test_round_original_rejects_hat_basis():
     with pytest.raises(ValueError):
         run_round_original(2, BasisId(Family.HAT, 0), rng)
     with pytest.raises(ValueError):
-        eve_intercept_resend(2, BasisId(Family.HAT, None), rng)
+        run_round_original(2, BasisId(Family.HAT, None), rng, eve=True)
 
 
 def test_round_original_inconclusive_rate():
@@ -237,28 +237,29 @@ def test_round_vs_table_distribution():
 # Pre-test reference distribution
 # ---------------------------------------------------------------------------
 
+def test_pretest_distribution_is_the_dense_loop_read_only():
+    for d in (2, 3, 5, 7, 11, 13):
+        probs = ideal_pretest_distribution(d)
+        assert probs.shape == (d + 1, d, d + 1, d)
+        assert not probs.flags.writeable
+        assert_array_equal(probs.ravel(), pretest_loop(d))
+
+
 def test_pretest_distribution_normalized_with_uniform_marginals():
     for d in (2, 3):
-        labels, probs = ideal_pretest_distribution(d)
-        n_bases = d + 1
-        assert len(labels) == (n_bases * d) ** 2
+        probs = ideal_pretest_distribution(d)
         assert abs(probs.sum() - 1.0) < 1e-12
-        for b in basis_alphabet(d):
-            for m in range(d):
-                marginal = sum(p for (lb, lm, _, _), p in zip(labels, probs)
-                               if lb == b and lm == m)
-                assert abs(marginal - 1.0 / (n_bases * d)) < 1e-10
+        assert_allclose(probs.sum(axis=(2, 3)), 1.0 / ((d + 1) * d), rtol=0, atol=1e-10)
 
 
 def test_pretest_distribution_computational_anticorrelation():
     """Both sides reading the computational basis see m' = -m exactly."""
     for d in (2, 3, 5):
-        labels, probs = ideal_pretest_distribution(d)
-        comp = BasisId(Family.PLAIN, None)
-        for (b, m, a, mp), p in zip(labels, probs):
-            if b == comp and a == comp:
-                expected = 1.0 / ((d + 1) ** 2 * d) if mp == (-m) % d else 0.0
-                assert abs(p - expected) < 1e-12
+        comp = basis_alphabet(d).index(BasisId(Family.PLAIN, None))
+        m = np.arange(d)
+        expected = np.where(m[:, None] == (-m) % d, 1.0 / ((d + 1) ** 2 * d), 0.0)
+        assert_allclose(ideal_pretest_distribution(d)[comp, :, comp, :], expected,
+                        rtol=0, atol=1e-12)
 
 
 def dense_eve_pretest_probs(d):
@@ -267,20 +268,15 @@ def dense_eve_pretest_probs(d):
     bob_side = partial_trace(decoy, keep=1)
     alice_side = partial_trace(decoy, keep=2)
     alphabet = basis_alphabet(d)
-    probs = []
-    for b in alphabet:
-        pm = born_probabilities(bob_side, measurement_basis(d, b))
-        for m in range(d):
-            for a in alphabet:
-                pa = born_probabilities(alice_side, measurement_basis(d, a))
-                probs.extend(pm[m] * pa / len(alphabet) ** 2)
-    return np.array(probs)
+    pm = np.array([born_probabilities(bob_side, measurement_basis(d, b)) for b in alphabet])
+    pa = np.array([born_probabilities(alice_side, measurement_basis(d, a)) for a in alphabet])
+    return pm[:, :, None, None] * pa[None, None] / len(alphabet) ** 2
 
 
 def test_eve_pretest_probs_match_dense_derivation():
     for d in (2, 3, 5):
         closed = protocol._eve_pretest_probs(d)
-        assert closed.shape == (((d + 1) * d) ** 2,)
+        assert closed.shape == (d + 1, d, d + 1, d)
         assert_allclose(closed, dense_eve_pretest_probs(d), rtol=0, atol=1e-15)
 
 
@@ -481,7 +477,7 @@ def test_cdf_tail_never_samples_impossible_outcomes(d, monkeypatch, signal_round
     if d == 3:   # these weights sum to 0.9999999999999999 = u, short of 1
         configs.append(original(d, 2, 0, message_distribution={
             "comp": 0.1, "q0": 0.2, "q1": 0.3}))
-    _, pretest = ideal_pretest_distribution(d)
+    pretest = ideal_pretest_distribution(d).ravel()
     for cfg in configs:
         weights = cfg.message_weights()
         sendable = {b for i, b in enumerate(cfg.alphabet())
@@ -548,9 +544,9 @@ def test_grouped_lookup_equals_per_row_searchsorted(d, n_families):
         _assert_lookup_is_searchsorted(protocol._inverse_cdf(_cdf(w)), w)
     if n_families == 1:
         _assert_lookup_is_searchsorted(protocol._pretest_lookup(d, False),
-                                       ideal_pretest_distribution(d)[1])
+                                       ideal_pretest_distribution(d).ravel())
         _assert_lookup_is_searchsorted(protocol._pretest_lookup(d, True),
-                                       protocol._eve_pretest_probs(d))
+                                       protocol._eve_pretest_probs(d).ravel())
 
 
 def test_worker_threads_are_capped(monkeypatch):

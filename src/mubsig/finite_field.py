@@ -15,8 +15,9 @@ from dataclasses import dataclass
 # The largest dimension accepted.  The dual-family outcome table has 4d + 6
 # rows, and ``protocol._InverseCdf`` keys row r and draw k / 2^53 as the
 # int64 r * 2^53 + k, which stays below 2^63 only for 4d + 6 <= 1024.  Its
-# guide table is capped at 2^20 entries, so near this limit more draws fall
-# back to a binary search, with the same result.
+# guide table is capped at 2^20 buckets, so near this limit more buckets
+# hold two or more cell edges, and more draws fall back to a binary search,
+# with the same result.
 MAX_DIM = 251
 
 

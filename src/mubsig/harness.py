@@ -188,7 +188,9 @@ def calibrate_tv_threshold(d: int, sample_size: int, seed: int) -> float:
     distances from the exact joint, and inflates it by a margin.  The
     margin keeps the false-alarm rate negligible across many repetitions
     while staying far below the order-one divergence an interception
-    produces at small d.
+    produces at small d.  Raises ``ValueError`` when the threshold is 1
+    or more: no session's TV can exceed it, so the pre-test could never
+    raise an alarm with that few rounds.
     """
     if sample_size < 1:
         raise ValueError("sample_size must be >= 1")
@@ -199,7 +201,13 @@ def calibrate_tv_threshold(d: int, sample_size: int, seed: int) -> float:
         size = min(_CALIBRATION_CHUNK, _CALIBRATION_RUNS - start)
         draws = rng.multinomial(sample_size, ideal, size=size)
         tvs.append(_total_variation(draws, sample_size, ideal))
-    return float(_CALIBRATION_MARGIN * np.quantile(np.concatenate(tvs), _CALIBRATION_QUANTILE))
+    threshold = float(_CALIBRATION_MARGIN * np.quantile(np.concatenate(tvs),
+                                                        _CALIBRATION_QUANTILE))
+    if threshold >= 1.0:
+        raise ValueError(f"the calibrated TV threshold at d={d}, sample_size={sample_size} "
+                         f"is {threshold:.3f}, but a TV never exceeds 1, so the pre-test "
+                         "could never raise an alarm; use more pre-test rounds")
+    return threshold
 
 
 def dual_family_detection_probability(d: int, eve_family: Family = Family.PLAIN,

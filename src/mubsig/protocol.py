@@ -33,10 +33,12 @@ family, or plain and hat together) and in their checks (a tomography
 pre-test, post-test checking with sifting).  Sessions sample rounds
 from one exact array of outcome distributions, compiled once per
 dimension and family count from the pure pair states.  Every draw (Bob's
-message, each pair outcome, each pre-test cell) is one exact integer
-inverse-CDF lookup, :class:`_InverseCdf`, through a guide table that
-answers most draws without a search, so a million rounds cost about as
-much as a few million array gathers.  The per-round statistics remain
+message, each pair outcome, each pre-test cell) is the top 53 bits k of
+one raw 64-bit word of the block's stream, the integer behind the
+uniform u = k/2^53, and one exact inverse-CDF lookup, :class:`_InverseCdf`.
+Its guide table answers almost every draw with two gathers and one
+comparison, so a million rounds cost about as much as a few million
+array gathers.  The per-round statistics remain
 exactly those of the state-by-state simulation in :mod:`mubsig.oracle`,
 which runs one round at a time on pure states and samples with
 :func:`mubsig.quantum.sample_outcome`.
@@ -45,6 +47,7 @@ which runs one round at a time on pure states and samples with
 from __future__ import annotations
 
 import functools
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -201,52 +204,80 @@ def _bucket_bits(rows: int, cells: int) -> int:
     return min(wanted, ((_GUIDE_ENTRIES - 1) // rows).bit_length() - 1)
 
 
+def _draws(stream: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` uniform draws as the int64 k of u = k/2^53: for PCG64 streams,
+    ``stream.random(n)`` is exactly these k over 2^53, in the same order."""
+    raw = stream.bit_generator.random_raw(n)
+    raw >>= 64 - _UNIT_BITS
+    return raw.view(np.int64)
+
+
 @dataclass(frozen=True)
 class _InverseCdf:
     """Exact inverse CDF of a stack of rows, by an indexed search.
 
-    Row r's CDF ``cum[r]`` becomes the int64 thresholds
-    r*2^53 + ceil(cum*2^53) - 1, flattened in row order.  A draw
-    u = k/2^53 on row r is the key r*2^53 + k; the thresholds below it
-    are those of every earlier row plus the cells of row r with
-    cum <= u, so their count minus r*cells is exactly
-    ``np.searchsorted(cum[r], u, side="right")``.  The keys fit in int64
-    for up to 1024 rows, which ``finite_field.MAX_DIM`` ensures.
+    A draw is the integer k of u = k/2^53 (see :func:`_draws`).  Row r's
+    CDF ``cum[r]`` becomes the in-row keys ceil(cum*2^53) - 1, and
+    ``thresholds`` holds r*2^53 plus them, flattened in row order.  The
+    in-row keys below k belong exactly to the cells with cum <= u, so
+    their count is ``np.searchsorted(cum[r], u, side="right")``, and the
+    thresholds below r*2^53 + k number that plus r*cells.  These keys fit
+    in int64 for up to 1024 rows, which ``finite_field.MAX_DIM`` ensures.
 
-    ``guide[g]`` counts the thresholds below ``g << shift``, which splits
-    each row into 2^(53 - shift) buckets (a guide table; Chen & Asau
-    1974, Devroye 1986 sec. III.2.4).  When no threshold lies in a
-    key's bucket, ``guide[g] == guide[g + 1]`` is already its count; only
-    keys in the other buckets are searched.  The guide decides how fast
+    A guide table (Chen & Asau 1974, Devroye 1986 sec. III.2.4) splits
+    each row into 2^bits buckets; draw k on row r falls in bucket
+    ``g = (k >> (53 - bits)) + (r << bits)``.  ``start[g]`` counts the
+    in-row keys below the bucket, and ``edge[g]`` is the one in-row key
+    inside it: 2^53 when it holds none, -1 when it holds two or more.
+    The cell is ``start[g] + (k > edge[g])``, and only draws in buckets
+    with ``edge < 0`` search the thresholds.  The guide decides how fast
     a draw is found, never which cell it finds.
     """
 
     cells: int
-    shift: int
+    bits: int
     thresholds: np.ndarray
-    guide: np.ndarray
+    start: np.ndarray
+    edge: np.ndarray
 
-    def __call__(self, rows: np.ndarray | int, u: np.ndarray) -> np.ndarray:
-        """Cell index (int64) per draw ``u`` on row ``rows`` (array or scalar)."""
-        keys = rows * _UNIT + (u * _UNIT).astype(np.int64)
-        bucket = keys >> self.shift
-        count = self.guide[bucket]
-        search = np.flatnonzero(count != self.guide[bucket + 1])
-        count[search] = np.searchsorted(self.thresholds, keys[search])
-        return np.subtract(count, rows * self.cells, dtype=np.int64)
+    def __call__(self, rows: np.ndarray | int, k: np.ndarray) -> np.ndarray:
+        """Cell index (int64) per draw ``k`` on row ``rows`` (array or scalar)."""
+        bucket = k >> (_UNIT_BITS - self.bits)
+        bucket += rows << self.bits
+        edge = self.edge[bucket]
+        cell = np.add(self.start[bucket], k > edge, dtype=np.int64)
+        search = np.flatnonzero(edge < 0)
+        if search.size:
+            row = np.broadcast_to(rows, k.shape)[search]
+            cell[search] = (np.searchsorted(self.thresholds, row * _UNIT + k[search])
+                            - row * self.cells)
+        return cell
 
 
 def _inverse_cdf(cum: np.ndarray) -> _InverseCdf:
-    """The exact lookup for the CDF rows ``cum`` (last axis: cells)."""
+    """The exact lookup for the CDF rows ``cum`` (last axis: cells).
+
+    Every temporary has one entry per threshold; only ``start`` (int32)
+    and ``edge`` have one per bucket."""
     cum = cum.reshape(-1, cum.shape[-1])
     rows, cells = cum.shape
     bits = _bucket_bits(rows, cells)
-    thresholds = (np.arange(rows, dtype=np.int64)[:, None] * _UNIT
-                  + np.ceil(cum * _UNIT).astype(np.int64) - 1).ravel()
-    # guide[g] = i for every g in (bucket of threshold i-1, bucket of threshold i]
-    steps = np.diff(thresholds >> (_UNIT_BITS - bits), prepend=-1, append=rows << bits)
-    guide = np.repeat(np.arange(thresholds.size + 1, dtype=np.int32), steps)
-    return _InverseCdf(cells, _UNIT_BITS - bits, _frozen(thresholds), _frozen(guide))
+    keys = (np.ceil(cum * _UNIT).astype(np.int64) - 1).ravel()
+    thresholds = np.repeat(np.arange(rows, dtype=np.int64) * _UNIT, cells) + keys
+    bucket = thresholds >> (_UNIT_BITS - bits)   # a key of -1 falls below its row
+    # threshold i is the first at or above every bucket in (bucket[i-1], bucket[i]]
+    start = np.repeat(np.arange(thresholds.size + 1, dtype=np.int32),
+                      np.diff(bucket, prepend=-1, append=rows << bits))[:-1]
+    by_row = start.reshape(rows, -1)
+    by_row -= np.arange(0, rows * cells, cells, dtype=np.int32)[:, None]
+    inside = keys >= 0
+    bucket, keys = bucket[inside], keys[inside]
+    first = np.diff(bucket, prepend=-1) != 0   # keys are sorted, so a bucket's are a run
+    only = first & np.append(first[1:], True)   # first and last of its run
+    edge = np.full(rows << bits, _UNIT, dtype=np.int64)
+    edge[bucket] = -1
+    edge[bucket[only]] = keys[only]
+    return _InverseCdf(cells, bits, _frozen(thresholds), _frozen(start), _frozen(edge))
 
 
 @dataclass(frozen=True)
@@ -258,14 +289,12 @@ class _Tables:
     was measured in ``alphabet[j]``; ``probs[f, 0]`` is the untouched
     pair, all mass on (0,0).  The plain bases come first, so the row of a
     plain basis is ``1 + code`` for its decode code, and the inconclusive
-    code lands on the untouched row.  ``lookup`` is the exact inverse CDF
-    of all rows, numbered ``f * probs.shape[1] + row``.
+    code lands on the untouched row.
     """
 
     alphabet: tuple[BasisId, ...]
     probs: np.ndarray
     decode_code: np.ndarray
-    lookup: _InverseCdf
 
 
 @functools.lru_cache(maxsize=None)
@@ -275,7 +304,15 @@ def _tables(d: int, n_families: int) -> _Tables:
     untouched = np.eye(1, d * d)[0]
     probs = np.array([[untouched] + [pair_outcome_probs(d, f, b) for b in alphabet]
                       for f in families])
-    return _Tables(alphabet, _frozen(probs), _decode_codes(d), _inverse_cdf(_cdf(probs)))
+    return _Tables(alphabet, _frozen(probs), _decode_codes(d))
+
+
+@functools.lru_cache(maxsize=None)
+def _table_lookup(d: int, n_families: int) -> _InverseCdf:
+    """The exact inverse CDF of every row of ``_tables(d, n_families)``,
+    numbered ``f * probs.shape[1] + row``.  Only sessions draw from it, so
+    the exact probabilities of :mod:`mubsig.harness` never build it."""
+    return _inverse_cdf(_cdf(_tables(d, n_families).probs))
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +397,8 @@ class _SignalTally:
             setattr(self, f, getattr(self, f) + getattr(other, f))
 
 
-def _signal_block(tables: _Tables, d: int, eve: bool, message: _InverseCdf,
-                  posttest_fraction: float | None, collect: bool,
+def _signal_block(tables: _Tables, lookup: _InverseCdf, d: int, eve: bool,
+                  message: _InverseCdf, posttest_fraction: float | None, collect: bool,
                   stream: np.random.Generator, n: int) -> tuple[_SignalTally, tuple | None]:
     """Sample ``n`` signal rounds from one block stream.
 
@@ -372,41 +409,45 @@ def _signal_block(tables: _Tables, d: int, eve: bool, message: _InverseCdf,
     ``collect`` the block's :class:`RoundLog` columns come back as well.
     """
     n_families, rows_per_family = tables.probs.shape[:2]
-    if n_families == 2:
-        fam_idx = (stream.random(n) >= 0.5).astype(np.int64)   # 0 plain, 1 hat
-    else:
-        fam_idx = np.zeros(n, dtype=np.int64)
-    b_idx = message(0, stream.random(n))
-    alice_row = fam_idx * rows_per_family + 1
+    # integer coins: k >= 2^52 is u >= 1/2 (hat), and k < ceil(f*2^53) is u < f
+    hat = (_draws(stream, n) >= _UNIT >> 1) if n_families == 2 else None
+    b_idx = message(0, _draws(stream, n))
     eve_idx = None
     if eve:   # Eve's decoy is a plain pair, and she resends in the plain basis she decoded
-        eve_idx = tables.lookup(1 + b_idx, stream.random(n))
+        eve_idx = lookup(1 + b_idx, _draws(stream, n))
         eve_code = tables.decode_code[eve_idx]
-        alice_row += eve_code
-    else:
-        alice_row += b_idx
-    out_idx = tables.lookup(alice_row, stream.random(n))
+    alice_row = 1 + (eve_code if eve else b_idx)
+    if hat is not None:
+        alice_row += hat * rows_per_family
+    out_idx = lookup(alice_row, _draws(stream, n))
     dcode = tables.decode_code[out_idx]
-    bob_code = b_idx % (d + 1)
-    bob_fam = b_idx // (d + 1)
-    matched = bob_fam == fam_idx
-    kept = matched & (dcode != _INCONCLUSIVE_CODE)
+    kept = dcode != _INCONCLUSIVE_CODE
+    bob_code = b_idx
+    if hat is not None:
+        bob_hat = b_idx > d
+        bob_code = b_idx - (d + 1) * bob_hat
+        matched = bob_hat == hat
+        kept &= matched
     correct = kept & (dcode == bob_code)
     if posttest_fraction is None:
         checked = kept
     else:
-        checked = kept & (stream.random(n) < posttest_fraction)
-    mismatches = checked & ~correct
+        checked = kept & (_draws(stream, n) < math.ceil(posttest_fraction * _UNIT))
     tally = _SignalTally(
-        rounds=n, matched=int(matched.sum()), kept=int(kept.sum()),
-        correct=int(correct.sum()), checked=int(checked.sum()),
-        mismatches=int(mismatches.sum()))
-    if eve:
-        conclusive_e = eve_code != _INCONCLUSIVE_CODE
-        tally.eve_conclusive = int(conclusive_e.sum())
-        tally.eve_correct = int((conclusive_e & (eve_code == bob_code)
-                                 & (bob_fam == 0)).sum())
-    return tally, ((fam_idx, b_idx, out_idx, eve_idx) if collect else None)
+        rounds=n, matched=n if hat is None else int(np.count_nonzero(matched)),
+        kept=int(np.count_nonzero(kept)), correct=int(np.count_nonzero(correct)),
+        checked=int(np.count_nonzero(checked)),
+        mismatches=int(np.count_nonzero(checked & ~correct)))
+    if eve:   # Eve's codes name plain bases, so only plain messages can match
+        eve_right = eve_code == bob_code
+        if hat is not None:
+            eve_right &= ~bob_hat
+        tally.eve_conclusive = int(np.count_nonzero(eve_code != _INCONCLUSIVE_CODE))
+        tally.eve_correct = int(np.count_nonzero(eve_right))
+    if not collect:
+        return tally, None
+    family = np.zeros(n, dtype=np.int64) if hat is None else hat.astype(np.int64)
+    return tally, (family, b_idx, out_idx, eve_idx)
 
 
 @functools.lru_cache(maxsize=None)
@@ -421,7 +462,7 @@ def _pretest_phase(d: int, n_pre: int, seed: int, eve: bool, workers: int,
     lookup = _pretest_lookup(d, eve)
 
     def worker(stream: np.random.Generator, n: int) -> tuple:
-        idx = lookup(0, stream.random(n))
+        idx = lookup(0, _draws(stream, n))
         counts = np.bincount(idx, minlength=ideal.size)
         return counts, (idx if collect else None)
 
@@ -464,8 +505,8 @@ def _run_session(d: int, rounds: int, seed: int, *, n_families: int, eve: bool,
     n_bases = len(tables.alphabet)
     message = _inverse_cdf(_cdf(np.full(n_bases, 1.0 / n_bases) if message_weights is None
                                 else message_weights / message_weights.sum()))
-    worker = functools.partial(_signal_block, tables, d, eve, message,
-                               posttest_fraction, collect)
+    worker = functools.partial(_signal_block, tables, _table_lookup(d, n_families), d, eve,
+                               message, posttest_fraction, collect)
     results = _run_blocks(worker, n_signal, seed, 0, workers)
     tally = _SignalTally()
     for t, _ in results:

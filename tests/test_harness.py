@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from mubsig.bases import BasisId, Family, basis_alphabet, pair_outcome_labels
 from mubsig.harness import (
@@ -158,6 +158,13 @@ def test_calibrate_tv_threshold_behavior():
         calibrate_tv_threshold(2, 0, seed=5)
 
 
+def test_calibrate_tv_threshold_refuses_a_threshold_no_tv_reaches():
+    """TV never exceeds 1: at d=7 with 500 rounds the calibrated 1.216 could
+    never raise an alarm, so the calibration refuses it."""
+    with pytest.raises(ValueError, match=r"d=7.*sample_size=500"):
+        calibrate_tv_threshold(7, 500, seed=2)
+
+
 @pytest.mark.parametrize("d", (2, 3))
 def test_calibration_chunks_draw_the_one_shot_sample(d, monkeypatch):
     """Drawing the runs in chunks of 7 gives the threshold of one draw of all runs."""
@@ -179,6 +186,18 @@ def test_stream_derivation_pure_and_decoupled():
     assert not np.allclose(a, d)
     with pytest.raises(ValueError):
         derive_round_stream(42, -1)
+
+
+@pytest.mark.parametrize("seed,index,n", [(0, 0, 1), (1, 3, 7), (42, 7, 1000),
+                                          (2 ** 40, 2 ** 40 + 5, 32768), (9, 123, 32768)])
+def test_stream_raw_draws_are_the_uniform_draws(seed, index, n):
+    """The session engine draws the top 53 bits of raw 64-bit words as
+    k; the uniform draws of the same stream must be exactly k / 2^53."""
+    k = derive_round_stream(seed, index).bit_generator.random_raw(n) >> 11
+    u = derive_round_stream(seed, index).random(n)
+    assert_array_equal(k.astype(np.float64), u * 2.0 ** 53,
+                       err_msg="Generator.random() is no longer (random_raw() >> 11) / 2^53; "
+                               "the session engine's integer draws need revisiting")
 
 
 # ---------------------------------------------------------------------------

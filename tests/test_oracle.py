@@ -25,7 +25,7 @@ def test_oracle_never_reads_the_compiled_tables():
         elif isinstance(node, ast.alias):
             used.update({node.name, node.asname})
     assert not used & {"_tables", "pair_outcome_probs", "analytic_outcome_distribution",
-                        "_inverse_cdf", "_InverseCdf"}
+                        "_inverse_cdf", "_InverseCdf", "_table_lookup", "_draws"}
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])

@@ -174,17 +174,18 @@ def test_guide_lookup_is_the_float_searchsorted(probs, data):
     cum = _cdf(probs)
     with mock.patch.object(protocol, "_GUIDE_ENTRIES", cap):
         lookup = protocol._inverse_cdf(cum)
-    assert lookup.guide.size <= cap
+    assert lookup.start.size == lookup.edge.size < cap
     unit = 2 ** 53
     k = (cum * unit).ravel()
     k = np.concatenate([np.floor(k) - 1, np.floor(k), np.ceil(k), np.ceil(k) + 1])
     edges = np.clip(k, 0, unit - 1).reshape(4, n_rows, n_cells).transpose(1, 0, 2)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32), label="seed"))
-    u = np.concatenate([edges.reshape(n_rows, -1), rng.integers(0, unit, (n_rows, 200)),
-                        np.tile([0.0, unit - 1], (n_rows, 1))], axis=1) / unit
-    rows = np.repeat(np.arange(n_rows), u.shape[1])
-    got = lookup(rows, u.ravel())
-    expected = np.concatenate([np.searchsorted(c, x, side="right") for c, x in zip(cum, u)])
+    k = np.concatenate([edges.reshape(n_rows, -1), rng.integers(0, unit, (n_rows, 200)),
+                        np.tile([0.0, unit - 1], (n_rows, 1))], axis=1).astype(np.int64)
+    rows = np.repeat(np.arange(n_rows), k.shape[1])
+    got = lookup(rows, k.ravel())
+    expected = np.concatenate([np.searchsorted(c, x / unit, side="right")
+                               for c, x in zip(cum, k)])
     assert_array_equal(got, expected)
     assert (probs[rows, got] >= TOLERANCE).all()
 
@@ -194,10 +195,13 @@ def test_guide_stays_within_its_entry_limit_at_max_dim():
     largest pre-test row, without building either."""
     table_rows = 2 * (1 + 2 * (MAX_DIM + 1))
     pretest_cells = ((MAX_DIM + 1) * MAX_DIM) ** 2
+    small = protocol._inverse_cdf(np.array([0.5, 1.0]))
+    bucket_bytes = small.start.itemsize + small.edge.itemsize
     for rows, cells in ((table_rows, MAX_DIM ** 2), (1, pretest_cells), (1, 2), (58, 169)):
         bits = protocol._bucket_bits(rows, cells)
         assert 0 <= bits <= 53
         assert (rows << bits) + 1 <= protocol._GUIDE_ENTRIES == 1 << 20
+        assert (rows << bits) * bucket_bytes <= 12 << 20   # start int32, edge int64
         # the smallest power of two >= 8 * cells, unless that overflows the limit
         assert 1 << bits >= 8 * cells or (rows << (bits + 1)) + 1 > 1 << 20
         assert bits == 0 or 1 << (bits - 1) < 8 * cells

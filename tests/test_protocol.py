@@ -437,8 +437,25 @@ def test_sessions_deterministic_in_seed():
 # Engine internals: CDF tails and worker threads.
 # ---------------------------------------------------------------------------
 
-class _TopOfUnitInterval:
-    """A stand-in stream or generator: every uniform draw is the largest float below 1."""
+class _ConstantRawStream:
+    """A stand-in block stream whose every raw 64-bit draw has top 53 bits k
+    and low 11 bits set, bits the session engine must drop."""
+
+    def __init__(self, k):
+        self.bit_generator = self
+        self.word = k << 11 | 0x7FF
+
+    def random_raw(self, n):
+        return np.full(n, self.word, dtype=np.uint64)
+
+
+class _TopOfUnitInterval(_ConstantRawStream):
+    """A stand-in stream or generator: every uniform draw is the largest float
+    below 1, u = 1 - 2^-53, and every raw draw is 2^64 - 1, whose top 53 bits
+    are the same draw k = 2^53 - 1."""
+
+    def __init__(self):
+        super().__init__((1 << 53) - 1)
 
     def random(self, n=None):
         top = np.nextafter(1.0, 0.0)
@@ -502,13 +519,14 @@ def test_cdf_tail_never_samples_impossible_outcomes(d, monkeypatch, signal_round
 
 
 def _edge_draws(row: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draws k / 2^53 on every cell edge of a CDF row and one step either
-    side, 0 and 1 - 2^-53, and some uniform draws."""
+    """Draws k of u = k / 2^53 on every cell edge of a CDF row and one step
+    either side, k = 0 and k = 2^53 - 1, and some uniform draws."""
     unit = 2.0 ** 53
     k = row * unit
     k = np.concatenate([np.floor(k) - 1, np.floor(k), np.ceil(k), np.ceil(k) + 1,
                         [0.0, unit - 1]])
-    return np.concatenate([np.unique(np.clip(k, 0, unit - 1)) / unit, rng.random(300)])
+    return np.concatenate([np.unique(np.clip(k, 0, unit - 1)),
+                           np.floor(rng.random(300) * unit)]).astype(np.int64)
 
 
 def _assert_lookup_is_searchsorted(lookup, probs: np.ndarray) -> None:
@@ -521,14 +539,31 @@ def _assert_lookup_is_searchsorted(lookup, probs: np.ndarray) -> None:
     if len(cum) == 1:   # one-row lookups take the row as a scalar, as the engine passes it
         got = lookup(0, draws[0])
     else:
-        got = lookup(np.repeat(np.arange(len(cum)), [u.size for u in draws]),
+        got = lookup(np.repeat(np.arange(len(cum)), [k.size for k in draws]),
                      np.concatenate(draws))
     assert got.dtype == np.int64
-    expected = np.concatenate([np.searchsorted(row, u, side="right")
-                               for row, u in zip(cum, draws)])
+    expected = np.concatenate([np.searchsorted(row, k / 2.0 ** 53, side="right")
+                               for row, k in zip(cum, draws)])
     assert_array_equal(got, expected)
-    rows = np.repeat(np.arange(len(cum)), [u.size for u in draws])
+    rows = np.repeat(np.arange(len(cum)), [k.size for k in draws])
     assert (probs[rows, got] >= TOLERANCE).all()
+
+
+@pytest.mark.parametrize("k", [(1 << 52) - 1, 1 << 52, (1 << 52) + 1])
+def test_integer_coins_are_the_float_predicates(k):
+    """Around u = k / 2^53 = 1/2 the family coin is u >= 1/2 and the
+    post-test coin is u < f, for f at 1/2 and one ulp either side."""
+    d, u = 3, k / 2.0 ** 53
+    tables = protocol._tables(d, 2)
+    n_bases = len(tables.alphabet)
+    message = protocol._inverse_cdf(_cdf(np.full(n_bases, 1.0 / n_bases)))
+    for f in (np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0)):
+        tally, (family, *_) = protocol._signal_block(
+            tables, protocol._table_lookup(d, 2), d, False, message, float(f), True,
+            _ConstantRawStream(k), 4)
+        assert_array_equal(family, np.full(4, int(u >= 0.5)))
+        assert tally.kept == 4
+        assert tally.checked == (4 if u < f else 0), (k, f)
 
 
 @pytest.mark.parametrize("d,n_families", [(d, f) for d in (2, 5, 13, 31) for f in (1, 2)])
@@ -536,7 +571,7 @@ def test_grouped_lookup_equals_per_row_searchsorted(d, n_families):
     """The guide-table lookups of the outcome tables, of Bob's message and of
     the pre-test cells are the per-row float inverse CDF, also on cell edges."""
     tables = protocol._tables(d, n_families)
-    _assert_lookup_is_searchsorted(tables.lookup, tables.probs)
+    _assert_lookup_is_searchsorted(protocol._table_lookup(d, n_families), tables.probs)
     n_bases = len(tables.alphabet)
     weights = np.random.default_rng(d).random(n_bases)
     weights[::3] = 0.0

@@ -1,4 +1,6 @@
 import ast
+import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -56,3 +58,44 @@ def test_collapsed_branches_are_product_states():
         b_m = basis[:, m]
         assert_allclose(np.outer(b_m, b_m.conj() @ v), v, rtol=0, atol=1e-12)
         assert_allclose(np.linalg.norm(v), 1.0, rtol=0, atol=1e-12)
+
+
+def _record_fields(record):
+    def text(basis):
+        return None if basis is None else basis.text()
+
+    def pair(outcome):
+        return None if outcome is None else [int(x) for x in outcome]
+
+    return {"bob": record.bob_basis.text(), "alice_family": record.alice_prep_family.value,
+            "alice_outcome": pair(record.alice_outcome), "alice_decode": int(record.alice_decode),
+            "eve_outcome": pair(record.eve_outcome),
+            "eve_decode": None if record.eve_decode is None else int(record.eve_decode),
+            "eve_forward": text(record.eve_forward_basis), "sifted": record.sifted}
+
+
+def _pinned_records():
+    records = []
+    for d in (2, 3, 5):
+        rng = np.random.default_rng(1000 + d)
+        for alice in FAMILIES:
+            for bob in basis_alphabet(d, FAMILIES):
+                for eve in (None, *FAMILIES):
+                    for _ in range(3):
+                        records.append(oracle.run_protocol2_round(d, alice, bob, rng,
+                                                                  eve_family=eve))
+        for bob in basis_alphabet(d, (Family.PLAIN,)):
+            for eve in (False, True):
+                records.append(oracle.run_round_original(d, bob, rng, eve=eve))
+    return [_record_fields(r) for r in records]
+
+
+# sha256 of the canonical JSON of _pinned_records(), taken before the
+# round path was folded into one measurement helper.
+ROUND_RECORDS_SHA256 = "cd8282490e6c277bb3a42d30debbb4dc47bac9a3dca2467b2635b2a66df1e668"
+
+
+def test_round_records_are_pinned():
+    """Fixed-seed rounds keep every outcome, decode and draw in place."""
+    text = json.dumps(_pinned_records(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == ROUND_RECORDS_SHA256

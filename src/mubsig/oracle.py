@@ -1,15 +1,18 @@
 """Single signalling rounds, one pure state at a time.
 
 This is the state-by-state path the invariant suite checks the protocols
-against.  It never reads the compiled outcome tables: each measurement
-of a travelling half samples its outcome m with weight ||phi_m||^2 and
-collapses the pair to b_m (x) phi_m / ||phi_m||, where
-phi_m = (<b_m| (x) 1) Psi is what the kept half holds, and each pair
-measurement samples from |E^H v|^2 for the pair state v.  Summed over the
-unrecorded outcomes m this is the nonselective measurement, so the
-recorded statistics are those of the density-operator description
-(Nielsen & Chuang, section 2.4); the tables reach the same numbers by a
-summed formula instead.
+against.  It never reads the compiled outcome tables.  Each party does
+the same thing, :func:`_measure`: take the family's (0,0) pair, measure
+its travelling half in a basis (sample m with weight ||phi_m||^2 and
+collapse the pair to b_m (x) phi_m / ||phi_m||, where
+phi_m = (<b_m| (x) 1) Psi is what the kept half holds), then measure the
+pair in the family's entangled basis (sample from |E^H v|^2).  A clean
+round is one such call, Alice's in Bob's basis; an attacked round is
+two, Eve's on her decoy in Bob's basis, then Alice's in the basis Eve
+resends in.  Summed over the unrecorded outcomes m this is the
+nonselective measurement, so the recorded statistics are those of the
+density-operator description (Nielsen & Chuang, section 2.4); the tables
+reach the same numbers by a summed formula instead.
 
 Convention as in :mod:`mubsig.protocol`: a pair is a d x d amplitude
 matrix whose first index is the half that travels.
@@ -21,25 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import (
-    BasisId,
-    Family,
-    entangled_basis,
-    measurement_basis,
-    pair_outcome_labels,
-)
+from .bases import BasisId, Family, entangled_basis, measurement_basis, pair_outcome_labels
 from .protocol import _INCONCLUSIVE_CODE, _prep_pair, decode
 from .quantum import sample_outcome
-
-
-@dataclass(frozen=True)
-class EveRecord:
-    """What the eavesdropper saw and did in one intercepted round; ``decode``
-    is her reading of ``outcome``, as a :func:`mubsig.protocol.decode` code."""
-
-    outcome: tuple[int, int]
-    decode: int
-    forward_basis: BasisId | None  # None: the stolen qudit went back unmeasured
 
 
 @dataclass(frozen=True)
@@ -47,51 +34,47 @@ class RoundRecord:
     """One signalling round, as visible to an all-seeing supervisor.
 
     The decodes are :func:`mubsig.protocol.decode` codes: -1 inconclusive,
-    0 computational, 1 + b for q_b.
+    0 computational, 1 + b for q_b.  Eve's fields are None in a round she
+    left alone; her forward basis is also None when her decode was
+    inconclusive and the stolen qudit went back unmeasured.
     """
 
     bob_basis: BasisId
     alice_prep_family: Family
     alice_outcome: tuple[int, int]
     alice_decode: int
-    eve_active: bool
     eve_outcome: tuple[int, int] | None = None
     eve_decode: int | None = None
     eve_forward_basis: BasisId | None = None
 
     def __post_init__(self) -> None:
-        if not self.eve_active and (self.eve_outcome is not None
-                                    or self.eve_decode is not None
-                                    or self.eve_forward_basis is not None):
-            raise ValueError("eve fields must be empty when eve is inactive")
-        if self.eve_active and (self.eve_outcome is None or self.eve_decode is None):
-            raise ValueError("active eve must record an outcome and a decode")
+        if ((self.eve_outcome is None) != (self.eve_decode is None)
+                or (self.eve_outcome is None and self.eve_forward_basis is not None)):
+            raise ValueError("eve's outcome and decode are set together, "
+                             "and a forward basis needs both")
+
+    @property
+    def eve_active(self) -> bool:
+        return self.eve_outcome is not None
 
     @property
     def sifted(self) -> bool:
         return self.alice_prep_family is self.bob_basis.family
 
 
-def _travelling_branches(pair: np.ndarray, basis: np.ndarray
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Measure the travelling half of ``pair`` in ``basis``, whose column m is b_m.
+def _branches(d: int, family: Family, basis: BasisId) -> tuple[np.ndarray, np.ndarray]:
+    """Measure the travelling half of the family's (0,0) pair in ``basis``,
+    whose column m is b_m.
 
     Returns the outcome weights ||phi_m||^2 and, per outcome m, the
-    collapsed pair b_m (x) phi_m / ||phi_m||.  The pairs measured here are
-    maximally entangled, so every weight is 1/d.
+    collapsed pair b_m (x) phi_m / ||phi_m|| (d x d, travelling index
+    first).  The pair is maximally entangled, so every weight is 1/d.
     """
-    phi = basis.conj().T @ pair   # row m: phi_m = (<b_m| (x) 1) pair
+    b = measurement_basis(d, basis)
+    phi = b.conj().T @ _prep_pair(d, family)   # row m: phi_m = (<b_m| (x) 1) pair
     weights = (np.abs(phi) ** 2).sum(axis=1)
     kept = phi / np.sqrt(weights)[:, None]
-    return weights, basis.T[:, :, None] * kept[:, None, :]
-
-
-def _collapse(pair: np.ndarray, basis: np.ndarray,
-              rng: np.random.Generator) -> np.ndarray:
-    """The pair after its travelling half is measured in ``basis`` and the
-    outcome is drawn (one draw) and forgotten."""
-    weights, collapsed = _travelling_branches(pair, basis)
-    return collapsed[sample_outcome(weights, rng)]
+    return weights, b.T[:, :, None] * kept[:, None, :]
 
 
 def _pair_probs(d: int, family: Family, pair: np.ndarray) -> np.ndarray:
@@ -99,8 +82,18 @@ def _pair_probs(d: int, family: Family, pair: np.ndarray) -> np.ndarray:
     return np.abs(pair.ravel().conj() @ entangled_basis(d, 0, family)) ** 2
 
 
-def _measure_pair(d: int, family: Family, pair: np.ndarray,
-                  rng: np.random.Generator) -> tuple[tuple[int, int], int]:
+def _measure(d: int, family: Family, basis: BasisId | None,
+             rng: np.random.Generator) -> tuple[tuple[int, int], int]:
+    """The family's (0,0) pair, its travelling half measured in ``basis``
+    (one draw, outcome forgotten; None leaves the pair untouched), then
+    measured in the family's entangled basis (one draw).
+
+    Returns the pair outcome (c, r) and its decode.
+    """
+    pair = _prep_pair(d, family)
+    if basis is not None:
+        weights, collapsed = _branches(d, family, basis)
+        pair = collapsed[sample_outcome(weights, rng)]
     c, r = pair_outcome_labels(d)[sample_outcome(_pair_probs(d, family, pair), rng)]
     return (c, r), int(decode(d, (0, 0, 0), (c, r)))
 
@@ -110,32 +103,6 @@ def _forward_basis(family: Family, code: int) -> BasisId | None:
     if code == _INCONCLUSIVE_CODE:
         return None
     return BasisId(family, None if code == 0 else code - 1)
-
-
-def eve_dual_family_attack(d: int, bob_basis: BasisId, eve_family: Family,
-                           rng: np.random.Generator) -> EveRecord:
-    """The substitution (intercept-resend) attack, with Eve's pair and
-    decoding basis in ``eve_family``.
-
-    Eve keeps the travelling qudit, feeds Bob half of her own (0,0;0)
-    pair, measures her pair in the entangled basis once it returns, and
-    — when conclusive — decodes b and measures the stolen qudit in that
-    basis before forwarding it.  Against the original protocol her
-    family is plain.  Against the dual-family protocol she must commit to
-    one family; when Bob signals in the other, her held pair is no longer
-    diagonal in her basis and her resend disturbs the sifted statistics.
-    """
-    after_bob = _collapse(_prep_pair(d, eve_family), measurement_basis(d, bob_basis), rng)
-    outcome, code = _measure_pair(d, eve_family, after_bob, rng)
-    return EveRecord(outcome, code, _forward_basis(eve_family, code))
-
-
-def _alice_round(d: int, family: Family, forward_basis: BasisId | None,
-                 rng: np.random.Generator) -> tuple[tuple[int, int], int]:
-    pair = _prep_pair(d, family)
-    if forward_basis is not None:
-        pair = _collapse(pair, measurement_basis(d, forward_basis), rng)
-    return _measure_pair(d, family, pair, rng)
 
 
 def run_round_original(d: int, bob_basis: BasisId, rng: np.random.Generator,
@@ -150,12 +117,20 @@ def run_round_original(d: int, bob_basis: BasisId, rng: np.random.Generator,
 def run_protocol2_round(d: int, alice_family: Family, bob_basis: BasisId,
                         rng: np.random.Generator, *,
                         eve_family: Family | None = None) -> RoundRecord:
-    """One round of the dual-family protocol (sifting left to the caller)."""
-    if eve_family is None:
-        outcome, code = _alice_round(d, alice_family, bob_basis, rng)
-        return RoundRecord(bob_basis, alice_family, outcome, code, eve_active=False)
-    erec = eve_dual_family_attack(d, bob_basis, eve_family, rng)
-    outcome, code = _alice_round(d, alice_family, erec.forward_basis, rng)
-    return RoundRecord(bob_basis, alice_family, outcome, code, eve_active=True,
-                       eve_outcome=erec.outcome, eve_decode=erec.decode,
-                       eve_forward_basis=erec.forward_basis)
+    """One round of the dual-family protocol (sifting left to the caller).
+
+    ``eve_family`` runs the substitution (intercept-resend) attack: Eve
+    keeps the travelling qudit, feeds Bob half of her own (0,0) pair in
+    that family, and resends the stolen qudit measured in the basis she
+    decodes (unmeasured when inconclusive).  She must commit to one
+    family; when Bob signals in the other, her held pair is no longer
+    diagonal in her basis and her resend disturbs the sifted statistics.
+    """
+    eve_outcome = eve_code = forward = None
+    alice_basis: BasisId | None = bob_basis
+    if eve_family is not None:
+        eve_outcome, eve_code = _measure(d, eve_family, bob_basis, rng)
+        alice_basis = forward = _forward_basis(eve_family, eve_code)
+    outcome, code = _measure(d, alice_family, alice_basis, rng)
+    return RoundRecord(bob_basis, alice_family, outcome, code,
+                       eve_outcome, eve_code, forward)

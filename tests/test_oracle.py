@@ -35,10 +35,9 @@ def test_collapse_route_sums_to_the_nonselective_measurement(d):
     """Summing the collapsed branches over m, weighted by ||phi_m||^2, gives
     the dense density-operator route for every preparation and basis."""
     for family in FAMILIES:
-        pair = oracle._prep_pair(d, family)
-        prep = density(pair)
+        prep = density(oracle._prep_pair(d, family))
         for basis in basis_alphabet(d, FAMILIES):
-            weights, collapsed = oracle._travelling_branches(pair, measurement_basis(d, basis))
+            weights, collapsed = oracle._branches(d, family, basis)
             assert_allclose(weights.sum(), 1.0, rtol=0, atol=1e-12)
             route = sum(w * oracle._pair_probs(d, family, v)
                         for w, v in zip(weights, collapsed))
@@ -51,9 +50,9 @@ def test_collapse_route_sums_to_the_nonselective_measurement(d):
 
 def test_collapsed_branches_are_product_states():
     d = 5
-    pair = oracle._prep_pair(d, Family.HAT)
-    basis = measurement_basis(d, basis_alphabet(d)[2])
-    _, collapsed = oracle._travelling_branches(pair, basis)
+    basis_id = basis_alphabet(d)[2]
+    basis = measurement_basis(d, basis_id)
+    _, collapsed = oracle._branches(d, Family.HAT, basis_id)
     for m, v in enumerate(collapsed):   # b_m (x) a unit vector
         b_m = basis[:, m]
         assert_allclose(np.outer(b_m, b_m.conj() @ v), v, rtol=0, atol=1e-12)

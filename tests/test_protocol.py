@@ -64,14 +64,16 @@ def test_decode_result_matches_label():
 
 def test_round_record_consistency():
     comp = BasisId(Family.PLAIN, None)
-    ok = RoundRecord(comp, Family.PLAIN, (0, 1), 0, eve_active=False)
-    assert ok.sifted
+    ok = RoundRecord(comp, Family.PLAIN, (0, 1), 0)
+    assert ok.sifted and not ok.eve_active
     with pytest.raises(ValueError):
-        RoundRecord(comp, Family.PLAIN, (0, 1), 0, eve_active=False, eve_outcome=(0, 0))
+        RoundRecord(comp, Family.PLAIN, (0, 1), 0, eve_outcome=(0, 0))
     with pytest.raises(ValueError):
-        RoundRecord(comp, Family.PLAIN, (0, 1), 0, eve_active=True)
-    hat_round = RoundRecord(BasisId(Family.HAT, 0), Family.PLAIN, (0, 0), -1,
-                            eve_active=False)
+        RoundRecord(comp, Family.PLAIN, (0, 1), 0, eve_decode=0)
+    with pytest.raises(ValueError):
+        RoundRecord(comp, Family.PLAIN, (0, 1), 0, eve_forward_basis=comp)
+    assert RoundRecord(comp, Family.PLAIN, (0, 1), 0, (0, 0), -1).eve_active
+    hat_round = RoundRecord(BasisId(Family.HAT, 0), Family.PLAIN, (0, 0), -1)
     assert not hat_round.sifted
 
 

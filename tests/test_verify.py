@@ -218,15 +218,15 @@ def test_mutual_unbiasedness_catches_a_perturbed_column(monkeypatch):
 
 def test_measurement_backaction_catches_a_conjugated_kept_half(monkeypatch):
     d = 5
-    real = verify._travelling_branches
+    real = verify._branches
 
-    def conjugated(pair, basis):
-        weights, collapsed = real(pair, basis)
-        b = basis
+    def conjugated(d, family, basis):
+        weights, collapsed = real(d, family, basis)
+        b = measurement_basis(d, basis)
         kept = np.einsum("im,mij->mj", b.conj(), collapsed)
         return weights, b.T[:, :, None] * kept.conj()[:, None, :]
 
-    monkeypatch.setattr(verify, "_travelling_branches", conjugated)
+    monkeypatch.setattr(verify, "_branches", conjugated)
     result = verify._check_measurement_backaction(d)
     assert not result.passed
     assert re.match(r"(plain|hat)/(hat-)?(comp|q\d) off-diagonal: ", result.detail), result.detail

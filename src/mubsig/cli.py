@@ -123,10 +123,7 @@ def _merge_run_config(args: argparse.Namespace) -> HarnessConfig:
     base.update({k: v for k, v in overrides.items() if v is not None})
     if base.get("dim") is None:
         raise _CliError("--dim is required (directly or via --config)")
-    try:
-        return config_from_document(base)
-    except (ValueError, TypeError) as exc:
-        raise _CliError(str(exc)) from exc
+    return config_from_document(base)
 
 
 @contextmanager
@@ -164,10 +161,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _table_rows(d: int, basis_arg: str | None) -> list[BasisId]:
     if basis_arg is None:
         return list(basis_alphabet(d, (Family.PLAIN,)))
-    try:
-        basis = BasisId.parse(basis_arg)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    basis = BasisId.parse(basis_arg)
     if basis.quad is not None and basis.quad >= d:
         raise _CliError(f"basis {basis_arg!r} is out of range for --dim {d}")
     return [basis]
@@ -237,10 +231,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "table":
             return _cmd_table(args)
         return _cmd_verify(args)
-    except _CliError as exc:
-        print(f"mubsig: error: {exc}", file=sys.stderr)
-        return _USAGE_ERROR
-    except (ValueError, TypeError) as exc:
+    except (_CliError, ValueError, TypeError) as exc:
         print(f"mubsig: error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     except MemoryError:

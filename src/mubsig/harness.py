@@ -78,6 +78,14 @@ class HarnessConfig:
 
     def __post_init__(self) -> None:
         PrimeDim(self.d)
+        if not isinstance(self.protocol, Protocol):
+            raise TypeError(f"protocol must be a Protocol, got {self.protocol!r}")
+        if not isinstance(self.eve, EveMode):
+            raise TypeError(f"eve must be an EveMode, got {self.eve!r}")
+        for name in ("rounds", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an int, got {type(value).__name__}")
         if not 1 <= self.rounds <= 2 ** 32:   # at most 131072 blocks per session
             raise ValueError("rounds must lie in [1, 2**32]")
         if not 0 <= self.seed < 2 ** 64:
@@ -103,17 +111,17 @@ class HarnessConfig:
     def alphabet(self) -> tuple[BasisId, ...]:
         return basis_alphabet(self.d, _PROTOCOL_FAMILIES[self.protocol])
 
-    def message_weights(self) -> np.ndarray | None:
-        """Message weights aligned to :meth:`alphabet`, or None for uniform."""
+    def message_weights(self) -> np.ndarray:
+        """Message weights aligned to :meth:`alphabet`; all ones for uniform."""
         dist = self.message_distribution
+        alphabet = self.alphabet()
         if isinstance(dist, str):
             if dist != "uniform":
                 raise ValueError(f"unknown message distribution {dist!r}")
-            return None
+            return np.ones(len(alphabet))
         if not isinstance(dist, Mapping):
             raise ValueError("message distribution must be 'uniform' or a mapping "
                              "from basis label to weight")
-        alphabet = self.alphabet()
         known = {b.text(): i for i, b in enumerate(alphabet)}
         weights = np.zeros(len(alphabet))
         for label, w in dist.items():

@@ -475,7 +475,7 @@ def _pretest_phase(d: int, n_pre: int, seed: int, eve: bool, workers: int,
 
 
 def _run_session(d: int, rounds: int, seed: int, *, n_families: int, eve: bool,
-                 message_weights: np.ndarray | None, pretest_fraction: float | None,
+                 message_weights: np.ndarray, pretest_fraction: float | None,
                  posttest_fraction: float | None, workers: int, collect: bool,
                  ) -> tuple[SessionReport, RoundLog | None]:
     """Run one session of any protocol, as configured by :class:`HarnessConfig`.
@@ -502,9 +502,7 @@ def _run_session(d: int, rounds: int, seed: int, *, n_families: int, eve: bool,
     if n_pre:
         divergence, pretest = _pretest_phase(d, n_pre, seed, eve, workers, collect)
     tables = _tables(d, n_families)
-    n_bases = len(tables.alphabet)
-    message = _inverse_cdf(_cdf(np.full(n_bases, 1.0 / n_bases) if message_weights is None
-                                else message_weights / message_weights.sum()))
+    message = _inverse_cdf(_cdf(message_weights / message_weights.sum()))
     worker = functools.partial(_signal_block, tables, _table_lookup(d, n_families), d, eve,
                                message, posttest_fraction, collect)
     results = _run_blocks(worker, n_signal, seed, 0, workers)

@@ -9,6 +9,7 @@ document.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Iterable, Iterator, Mapping
 
@@ -47,19 +48,6 @@ def _config_echo(config: HarnessConfig) -> dict:
     }
 
 
-def _results(report: SessionReport) -> dict:
-    return {
-        "rounds": report.rounds,
-        "sifted": report.sifted,
-        "decode_accuracy": report.decode_accuracy,
-        "inconclusive_rate": report.inconclusive_rate,
-        "detection_rate": report.detection_rate,
-        "eve_information_rate": report.eve_information_rate,
-        "pretest_divergence": report.pretest_divergence,
-        "seed": report.seed,
-    }
-
-
 def build_document(config: HarnessConfig, report: SessionReport, *,
                    include_tables: bool = False) -> dict:
     """Assemble the full report document for one finished session."""
@@ -69,7 +57,7 @@ def build_document(config: HarnessConfig, report: SessionReport, *,
         "schema": SCHEMA,
         "artifact": {"name": "mubsig", "version": __version__},
         "config": _config_echo(config),
-        "results": _results(report),
+        "results": dataclasses.asdict(report),
     }
     if include_tables:
         doc["tables"] = _outcome_tables(config.d, config.alphabet())

@@ -48,6 +48,19 @@ def test_config_rejects_bad_dimension_rounds_seed():
         original(seed=2 ** 64)
 
 
+@pytest.mark.parametrize("fields", [
+    {"rounds": True}, {"seed": True}, {"rounds": 100.5}, {"seed": 1.5},
+    {"protocol": "original"},
+    {"protocol": Protocol.DUAL_FAMILY, "eve": "intercept", "posttest_fraction": 0.5},
+], ids=["bool-rounds", "bool-seed", "float-rounds", "float-seed", "str-protocol",
+        "str-eve"])
+def test_config_refuses_wrongly_typed_fields(fields):
+    """A wrongly typed field fails at construction, not later in a session
+    or in a report that cannot reproduce itself."""
+    with pytest.raises(TypeError):
+        HarnessConfig(**{"d": 2, "protocol": Protocol.ORIGINAL, "rounds": 100, **fields})
+
+
 def test_config_bounds_rounds():
     """At most 2**32 rounds, refused before any block is planned."""
     assert original(rounds=2 ** 32).rounds == 2 ** 32
@@ -105,7 +118,7 @@ def test_config_alphabet_tracks_protocol():
 
 
 def test_config_message_weights():
-    assert original().message_weights() is None
+    assert_array_equal(original().message_weights(), np.ones(3))
     cfg = original(message_distribution={"comp": 1.0, "q1": 3.0})
     assert_allclose(cfg.message_weights(), [1.0, 0.0, 3.0])
     with pytest.raises(ValueError):

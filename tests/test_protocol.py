@@ -500,7 +500,7 @@ def test_cdf_tail_never_samples_impossible_outcomes(d, monkeypatch, signal_round
     for cfg in configs:
         weights = cfg.message_weights()
         sendable = {b for i, b in enumerate(cfg.alphabet())
-                    if weights is None or weights[i] > 0.0}
+                    if weights[i] > 0.0}
         log = run_trials(cfg, return_rounds=True)[1]
         for cell in log.pretest.tolist():
             assert pretest[cell] > TOLERANCE, (cfg, cell)

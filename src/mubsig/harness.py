@@ -231,6 +231,8 @@ def dual_family_detection_probability(d: int, eve_family: Family = Family.PLAIN,
     ``message_weights`` has one finite, nonnegative entry per basis of both
     families, in :func:`basis_alphabet` order, and a positive, finite sum.
     """
+    if not isinstance(eve_family, Family):
+        raise TypeError(f"eve_family must be a Family, got {eve_family!r}")
     tables = _tables(d, 2)
     n_bases = len(tables.alphabet)
     weights = np.ones(n_bases) if message_weights is None else np.asarray(

@@ -6,13 +6,17 @@ the same thing, :func:`_measure`: take the family's (0,0) pair, measure
 its travelling half in a basis (sample m with weight ||phi_m||^2 and
 collapse the pair to b_m (x) phi_m / ||phi_m||, where
 phi_m = (<b_m| (x) 1) Psi is what the kept half holds), then measure the
-pair in the family's entangled basis (sample from |E^H v|^2).  A clean
-round is one such call, Alice's in Bob's basis; an attacked round is
-two, Eve's on her decoy in Bob's basis, then Alice's in the basis Eve
+pair in the family's entangled basis (sample from |<e_k|v_m>|^2).  A
+clean round is one such call, Alice's in Bob's basis; an attacked round
+is two, Eve's on her decoy in Bob's basis, then Alice's in the basis Eve
 resends in.  Summed over the unrecorded outcomes m this is the
 nonselective measurement, so the recorded statistics are those of the
 density-operator description (Nielsen & Chuang, section 2.4); the tables
 reach the same numbers by a summed formula instead.
+
+The branch amplitudes <e_k|v_m> of each (d, family, basis) are computed
+once per process, by :func:`_amplitudes`; :mod:`mubsig.verify` reads the
+same arrays.
 
 Convention as in :mod:`mubsig.protocol`: a pair is a d x d amplitude
 matrix whose first index is the half that travels.
@@ -21,12 +25,13 @@ matrix whose first index is the half that travels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .bases import BasisId, Family, entangled_basis, measurement_basis, pair_outcome_labels
 from .protocol import _INCONCLUSIVE_CODE, _prep_pair, decode
-from .quantum import sample_outcome
+from .quantum import _frozen, sample_outcome
 
 
 @dataclass(frozen=True)
@@ -77,9 +82,24 @@ def _branches(d: int, family: Family, basis: BasisId) -> tuple[np.ndarray, np.nd
     return weights, b.T[:, :, None] * kept[:, None, :]
 
 
-def _pair_probs(d: int, family: Family, pair: np.ndarray) -> np.ndarray:
-    """Born probabilities |<e_k|v>|^2 of ``pair`` in the family's entangled basis."""
-    return np.abs(pair.ravel().conj() @ entangled_basis(d, 0, family)) ** 2
+@lru_cache(maxsize=None)
+def _amplitudes(d: int, family: Family,
+                basis: BasisId | None) -> tuple[np.ndarray, np.ndarray]:
+    """The branches of the family's (0,0) pair after its travelling half is
+    measured in ``basis``, in the family's entangled basis {e_k}.
+
+    Returns the weights w_m of :func:`_branches` and the amplitudes
+    a[m, k] = <e_k|v_m> of its collapsed branches v_m, a = V E*.  With
+    ``basis`` None the pair is left untouched: one branch, weight 1.
+    Both arrays are read-only, because every caller shares them.
+    """
+    if basis is None:
+        weights, pairs = np.ones(1), _prep_pair(d, family).reshape(1, d * d)
+    else:
+        weights, collapsed = _branches(d, family, basis)
+        pairs = collapsed.reshape(d, d * d)
+    amps = (pairs.conj() @ entangled_basis(d, 0, family)).conj()
+    return _frozen(weights), _frozen(amps)
 
 
 def _measure(d: int, family: Family, basis: BasisId | None,
@@ -90,11 +110,9 @@ def _measure(d: int, family: Family, basis: BasisId | None,
 
     Returns the pair outcome (c, r) and its decode.
     """
-    pair = _prep_pair(d, family)
-    if basis is not None:
-        weights, collapsed = _branches(d, family, basis)
-        pair = collapsed[sample_outcome(weights, rng)]
-    c, r = pair_outcome_labels(d)[sample_outcome(_pair_probs(d, family, pair), rng)]
+    weights, amps = _amplitudes(d, family, basis)
+    m = 0 if basis is None else sample_outcome(weights, rng)
+    c, r = pair_outcome_labels(d)[sample_outcome(np.abs(amps[m]) ** 2, rng)]
     return (c, r), int(decode(d, (0, 0, 0), (c, r)))
 
 

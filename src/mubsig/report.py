@@ -92,7 +92,8 @@ def config_from_document(document: Mapping) -> HarnessConfig:
 
     Accepts either the bare config echo (keys mirroring the CLI flags)
     or an entire report document, whose ``config`` section is used.
-    Raises ValueError on unknown keys or malformed values.
+    A null value means the key is absent, so an optional key takes its
+    default.  Raises ValueError on unknown keys or malformed values.
     """
     data = _config_fields(document)
     known = {"dim", "protocol", "eve", "rounds", "seed",
@@ -100,8 +101,9 @@ def config_from_document(document: Mapping) -> HarnessConfig:
     unknown = set(data) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    data = {k: v for k, v in data.items() if v is not None}
     for key in ("dim", "protocol", "rounds"):
-        if data.get(key) is None:
+        if key not in data:
             raise ValueError(f"config is missing required key {key!r}")
     try:
         protocol = Protocol(data["protocol"])
@@ -130,7 +132,7 @@ def config_from_document(document: Mapping) -> HarnessConfig:
         eve=eve,
         pretest_fraction=_number("pretest_fraction", float),
         posttest_fraction=_number("posttest_fraction", float),
-        seed=_number("seed", int) if data.get("seed") is not None else 0,
+        seed=_number("seed", int) if "seed" in data else 0,
         message_distribution=data.get("message_distribution", "uniform"),
     )
 

@@ -3,16 +3,17 @@
 Re-derives the structural facts the package relies on (orthonormality,
 unbiasedness, post-measurement structure, decode soundness, attack
 detectability, stream determinism) by brute force for one dimension,
-and reports one result per named check.  Post-measurement states are
-read off the collapsed pure branches of :mod:`mubsig.oracle`, never off
-the compiled tables or a dense density operator.  The CLI exposes this
-as ``mubsig verify``; the test suite runs it as a meta-check.
+and reports one result per named check; a check that raises fails
+with the exception as its detail, and the others still run.
+Post-measurement states are read off the collapsed pure branches of
+:mod:`mubsig.oracle` and the branch amplitudes it caches, never off the
+compiled tables or a dense density operator.  The CLI exposes this as
+``mubsig verify``; the test suite runs it as a meta-check.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,8 @@ from .harness import (
     dual_family_detection_probability,
     run_trials,
 )
-from .oracle import _branches, _forward_basis, _pair_probs, run_round_original
-from .protocol import _INCONCLUSIVE_CODE, _decode_codes, _inverses, _prep_pair, decode
+from .oracle import _amplitudes, _branches, _forward_basis, run_round_original
+from .protocol import _INCONCLUSIVE_CODE, _decode_codes, _inverses, decode
 from .quantum import TOLERANCE
 from .streams import derive_round_stream
 
@@ -99,33 +100,10 @@ class _Check:
                            "; ".join(self.failures))
 
 
-# ---------------------------------------------------------------------------
 # Pure-state route: the (0,0) pair of a family after its travelling half is
 # measured, as the weights w_m and collapsed branches v_m = b_m (x) phi_m
-# of mubsig.oracle._branches.
-# ---------------------------------------------------------------------------
-
-# The amplitudes of _measured, shared by the checks of one
-# run_invariant_suite call (and only within its thread); None outside
-# one, so a check run on its own, or under a patched basis, computes
-# its amplitudes afresh.
-_suite_amplitudes: ContextVar[dict | None] = ContextVar("_suite_amplitudes", default=None)
-
-
-def _measured(d: int, family: Family, basis: BasisId) -> tuple[np.ndarray, np.ndarray]:
-    """Weights w_m and amplitudes a[m, k] = <e_k|v_m> of the same branches
-    in the family's entangled basis {e_k}: a = V E*."""
-    shared, key = _suite_amplitudes.get(), (d, family, basis)
-    if shared is not None and key in shared:
-        return shared[key]
-    weights, collapsed = _branches(d, family, basis)
-    e = entangled_basis(d, 0, family)
-    amps = (collapsed.reshape(d, d * d).conj() @ e).conj()
-    weights.setflags(write=False)
-    amps.setflags(write=False)
-    if shared is not None:
-        shared[key] = weights, amps
-    return weights, amps
+# of mubsig.oracle._branches, or their amplitudes a[m, k] = <e_k|v_m> in
+# the family's entangled basis, mubsig.oracle._amplitudes.
 
 
 def _pair_coefficients(weights: np.ndarray, amps: np.ndarray) -> np.ndarray:
@@ -154,10 +132,9 @@ def _off_diagonal(coeffs: np.ndarray) -> float:
     return np.abs(coeffs - np.diag(np.diag(coeffs))).max()
 
 
-def _check_field_arithmetic(d: int) -> CheckResult:
+def _check_field_arithmetic(c: _Check, d: int) -> None:
     """The int64 residue arithmetic of :func:`decode`, and its table of
     inverses, against Python's integers: ``%`` and ``pow(a, -1, d)``."""
-    c = _Check("field-arithmetic")
     x = np.arange(d, dtype=np.int64)
     inverses = _inverses(d)
     c.expect_all((x + 0) % d == x, lambda a: f"additive identity at {a}")
@@ -170,11 +147,9 @@ def _check_field_arithmetic(d: int) -> CheckResult:
                  lambda a, b: f"sub {a}-{b}")
     c.expect_all(x[:, None] * x % d == [[a * b % d for b in range(d)] for a in range(d)],
                  lambda a, b: f"mul {a}*{b}")
-    return c.result()
 
 
-def _check_root_of_unity(d: int) -> CheckResult:
-    c = _Check("root-of-unity")
+def _check_root_of_unity(c: _Check, d: int) -> None:
     period = 4 if d == 2 else d
     for k in range(2 * period):
         c.close(abs(omega_power(d, k)), 1.0, "modulus at power {}", k)
@@ -182,21 +157,17 @@ def _check_root_of_unity(d: int) -> CheckResult:
                 "period at power {}", k)
     total = sum(omega_power(d, k) for k in range(period))
     c.close(abs(total), 0.0, "powers over one period sum to 0")
-    return c.result()
 
 
-def _check_single_orthonormality(d: int) -> CheckResult:
-    c = _Check("single-basis-orthonormality")
+def _check_single_orthonormality(c: _Check, d: int) -> None:
     for basis_id in basis_alphabet(d, _FAMILIES):
         basis = measurement_basis(d, basis_id)
         gram = basis.conj().T @ basis
         c.close(np.abs(gram - np.eye(d)).max(), 0.0,
                 "gram deviation for {}", basis_id.text(), tol=TOLERANCE)
-    return c.result()
 
 
-def _check_unbiasedness(d: int) -> CheckResult:
-    c = _Check("mutual-unbiasedness")
+def _check_unbiasedness(c: _Check, d: int) -> None:
     for family in _FAMILIES:
         bases = [(b, measurement_basis(d, b)) for b in basis_alphabet(d, (family,))]
         for i, (first, u) in enumerate(bases):
@@ -205,11 +176,9 @@ def _check_unbiasedness(d: int) -> CheckResult:
                 c.expect_all(np.abs(overlaps - 1.0 / d) <= 1e-9, lambda m, mp: (
                     f"|<{first.text()},{m}|{second.text()},{mp}>|^2: "
                     f"{float(overlaps[m, mp])!r} != {1.0 / d!r}"))
-    return c.result()
 
 
-def _check_entangled_basis(d: int) -> CheckResult:
-    c = _Check("entangled-basis")
+def _check_entangled_basis(c: _Check, d: int) -> None:
     for family in _FAMILIES:
         basis = entangled_basis(d, family=family)
         gram = basis.conj().T @ basis
@@ -220,22 +189,18 @@ def _check_entangled_basis(d: int) -> CheckResult:
         gram = basis.conj().T @ basis
         c.close(np.abs(gram - np.eye(d * d)).max(), 0.0,
                 "pair basis gram at s={}", s, tol=TOLERANCE)
-    return c.result()
 
 
-def _check_pair_reduced_states(d: int) -> CheckResult:
-    c = _Check("pair-reduced-states")
+def _check_pair_reduced_states(c: _Check, d: int) -> None:
     mixed = np.eye(d) / d
     for (cc, r, s) in [(0, 0, 0), (1 % d, 0, 0), (0, 1 % d, 0), (1 % d, 1 % d, (d - 1) % d)]:
         psi = entangled_basis(d, s)[:, cc * d + r].reshape(d, d)
         for keep, reduced in zip((1, 2), _reduced_states(psi)):
             c.close(np.abs(reduced - mixed).max(), 0.0,
                     "reduced side {} of ({},{};{})", keep, cc, r, s, tol=TOLERANCE)
-    return c.result()
 
 
-def _check_hadamard_root(d: int) -> CheckResult:
-    c = _Check("hadamard-root")
+def _check_hadamard_root(c: _Check, d: int) -> None:
     h = hadamard_root(d)
     f = np.array([[omega_power(d, (2 if d == 2 else 1) * m * n) for n in range(d)]
                   for m in range(d)]) / np.sqrt(d)
@@ -246,17 +211,15 @@ def _check_hadamard_root(d: int) -> CheckResult:
     u = hat_unitary(d)
     c.close(np.abs(u @ u.conj().T - np.eye(d)).max(), 0.0,
             "hat transport unitary", tol=TOLERANCE)
-    return c.result()
 
 
-def _check_measurement_backaction(d: int) -> CheckResult:
+def _check_measurement_backaction(c: _Check, d: int) -> None:
     """Measuring the travelling half leaves the pair diagonal in the
     matching entangled basis, with the expected support."""
-    c = _Check("measurement-backaction")
     labels = pair_outcome_labels(d)
     for family in _FAMILIES:
         for bob in basis_alphabet(d, (family,)):
-            coeffs = _pair_coefficients(*_measured(d, family, bob))
+            coeffs = _pair_coefficients(*_amplitudes(d, family, bob))
             c.close(_off_diagonal(coeffs), 0.0,
                     "{}/{} off-diagonal", family.value, bob.text(), tol=TOLERANCE)
             diag = np.diag(coeffs).real
@@ -271,15 +234,13 @@ def _check_measurement_backaction(d: int) -> CheckResult:
             c.expect_all(np.abs(diag[support] - 1.0 / d) <= TOLERANCE, lambda i: (
                 f"{family.value}/{bob.text()} weight {labels[support[i]]}: "
                 f"{diag[support[i]]!r} != {1.0 / d!r}"))
-    return c.result()
 
 
-def _check_decode_soundness(d: int) -> CheckResult:
+def _check_decode_soundness(c: _Check, d: int) -> None:
     """Every supported outcome of every basis choice decodes back to it."""
-    c = _Check("decode-soundness")
     labels = np.array(pair_outcome_labels(d))
     for code, bob in enumerate(basis_alphabet(d, (Family.PLAIN,))):
-        probs = _outcome_probs(*_measured(d, Family.PLAIN, bob))
+        probs = _outcome_probs(*_amplitudes(d, Family.PLAIN, bob))
         support = np.flatnonzero(probs > TOLERANCE)
         got = decode(d, (0, 0, 0), labels[support].T)
         # (0,0) must stay inconclusive; every other outcome names Bob's basis
@@ -287,7 +248,6 @@ def _check_decode_soundness(d: int) -> CheckResult:
             f"{bob.text()} outcome {tuple(labels[support[i]].tolist())} -> code {got[i]}"))
         c.close(probs[0], 1.0 / d, "inconclusive weight for {}", bob.text(),
                 tol=TOLERANCE)
-    return c.result()
 
 
 def _decode_cell(cc: int, r: int, s: int, cp: int, rp: int) -> str:
@@ -298,7 +258,7 @@ def _decode_cell(cc: int, r: int, s: int, cp: int, rp: int) -> str:
     return f"cross-c outcome at {(cc, r, s)}->{(cp, rp)}"
 
 
-def _check_decode_completeness(d: int) -> CheckResult:
+def _check_decode_completeness(c: _Check, d: int) -> None:
     """The decode table the sessions use is total and consistent on every
     preparation (c, r, s) and outcome (c', r'), and :func:`decode` agrees
     with it everywhere.
@@ -309,7 +269,6 @@ def _check_decode_completeness(d: int) -> CheckResult:
     relation (s - b)(c - c') = r - r' (mod d).  One preparation c is
     checked at a time, on the whole (r, s, c', r') grid.
     """
-    c = _Check("decode-completeness")
     table = _decode_codes(d).reshape(d, d)
     r, s, cp, rp = np.ix_(*(np.arange(d),) * 4)
     for cc in range(d):
@@ -322,12 +281,10 @@ def _check_decode_completeness(d: int) -> CheckResult:
         c.expect_all(ok, lambda *cell: _decode_cell(cc, *cell))
         c.expect_all((code == _INCONCLUSIVE_CODE).sum(axis=(2, 3)) == 1,
                      lambda *rs: f"one inconclusive cell at {(cc, *rs)}")
-    return c.result()
 
 
-def _check_travelling_privacy(d: int) -> CheckResult:
+def _check_travelling_privacy(c: _Check, d: int) -> None:
     """The qudit in transit reveals nothing about the basis choice."""
-    c = _Check("travelling-privacy")
     mixed = np.eye(d) / d
     for family in _FAMILIES:
         for bob in basis_alphabet(d, (family,)):
@@ -335,26 +292,22 @@ def _check_travelling_privacy(d: int) -> CheckResult:
             c.close(np.abs(back - mixed).max(), 0.0,
                     "returning state after {}/{}", family.value, bob.text(),
                     tol=TOLERANCE)
-    return c.result()
 
 
-def _check_cross_family_visibility(d: int) -> CheckResult:
+def _check_cross_family_visibility(c: _Check, d: int) -> None:
     """A plain-family interceptor of hat-family rounds holds a state that
     is visibly non-diagonal in her pair basis (and vice versa)."""
-    c = _Check("cross-family-visibility")
     for eve_family, bob_family in ((Family.PLAIN, Family.HAT),
                                    (Family.HAT, Family.PLAIN)):
         worst = np.inf
         for bob in basis_alphabet(d, (bob_family,)):
-            worst = min(worst, _off_diagonal(_pair_coefficients(*_measured(d, eve_family, bob))))
+            worst = min(worst, _off_diagonal(_pair_coefficients(*_amplitudes(d, eve_family, bob))))
         c.expect(worst > 1e-6,
                  "{} interceptor sees {} rounds as diagonal (max off-diag {:.2e})",
                  eve_family.value, bob_family.value, worst)
-    return c.result()
 
 
-def _check_analytic_normalization(d: int) -> CheckResult:
-    c = _Check("analytic-distributions")
+def _check_analytic_normalization(c: _Check, d: int) -> None:
     for family in _FAMILIES:
         for bob in basis_alphabet(d, (family,)):
             dist = analytic_outcome_distribution(d, bob)
@@ -362,13 +315,11 @@ def _check_analytic_normalization(d: int) -> CheckResult:
                     "normalization for {}", bob.text(), tol=TOLERANCE)
             c.expect(dist.probabilities.min() >= 0.0,
                      "negative probability for {}", bob.text())
-    return c.result()
 
 
-def _check_born_rule_consistency(d: int) -> CheckResult:
+def _check_born_rule_consistency(c: _Check, d: int) -> None:
     """Born probabilities |B^H psi|^2 agree with explicit projector
     expectations <b_m|psi><psi|b_m>."""
-    c = _Check("born-rule-consistency")
     rng = derive_round_stream(2024, 0)
     raw = rng.normal(size=d) + 1j * rng.normal(size=d)
     psi = raw / np.linalg.norm(raw)
@@ -381,12 +332,10 @@ def _check_born_rule_consistency(d: int) -> CheckResult:
             direct = float(np.real(np.vdot(v, rho @ v)))
             c.close(probs[m], direct, "{} outcome {}", bob.text(), m, tol=TOLERANCE)
         c.close(probs.sum(), 1.0, "{} completeness", bob.text(), tol=TOLERANCE)
-    return c.result()
 
 
-def _check_attack_statistics(d: int) -> CheckResult:
+def _check_attack_statistics(c: _Check, d: int) -> None:
     """Single-round attack bookkeeping is internally consistent."""
-    c = _Check("attack-bookkeeping")
     rng = derive_round_stream(7, 0)
     for _ in range(200):
         bob = basis_alphabet(d, (Family.PLAIN,))[int(rng.integers(d + 1))]
@@ -400,7 +349,6 @@ def _check_attack_statistics(d: int) -> CheckResult:
                      "inconclusive eve must stay passive")
             c.expect(tuple(map(int, record.alice_outcome)) == (0, 0),
                      "untouched pair must read (0,0)")
-    return c.result()
 
 
 def _summed_detection_probability(d: int, eve_family: Family) -> float:
@@ -419,11 +367,10 @@ def _summed_detection_probability(d: int, eve_family: Family) -> float:
         resends.setdefault(_forward_basis(eve_family, code), []).append(k)
     kept = mismatch = 0.0
     for family in _FAMILIES:
-        alice = {f: _pair_probs(d, family, _prep_pair(d, family)) if f is None
-                 else _outcome_probs(*_measured(d, family, f)) for f in resends}
+        alice = {f: _outcome_probs(*_amplitudes(d, family, f)) for f in resends}
         for code, bob in enumerate(basis_alphabet(d, (family,))):
             wrong = conclusive & (codes != code)
-            eve = _outcome_probs(*_measured(d, eve_family, bob))
+            eve = _outcome_probs(*_amplitudes(d, eve_family, bob))
             for f, outcomes in resends.items():
                 q = eve[outcomes].sum()
                 kept += q * alice[f][conclusive].sum()
@@ -431,21 +378,18 @@ def _summed_detection_probability(d: int, eve_family: Family) -> float:
     return float(mismatch / kept)
 
 
-def _check_dual_attack_detectability(d: int) -> CheckResult:
+def _check_dual_attack_detectability(c: _Check, d: int) -> None:
     """The dual-family defence catches either single-family attack, and the
     compiled tables and the collapsed branches agree on how often."""
-    c = _Check("dual-attack-detectability")
     for eve_family in _FAMILIES:
         p = dual_family_detection_probability(d, eve_family)
         summed = _summed_detection_probability(d, eve_family)
         c.expect(0.0 < p < 1.0 and abs(p - summed) <= 1e-12,
                  "{} attack detection probability {} (summed over branches: {})",
                  eve_family.value, p, summed)
-    return c.result()
 
 
-def _check_session_determinism(d: int) -> CheckResult:
-    c = _Check("session-determinism")
+def _check_session_determinism(c: _Check, d: int) -> None:
     config = HarnessConfig(d=d, protocol=Protocol.ORIGINAL, rounds=4000,
                            eve=EveMode.INTERCEPT, seed=99)
     first = run_trials(config, workers=1)
@@ -455,50 +399,54 @@ def _check_session_determinism(d: int) -> CheckResult:
                                      rounds=4000, eve=EveMode.INTERCEPT,
                                      seed=100), workers=1)
     c.expect(first != third, "distinct seeds must differ")
-    return c.result()
 
 
-def _check_stream_derivation(d: int) -> CheckResult:
-    c = _Check("stream-derivation")
+def _check_stream_derivation(c: _Check, d: int) -> None:
     a = derive_round_stream(5, 1).integers(1 << 32, size=8)
     b = derive_round_stream(5, 1).integers(1 << 32, size=8)
     other = derive_round_stream(5, 2).integers(1 << 32, size=8)
     c.expect(bool((a == b).all()), "same (seed, index) must replay")
     c.expect(bool((a != other).any()), "distinct indices must decouple")
+
+
+# The checks by name, in the order the suite runs and reports them.
+_CHECKS: dict[str, Callable[[_Check, int], None]] = {
+    "field-arithmetic": _check_field_arithmetic,
+    "root-of-unity": _check_root_of_unity,
+    "single-basis-orthonormality": _check_single_orthonormality,
+    "mutual-unbiasedness": _check_unbiasedness,
+    "entangled-basis": _check_entangled_basis,
+    "pair-reduced-states": _check_pair_reduced_states,
+    "hadamard-root": _check_hadamard_root,
+    "measurement-backaction": _check_measurement_backaction,
+    "decode-soundness": _check_decode_soundness,
+    "decode-completeness": _check_decode_completeness,
+    "travelling-privacy": _check_travelling_privacy,
+    "cross-family-visibility": _check_cross_family_visibility,
+    "analytic-distributions": _check_analytic_normalization,
+    "born-rule-consistency": _check_born_rule_consistency,
+    "attack-bookkeeping": _check_attack_statistics,
+    "dual-attack-detectability": _check_dual_attack_detectability,
+    "session-determinism": _check_session_determinism,
+    "stream-derivation": _check_stream_derivation,
+}
+
+
+def _run_check(name: str, d: int) -> CheckResult:
+    """Run the check ``name``; one that raises fails, its exception the detail."""
+    c = _Check(name)
+    try:
+        _CHECKS[name](c, d)
+    except Exception as exc:
+        c.failures.append(f"raised {type(exc).__name__}: {exc}")
     return c.result()
-
-
-_CHECKS = (
-    _check_field_arithmetic,
-    _check_root_of_unity,
-    _check_single_orthonormality,
-    _check_unbiasedness,
-    _check_entangled_basis,
-    _check_pair_reduced_states,
-    _check_hadamard_root,
-    _check_measurement_backaction,
-    _check_decode_soundness,
-    _check_decode_completeness,
-    _check_travelling_privacy,
-    _check_cross_family_visibility,
-    _check_analytic_normalization,
-    _check_born_rule_consistency,
-    _check_attack_statistics,
-    _check_dual_attack_detectability,
-    _check_session_determinism,
-    _check_stream_derivation,
-)
 
 
 def run_invariant_suite(d: int) -> tuple[CheckResult, ...]:
     """Run every invariant check for dimension ``d``.
 
     Returns one result per check, in a stable order.  All checks run
-    even if early ones fail.
+    even if early ones fail or raise.
     """
     PrimeDim(d)
-    token = _suite_amplitudes.set({})
-    try:
-        return tuple(check(d) for check in _CHECKS)
-    finally:
-        _suite_amplitudes.reset(token)
+    return tuple(_run_check(name, d) for name in _CHECKS)

@@ -230,6 +230,13 @@ def test_dual_detection_probability_family_symmetric():
         assert_allclose(plain, hat, atol=1e-12)
 
 
+@pytest.mark.parametrize("eve_family", ["plain", "hat", None, 0])
+def test_dual_detection_probability_refuses_a_family_that_is_not_a_family(eve_family):
+    """A string or None must not quietly stand for the hat-family attack."""
+    with pytest.raises(TypeError, match="eve_family must be a Family"):
+        dual_family_detection_probability(3, eve_family)
+
+
 def test_dual_detection_probability_matches_simulation():
     p = dual_family_detection_probability(2)
     cfg = HarnessConfig(d=2, protocol=Protocol.DUAL_FAMILY, rounds=30000,

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mubsig import oracle
-from mubsig.bases import Family, basis_alphabet, entangled_basis, measurement_basis
+from mubsig.bases import BasisId, Family, basis_alphabet, entangled_basis, measurement_basis
 from mubsig.quantum import TOLERANCE
 from dense import born_probabilities, density, nonselective_measure
 
@@ -32,20 +32,29 @@ def test_oracle_never_reads_the_compiled_tables():
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_collapse_route_sums_to_the_nonselective_measurement(d):
-    """Summing the collapsed branches over m, weighted by ||phi_m||^2, gives
-    the dense density-operator route for every preparation and basis."""
+    """Summing the branches' Born probabilities |<e_k|v_m>|^2 over m, weighted
+    by ||phi_m||^2, gives the dense density-operator route for every
+    preparation and basis; an untouched pair (basis None) gives its own."""
     for family in FAMILIES:
         prep = density(oracle._prep_pair(d, family))
-        for basis in basis_alphabet(d, FAMILIES):
-            weights, collapsed = oracle._branches(d, family, basis)
+        pair_basis = entangled_basis(d, 0, family)
+        for basis in (None, *basis_alphabet(d, FAMILIES)):
+            weights, amps = oracle._amplitudes(d, family, basis)
             assert_allclose(weights.sum(), 1.0, rtol=0, atol=1e-12)
-            route = sum(w * oracle._pair_probs(d, family, v)
-                        for w, v in zip(weights, collapsed))
-            dense = born_probabilities(
-                nonselective_measure(prep, 1, measurement_basis(d, basis)),
-                entangled_basis(d, 0, family))
+            route = weights @ np.abs(amps) ** 2
+            state = prep if basis is None else nonselective_measure(
+                prep, 1, measurement_basis(d, basis))
+            dense = born_probabilities(state, pair_basis)
             assert_allclose(route, dense, rtol=0, atol=1e-12, err_msg=f"{family} {basis}")
             assert (route[dense < TOLERANCE] < TOLERANCE).all(), (family, basis)
+
+
+def test_amplitudes_refuse_writes():
+    """Every caller shares the cached arrays, so none may change them."""
+    for basis in (None, BasisId(Family.PLAIN, 0)):
+        for array in oracle._amplitudes(3, Family.HAT, basis):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
 
 def test_collapsed_branches_are_product_states():

@@ -89,6 +89,21 @@ def test_config_from_document_accepts_bare_config_and_dashes():
     assert cfg.eve is EveMode.OFF
 
 
+@pytest.mark.parametrize("key", ["eve", "message_distribution", "seed"])
+def test_config_from_document_reads_null_as_the_default(key, tmp_path, capsys):
+    """A null optional key means the key is absent, in a document and in
+    a ``--config`` file alike."""
+    doc = {"dim": 3, "protocol": "original", "rounds": 100}
+    assert config_from_document({**doc, key: None}) == config_from_document(doc)
+    outputs = []
+    for config in (doc, {**doc, key: None}):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_config_from_document_errors():
     good = {"dim": 2, "protocol": "original", "rounds": 10}
     with pytest.raises(ValueError):

@@ -1,13 +1,12 @@
 import json
 import re
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mubsig import protocol, verify
+from mubsig import harness, oracle, protocol, verify
 from mubsig.bases import (
     BasisId,
     Family,
@@ -70,26 +69,19 @@ def test_suite_is_stable_between_runs():
            [(r.name, r.passed, r.assertions) for r in second]
 
 
-def test_suite_computes_each_branch_amplitude_once_per_run(monkeypatch):
-    calls = []
-    real = verify._branches
-
-    def counted(d, family, basis):
-        calls.append((family, basis))
-        return real(d, family, basis)
-
-    monkeypatch.setattr(verify, "_branches", counted)
-    for _ in range(2):   # the second run shares nothing with the first
-        calls.clear()
-        assert all(r.passed for r in run_invariant_suite(3))
-        # Each (family, basis) once for its amplitudes; travelling-privacy
-        # also reads the branches of each basis of the family itself.
-        assert Counter(calls) == {(f, b): 1 + (b.family is f)
-                                  for f in FAMILIES for b in basis_alphabet(3, FAMILIES)}
-        assert verify._suite_amplitudes.get() is None
-    verify._measured(3, Family.PLAIN, BasisId(Family.PLAIN, 0))
-    verify._measured(3, Family.PLAIN, BasisId(Family.PLAIN, 0))
-    assert calls[-2:] == [(Family.PLAIN, BasisId(Family.PLAIN, 0))] * 2   # no cache outside
+def test_suite_computes_each_branch_amplitude_once_per_run():
+    """The checks share oracle._amplitudes: the first run computes each
+    (family, basis) once, and a second run computes none again."""
+    oracle._amplitudes.cache_clear()
+    # Every basis of both families, for each family's pair; None is the
+    # untouched pair of the resends that leave the stolen qudit alone.
+    keys = len(FAMILIES) * (1 + len(basis_alphabet(3, FAMILIES)))
+    assert all(r.passed for r in run_invariant_suite(3))
+    first = oracle._amplitudes.cache_info()
+    assert first.misses == first.currsize == keys and first.hits > 0
+    assert all(r.passed for r in run_invariant_suite(3))
+    second = oracle._amplitudes.cache_info()
+    assert (second.misses, second.currsize) == (keys, keys) and second.hits > first.hits
 
 
 # Pinned ``mubsig verify --format json`` documents, every check's
@@ -135,7 +127,7 @@ def test_pure_state_route_matches_the_dense_density_operators(d):
         pair_basis = entangled_basis(d, 0, family)
         for basis in basis_alphabet(d, FAMILIES):
             dense = nonselective_measure(prep, 1, measurement_basis(d, basis))
-            weights, amps = verify._measured(d, family, basis)
+            weights, amps = oracle._amplitudes(d, family, basis)
             coeffs = pair_basis.conj().T @ dense @ pair_basis
             assert_allclose(verify._pair_coefficients(weights, amps), coeffs,
                             rtol=0, atol=1e-12, err_msg=f"{family} {basis}")
@@ -179,7 +171,7 @@ def test_decode_completeness_catches_a_sign_flip_in_decode(monkeypatch):
         return np.where(code > 0, 1 + (1 - code) % dim, code)
 
     monkeypatch.setattr(verify, "decode", flipped)
-    result = verify._check_decode_completeness(d)
+    result = verify._run_check("decode-completeness", d)
     assert not result.passed
     assert result.assertions == d ** 5 + d ** 3
     assert result.detail.startswith("cross-c outcome at (0, 0, 0)->(1, 1)")
@@ -191,7 +183,7 @@ def test_decode_completeness_catches_one_wrong_table_cell(monkeypatch):
     cell = d + 2   # outcome (1, 2) of the prep (0, 0, 0): q3, code 4
     codes[cell] = 1 + codes[cell] % d
     monkeypatch.setattr(verify, "_decode_codes", lambda dim: codes)
-    result = verify._check_decode_completeness(d)
+    result = verify._run_check("decode-completeness", d)
     assert not result.passed
     assert result.detail.startswith("cross-c outcome at (0, 0, 0)->(1, 2)")
 
@@ -211,14 +203,23 @@ def test_mutual_unbiasedness_catches_a_perturbed_column(monkeypatch):
         return m
 
     monkeypatch.setattr(verify, "measurement_basis", perturbed)
-    result = verify._check_unbiasedness(d)
+    result = verify._run_check("mutual-unbiasedness", d)
     assert not result.passed
     assert re.match(r"\|<comp,\d\|q2,0>\|\^2: ", result.detail), result.detail
 
 
-def test_measurement_backaction_catches_a_conjugated_kept_half(monkeypatch):
+@pytest.fixture
+def fresh_amplitudes():
+    """An empty oracle._amplitudes cache, emptied again on teardown, for a
+    test that patches what the cached function reads."""
+    oracle._amplitudes.cache_clear()
+    yield
+    oracle._amplitudes.cache_clear()
+
+
+def test_measurement_backaction_catches_a_conjugated_kept_half(monkeypatch, fresh_amplitudes):
     d = 5
-    real = verify._branches
+    real = oracle._branches
 
     def conjugated(d, family, basis):
         weights, collapsed = real(d, family, basis)
@@ -226,7 +227,29 @@ def test_measurement_backaction_catches_a_conjugated_kept_half(monkeypatch):
         kept = np.einsum("im,mij->mj", b.conj(), collapsed)
         return weights, b.T[:, :, None] * kept.conj()[:, None, :]
 
-    monkeypatch.setattr(verify, "_branches", conjugated)
-    result = verify._check_measurement_backaction(d)
+    monkeypatch.setattr(oracle, "_branches", conjugated)
+    result = verify._run_check("measurement-backaction", d)
     assert not result.passed
     assert re.match(r"(plain|hat)/(hat-)?(comp|q\d) off-diagonal: ", result.detail), result.detail
+
+
+def test_a_check_that_raises_fails_alone(monkeypatch, capsys):
+    """A check that raises is reported as failed under its own name, with the
+    exception as its detail; the other checks still run, their assertion
+    counts unchanged, and ``mubsig verify`` exits 1 with a FAIL line."""
+    real = harness.pair_outcome_probs
+    monkeypatch.setattr(harness, "pair_outcome_probs", lambda *args: 1.01 * real(*args))
+    want = json.loads((GOLDEN / "verify-d3.json").read_text())["checks"]
+    results = run_invariant_suite(3)
+    assert [r.name for r in results] == list(EXPECTED_NAMES)
+    for r, w in zip(results, want):
+        if r.name == "analytic-distributions":
+            assert not r.passed
+            assert r.detail.startswith("raised ValueError: probabilities must be "), r.detail
+        else:
+            assert (r.passed, r.assertions) == (True, w["assertions"]), r.name
+    assert main(["verify", "--dim", "3"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if not line.startswith("[ok  ]")] == [
+        f"[FAIL] analytic-distributions (0 assertions): {results[12].detail}",
+        f"17/18 checks passed, {sum(r.assertions for r in results)} assertions, d=3"]

@@ -92,6 +92,13 @@ def _amplitudes(d: int, family: Family,
     a[m, k] = <e_k|v_m> of its collapsed branches v_m, a = V E*.  With
     ``basis`` None the pair is left untouched: one branch, weight 1.
     Both arrays are read-only, because every caller shares them.
+
+    The cache is unbounded and lives as long as the process: one suite
+    run leaves 2(2d+3) entries, about 64(d+1)d^3 bytes (0.18 MB at d=7,
+    61 MB at d=31), and each further d adds its own.  Code that patches
+    what this function reads (``_branches``, ``_prep_pair``,
+    ``entangled_basis``) must call ``_amplitudes.cache_clear()`` before
+    and after, or later callers see the patched arrays.
     """
     if basis is None:
         weights, pairs = np.ones(1), _prep_pair(d, family).reshape(1, d * d)

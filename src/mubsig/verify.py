@@ -433,10 +433,16 @@ _CHECKS: dict[str, Callable[[_Check, int], None]] = {
 
 
 def _run_check(name: str, d: int) -> CheckResult:
-    """Run the check ``name``; one that raises fails, its exception the detail."""
+    """Run the check ``name``; one that raises fails, its exception the detail.
+
+    A MemoryError is not a failed invariant but a dimension too large for
+    this process, so it leaves the suite (``mubsig verify`` exits 2).
+    """
     c = _Check(name)
     try:
         _CHECKS[name](c, d)
+    except MemoryError:
+        raise
     except Exception as exc:
         c.failures.append(f"raised {type(exc).__name__}: {exc}")
     return c.result()

@@ -169,10 +169,9 @@ def test_cli_refuses_dimensions_above_max_dim_at_once(capsys):
         assert "largest supported" in capsys.readouterr().err
 
 
-def test_cli_out_of_memory_is_a_usage_error():
-    """A dimension whose pair basis cannot be allocated ends in one error
-    line and exit 2, not a traceback.  The session runs in a child process
-    under a 1.5 GB address-space cap, where d = 101 asks for 1.55 GiB."""
+def _run_capped(*args: str) -> subprocess.CompletedProcess:
+    """``python -m mubsig.cli *args`` in a child process under a 1.5 GB
+    address-space cap, where d = 101's pair basis asks for 1.55 GiB."""
     resource = pytest.importorskip("resource")
     cap = 1536 * 2 ** 20
 
@@ -182,11 +181,26 @@ def test_cli_out_of_memory_is_a_usage_error():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "mubsig.cli", "run", "--dim", "101", "--protocol", "original",
-         "--rounds", "100"],
+    return subprocess.run(
+        [sys.executable, "-m", "mubsig.cli", *args],
         env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit_memory)
+
+
+def test_cli_out_of_memory_is_a_usage_error():
+    """A dimension whose pair basis cannot be allocated ends in one error
+    line and exit 2, not a traceback."""
+    proc = _run_capped("run", "--dim", "101", "--protocol", "original", "--rounds", "100")
     assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "mubsig: error: dimension 101 needs more memory than this process may use"]
+    assert proc.stdout == ""
+
+
+def test_cli_verify_out_of_memory_is_a_usage_error():
+    """Running out of memory in ``verify`` is the same usage error, not a
+    failed check: the suite lets the MemoryError through."""
+    proc = _run_capped("verify", "--dim", "101")
+    assert proc.returncode == 2, proc.stdout
     assert proc.stderr.splitlines() == [
         "mubsig: error: dimension 101 needs more memory than this process may use"]
     assert proc.stdout == ""

@@ -205,7 +205,6 @@ def pair_outcome_labels(d: int) -> tuple[tuple[int, int], ...]:
     return tuple((c, r) for c in range(d) for r in range(d))
 
 
-@functools.lru_cache(maxsize=None)
 def entangled_basis(d: int, s: int = 0, family: Family = Family.PLAIN
                     ) -> np.ndarray:
     """The pair basis {|c,r;s>} as a read-only d^2 x d^2 matrix whose
@@ -213,8 +212,15 @@ def entangled_basis(d: int, s: int = 0, family: Family = Family.PLAIN
 
     The hat family is defined only at s = 0: its kets are (u (x) u)|c,r;0>
     with u the hat unitary, that is u Psi u^T on each d x d amplitude
-    matrix Psi.
+    matrix Psi.  The cache behind it, whose ``cache_info`` and
+    ``cache_clear`` this function carries, holds one entry per basis,
+    however a caller spells the arguments.
     """
+    return _pair_basis(d, s, family)
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_basis(d: int, s: int, family: Family) -> np.ndarray:
     _prime_dim(d)
     if not 0 <= s < d:
         raise ValueError(f"label s={s} outside [0, {d})")
@@ -229,3 +235,7 @@ def entangled_basis(d: int, s: int = 0, family: Family = Family.PLAIN
     e = np.zeros((d, d, d, d), dtype=complex)
     e[n, (n.T - n) % d, n.T] = _quadratic_phases(d, s)[:, None, :]
     return _frozen(e.reshape(d * d, d * d))
+
+
+entangled_basis.cache_info = _pair_basis.cache_info
+entangled_basis.cache_clear = _pair_basis.cache_clear

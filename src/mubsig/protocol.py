@@ -42,6 +42,18 @@ array gathers.  The per-round statistics remain
 exactly those of the state-by-state simulation in :mod:`mubsig.oracle`,
 which runs one round at a time on pure states and samples with
 :func:`mubsig.quantum.sample_outcome`.
+
+Blocks are sampled into reused buffers, not fresh arrays, so a warm
+session takes no page faults per block.  :func:`_run_blocks` owns them:
+for one phase of one session it gives each worker thread one
+:class:`_Scratch`, and drops it when the phase ends, so no buffer
+outlives a session.  Each block writes its lookups, codes and masks
+into its thread's set through ``out=``; a collected session's blocks
+write their columns straight into their slice of the :class:`RoundLog`.
+The no-alias rule: a buffer is named, two values share a buffer only
+when they share its name, and a value is written there only once the
+one before it is dead; a lookup's ``out`` is never its rows or draws.
+The only array still made per draw is the raw words of the stream.
 """
 
 from __future__ import annotations
@@ -212,6 +224,25 @@ def _draws(stream: np.random.Generator, n: int) -> np.ndarray:
     return raw.view(np.int64)
 
 
+class _Scratch:
+    """Block-sized buffers of one worker thread, reused by every block it samples.
+
+    ``scratch(name, dtype, n)`` is the first ``n`` entries of the buffer
+    called ``name``, made on first use.  The module docstring says who
+    owns a set and which values may share a buffer.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, dtype: type, n: int) -> np.ndarray:
+        buffer = self._buffers.get(name)
+        if buffer is None:
+            buffer = self._buffers[name] = np.empty(self.size, dtype=dtype)
+        return buffer[:n]
+
+
 @dataclass(frozen=True)
 class _InverseCdf:
     """Exact inverse CDF of a stack of rows, by an indexed search.
@@ -227,11 +258,13 @@ class _InverseCdf:
     A guide table (Chen & Asau 1974, Devroye 1986 sec. III.2.4) splits
     each row into 2^bits buckets; draw k on row r falls in bucket
     ``g = (k >> (53 - bits)) + (r << bits)``.  ``start[g]`` counts the
-    in-row keys below the bucket, and ``edge[g]`` is the one in-row key
-    inside it: 2^53 when it holds none, -1 when it holds two or more.
-    The cell is ``start[g] + (k > edge[g])``, and only draws in buckets
-    with ``edge < 0`` search the thresholds.  The guide decides how fast
-    a draw is found, never which cell it finds.
+    in-row keys below the bucket, and ``edge[g]`` is the in-row key
+    inside it: 2^53 when it holds none, -1 when it holds two different
+    ones.  So the cell is ``start[g + (k > edge[g])]``; a row's last key
+    is 2^53 - 1, so ``g + 1`` never leaves the row.  Only draws in
+    buckets with ``edge < 0`` search the thresholds, and ``searches``
+    says whether there are any.  The guide decides how fast a draw is
+    found, never which cell it finds.
     """
 
     cells: int
@@ -239,19 +272,32 @@ class _InverseCdf:
     thresholds: np.ndarray
     start: np.ndarray
     edge: np.ndarray
+    searches: bool
 
-    def __call__(self, rows: np.ndarray | int, k: np.ndarray) -> np.ndarray:
-        """Cell index (int64) per draw ``k`` on row ``rows`` (array or scalar)."""
-        bucket = k >> (_UNIT_BITS - self.bits)
-        bucket += rows << self.bits
-        edge = self.edge[bucket]
-        cell = np.add(self.start[bucket], k > edge, dtype=np.int64)
-        search = np.flatnonzero(edge < 0)
-        if search.size:
+    def __call__(self, rows: np.ndarray | int, k: np.ndarray, out: np.ndarray | None = None,
+                 scratch: _Scratch | None = None) -> np.ndarray:
+        """Cell index per draw ``k`` on row ``rows`` (int64 array or scalar).
+
+        The cells go to ``out`` (int64, fresh when None).  It holds the
+        row offsets and edges first, so it must not alias ``rows`` or
+        ``k``.  ``scratch`` lends the ``bucket``, ``mask`` and ``start``
+        buffers."""
+        n = k.size
+        scratch = _Scratch(n) if scratch is None else scratch
+        out = np.empty(n, dtype=np.int64) if out is None else out
+        bucket = np.right_shift(k, _UNIT_BITS - self.bits, out=scratch("bucket", np.int64, n))
+        bucket += np.left_shift(rows, self.bits, out=out) if np.ndim(rows) else rows << self.bits
+        edge = np.take(self.edge, bucket, out=out, mode="clip")
+        mask = scratch("mask", bool, n)
+        search = np.flatnonzero(np.less(edge, 0, out=mask)) if self.searches else ()
+        bucket += np.greater(k, edge, out=mask)
+        np.copyto(out, np.take(self.start, bucket, out=scratch("start", np.int32, n),
+                               mode="clip"))
+        if len(search):
             row = np.broadcast_to(rows, k.shape)[search]
-            cell[search] = (np.searchsorted(self.thresholds, row * _UNIT + k[search])
-                            - row * self.cells)
-        return cell
+            out[search] = (np.searchsorted(self.thresholds, row * _UNIT + k[search])
+                           - row * self.cells)
+        return out
 
 
 def _inverse_cdf(cum: np.ndarray) -> _InverseCdf:
@@ -273,11 +319,13 @@ def _inverse_cdf(cum: np.ndarray) -> _InverseCdf:
     inside = keys >= 0
     bucket, keys = bucket[inside], keys[inside]
     first = np.diff(bucket, prepend=-1) != 0   # keys are sorted, so a bucket's are a run
-    only = first & np.append(first[1:], True)   # first and last of its run
+    last = np.append(first[1:], True)
+    same = keys[first] == keys[last]   # the run's first and last keys, so all its keys
     edge = np.full(rows << bits, _UNIT, dtype=np.int64)
     edge[bucket] = -1
-    edge[bucket[only]] = keys[only]
-    return _InverseCdf(cells, bits, _frozen(thresholds), _frozen(start), _frozen(edge))
+    edge[bucket[first][same]] = keys[first][same]
+    return _InverseCdf(cells, bits, _frozen(thresholds), _frozen(start), _frozen(edge),
+                       not same.all())
 
 
 @dataclass(frozen=True)
@@ -365,20 +413,39 @@ def _total_variation(counts: np.ndarray, total: int, ideal: np.ndarray) -> np.nd
 # Sessions: block-wise exact-table sampling.
 # ---------------------------------------------------------------------------
 
-def _run_blocks(worker: Callable[[np.random.Generator, int], tuple],
-                total: int, seed: int, stream_base: int, workers: int) -> list[tuple]:
-    jobs = [(j, min(BLOCK_ROUNDS, total - start))
-            for j, start in enumerate(range(0, total, BLOCK_ROUNDS))]
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    def call(job: tuple[int, int]) -> tuple:
-        idx, size = job
-        return worker(derive_round_stream(seed, stream_base + idx), size)
 
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
+def _run_blocks(worker: Callable[[np.random.Generator, int, int, _Scratch], object],
+                total: int, seed: int, stream_base: int, workers: int) -> list:
+    """``worker(stream, start, n, scratch)`` on every block of ``total`` rounds,
+    its results in block order.
+
+    Of ``w`` threads, thread t samples blocks t, t + w, ... into one
+    :class:`_Scratch` of its own, made here and dropped on return, so no
+    buffer outlives the call.
+    """
+    starts = range(0, total, BLOCK_ROUNDS)
+    workers = min(workers, len(starts), _usable_cpus())
+
+    def lane(first: int) -> list:
+        scratch = _Scratch(min(total, BLOCK_ROUNDS))
+        return [worker(derive_round_stream(seed, stream_base + j), starts[j],
+                       min(BLOCK_ROUNDS, total - starts[j]), scratch)
+                for j in range(first, len(starts), workers)]
+
     if workers <= 1:
-        return [call(job) for job in jobs]
+        return lane(0)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(call, jobs))
+        lanes = list(pool.map(lane, range(workers)))
+    results: list = [None] * len(starts)
+    for first, done in enumerate(lanes):
+        results[first::workers] = done
+    return results
 
 
 @dataclass
@@ -398,56 +465,69 @@ class _SignalTally:
 
 
 def _signal_block(tables: _Tables, lookup: _InverseCdf, d: int, eve: bool,
-                  message: _InverseCdf, posttest_fraction: float | None, collect: bool,
-                  stream: np.random.Generator, n: int) -> tuple[_SignalTally, tuple | None]:
-    """Sample ``n`` signal rounds from one block stream.
+                  message: _InverseCdf, posttest_fraction: float | None,
+                  log: RoundLog | None, stream: np.random.Generator, start: int, n: int,
+                  scratch: _Scratch) -> _SignalTally:
+    """Sample the ``n`` signal rounds from ``start`` on from one block stream.
 
     Draw order: Alice's family coin (two families only), Bob's message,
     the first outcome (Alice's, or Eve's when she intercepts), Alice's
     outcome after Eve's resend, and the post-test coin (unless every
-    conclusive round is checked).  Eve's decoy pair is plain.  With
-    ``collect`` the block's :class:`RoundLog` columns come back as well.
+    conclusive round is checked).  Eve's decoy pair is plain.  With a
+    ``log``, the block writes its columns into their slice of it.
     """
     n_families, rows_per_family = tables.probs.shape[:2]
+    stop = start + n
+
+    def column(field: str, buffer: str) -> np.ndarray:
+        return scratch(buffer, np.int64, n) if log is None else getattr(log, field)[start:stop]
+
     # integer coins: k >= 2^52 is u >= 1/2 (hat), and k < ceil(f*2^53) is u < f
-    hat = (_draws(stream, n) >= _UNIT >> 1) if n_families == 2 else None
-    b_idx = message(0, _draws(stream, n))
-    eve_idx = None
+    hat = None
+    if n_families == 2:
+        hat = np.greater_equal(_draws(stream, n), _UNIT >> 1, out=scratch("hat", bool, n))
+        if log is not None:
+            log.family[start:stop] = hat
+    b_idx = message(0, _draws(stream, n), column("basis", "basis"), scratch)
+    row = np.add(b_idx, 1, out=scratch("row", np.int64, n))
     if eve:   # Eve's decoy is a plain pair, and she resends in the plain basis she decoded
-        eve_idx = lookup(1 + b_idx, _draws(stream, n))
-        eve_code = tables.decode_code[eve_idx]
-    alice_row = 1 + (eve_code if eve else b_idx)
+        # unlogged, her outcome is dead once decoded, so Alice's takes its buffer
+        eve_idx = lookup(row, _draws(stream, n), column("eve_outcome", "outcome"), scratch)
+        eve_code = np.take(tables.decode_code, eve_idx, out=scratch("eve", np.int64, n),
+                           mode="clip")
+        np.add(eve_code, 1, out=row)
     if hat is not None:
-        alice_row += hat * rows_per_family
-    out_idx = lookup(alice_row, _draws(stream, n))
-    dcode = tables.decode_code[out_idx]
-    kept = dcode != _INCONCLUSIVE_CODE
-    bob_code = b_idx
+        row += np.multiply(hat, rows_per_family, out=scratch("offset", np.int64, n))
+    out_idx = lookup(row, _draws(stream, n), column("outcome", "outcome"), scratch)
+    dcode = np.take(tables.decode_code, out_idx, out=row, mode="clip")   # the row is spent
+    kept = np.not_equal(dcode, _INCONCLUSIVE_CODE, out=scratch("kept", bool, n))
+    matched = n
     if hat is not None:
-        bob_hat = b_idx > d
-        bob_code = b_idx - (d + 1) * bob_hat
-        matched = bob_hat == hat
-        kept &= matched
-    correct = kept & (dcode == bob_code)
+        same = np.greater(b_idx, d, out=scratch("same", bool, n))   # Bob sent a hat basis
+        np.equal(same, hat, out=same)
+        matched = int(np.count_nonzero(same))
+        kept &= same
+        # Alice's code in Bob's numbering, where the hat bases follow the plain ones
+        dcode += np.multiply(hat, d + 1, out=scratch("offset", np.int64, n))
+    hit = np.equal(dcode, b_idx, out=scratch("hit", bool, n))
+    hit &= kept
+    tally = _SignalTally(rounds=n, matched=matched, kept=int(np.count_nonzero(kept)),
+                         correct=int(np.count_nonzero(hit)))
     if posttest_fraction is None:
-        checked = kept
+        tally.checked, tally.mismatches = tally.kept, tally.kept - tally.correct
     else:
-        checked = kept & (_draws(stream, n) < math.ceil(posttest_fraction * _UNIT))
-    tally = _SignalTally(
-        rounds=n, matched=n if hat is None else int(np.count_nonzero(matched)),
-        kept=int(np.count_nonzero(kept)), correct=int(np.count_nonzero(correct)),
-        checked=int(np.count_nonzero(checked)),
-        mismatches=int(np.count_nonzero(checked & ~correct)))
+        checked = np.less(_draws(stream, n), math.ceil(posttest_fraction * _UNIT),
+                          out=scratch("checked", bool, n))
+        checked &= kept
+        tally.checked = int(np.count_nonzero(checked))
+        checked &= hit
+        tally.mismatches = tally.checked - int(np.count_nonzero(checked))
     if eve:   # Eve's codes name plain bases, so only plain messages can match
-        eve_right = eve_code == bob_code
-        if hat is not None:
-            eve_right &= ~bob_hat
-        tally.eve_conclusive = int(np.count_nonzero(eve_code != _INCONCLUSIVE_CODE))
-        tally.eve_correct = int(np.count_nonzero(eve_right))
-    if not collect:
-        return tally, None
-    family = np.zeros(n, dtype=np.int64) if hat is None else hat.astype(np.int64)
-    return tally, (family, b_idx, out_idx, eve_idx)
+        eve_hit = scratch("eve_hit", bool, n)
+        tally.eve_conclusive = int(np.count_nonzero(
+            np.not_equal(eve_code, _INCONCLUSIVE_CODE, out=eve_hit)))
+        tally.eve_correct = int(np.count_nonzero(np.equal(eve_code, b_idx, out=eve_hit)))
+    return tally
 
 
 @functools.lru_cache(maxsize=None)
@@ -457,21 +537,19 @@ def _pretest_lookup(d: int, eve: bool) -> _InverseCdf:
 
 
 def _pretest_phase(d: int, n_pre: int, seed: int, eve: bool, workers: int,
-                   collect: bool) -> tuple[float, np.ndarray | None]:
+                   cells: np.ndarray | None) -> float:
+    """The pre-test's total-variation distance; with ``cells``, each round's
+    cell is written there as well."""
     ideal = ideal_pretest_distribution(d).ravel()
     lookup = _pretest_lookup(d, eve)
 
-    def worker(stream: np.random.Generator, n: int) -> tuple:
-        idx = lookup(0, _draws(stream, n))
-        counts = np.bincount(idx, minlength=ideal.size)
-        return counts, (idx if collect else None)
+    def worker(stream: np.random.Generator, start: int, n: int,
+               scratch: _Scratch) -> np.ndarray:
+        out = scratch("outcome", np.int64, n) if cells is None else cells[start:start + n]
+        return np.bincount(lookup(0, _draws(stream, n), out, scratch), minlength=ideal.size)
 
-    results = _run_blocks(worker, n_pre, seed, _PRETEST_STREAM_BASE, workers)
-    counts = np.zeros(ideal.size, dtype=np.int64)
-    for c, _ in results:
-        counts += c
-    cells = np.concatenate([idx for _, idx in results]) if collect else None
-    return float(_total_variation(counts, n_pre, ideal)), cells
+    counts = sum(_run_blocks(worker, n_pre, seed, _PRETEST_STREAM_BASE, workers))
+    return float(_total_variation(counts, n_pre, ideal))
 
 
 def _run_session(d: int, rounds: int, seed: int, *, n_families: int, eve: bool,
@@ -491,29 +569,30 @@ def _run_session(d: int, rounds: int, seed: int, *, n_families: int, eve: bool,
     With ``posttest_fraction=None`` every conclusive decode is checked
     against Bob's record (a supervisor's view; the original protocol
     itself has no verification step).  With ``collect`` the rounds come
-    back as a :class:`RoundLog`.
+    back as a :class:`RoundLog`, which the blocks fill in place.
     """
     n_pre = 0 if pretest_fraction is None else int(round(rounds * pretest_fraction))
     n_signal = rounds - n_pre
     if n_signal < 1 or (pretest_fraction is not None and n_pre < 1):
         raise ValueError(f"rounds={rounds} with pretest_fraction={pretest_fraction} "
                          "leaves an empty pre-test or signal phase")
-    divergence, pretest = None, np.zeros(0, dtype=np.int64)
-    if n_pre:
-        divergence, pretest = _pretest_phase(d, n_pre, seed, eve, workers, collect)
     tables = _tables(d, n_families)
-    message = _inverse_cdf(_cdf(message_weights / message_weights.sum()))
-    worker = functools.partial(_signal_block, tables, _table_lookup(d, n_families), d, eve,
-                               message, posttest_fraction, collect)
-    results = _run_blocks(worker, n_signal, seed, 0, workers)
-    tally = _SignalTally()
-    for t, _ in results:
-        tally.add(t)
     log = None
     if collect:
-        columns = zip(*(arrays for _, arrays in results))
-        log = RoundLog(d, tables.alphabet, pretest, *(
-            None if column[0] is None else np.concatenate(column) for column in columns))
+        log = RoundLog(d, tables.alphabet, np.empty(n_pre, dtype=np.int64),
+                       np.zeros(n_signal, dtype=np.int64),
+                       *(np.empty(n_signal, dtype=np.int64) for _ in range(2)),
+                       np.empty(n_signal, dtype=np.int64) if eve else None)
+    divergence = None
+    if n_pre:
+        divergence = _pretest_phase(d, n_pre, seed, eve, workers,
+                                    None if log is None else log.pretest)
+    message = _inverse_cdf(_cdf(message_weights / message_weights.sum()))
+    worker = functools.partial(_signal_block, tables, _table_lookup(d, n_families), d, eve,
+                               message, posttest_fraction, log)
+    tally = _SignalTally()
+    for t in _run_blocks(worker, n_signal, seed, 0, workers):
+        tally.add(t)
     report = SessionReport(
         rounds=rounds, sifted=tally.kept,
         decode_accuracy=_ratio(tally.correct, tally.kept),

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -560,10 +565,12 @@ def test_integer_coins_are_the_float_predicates(k):
     n_bases = len(tables.alphabet)
     message = protocol._inverse_cdf(_cdf(np.full(n_bases, 1.0 / n_bases)))
     for f in (np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0)):
-        tally, (family, *_) = protocol._signal_block(
-            tables, protocol._table_lookup(d, 2), d, False, message, float(f), True,
-            _ConstantRawStream(k), 4)
-        assert_array_equal(family, np.full(4, int(u >= 0.5)))
+        log = protocol.RoundLog(d, tables.alphabet, np.zeros(0, dtype=np.int64),
+                                *(np.full(4, -1) for _ in range(3)), None)
+        tally = protocol._signal_block(
+            tables, protocol._table_lookup(d, 2), d, False, message, float(f), log,
+            _ConstantRawStream(k), 0, 4, protocol._Scratch(4))
+        assert_array_equal(log.family, np.full(4, int(u >= 0.5)))
         assert tally.kept == 4
         assert tally.checked == (4 if u < f else 0), (k, f)
 
@@ -586,8 +593,79 @@ def test_grouped_lookup_equals_per_row_searchsorted(d, n_families):
                                        protocol._eve_pretest_probs(d).ravel())
 
 
+@pytest.mark.parametrize("d", [3, 7, 13])
+def test_guide_searches_only_buckets_of_different_keys(d):
+    """A bucket whose in-row keys are all equal (zero cells after a nonzero
+    one share their edge) takes that key as its edge and never searches."""
+    lookup = protocol._table_lookup(d, 1)
+    row = np.arange(lookup.thresholds.size) // lookup.cells
+    keys = lookup.thresholds - row * 2 ** 53
+    inside = keys >= 0   # a key of -1 (a leading zero cell) lies below its row's buckets
+    bucket = lookup.thresholds[inside] >> (53 - lookup.bits)
+    pairs = np.unique(np.stack([bucket, keys[inside]]), axis=1)
+    buckets, distinct = np.unique(pairs[0], return_counts=True)
+    searched = np.flatnonzero(lookup.edge < 0)
+    assert_array_equal(searched, buckets[distinct >= 2])
+    assert lookup.searches == (searched.size > 0)
+
+
+# Blocks sample into buffers that each worker thread reuses; these sessions
+# span several blocks of both phases, so any buffer shared by mistake shows.
+@pytest.mark.parametrize("make,eve", [
+    (original, EveMode.INTERCEPT), (tomographic, EveMode.INTERCEPT),
+    (dual, EveMode.DUAL_FAMILY)], ids=["original", "tomographic", "dualfamily"])
+def test_reused_block_buffers_alias_no_report_or_log(make, eve):
+    """Reports do not depend on collection or workers, and a collected log
+    is left as it was by the sessions that run after it."""
+    rounds = 5 * BLOCK_ROUNDS + 100
+    expected, log = run_trials(make(5, rounds, 11, eve=eve), return_rounds=True)
+    fields = ("pretest", "family", "basis", "outcome", "eve_outcome")
+    kept = {f: getattr(log, f).copy() for f in fields}
+    for workers in (1, 2):
+        assert run_trials(make(5, rounds, 11, eve=eve), workers=workers) == expected
+        report, again = run_trials(make(5, rounds, 11, eve=eve), workers=workers,
+                                   return_rounds=True)
+        assert report == expected
+        for f in fields:
+            assert_array_equal(getattr(again, f), kept[f], err_msg=f)
+    run_trials(make(5, rounds, 12, eve=eve), return_rounds=True)
+    for f in fields:
+        assert_array_equal(getattr(log, f), kept[f], err_msg=f)
+
+
+_FAULTS_PER_BLOCK = """
+import resource, sys
+from mubsig.harness import EveMode, HarnessConfig, Protocol, run_trials
+from mubsig.protocol import BLOCK_ROUNDS
+protocol, eve = Protocol(sys.argv[1]), EveMode(sys.argv[2])
+config = HarnessConfig(d=5, protocol=protocol, rounds=64 * BLOCK_ROUNDS, seed=7, eve=eve,
+                       posttest_fraction=0.5 if protocol is Protocol.DUAL_FAMILY else None)
+run_trials(config)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_trials(config)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 64)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts minor page faults as Linux reports them")
+@pytest.mark.parametrize("kind,eve", [(Protocol.ORIGINAL, EveMode.INTERCEPT),
+                                      (Protocol.DUAL_FAMILY, EveMode.DUAL_FAMILY)])
+def test_warm_blocks_take_no_page_faults(kind, eve):
+    """A warm 64-block session at workers=1 reuses one set of block
+    buffers, so its minor page faults do not grow with its blocks (fresh
+    arrays in every block took 470 to 590 per block here).  A fresh
+    process keeps the allocator state of earlier tests out of the count."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_PER_BLOCK, kind.value, eve.value],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert float(proc.stdout) < 50, proc.stdout
+
+
 def test_worker_threads_are_capped(monkeypatch):
-    """The pool never outgrows the blocks or the cores; no real thread starts."""
+    """The pool never outgrows the blocks or the CPUs this process may use
+    (its affinity mask, or ``cpu_count`` where there is none); no real
+    thread starts."""
     sizes = []
 
     class RecordingPool:
@@ -606,12 +684,21 @@ def test_worker_threads_are_capped(monkeypatch):
     monkeypatch.setattr(protocol, "ThreadPoolExecutor", RecordingPool)
     three_blocks = original(2, 3 * BLOCK_ROUNDS, seed=1)
     expected = run_trials(three_blocks)
-    for cpus, workers, pools in ((8, 10 ** 6, [3]), (2, 10 ** 6, [2]), (8, 2, [2]),
-                                 (None, 10 ** 6, []), (1, 4, [])):
+    cases = ((8, 10 ** 6, [3]), (2, 10 ** 6, [2]), (8, 2, [2]), (1, 4, []))
+    # the affinity mask caps the pool, however many CPUs the machine has
+    monkeypatch.setattr(protocol.os, "cpu_count", lambda: 64)
+    for cpus, workers, pools in cases:
+        monkeypatch.setattr(protocol.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        sizes.clear()
+        assert run_trials(three_blocks, workers=workers) == expected
+        assert sizes == pools, ("mask", cpus, workers)
+    monkeypatch.delattr(protocol.os, "sched_getaffinity")
+    for cpus, workers, pools in cases + ((None, 10 ** 6, []),):
         monkeypatch.setattr(protocol.os, "cpu_count", lambda: cpus)
         sizes.clear()
         assert run_trials(three_blocks, workers=workers) == expected
-        assert sizes == pools, (cpus, workers)
+        assert sizes == pools, ("cpu_count", cpus, workers)
     # a single block never asks for a pool, however many workers are offered
     monkeypatch.setattr(protocol.os, "cpu_count", lambda: 8)
     sizes.clear()

@@ -253,3 +253,12 @@ def test_a_check_that_raises_fails_alone(monkeypatch, capsys):
     assert [line for line in out if not line.startswith("[ok  ]")] == [
         f"[FAIL] analytic-distributions (0 assertions): {results[12].detail}",
         f"17/18 checks passed, {sum(r.assertions for r in results)} assertions, d=3"]
+
+
+def test_entangled_basis_keeps_one_entry_per_basis():
+    """Callers spell a pair basis as (d), (d, s), (d, s=s), (d, family=f)
+    and (d, 0, f); the cache keys every spelling of one basis as one entry,
+    so a suite run at d=7 leaves its 7 plain bases and 1 hat basis."""
+    entangled_basis.cache_clear()
+    assert all(r.passed for r in run_invariant_suite(7))
+    assert entangled_basis.cache_info().currsize == 8

@@ -82,6 +82,7 @@ class BasisId:
         raise ValueError(f"unrecognized basis label {text!r}")
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def basis_alphabet(d: int, families: tuple[Family, ...] = (Family.PLAIN,)
                    ) -> tuple[BasisId, ...]:
     """All basis labels of the given families, computational first."""
@@ -93,7 +94,7 @@ def basis_alphabet(d: int, families: tuple[Family, ...] = (Family.PLAIN,)
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def _omega_table(d: int) -> np.ndarray:
     """omega(d)^k over one period of omega (4 for d = 2, else d); every
     phase of every basis is read here."""
@@ -125,7 +126,7 @@ def _quadratic_phases(d: int, q: int) -> np.ndarray:
     return table[(q * n * n - 2 * n * n.T) % len(table)] / math.sqrt(d)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def measurement_basis(d: int, basis: BasisId) -> np.ndarray:
     """One measurement basis (either family) as a read-only d x d matrix
     whose column m is its m-th ket."""
@@ -153,7 +154,7 @@ _FOURIER_EIGENVALUE_ROOTS = ((1, 1), (-1, 1j), (1j, cmath.exp(0.25j * math.pi)),
                              (-1j, cmath.exp(-0.25j * math.pi)))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def hadamard_root(d: int) -> np.ndarray:
     """Principal square root h of the Fourier matrix, so h @ h = F.
 
@@ -175,7 +176,7 @@ def hadamard_root(d: int) -> np.ndarray:
     return _frozen(h)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def hat_unitary(d: int) -> np.ndarray:
     """The unitary sending |m> to |m-hat> = sum_n |n> h[m, n], so column m
     is row m of the Hadamard root h.
@@ -199,6 +200,7 @@ def hat_unitary(d: int) -> np.ndarray:
     return _frozen(u)
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def pair_outcome_labels(d: int) -> tuple[tuple[int, int], ...]:
     """(c, r) labels of the entangled basis, in flat index order c*d + r."""
     _prime_dim(d)
@@ -214,8 +216,9 @@ def entangled_basis(d: int, s: int = 0, family: Family = Family.PLAIN
     with u the hat unitary, that is u Psi u^T on each d x d amplitude
     matrix Psi.  The cache behind it, whose ``cache_info`` and
     ``cache_clear`` this function carries, holds one entry per basis,
-    however a caller spells the arguments.
+    however a caller spells the arguments, once d is checked.
     """
+    _prime_dim(d)
     return _pair_basis(d, s, family)
 
 

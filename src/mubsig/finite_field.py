@@ -52,7 +52,13 @@ class PrimeDim:
             raise ValueError(f"dimension must be prime, got {self.d}")
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def _prime_dim(d: int) -> PrimeDim:
-    """Cached :class:`PrimeDim` lookup; raises for non-primes like the constructor."""
+    """Cached :class:`PrimeDim` lookup; raises for non-primes like the constructor.
+
+    The cache is typed: 7.0 and True are keys of their own, not the
+    entries of 7 and 1, so they raise ``TypeError`` every time.  Public
+    functions run this check before they read any cache keyed on d; those
+    that are cached themselves are typed too.
+    """
     return PrimeDim(d)

@@ -16,7 +16,12 @@ reach the same numbers by a summed formula instead.
 
 The branch amplitudes <e_k|v_m> of each (d, family, basis) are computed
 once per process, by :func:`_amplitudes`; :mod:`mubsig.verify` reads the
-same arrays.
+same arrays.  The same cache entry keeps the inverse CDFs a round draws
+from, built on its first draw by :func:`mubsig.quantum.sample_outcome`'s
+own steps, so a draw is one ``rng.random()`` and one search, and a round
+replays ``sample_outcome`` on the same generator draw for draw.  A round's
+decode is read off ``protocol._decode_codes``: :func:`mubsig.protocol.decode`
+of every outcome, computed once per d.
 
 Convention as in :mod:`mubsig.protocol`: a pair is a d x d amplitude
 matrix whose first index is the half that travels.
@@ -25,13 +30,13 @@ matrix whose first index is the half that travels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .bases import BasisId, Family, entangled_basis, measurement_basis, pair_outcome_labels
-from .protocol import _INCONCLUSIVE_CODE, _prep_pair, decode
-from .quantum import _frozen, sample_outcome
+from .protocol import _INCONCLUSIVE_CODE, _decode_codes, _prep_pair
+from .quantum import _cdf, _clean_probabilities, _frozen
 
 
 @dataclass(frozen=True)
@@ -82,23 +87,41 @@ def _branches(d: int, family: Family, basis: BasisId) -> tuple[np.ndarray, np.nd
     return weights, b.T[:, :, None] * kept[:, None, :]
 
 
-@lru_cache(maxsize=None)
-def _amplitudes(d: int, family: Family,
-                basis: BasisId | None) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True)
+class _Measured:
+    """One entry of :func:`_amplitudes`: the branches of a measured pair."""
+
+    weights: np.ndarray   # w_m = ||phi_m||^2
+    amps: np.ndarray      # a[m, k] = <e_k|v_m>
+
+    @cached_property
+    def cdfs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The CDF of the w_m, and in row m the CDF of the |a[m, k]|^2 over
+        k, each row made by :func:`mubsig.quantum.sample_outcome`'s own
+        steps; built on the first draw, as only the rounds read them."""
+        return (_cdf(_clean_probabilities(self.weights)),
+                _cdf(_clean_probabilities(np.abs(self.amps) ** 2)))
+
+
+@lru_cache(maxsize=None, typed=True)
+def _amplitudes(d: int, family: Family, basis: BasisId | None) -> _Measured:
     """The branches of the family's (0,0) pair after its travelling half is
     measured in ``basis``, in the family's entangled basis {e_k}.
 
     Returns the weights w_m of :func:`_branches` and the amplitudes
-    a[m, k] = <e_k|v_m> of its collapsed branches v_m, a = V E*.  With
+    a[m, k] = <e_k|v_m> of its collapsed branches v_m, a = V E*, with
+    the CDFs a round draws them from (:attr:`_Measured.cdfs`).  With
     ``basis`` None the pair is left untouched: one branch, weight 1.
-    Both arrays are read-only, because every caller shares them.
+    Every array is read-only, because every caller shares them.
 
     The cache is unbounded and lives as long as the process: one suite
-    run leaves 2(2d+3) entries, about 64(d+1)d^3 bytes (0.18 MB at d=7,
-    61 MB at d=31), and each further d adds its own.  Code that patches
-    what this function reads (``_branches``, ``_prep_pair``,
-    ``entangled_basis``) must call ``_amplitudes.cache_clear()`` before
-    and after, or later callers see the patched arrays.
+    run leaves 2(2d+3) entries, about 72(d+1)d^3 bytes: every entry's
+    amplitudes, and the CDFs of the d+2 plain-family entries the rounds
+    draw from (0.20 MB at d=7, 1.16 MB at d=11, 68.7 MB at d=31).  Each
+    further d adds its own.  Code that patches what this function reads
+    (``_branches``, ``_prep_pair``, ``entangled_basis``) must call
+    ``_amplitudes.cache_clear()`` before and after, or later callers see
+    the patched arrays.
     """
     if basis is None:
         weights, pairs = np.ones(1), _prep_pair(d, family).reshape(1, d * d)
@@ -106,7 +129,12 @@ def _amplitudes(d: int, family: Family,
         weights, collapsed = _branches(d, family, basis)
         pairs = collapsed.reshape(d, d * d)
     amps = (pairs.conj() @ entangled_basis(d, 0, family)).conj()
-    return _frozen(weights), _frozen(amps)
+    return _Measured(_frozen(weights), _frozen(amps))
+
+
+def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """One inverse-CDF draw, as :func:`mubsig.quantum.sample_outcome` makes it."""
+    return int(np.searchsorted(cdf, rng.random(), side="right"))
 
 
 def _measure(d: int, family: Family, basis: BasisId | None,
@@ -117,10 +145,10 @@ def _measure(d: int, family: Family, basis: BasisId | None,
 
     Returns the pair outcome (c, r) and its decode.
     """
-    weights, amps = _amplitudes(d, family, basis)
-    m = 0 if basis is None else sample_outcome(weights, rng)
-    c, r = pair_outcome_labels(d)[sample_outcome(np.abs(amps[m]) ** 2, rng)]
-    return (c, r), int(decode(d, (0, 0, 0), (c, r)))
+    weight_cdf, cdf = _amplitudes(d, family, basis).cdfs
+    m = 0 if basis is None else _draw(weight_cdf, rng)
+    k = _draw(cdf[m], rng)
+    return pair_outcome_labels(d)[k], int(_decode_codes(d)[k])
 
 
 def _forward_basis(family: Family, code: int) -> BasisId | None:

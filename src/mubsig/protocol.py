@@ -40,8 +40,8 @@ Its guide table answers almost every draw with two gathers and one
 comparison, so a million rounds cost about as much as a few million
 array gathers.  The per-round statistics remain
 exactly those of the state-by-state simulation in :mod:`mubsig.oracle`,
-which runs one round at a time on pure states and samples with
-:func:`mubsig.quantum.sample_outcome`.
+which runs one round at a time on pure states and draws as
+:func:`mubsig.quantum.sample_outcome` does.
 
 Blocks are sampled into reused buffers, not fresh arrays, so a warm
 session takes no page faults per block.  :func:`_run_blocks` owns them:
@@ -75,6 +75,7 @@ from .bases import (
     measurement_basis,
     pair_outcome_labels,
 )
+from .finite_field import _prime_dim
 from .quantum import TOLERANCE, _cdf, _frozen
 from .streams import derive_round_stream
 
@@ -86,9 +87,11 @@ _PRETEST_STREAM_BASE = 1 << 40
 _INCONCLUSIVE_CODE = -1
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def _inverses(d: int) -> np.ndarray:
-    """The int64 table of a^-1 mod d for a = 1..d-1, with 0 at index 0."""
-    return np.array([0] + [pow(a, -1, d) for a in range(1, d)], dtype=np.int64)
+    """The read-only int64 table of a^-1 mod d for a = 1..d-1, with 0 at index 0."""
+    _prime_dim(d)
+    return _frozen(np.array([0] + [pow(a, -1, d) for a in range(1, d)], dtype=np.int64))
 
 
 def decode(d: int, prep: tuple, outcome: tuple) -> np.ndarray:
@@ -173,7 +176,13 @@ def _prep_pair(d: int, family: Family) -> np.ndarray:
     return _frozen(entangled_basis(d, 0, family)[:, 0].reshape(d, d).copy())
 
 
-@functools.lru_cache(maxsize=None)
+# The contraction order of pair_outcome_probs: e with <b| first, then phi.
+# It is the order optimize=True finds at every d up to MAX_DIM, so naming
+# it spares each call the search and keeps every bit of every row.
+_PROBS_PATH = ["einsum_path", (0, 1), (0, 1)]
+
+
+@functools.lru_cache(maxsize=None, typed=True)
 def pair_outcome_probs(d: int, own_family: Family, measured_basis: BasisId) -> np.ndarray:
     """Exact pair-outcome distribution after the travelling half is measured.
 
@@ -184,13 +193,14 @@ def pair_outcome_probs(d: int, own_family: Family, measured_basis: BasisId) -> n
     phi_m = (<b_m| (x) 1) Psi.  Cells below ``TOLERANCE`` are exactly 0.0.
     Entries follow :func:`pair_outcome_labels` order.
     """
+    _prime_dim(d)
     psi = _prep_pair(d, own_family)
     b = measurement_basis(d, measured_basis)
     e = entangled_basis(d, 0, own_family).reshape(d, d, d * d)
     phi = b.conj().T @ psi
     # the conjugate amplitudes, so that only the d x d factors are conjugated
     # and not the d^2 x d^2 pair basis; the moduli are the same bits
-    amps_conj = np.einsum("ijk,im,mj->km", e, b.conj(), phi.conj(), optimize=True)
+    amps_conj = np.einsum("ijk,im,mj->km", e, b.conj(), phi.conj(), optimize=_PROBS_PATH)
     p = (np.abs(amps_conj) ** 2).sum(axis=1)
     return _frozen(np.where(p < TOLERANCE, 0.0, p))
 
@@ -367,7 +377,7 @@ def _table_lookup(d: int, n_families: int) -> _InverseCdf:
 # Public tomography test reference distributions.
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def ideal_pretest_distribution(d: int) -> np.ndarray:
     """Joint distribution of (b, m, a, m') in an undisturbed pre-test round.
 

@@ -38,7 +38,7 @@ from .harness import (
     dual_family_detection_probability,
     run_trials,
 )
-from .oracle import _amplitudes, _branches, _forward_basis, run_round_original
+from .oracle import _amplitudes, _branches, _forward_basis, _Measured, run_round_original
 from .protocol import _INCONCLUSIVE_CODE, _decode_codes, _inverses, decode
 from .quantum import TOLERANCE
 from .streams import derive_round_stream
@@ -103,18 +103,18 @@ class _Check:
 # Pure-state route: the (0,0) pair of a family after its travelling half is
 # measured, as the weights w_m and collapsed branches v_m = b_m (x) phi_m
 # of mubsig.oracle._branches, or their amplitudes a[m, k] = <e_k|v_m> in
-# the family's entangled basis, mubsig.oracle._amplitudes.
+# the family's entangled basis, as held by mubsig.oracle._amplitudes.
 
 
-def _pair_coefficients(weights: np.ndarray, amps: np.ndarray) -> np.ndarray:
+def _pair_coefficients(measured: _Measured) -> np.ndarray:
     """<e_k| rho |e_l> of the measured pair rho = sum_m w_m |v_m><v_m|,
     that is sum_m w_m a_m^T a_m^*."""
-    return (amps.T * weights) @ amps.conj()
+    return (measured.amps.T * measured.weights) @ measured.amps.conj()
 
 
-def _outcome_probs(weights: np.ndarray, amps: np.ndarray) -> np.ndarray:
+def _outcome_probs(measured: _Measured) -> np.ndarray:
     """Born probabilities <e_k| rho |e_k> of the measured pair."""
-    return weights @ np.abs(amps) ** 2
+    return measured.weights @ np.abs(measured.amps) ** 2
 
 
 def _travelling_state(weights: np.ndarray, collapsed: np.ndarray) -> np.ndarray:
@@ -129,7 +129,9 @@ def _reduced_states(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _off_diagonal(coeffs: np.ndarray) -> float:
-    return np.abs(coeffs - np.diag(np.diag(coeffs))).max()
+    magnitude = np.abs(coeffs)
+    np.fill_diagonal(magnitude, 0.0)
+    return magnitude.max()
 
 
 def _check_field_arithmetic(c: _Check, d: int) -> None:
@@ -178,16 +180,36 @@ def _check_unbiasedness(c: _Check, d: int) -> None:
                     f"{float(overlaps[m, mp])!r} != {1.0 / d!r}"))
 
 
+def _block_gram_deviation(d: int, basis: np.ndarray) -> float:
+    """How far a plain pair basis is from orthonormal, block by block.
+
+    Each ket |c,r;s> may be nonzero only on the rows n d + (c - n) mod d,
+    so the basis is orthonormal exactly when each c's d x d block of
+    those rows is, and every entry off the blocks is zero.  Returns the
+    larger of the worst block Gram deviation and the largest entry off
+    the blocks.
+    """
+    e = basis.reshape(d, d, d, d)   # [n, n', c, r]
+    n = np.arange(d)
+    cc = n[:, None]
+    support = (n, (cc - n) % d, cc)
+    blocks = e[support]   # [c, n, r]
+    gram = blocks.conj().transpose(0, 2, 1) @ blocks
+    off = np.abs(e)
+    off[support] = 0.0
+    return float(max(np.abs(gram - np.eye(d)).max(), off.max()))
+
+
 def _check_entangled_basis(c: _Check, d: int) -> None:
     for family in _FAMILIES:
         basis = entangled_basis(d, family=family)
-        gram = basis.conj().T @ basis
-        c.close(np.abs(gram - np.eye(d * d)).max(), 0.0,
-                "{} pair basis gram", family.value, tol=TOLERANCE)
+        if family is Family.PLAIN:
+            deviation = _block_gram_deviation(d, basis)
+        else:   # the hat kets (u (x) u)|c,r;0> fill whole columns
+            deviation = np.abs(basis.conj().T @ basis - np.eye(d * d)).max()
+        c.close(deviation, 0.0, "{} pair basis gram", family.value, tol=TOLERANCE)
     for s in range(1, d):
-        basis = entangled_basis(d, s=s)
-        gram = basis.conj().T @ basis
-        c.close(np.abs(gram - np.eye(d * d)).max(), 0.0,
+        c.close(_block_gram_deviation(d, entangled_basis(d, s=s)), 0.0,
                 "pair basis gram at s={}", s, tol=TOLERANCE)
 
 
@@ -219,7 +241,7 @@ def _check_measurement_backaction(c: _Check, d: int) -> None:
     labels = pair_outcome_labels(d)
     for family in _FAMILIES:
         for bob in basis_alphabet(d, (family,)):
-            coeffs = _pair_coefficients(*_amplitudes(d, family, bob))
+            coeffs = _pair_coefficients(_amplitudes(d, family, bob))
             c.close(_off_diagonal(coeffs), 0.0,
                     "{}/{} off-diagonal", family.value, bob.text(), tol=TOLERANCE)
             diag = np.diag(coeffs).real
@@ -240,7 +262,7 @@ def _check_decode_soundness(c: _Check, d: int) -> None:
     """Every supported outcome of every basis choice decodes back to it."""
     labels = np.array(pair_outcome_labels(d))
     for code, bob in enumerate(basis_alphabet(d, (Family.PLAIN,))):
-        probs = _outcome_probs(*_amplitudes(d, Family.PLAIN, bob))
+        probs = _outcome_probs(_amplitudes(d, Family.PLAIN, bob))
         support = np.flatnonzero(probs > TOLERANCE)
         got = decode(d, (0, 0, 0), labels[support].T)
         # (0,0) must stay inconclusive; every other outcome names Bob's basis
@@ -301,7 +323,7 @@ def _check_cross_family_visibility(c: _Check, d: int) -> None:
                                    (Family.HAT, Family.PLAIN)):
         worst = np.inf
         for bob in basis_alphabet(d, (bob_family,)):
-            worst = min(worst, _off_diagonal(_pair_coefficients(*_amplitudes(d, eve_family, bob))))
+            worst = min(worst, _off_diagonal(_pair_coefficients(_amplitudes(d, eve_family, bob))))
         c.expect(worst > 1e-6,
                  "{} interceptor sees {} rounds as diagonal (max off-diag {:.2e})",
                  eve_family.value, bob_family.value, worst)
@@ -367,10 +389,10 @@ def _summed_detection_probability(d: int, eve_family: Family) -> float:
         resends.setdefault(_forward_basis(eve_family, code), []).append(k)
     kept = mismatch = 0.0
     for family in _FAMILIES:
-        alice = {f: _outcome_probs(*_amplitudes(d, family, f)) for f in resends}
+        alice = {f: _outcome_probs(_amplitudes(d, family, f)) for f in resends}
         for code, bob in enumerate(basis_alphabet(d, (family,))):
             wrong = conclusive & (codes != code)
-            eve = _outcome_probs(*_amplitudes(d, eve_family, bob))
+            eve = _outcome_probs(_amplitudes(d, eve_family, bob))
             for f, outcomes in resends.items():
                 q = eve[outcomes].sum()
                 kept += q * alice[f][conclusive].sum()

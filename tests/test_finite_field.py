@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from mubsig import bases, finite_field, oracle, protocol
+from mubsig.bases import BasisId, Family
 from mubsig.finite_field import MAX_DIM, PrimeDim, is_prime
+from mubsig.harness import analytic_outcome_distribution, dual_family_detection_probability
 from mubsig.protocol import _inverses
 
 PRIMES = [2, 3, 5, 7, 11]
@@ -45,3 +48,51 @@ def test_inverse_matches_pow_oracle():
         for a in range(1, d):
             assert inverses[a] == pow(a, -1, d)
             assert a * inverses[a] % d == 1
+
+
+def _clear_caches():
+    """Empty every cache of the modules whose caches are keyed on d."""
+    for module in (finite_field, bases, protocol, oracle):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+# Public functions that read a cache keyed on d, each called at dimension d.
+_CACHED_CALLS = {
+    "basis_alphabet": lambda d: bases.basis_alphabet(d, (Family.PLAIN, Family.HAT)),
+    "omega_power": lambda d: bases.omega_power(d, 1),
+    "measurement_basis": lambda d: bases.measurement_basis(d, BasisId(Family.PLAIN, 1)),
+    "hadamard_root": bases.hadamard_root,
+    "hat_unitary": bases.hat_unitary,
+    "pair_outcome_labels": bases.pair_outcome_labels,
+    "entangled_basis": bases.entangled_basis,
+    "decode": lambda d: protocol.decode(d, (0, 0, 0), (1, 2)),
+    "pair_outcome_probs": lambda d: protocol.pair_outcome_probs(d, Family.PLAIN,
+                                                                BasisId(Family.PLAIN, 1)),
+    "ideal_pretest_distribution": protocol.ideal_pretest_distribution,
+    "analytic_outcome_distribution": lambda d: analytic_outcome_distribution(
+        d, BasisId(Family.HAT, 1)),
+    "dual_family_detection_probability": dual_family_detection_probability,
+    "run_round_original": lambda d: oracle.run_round_original(
+        d, BasisId(Family.PLAIN, 1), np.random.default_rng(0), eve=True),
+}
+
+
+def _type_error(call, d) -> str:
+    with pytest.raises(TypeError) as info:
+        call(d)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("name", _CACHED_CALLS)
+def test_cached_functions_refuse_a_float_or_bool_dimension_cold_and_warm(name):
+    """7.0 == 7 and True == 1, so an untyped cache would hand the entry of 7
+    to 7.0.  Each call raises the same TypeError before and after the
+    int call has filled its caches."""
+    call = _CACHED_CALLS[name]
+    _clear_caches()
+    cold = [_type_error(call, bad) for bad in (7.0, True)]
+    assert all(text.startswith("dimension must be an int") for text in cold), cold
+    call(7)
+    assert [_type_error(call, bad) for bad in (7.0, True)] == cold

@@ -8,8 +8,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mubsig import oracle
-from mubsig.bases import BasisId, Family, basis_alphabet, entangled_basis, measurement_basis
-from mubsig.quantum import TOLERANCE
+from mubsig.bases import (
+    BasisId,
+    Family,
+    basis_alphabet,
+    entangled_basis,
+    measurement_basis,
+    pair_outcome_labels,
+)
+from mubsig.protocol import decode
+from mubsig.quantum import TOLERANCE, sample_outcome
 from dense import born_probabilities, density, nonselective_measure
 
 FAMILIES = (Family.PLAIN, Family.HAT)
@@ -39,9 +47,9 @@ def test_collapse_route_sums_to_the_nonselective_measurement(d):
         prep = density(oracle._prep_pair(d, family))
         pair_basis = entangled_basis(d, 0, family)
         for basis in (None, *basis_alphabet(d, FAMILIES)):
-            weights, amps = oracle._amplitudes(d, family, basis)
-            assert_allclose(weights.sum(), 1.0, rtol=0, atol=1e-12)
-            route = weights @ np.abs(amps) ** 2
+            measured = oracle._amplitudes(d, family, basis)
+            assert_allclose(measured.weights.sum(), 1.0, rtol=0, atol=1e-12)
+            route = measured.weights @ np.abs(measured.amps) ** 2
             state = prep if basis is None else nonselective_measure(
                 prep, 1, measurement_basis(d, basis))
             dense = born_probabilities(state, pair_basis)
@@ -50,9 +58,11 @@ def test_collapse_route_sums_to_the_nonselective_measurement(d):
 
 
 def test_amplitudes_refuse_writes():
-    """Every caller shares the cached arrays, so none may change them."""
+    """Every caller shares the cached arrays, CDFs included, so none may
+    change them."""
     for basis in (None, BasisId(Family.PLAIN, 0)):
-        for array in oracle._amplitudes(3, Family.HAT, basis):
+        measured = oracle._amplitudes(3, Family.HAT, basis)
+        for array in (measured.weights, measured.amps, *measured.cdfs):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
@@ -107,3 +117,21 @@ def test_round_records_are_pinned():
     """Fixed-seed rounds keep every outcome, decode and draw in place."""
     text = json.dumps(_pinned_records(), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == ROUND_RECORDS_SHA256
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_cached_draws_replay_sample_outcome(d):
+    """A round's two draws, read off the cached CDFs, equal sample_outcome
+    on the weights and then on |amps[m]|^2, on an identically seeded
+    generator: the same outcomes, codes and final generator state."""
+    for family in FAMILIES:
+        for basis in (None, *basis_alphabet(d, FAMILIES)):
+            measured = oracle._amplitudes(d, family, basis)
+            rng, replay = np.random.default_rng(d), np.random.default_rng(d)
+            for _ in range(200):
+                outcome, code = oracle._measure(d, family, basis, rng)
+                m = 0 if basis is None else sample_outcome(measured.weights, replay)
+                k = sample_outcome(np.abs(measured.amps[m]) ** 2, replay)
+                assert outcome == pair_outcome_labels(d)[k], (family, basis)
+                assert code == decode(d, (0, 0, 0), outcome)
+            assert rng.bit_generator.state == replay.bit_generator.state

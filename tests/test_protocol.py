@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import as_strided
 from numpy.testing import assert_allclose, assert_array_equal
 
 from mubsig import oracle, protocol
@@ -16,6 +17,7 @@ from mubsig.bases import (
     measurement_basis,
     pair_outcome_labels,
 )
+from mubsig.finite_field import MAX_DIM, is_prime
 from mubsig.harness import EveMode, HarnessConfig, Protocol, run_trials
 from mubsig.oracle import (
     RoundRecord,
@@ -130,6 +132,18 @@ def test_pair_outcome_cross_family_normalized_and_spread():
 def test_pair_outcome_probs_cached():
     b = BasisId(Family.PLAIN, 0)
     assert pair_outcome_probs(3, Family.PLAIN, b) is pair_outcome_probs(3, Family.PLAIN, b)
+
+
+def test_pair_outcome_probs_path_is_the_one_einsum_would_find():
+    """The named contraction order is what optimize=True chooses at every
+    admissible d, so naming it moves no bit of any row.  The search reads
+    only shapes, so zero-stride stand-ins of the operands suffice."""
+    z = np.zeros(1, dtype=complex)
+    for d in filter(is_prime, range(2, MAX_DIM + 1)):
+        e = as_strided(z, shape=(d, d, d * d), strides=(0, 0, 0))
+        m = as_strided(z, shape=(d, d), strides=(0, 0))
+        path, _ = np.einsum_path("ijk,im,mj->km", e, m, m, optimize=True)
+        assert path == protocol._PROBS_PATH, d
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mubsig import harness, oracle, protocol, verify
+from mubsig import harness, oracle, protocol, quantum, verify
 from mubsig.bases import (
     BasisId,
     Family,
@@ -127,11 +127,11 @@ def test_pure_state_route_matches_the_dense_density_operators(d):
         pair_basis = entangled_basis(d, 0, family)
         for basis in basis_alphabet(d, FAMILIES):
             dense = nonselective_measure(prep, 1, measurement_basis(d, basis))
-            weights, amps = oracle._amplitudes(d, family, basis)
+            measured = oracle._amplitudes(d, family, basis)
             coeffs = pair_basis.conj().T @ dense @ pair_basis
-            assert_allclose(verify._pair_coefficients(weights, amps), coeffs,
+            assert_allclose(verify._pair_coefficients(measured), coeffs,
                             rtol=0, atol=1e-12, err_msg=f"{family} {basis}")
-            assert_allclose(verify._outcome_probs(weights, amps),
+            assert_allclose(verify._outcome_probs(measured),
                             born_probabilities(dense, pair_basis), rtol=0, atol=1e-12)
             assert_allclose(verify._travelling_state(*verify._branches(d, family, basis)),
                             partial_trace(dense, keep=1), rtol=0, atol=1e-12)
@@ -231,6 +231,83 @@ def test_measurement_backaction_catches_a_conjugated_kept_half(monkeypatch, fres
     result = verify._run_check("measurement-backaction", d)
     assert not result.passed
     assert re.match(r"(plain|hat)/(hat-)?(comp|q\d) off-diagonal: ", result.detail), result.detail
+
+
+def _patched_pair_basis(monkeypatch, d, target, change):
+    """Let verify read the plain pair basis at s = ``target`` through ``change``.
+
+    Only verify's own name is patched, so no cache ever holds the
+    patched basis and none needs clearing."""
+    real = verify.entangled_basis
+
+    def patched(dim, s=0, family=Family.PLAIN):
+        basis = real(dim, s, family)
+        if (dim, s, family) == (d, target, Family.PLAIN):
+            basis = basis.copy()
+            change(basis)
+        return basis
+
+    monkeypatch.setattr(verify, "entangled_basis", patched)
+
+
+def test_entangled_basis_catches_an_amplitude_off_the_block(monkeypatch):
+    """A 1e-6 amplitude off a ket's c-support leaves every block Gram exact,
+    so only the off-block entries can catch it, as the dense Gram did."""
+    d, s = 5, 2
+    cc, r, n = 3, 1, 0
+    row = n * d + (cc - n + 1) % d   # n' = c - n is the support; this is off it
+
+    def leak(basis):
+        basis[row, cc * d + r] = 1e-6
+
+    _patched_pair_basis(monkeypatch, d, s, leak)
+    result = verify._run_check("entangled-basis", d)
+    assert not result.passed and result.assertions == d + 1
+    assert result.detail.startswith(f"pair basis gram at s={s}: 1e-06 != 0.0"), result.detail
+
+
+def test_entangled_basis_catches_two_overlapping_kets_of_one_block(monkeypatch):
+    d, s = 5, 3
+    first, second = 2 * d + 1, 2 * d + 4   # (c, r) = (2, 1) and (2, 4)
+
+    def tilt(basis):   # unit norm, but overlap sin(0.1) with the first ket
+        basis[:, second] = np.cos(0.1) * basis[:, second] + np.sin(0.1) * basis[:, first]
+
+    _patched_pair_basis(monkeypatch, d, s, tilt)
+    result = verify._run_check("entangled-basis", d)
+    assert not result.passed and result.assertions == d + 1
+    assert result.detail.startswith(f"pair basis gram at s={s}: "), result.detail
+
+
+def test_a_warm_suite_rebuilds_no_draw_cdf(monkeypatch):
+    """The oracle's draws read the CDFs cached with its amplitudes: a second
+    suite run makes no quantum._cdf call in attack-bookkeeping."""
+    calls = []
+    real_cdf = quantum._cdf
+
+    def counting_cdf(probs):
+        calls.append(probs.shape)
+        return real_cdf(probs)
+
+    for module in (quantum, oracle, protocol):
+        monkeypatch.setattr(module, "_cdf", counting_cdf)
+    counts = []
+    real_check = verify._CHECKS["attack-bookkeeping"]
+
+    def counted(c, d):
+        before = len(calls)
+        real_check(c, d)
+        counts.append(len(calls) - before)
+
+    monkeypatch.setitem(verify._CHECKS, "attack-bookkeeping", counted)
+    oracle._amplitudes.cache_clear()
+    try:
+        for _ in range(2):
+            assert all(r.passed for r in run_invariant_suite(5))
+    finally:
+        oracle._amplitudes.cache_clear()   # its entries hold counted CDFs
+    # the first run builds each entry's CDFs here, on its first draw
+    assert counts[0] > 0 and counts[1] == 0, counts
 
 
 def test_a_check_that_raises_fails_alone(monkeypatch, capsys):

@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import cmath
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_field import _prime_dim
+from .finite_field import PrimeDim, per_dim_cache
 from .quantum import TOLERANCE, _frozen
 
 
@@ -54,6 +53,8 @@ class BasisId:
     quad: int | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.family, Family):
+            raise TypeError(f"family must be a Family, got {type(self.family).__name__}")
         if self.quad is not None and (isinstance(self.quad, bool)
                                       or not isinstance(self.quad, int)):
             raise TypeError("quad label must be an int or None")
@@ -82,11 +83,10 @@ class BasisId:
         raise ValueError(f"unrecognized basis label {text!r}")
 
 
-@functools.lru_cache(maxsize=None, typed=True)
+@per_dim_cache
 def basis_alphabet(d: int, families: tuple[Family, ...] = (Family.PLAIN,)
                    ) -> tuple[BasisId, ...]:
     """All basis labels of the given families, computational first."""
-    _prime_dim(d)
     out: list[BasisId] = []
     for family in families:
         out.append(BasisId(family, None))
@@ -94,11 +94,10 @@ def basis_alphabet(d: int, families: tuple[Family, ...] = (Family.PLAIN,)
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None, typed=True)
+@per_dim_cache
 def _omega_table(d: int) -> np.ndarray:
     """omega(d)^k over one period of omega (4 for d = 2, else d); every
     phase of every basis is read here."""
-    _prime_dim(d)
     if d == 2:
         return _frozen(np.array([1, 1j, -1, -1j]))
     return _frozen(np.exp(2j * np.pi * np.arange(d) / d))
@@ -126,11 +125,12 @@ def _quadratic_phases(d: int, q: int) -> np.ndarray:
     return table[(q * n * n - 2 * n * n.T) % len(table)] / math.sqrt(d)
 
 
-@functools.lru_cache(maxsize=None, typed=True)
+@per_dim_cache
 def measurement_basis(d: int, basis: BasisId) -> np.ndarray:
     """One measurement basis (either family) as a read-only d x d matrix
     whose column m is its m-th ket."""
-    _prime_dim(d)
+    if not isinstance(basis, BasisId):
+        raise TypeError(f"basis must be a BasisId, got {type(basis).__name__}")
     if basis.quad is not None and basis.quad >= d:
         raise ValueError(f"quad label {basis.quad} outside [0, {d})")
     if basis.family is Family.HAT:
@@ -154,7 +154,7 @@ _FOURIER_EIGENVALUE_ROOTS = ((1, 1), (-1, 1j), (1j, cmath.exp(0.25j * math.pi)),
                              (-1j, cmath.exp(-0.25j * math.pi)))
 
 
-@functools.lru_cache(maxsize=None, typed=True)
+@per_dim_cache
 def hadamard_root(d: int) -> np.ndarray:
     """Principal square root h of the Fourier matrix, so h @ h = F.
 
@@ -164,7 +164,6 @@ def hadamard_root(d: int) -> np.ndarray:
     with the principal roots sqrt(-1) = i, sqrt(i) = exp(i pi/4) and
     sqrt(-i) = exp(-i pi/4).  F^2 is the parity n -> -n and F^3 = conj(F).
     """
-    _prime_dim(d)
     f = _fourier_matrix(d)
     powers = (np.eye(d), f, np.eye(d)[-np.arange(d) % d], f.conj())
     h = sum(root * sum(lam ** -j * fj for j, fj in enumerate(powers)) / 4
@@ -176,7 +175,7 @@ def hadamard_root(d: int) -> np.ndarray:
     return _frozen(h)
 
 
-@functools.lru_cache(maxsize=None, typed=True)
+@per_dim_cache
 def hat_unitary(d: int) -> np.ndarray:
     """The unitary sending |m> to |m-hat> = sum_n |n> h[m, n], so column m
     is row m of the Hadamard root h.
@@ -200,10 +199,9 @@ def hat_unitary(d: int) -> np.ndarray:
     return _frozen(u)
 
 
-@functools.lru_cache(maxsize=None, typed=True)
+@per_dim_cache
 def pair_outcome_labels(d: int) -> tuple[tuple[int, int], ...]:
     """(c, r) labels of the entangled basis, in flat index order c*d + r."""
-    _prime_dim(d)
     return tuple((c, r) for c in range(d) for r in range(d))
 
 
@@ -214,17 +212,19 @@ def entangled_basis(d: int, s: int = 0, family: Family = Family.PLAIN
 
     The hat family is defined only at s = 0: its kets are (u (x) u)|c,r;0>
     with u the hat unitary, that is u Psi u^T on each d x d amplitude
-    matrix Psi.  The cache behind it, whose ``cache_info`` and
-    ``cache_clear`` this function carries, holds one entry per basis,
-    however a caller spells the arguments, once d is checked.
+    matrix Psi.  Only the s = 0 bases, which the protocols use, are kept,
+    one entry each however the arguments are spelled, in the cache whose
+    ``cache_info`` this carries; an s != 0 basis is built on every call.
     """
-    _prime_dim(d)
-    return _pair_basis(d, s, family)
+    if isinstance(s, bool) or not isinstance(s, int):
+        raise TypeError(f"label s must be an int, got {type(s).__name__}")
+    if not isinstance(family, Family):
+        raise TypeError(f"family must be a Family, got {type(family).__name__}")
+    return (_zero_pair_basis if s == 0 else _pair_basis)(d, s, family)
 
 
-@functools.lru_cache(maxsize=None)
 def _pair_basis(d: int, s: int, family: Family) -> np.ndarray:
-    _prime_dim(d)
+    PrimeDim(d)
     if not 0 <= s < d:
         raise ValueError(f"label s={s} outside [0, {d})")
     if family is Family.HAT:
@@ -240,5 +240,5 @@ def _pair_basis(d: int, s: int, family: Family) -> np.ndarray:
     return _frozen(e.reshape(d * d, d * d))
 
 
-entangled_basis.cache_info = _pair_basis.cache_info
-entangled_basis.cache_clear = _pair_basis.cache_clear
+_zero_pair_basis = per_dim_cache(_pair_basis)
+entangled_basis.cache_info = _zero_pair_basis.cache_info

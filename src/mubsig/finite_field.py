@@ -1,4 +1,4 @@
-"""Prime dimensions.
+"""Prime dimensions, and the owner of every cache keyed on one.
 
 Every label that parametrises a basis or a two-qudit state (the residues
 c, r, s, b and the measurement outcomes c', r') lives in the field of
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Callable
 
 # The largest dimension accepted.  The dual-family outcome table has 4d + 6
 # rows, and ``protocol._InverseCdf`` keys row r and draw k / 2^53 as the
@@ -52,13 +53,28 @@ class PrimeDim:
             raise ValueError(f"dimension must be prime, got {self.d}")
 
 
-@functools.lru_cache(maxsize=None, typed=True)
-def _prime_dim(d: int) -> PrimeDim:
-    """Cached :class:`PrimeDim` lookup; raises for non-primes like the constructor.
+_CACHES: list = []
 
-    The cache is typed: 7.0 and True are keys of their own, not the
-    entries of 7 and 1, so they raise ``TypeError`` every time.  Public
-    functions run this check before they read any cache keyed on d; those
-    that are cached themselves are typed too.
+
+def per_dim_cache(fn: Callable) -> Callable:
+    """Cache ``fn(d, *args)`` for the process in a typed cache, read only
+    once :class:`PrimeDim` accepts d; the result carries its ``cache_info``.
+    Code that patches what a cached function reads calls
+    :func:`_clear_caches` before and after, or later callers see the patch.
     """
-    return PrimeDim(d)
+    cached = functools.lru_cache(maxsize=None, typed=True)(fn)
+    _CACHES.append(cached)
+
+    @functools.wraps(fn)
+    def checked(d: int, *args):
+        PrimeDim(d)
+        return cached(d, *args)
+
+    checked.cache_info = cached.cache_info
+    return checked
+
+
+def _clear_caches() -> None:
+    """Empty every cache made by :func:`per_dim_cache`."""
+    for cached in _CACHES:
+        cached.cache_clear()

@@ -231,7 +231,6 @@ def dual_family_detection_probability(d: int, eve_family: Family = Family.PLAIN,
     ``message_weights`` has one finite, nonnegative entry per basis of both
     families, in :func:`basis_alphabet` order, and a positive, finite sum.
     """
-    PrimeDim(d)
     if not isinstance(eve_family, Family):
         raise TypeError(f"eve_family must be a Family, got {eve_family!r}")
     tables = _tables(d, 2)

@@ -30,11 +30,12 @@ matrix whose first index is the half that travels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .bases import BasisId, Family, entangled_basis, measurement_basis, pair_outcome_labels
+from .finite_field import per_dim_cache
 from .protocol import _INCONCLUSIVE_CODE, _decode_codes, _prep_pair
 from .quantum import _cdf, _clean_probabilities, _frozen
 
@@ -103,7 +104,7 @@ class _Measured:
                 _cdf(_clean_probabilities(np.abs(self.amps) ** 2)))
 
 
-@lru_cache(maxsize=None, typed=True)
+@per_dim_cache
 def _amplitudes(d: int, family: Family, basis: BasisId | None) -> _Measured:
     """The branches of the family's (0,0) pair after its travelling half is
     measured in ``basis``, in the family's entangled basis {e_k}.
@@ -114,14 +115,13 @@ def _amplitudes(d: int, family: Family, basis: BasisId | None) -> _Measured:
     ``basis`` None the pair is left untouched: one branch, weight 1.
     Every array is read-only, because every caller shares them.
 
-    The cache is unbounded and lives as long as the process: one suite
-    run leaves 2(2d+3) entries, about 72(d+1)d^3 bytes: every entry's
-    amplitudes, and the CDFs of the d+2 plain-family entries the rounds
-    draw from (0.20 MB at d=7, 1.16 MB at d=11, 68.7 MB at d=31).  Each
-    further d adds its own.  Code that patches what this function reads
-    (``_branches``, ``_prep_pair``, ``entangled_basis``) must call
-    ``_amplitudes.cache_clear()`` before and after, or later callers see
-    the patched arrays.
+    The cache, :func:`mubsig.finite_field.per_dim_cache`'s, lives as long
+    as the process: one suite run leaves 2(2d+3) entries, about
+    72(d+1)d^3 bytes: every entry's amplitudes, and the CDFs of the d+2
+    plain-family entries the rounds draw from (0.20 MB at d=7, 1.16 MB at
+    d=11, 68.7 MB at d=31).  Each further d adds its own.  Code that
+    patches what this function reads (``_branches``, ``_prep_pair``,
+    ``entangled_basis``) clears the caches as that function says.
     """
     if basis is None:
         weights, pairs = np.ones(1), _prep_pair(d, family).reshape(1, d * d)

@@ -75,7 +75,7 @@ from .bases import (
     measurement_basis,
     pair_outcome_labels,
 )
-from .finite_field import _prime_dim
+from .finite_field import per_dim_cache
 from .quantum import TOLERANCE, _cdf, _frozen
 from .streams import derive_round_stream
 
@@ -87,10 +87,9 @@ _PRETEST_STREAM_BASE = 1 << 40
 _INCONCLUSIVE_CODE = -1
 
 
-@functools.lru_cache(maxsize=None, typed=True)
+@per_dim_cache
 def _inverses(d: int) -> np.ndarray:
     """The read-only int64 table of a^-1 mod d for a = 1..d-1, with 0 at index 0."""
-    _prime_dim(d)
     return _frozen(np.array([0] + [pow(a, -1, d) for a in range(1, d)], dtype=np.int64))
 
 
@@ -169,7 +168,7 @@ def _ratio(num: int, den: int) -> float:
 # Exact per-configuration outcome distributions.
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
+@per_dim_cache
 def _prep_pair(d: int, family: Family) -> np.ndarray:
     """The (0,0;0) pair of ``family`` as a d x d amplitude matrix, travelling
     index first: column 0 of the family's pair basis."""
@@ -182,7 +181,7 @@ def _prep_pair(d: int, family: Family) -> np.ndarray:
 _PROBS_PATH = ["einsum_path", (0, 1), (0, 1)]
 
 
-@functools.lru_cache(maxsize=None, typed=True)
+@per_dim_cache
 def pair_outcome_probs(d: int, own_family: Family, measured_basis: BasisId) -> np.ndarray:
     """Exact pair-outcome distribution after the travelling half is measured.
 
@@ -193,7 +192,6 @@ def pair_outcome_probs(d: int, own_family: Family, measured_basis: BasisId) -> n
     phi_m = (<b_m| (x) 1) Psi.  Cells below ``TOLERANCE`` are exactly 0.0.
     Entries follow :func:`pair_outcome_labels` order.
     """
-    _prime_dim(d)
     psi = _prep_pair(d, own_family)
     b = measurement_basis(d, measured_basis)
     e = entangled_basis(d, 0, own_family).reshape(d, d, d * d)
@@ -205,7 +203,7 @@ def pair_outcome_probs(d: int, own_family: Family, measured_basis: BasisId) -> n
     return _frozen(np.where(p < TOLERANCE, 0.0, p))
 
 
-@functools.lru_cache(maxsize=None)
+@per_dim_cache
 def _decode_codes(d: int) -> np.ndarray:
     """:func:`decode` of every pair outcome, in :func:`pair_outcome_labels`
     order, for the preparation (0, 0, 0)."""
@@ -355,7 +353,7 @@ class _Tables:
     decode_code: np.ndarray
 
 
-@functools.lru_cache(maxsize=None)
+@per_dim_cache
 def _tables(d: int, n_families: int) -> _Tables:
     families = _FAMILIES[:n_families]
     alphabet = basis_alphabet(d, families)
@@ -365,7 +363,7 @@ def _tables(d: int, n_families: int) -> _Tables:
     return _Tables(alphabet, _frozen(probs), _decode_codes(d))
 
 
-@functools.lru_cache(maxsize=None)
+@per_dim_cache
 def _table_lookup(d: int, n_families: int) -> _InverseCdf:
     """The exact inverse CDF of every row of ``_tables(d, n_families)``,
     numbered ``f * probs.shape[1] + row``.  Only sessions draw from it, so
@@ -377,7 +375,7 @@ def _table_lookup(d: int, n_families: int) -> _InverseCdf:
 # Public tomography test reference distributions.
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None, typed=True)
+@per_dim_cache
 def ideal_pretest_distribution(d: int) -> np.ndarray:
     """Joint distribution of (b, m, a, m') in an undisturbed pre-test round.
 
@@ -400,7 +398,6 @@ def ideal_pretest_distribution(d: int) -> np.ndarray:
     return _frozen(probs)
 
 
-@functools.lru_cache(maxsize=None)
 def _eve_pretest_probs(d: int) -> np.ndarray:
     """Pre-test joint distribution while the substitution attack is running.
 
@@ -540,7 +537,7 @@ def _signal_block(tables: _Tables, lookup: _InverseCdf, d: int, eve: bool,
     return tally
 
 
-@functools.lru_cache(maxsize=None)
+@per_dim_cache
 def _pretest_lookup(d: int, eve: bool) -> _InverseCdf:
     probs = _eve_pretest_probs(d) if eve else ideal_pretest_distribution(d)
     return _inverse_cdf(_cdf(probs.ravel()))

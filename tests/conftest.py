@@ -1,6 +1,7 @@
 import pytest
 
 from dense import signal_rounds as _signal_rounds
+from mubsig.finite_field import _clear_caches
 
 
 @pytest.fixture(scope="session")
@@ -8,6 +9,15 @@ def signal_rounds():
     """Reads a RoundLog back round by round with the plain-integer decode
     oracle, independently of ``protocol.decode`` and the engine's code table."""
     return _signal_rounds
+
+
+@pytest.fixture
+def fresh_caches():
+    """Every per-dimension cache empty, and emptied again on teardown, for a
+    test that counts cache entries or patches what a cached function reads."""
+    _clear_caches()
+    yield
+    _clear_caches()
 
 
 _ACCEPTANCE_RESULTS = []

@@ -112,9 +112,39 @@ def test_bases_are_frozen_cached_matrices():
     for build, args, size in cases:
         m = build(*args)
         assert type(m) is np.ndarray and m.shape == (size, size)
-        assert build(*args) is m
+        again = build(*args)
+        if args[1:2] == (2,):   # a pair basis at s != 0 is built anew on every call
+            assert not again.flags.writeable and np.array_equal(again, m)
+        else:
+            assert again is m
         with pytest.raises(ValueError):
             m[0, 0] = 0.0
+
+
+# A wrongly typed call, and a well-typed call whose cache entry it could read.
+_WRONGLY_TYPED = {
+    "basis-id-family-str": (lambda: measurement_basis(7, BasisId("hat", 1)),
+                            lambda: measurement_basis(7, BasisId(Family.PLAIN, 1))),
+    "basis-str": (lambda: measurement_basis(7, "q1"),
+                  lambda: measurement_basis(7, BasisId(Family.PLAIN, 1))),
+    "pair-family-str": (lambda: entangled_basis(7, 0, "hat"),
+                        lambda: entangled_basis(7, 0, Family.HAT)),
+    "pair-s-bool": (lambda: entangled_basis(7, True), lambda: entangled_basis(7, 1)),
+    "pair-s-float": (lambda: entangled_basis(5, 1.0), lambda: entangled_basis(5, 1)),
+}
+
+
+@pytest.mark.parametrize("name", _WRONGLY_TYPED)
+def test_wrongly_typed_arguments_raise_type_error_cold_and_warm(name, fresh_caches):
+    """A family given as its name, a bool or float s, or a basis given as
+    its label never yields a basis: each raises TypeError before and after
+    the well-typed call it resembles has filled the caches."""
+    bad, good = _WRONGLY_TYPED[name]
+    with pytest.raises(TypeError):
+        bad()
+    good()
+    with pytest.raises(TypeError):
+        bad()
 
 
 def test_mub_ket_d2_frozen_amplitudes():

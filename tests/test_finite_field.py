@@ -1,3 +1,6 @@
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -50,14 +53,6 @@ def test_inverse_matches_pow_oracle():
             assert a * inverses[a] % d == 1
 
 
-def _clear_caches():
-    """Empty every cache of the modules whose caches are keyed on d."""
-    for module in (finite_field, bases, protocol, oracle):
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
-
-
 # Public functions that read a cache keyed on d, each called at dimension d.
 _CACHED_CALLS = {
     "basis_alphabet": lambda d: bases.basis_alphabet(d, (Family.PLAIN, Family.HAT)),
@@ -86,13 +81,21 @@ def _type_error(call, d) -> str:
 
 
 @pytest.mark.parametrize("name", _CACHED_CALLS)
-def test_cached_functions_refuse_a_float_or_bool_dimension_cold_and_warm(name):
+def test_cached_functions_refuse_a_float_or_bool_dimension_cold_and_warm(name, fresh_caches):
     """7.0 == 7 and True == 1, so an untyped cache would hand the entry of 7
     to 7.0.  Each call raises the same TypeError before and after the
     int call has filled its caches."""
     call = _CACHED_CALLS[name]
-    _clear_caches()
     cold = [_type_error(call, bad) for bad in (7.0, True)]
     assert all(text.startswith("dimension must be an int") for text in cold), cold
     call(7)
     assert [_type_error(call, bad) for bad in (7.0, True)] == cold
+
+
+def test_lru_cache_is_used_only_by_the_cache_owner():
+    """Every cache keyed on d goes through ``finite_field.per_dim_cache``,
+    which checks d first and which ``_clear_caches`` empties as a whole."""
+    src = Path(finite_field.__file__).parent
+    hits = {p.name: p.read_text().count("lru_cache") for p in sorted(src.glob("*.py"))}
+    owner = inspect.getsource(finite_field.per_dim_cache).count("lru_cache")
+    assert owner and {name: n for name, n in hits.items() if n} == {"finite_field.py": owner}

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import json
 import os
 import re
@@ -50,3 +52,20 @@ def test_demo_runs(demo):
     assert proc.returncode == 0, proc.stderr.decode()
     pinned = ROOT / "tests" / "golden" / "demos" / f"{demo.stem}.txt"
     assert proc.stdout == pinned.read_bytes()
+
+
+def test_the_benchmark_tracer_reads_the_counters_of_every_cache_it_names():
+    """perfbench's tracer reports the hits and misses of the caches it
+    names in ``CACHED`` off each function's ``cache_info()``."""
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    traced = tracer.Tracer()
+    traced.install()
+    traced.uninstall()
+    counters = traced.cache_info()
+    assert sorted(counters) == sorted(tracer.CACHED)
+    for name in tracer.CACHED:
+        module, attr = name.split(".")
+        info = getattr(importlib.import_module(f"mubsig.{module}"), attr).cache_info()
+        assert counters[name] == {"hits": info.hits, "misses": info.misses}

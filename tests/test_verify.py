@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -69,10 +72,9 @@ def test_suite_is_stable_between_runs():
            [(r.name, r.passed, r.assertions) for r in second]
 
 
-def test_suite_computes_each_branch_amplitude_once_per_run():
+def test_suite_computes_each_branch_amplitude_once_per_run(fresh_caches):
     """The checks share oracle._amplitudes: the first run computes each
     (family, basis) once, and a second run computes none again."""
-    oracle._amplitudes.cache_clear()
     # Every basis of both families, for each family's pair; None is the
     # untouched pair of the resends that leave the stolen qudit alone.
     keys = len(FAMILIES) * (1 + len(basis_alphabet(3, FAMILIES)))
@@ -208,16 +210,7 @@ def test_mutual_unbiasedness_catches_a_perturbed_column(monkeypatch):
     assert re.match(r"\|<comp,\d\|q2,0>\|\^2: ", result.detail), result.detail
 
 
-@pytest.fixture
-def fresh_amplitudes():
-    """An empty oracle._amplitudes cache, emptied again on teardown, for a
-    test that patches what the cached function reads."""
-    oracle._amplitudes.cache_clear()
-    yield
-    oracle._amplitudes.cache_clear()
-
-
-def test_measurement_backaction_catches_a_conjugated_kept_half(monkeypatch, fresh_amplitudes):
+def test_measurement_backaction_catches_a_conjugated_kept_half(monkeypatch, fresh_caches):
     d = 5
     real = oracle._branches
 
@@ -279,7 +272,7 @@ def test_entangled_basis_catches_two_overlapping_kets_of_one_block(monkeypatch):
     assert result.detail.startswith(f"pair basis gram at s={s}: "), result.detail
 
 
-def test_a_warm_suite_rebuilds_no_draw_cdf(monkeypatch):
+def test_a_warm_suite_rebuilds_no_draw_cdf(monkeypatch, fresh_caches):
     """The oracle's draws read the CDFs cached with its amplitudes: a second
     suite run makes no quantum._cdf call in attack-bookkeeping."""
     calls = []
@@ -300,12 +293,8 @@ def test_a_warm_suite_rebuilds_no_draw_cdf(monkeypatch):
         counts.append(len(calls) - before)
 
     monkeypatch.setitem(verify._CHECKS, "attack-bookkeeping", counted)
-    oracle._amplitudes.cache_clear()
-    try:
-        for _ in range(2):
-            assert all(r.passed for r in run_invariant_suite(5))
-    finally:
-        oracle._amplitudes.cache_clear()   # its entries hold counted CDFs
+    for _ in range(2):   # fresh_caches drops the counted CDFs on teardown
+        assert all(r.passed for r in run_invariant_suite(5))
     # the first run builds each entry's CDFs here, on its first draw
     assert counts[0] > 0 and counts[1] == 0, counts
 
@@ -332,10 +321,34 @@ def test_a_check_that_raises_fails_alone(monkeypatch, capsys):
         f"17/18 checks passed, {sum(r.assertions for r in results)} assertions, d=3"]
 
 
-def test_entangled_basis_keeps_one_entry_per_basis():
+def test_entangled_basis_keeps_one_entry_per_basis(fresh_caches):
     """Callers spell a pair basis as (d), (d, s), (d, s=s), (d, family=f)
-    and (d, 0, f); the cache keys every spelling of one basis as one entry,
-    so a suite run at d=7 leaves its 7 plain bases and 1 hat basis."""
-    entangled_basis.cache_clear()
+    and (d, 0, f); the cache keys every spelling of one basis as one entry
+    and keeps only the s = 0 bases, so a suite run at d=7 leaves its plain
+    and its hat basis."""
     assert all(r.passed for r in run_invariant_suite(7))
-    assert entangled_basis.cache_info().currsize == 8
+    assert entangled_basis.cache_info().currsize == 2
+
+
+_SUITE_PEAK = """
+import re, sys
+from pathlib import Path
+from mubsig.verify import run_invariant_suite
+results = run_invariant_suite(int(sys.argv[1]))
+peak_kb = re.search(r"VmHWM:\\s*(\\d+) kB", Path("/proc/self/status").read_text()).group(1)
+print(all(r.passed for r in results), sum(r.assertions for r in results), peak_kb)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
+def test_suite_at_d31_peaks_below_250_mb():
+    """The suite keeps only the pair bases at s = 0, so at d=31 its peak
+    stays well below the 560 MB that keeping all 32 bases took.  The child
+    reports VmHWM, the peak of its own address space: its ru_maxrss would
+    carry over the peak of this test process, which exec keeps."""
+    env = dict(os.environ, PYTHONPATH=str(Path(verify.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _SUITE_PEAK, "31"], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    passed, assertions, peak_kb = proc.stdout.split()
+    assert (passed, int(assertions)) == ("True", 29_620_292)
+    assert int(peak_kb) < 250 * 1024, peak_kb

@@ -13,12 +13,15 @@ The phase exponent b n^2 - 2 n m is an exact integer and is reduced only
 modulo the true period of w (4 when d = 2, else d); reducing mod d first
 would silently corrupt the d = 2 bases.
 
-Entangled pair states |c,r;s> = (1/sqrt d) sum_n |n>|c-n> w^(s n^2 - 2 r n)
-form, for fixed s, an orthonormal basis of the pair space; the hat
-variant transports the s = 0 basis through the hat unitary on both halves.
+The entangled pair states |c,r;s> = (1/sqrt d) sum_n |n>|c-n> w^(s n^2 - 2 r n)
+form, for fixed s, an orthonormal basis of the pair space: |c,r;s> is the
+r-th ket of the quadratic basis q_s laid along the anti-diagonal n' = c - n.  The
+protocols measure in the s = 0 basis; its hat variant transports it
+through the hat unitary on both halves.  :func:`_pair_amplitudes` reads
+amplitudes in it off that structure, so no d^2 x d^2 basis is ever made.
 
-Every basis is built whole, as a read-only matrix whose column k is its
-k-th ket, from one cached table of the powers of w.
+Every single-qudit basis is built whole, as a read-only matrix whose
+column k is its k-th ket, from one cached table of the powers of w.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_field import PrimeDim, per_dim_cache
+from .finite_field import per_dim_cache
 from .quantum import TOLERANCE, _frozen
 
 
@@ -118,13 +121,6 @@ def omega_power(d: int, exponent: int) -> complex:
     return complex(table[exponent % len(table)])
 
 
-def _quadratic_phases(d: int, q: int) -> np.ndarray:
-    """[n, m] -> omega^(q n^2 - 2 n m) / sqrt(d)."""
-    table = _omega_table(d)
-    n = np.arange(d)[:, None]
-    return table[(q * n * n - 2 * n * n.T) % len(table)] / math.sqrt(d)
-
-
 @per_dim_cache
 def measurement_basis(d: int, basis: BasisId) -> np.ndarray:
     """One measurement basis (either family) as a read-only d x d matrix
@@ -140,7 +136,9 @@ def measurement_basis(d: int, basis: BasisId) -> np.ndarray:
         return _frozen((hat_unitary(d) @ plain.T[:, :, None])[:, :, 0].T.copy())
     if basis.quad is None:
         return _frozen(np.eye(d, dtype=complex))
-    return _frozen(_quadratic_phases(d, basis.quad))
+    table = _omega_table(d)   # [n, m]: omega^(b n^2 - 2 n m) / sqrt(d)
+    n = np.arange(d)[:, None]
+    return _frozen(table[(basis.quad * n * n - 2 * n * n.T) % len(table)] / math.sqrt(d))
 
 
 def _fourier_matrix(d: int) -> np.ndarray:
@@ -205,40 +203,21 @@ def pair_outcome_labels(d: int) -> tuple[tuple[int, int], ...]:
     return tuple((c, r) for c in range(d) for r in range(d))
 
 
-def entangled_basis(d: int, s: int = 0, family: Family = Family.PLAIN
-                    ) -> np.ndarray:
-    """The pair basis {|c,r;s>} as a read-only d^2 x d^2 matrix whose
-    column c*d + r is |c,r;s> (:func:`pair_outcome_labels` order).
+def _pair_amplitudes(d: int, family: Family, pairs: np.ndarray) -> np.ndarray:
+    """<c,r;0|V> in the family's s = 0 pair basis, for each d x d pair
+    matrix V (travelling index first) of the stack ``pairs``: the last
+    axis of the result runs over (c, r) in :func:`pair_outcome_labels`
+    order, the others are those of the stack.
 
-    The hat family is defined only at s = 0: its kets are (u (x) u)|c,r;0>
-    with u the hat unitary, that is u Psi u^T on each d x d amplitude
-    matrix Psi.  Only the s = 0 bases, which the protocols use, are kept,
-    one entry each however the arguments are spelled, in the cache whose
-    ``cache_info`` this carries; an s != 0 basis is built on every call.
+    |c,r;0> is q_0 laid along n' = c - n, so <c,r;0|V> is
+    sum_n V[n, c - n] conj(q_0[n, r]): one gather and one matrix product.
+    A hat ket is (u (x) u) times a plain ket, so the hat amplitudes of V
+    are the plain amplitudes of u^H V conj(u).
     """
-    if isinstance(s, bool) or not isinstance(s, int):
-        raise TypeError(f"label s must be an int, got {type(s).__name__}")
-    if not isinstance(family, Family):
-        raise TypeError(f"family must be a Family, got {type(family).__name__}")
-    return (_zero_pair_basis if s == 0 else _pair_basis)(d, s, family)
-
-
-def _pair_basis(d: int, s: int, family: Family) -> np.ndarray:
-    PrimeDim(d)
-    if not 0 <= s < d:
-        raise ValueError(f"label s={s} outside [0, {d})")
     if family is Family.HAT:
-        if s != 0:
-            raise ValueError("hat entangled basis exists only for s=0")
         u = hat_unitary(d)
-        plain = entangled_basis(d).T.reshape(d * d, d, d)
-        return _frozen((u @ plain @ u.T).reshape(d * d, d * d).T.copy())
-    # [n, n', c, r]: amplitude of |n, n'> in |c,r;s>, nonzero only at n' = c - n
-    n = np.arange(d)[:, None]
-    e = np.zeros((d, d, d, d), dtype=complex)
-    e[n, (n.T - n) % d, n.T] = _quadratic_phases(d, s)[:, None, :]
-    return _frozen(e.reshape(d * d, d * d))
-
-
-_zero_pair_basis = per_dim_cache(_pair_basis)
-entangled_basis.cache_info = _zero_pair_basis.cache_info
+        pairs = u.conj().T @ pairs @ u.conj()
+    n = np.arange(d)
+    skew = pairs[..., n, (n[:, None] - n) % d]   # [..., c, n] = V[n, c - n]
+    amps = skew @ measurement_basis(d, BasisId(Family.PLAIN, 0)).conj()
+    return amps.reshape(*amps.shape[:-2], d * d)

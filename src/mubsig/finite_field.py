@@ -57,20 +57,19 @@ _CACHES: list = []
 
 
 def per_dim_cache(fn: Callable) -> Callable:
-    """Cache ``fn(d, *args)`` for the process in a typed cache, read only
-    once :class:`PrimeDim` accepts d; the result carries its ``cache_info``.
+    """Cache ``fn(d, *args)`` for the process in a typed cache that lets
+    :class:`PrimeDim` check d on every miss.  A hit needs a key whose
+    exact types and values a miss already accepted, so it skips the check.
     Code that patches what a cached function reads calls
     :func:`_clear_caches` before and after, or later callers see the patch.
     """
-    cached = functools.lru_cache(maxsize=None, typed=True)(fn)
-    _CACHES.append(cached)
-
+    @functools.lru_cache(maxsize=None, typed=True)
     @functools.wraps(fn)
     def checked(d: int, *args):
         PrimeDim(d)
-        return cached(d, *args)
+        return fn(d, *args)
 
-    checked.cache_info = cached.cache_info
+    _CACHES.append(checked)
     return checked
 
 

@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bases import BasisId, Family, entangled_basis, measurement_basis, pair_outcome_labels
+from .bases import BasisId, Family, _pair_amplitudes, measurement_basis, pair_outcome_labels
 from .finite_field import per_dim_cache
 from .protocol import _INCONCLUSIVE_CODE, _decode_codes, _prep_pair
 from .quantum import _cdf, _clean_probabilities, _frozen
@@ -110,7 +110,8 @@ def _amplitudes(d: int, family: Family, basis: BasisId | None) -> _Measured:
     measured in ``basis``, in the family's entangled basis {e_k}.
 
     Returns the weights w_m of :func:`_branches` and the amplitudes
-    a[m, k] = <e_k|v_m> of its collapsed branches v_m, a = V E*, with
+    a[m, k] = <e_k|v_m> of its collapsed branches v_m, read off the pair
+    basis's structure by :func:`mubsig.bases._pair_amplitudes`, with
     the CDFs a round draws them from (:attr:`_Measured.cdfs`).  With
     ``basis`` None the pair is left untouched: one branch, weight 1.
     Every array is read-only, because every caller shares them.
@@ -121,15 +122,13 @@ def _amplitudes(d: int, family: Family, basis: BasisId | None) -> _Measured:
     plain-family entries the rounds draw from (0.20 MB at d=7, 1.16 MB at
     d=11, 68.7 MB at d=31).  Each further d adds its own.  Code that
     patches what this function reads (``_branches``, ``_prep_pair``,
-    ``entangled_basis``) clears the caches as that function says.
+    ``_pair_amplitudes``) clears the caches as that function says.
     """
     if basis is None:
-        weights, pairs = np.ones(1), _prep_pair(d, family).reshape(1, d * d)
+        weights, pairs = np.ones(1), _prep_pair(d, family)[None]
     else:
-        weights, collapsed = _branches(d, family, basis)
-        pairs = collapsed.reshape(d, d * d)
-    amps = (pairs.conj() @ entangled_basis(d, 0, family)).conj()
-    return _Measured(_frozen(weights), _frozen(amps))
+        weights, pairs = _branches(d, family, basis)
+    return _Measured(_frozen(weights), _frozen(_pair_amplitudes(d, family, pairs)))
 
 
 def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:

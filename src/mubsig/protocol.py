@@ -70,8 +70,9 @@ import numpy as np
 from .bases import (
     BasisId,
     Family,
+    _pair_amplitudes,
     basis_alphabet,
-    entangled_basis,
+    hat_unitary,
     measurement_basis,
     pair_outcome_labels,
 )
@@ -171,14 +172,17 @@ def _ratio(num: int, den: int) -> float:
 @per_dim_cache
 def _prep_pair(d: int, family: Family) -> np.ndarray:
     """The (0,0;0) pair of ``family`` as a d x d amplitude matrix, travelling
-    index first: column 0 of the family's pair basis."""
-    return _frozen(entangled_basis(d, 0, family)[:, 0].reshape(d, d).copy())
-
-
-# The contraction order of pair_outcome_probs: e with <b| first, then phi.
-# It is the order optimize=True finds at every d up to MAX_DIM, so naming
-# it spares each call the search and keeps every bit of every row.
-_PROBS_PATH = ["einsum_path", (0, 1), (0, 1)]
+    index first: 1/sqrt(d) on n' = -n for the plain pair, and u Psi u^T,
+    with u the hat unitary, for the hat pair."""
+    if not isinstance(family, Family):
+        raise TypeError(f"family must be a Family, got {type(family).__name__}")
+    n = np.arange(d)
+    psi = np.zeros((d, d), dtype=complex)
+    psi[n, -n % d] = 1 / math.sqrt(d)
+    if family is Family.HAT:
+        u = hat_unitary(d)
+        psi = u @ psi @ u.T
+    return _frozen(psi)
 
 
 @per_dim_cache
@@ -192,14 +196,10 @@ def pair_outcome_probs(d: int, own_family: Family, measured_basis: BasisId) -> n
     phi_m = (<b_m| (x) 1) Psi.  Cells below ``TOLERANCE`` are exactly 0.0.
     Entries follow :func:`pair_outcome_labels` order.
     """
-    psi = _prep_pair(d, own_family)
     b = measurement_basis(d, measured_basis)
-    e = entangled_basis(d, 0, own_family).reshape(d, d, d * d)
-    phi = b.conj().T @ psi
-    # the conjugate amplitudes, so that only the d x d factors are conjugated
-    # and not the d^2 x d^2 pair basis; the moduli are the same bits
-    amps_conj = np.einsum("ijk,im,mj->km", e, b.conj(), phi.conj(), optimize=_PROBS_PATH)
-    p = (np.abs(amps_conj) ** 2).sum(axis=1)
+    phi = b.conj().T @ _prep_pair(d, own_family)   # row m: phi_m
+    amps = _pair_amplitudes(d, own_family, b.T[:, :, None] * phi[:, None, :])
+    p = (np.abs(amps) ** 2).sum(axis=0)
     return _frozen(np.where(p < TOLERANCE, 0.0, p))
 
 
@@ -213,7 +213,7 @@ def _decode_codes(d: int) -> np.ndarray:
 _FAMILIES = (Family.PLAIN, Family.HAT)
 _UNIT_BITS = 53
 _UNIT = 1 << _UNIT_BITS   # Generator.random() returns k / 2**53 with integer k
-_GUIDE_ENTRIES = 1 << 20   # most int32 entries in one guide table
+_GUIDE_ENTRIES = 1 << 20   # most entries in one guide table
 
 
 def _bucket_bits(rows: int, cells: int) -> int:
@@ -288,8 +288,7 @@ class _InverseCdf:
 
         The cells go to ``out`` (int64, fresh when None).  It holds the
         row offsets and edges first, so it must not alias ``rows`` or
-        ``k``.  ``scratch`` lends the ``bucket``, ``mask`` and ``start``
-        buffers."""
+        ``k``.  ``scratch`` lends the ``bucket`` and ``mask`` buffers."""
         n = k.size
         scratch = _Scratch(n) if scratch is None else scratch
         out = np.empty(n, dtype=np.int64) if out is None else out
@@ -299,8 +298,7 @@ class _InverseCdf:
         mask = scratch("mask", bool, n)
         search = np.flatnonzero(np.less(edge, 0, out=mask)) if self.searches else ()
         bucket += np.greater(k, edge, out=mask)
-        np.copyto(out, np.take(self.start, bucket, out=scratch("start", np.int32, n),
-                               mode="clip"))
+        np.take(self.start, bucket, out=out, mode="clip")
         if len(search):
             row = np.broadcast_to(rows, k.shape)[search]
             out[search] = (np.searchsorted(self.thresholds, row * _UNIT + k[search])
@@ -311,8 +309,9 @@ class _InverseCdf:
 def _inverse_cdf(cum: np.ndarray) -> _InverseCdf:
     """The exact lookup for the CDF rows ``cum`` (last axis: cells).
 
-    Every temporary has one entry per threshold; only ``start`` (int32)
-    and ``edge`` have one per bucket."""
+    Every temporary has one entry per threshold; only ``start`` and
+    ``edge`` (both int64, so a lookup gathers straight into its cells)
+    have one per bucket."""
     cum = cum.reshape(-1, cum.shape[-1])
     rows, cells = cum.shape
     bits = _bucket_bits(rows, cells)
@@ -320,10 +319,10 @@ def _inverse_cdf(cum: np.ndarray) -> _InverseCdf:
     thresholds = np.repeat(np.arange(rows, dtype=np.int64) * _UNIT, cells) + keys
     bucket = thresholds >> (_UNIT_BITS - bits)   # a key of -1 falls below its row
     # threshold i is the first at or above every bucket in (bucket[i-1], bucket[i]]
-    start = np.repeat(np.arange(thresholds.size + 1, dtype=np.int32),
+    start = np.repeat(np.arange(thresholds.size + 1, dtype=np.int64),
                       np.diff(bucket, prepend=-1, append=rows << bits))[:-1]
     by_row = start.reshape(rows, -1)
-    by_row -= np.arange(0, rows * cells, cells, dtype=np.int32)[:, None]
+    by_row -= np.arange(0, rows * cells, cells, dtype=np.int64)[:, None]
     inside = keys >= 0
     bucket, keys = bucket[inside], keys[inside]
     first = np.diff(bucket, prepend=-1) != 0   # keys are sorted, so a bucket's are a run

@@ -21,8 +21,8 @@ import numpy as np
 from .bases import (
     BasisId,
     Family,
+    _pair_amplitudes,
     basis_alphabet,
-    entangled_basis,
     hadamard_root,
     hat_unitary,
     measurement_basis,
@@ -180,19 +180,30 @@ def _check_unbiasedness(c: _Check, d: int) -> None:
                     f"{float(overlaps[m, mp])!r} != {1.0 / d!r}"))
 
 
-def _block_gram_deviation(d: int, basis: np.ndarray) -> float:
-    """How far a plain pair basis is from orthonormal, block by block.
+def _pair_kets(d: int, s: int) -> np.ndarray:
+    """The plain pair kets |c,r;s> from their definition, as d x d amplitude
+    matrices ``kets[c, r]``, travelling index first: entry [n, r] of q_s,
+    w^(s n^2 - 2 r n) / sqrt(d), on |n, c - n>."""
+    c, r, n = np.ix_(*(np.arange(d),) * 3)
+    kets = np.zeros((d, d, d, d), dtype=complex)
+    kets[c, r, n, (c - n) % d] = measurement_basis(d, BasisId(Family.PLAIN, s))[n, r]
+    return kets
 
-    Each ket |c,r;s> may be nonzero only on the rows n d + (c - n) mod d,
-    so the basis is orthonormal exactly when each c's d x d block of
-    those rows is, and every entry off the blocks is zero.  Returns the
+
+def _block_gram_deviation(d: int, kets: np.ndarray) -> float:
+    """How far the plain pair kets ``kets[c, r]`` are from orthonormal,
+    block by block.
+
+    Each ket |c,r;s> may be nonzero only on the entries [n, (c - n) mod d],
+    so the kets are orthonormal exactly when each c's d x d block of
+    those entries is, and every entry off the blocks is zero.  Returns the
     larger of the worst block Gram deviation and the largest entry off
     the blocks.
     """
-    e = basis.reshape(d, d, d, d)   # [n, n', c, r]
+    e = kets.transpose(0, 2, 3, 1)   # [c, n, n', r]
     n = np.arange(d)
     cc = n[:, None]
-    support = (n, (cc - n) % d, cc)
+    support = (cc, n, (cc - n) % d)
     blocks = e[support]   # [c, n, r]
     gram = blocks.conj().transpose(0, 2, 1) @ blocks
     off = np.abs(e)
@@ -201,22 +212,30 @@ def _block_gram_deviation(d: int, basis: np.ndarray) -> float:
 
 
 def _check_entangled_basis(c: _Check, d: int) -> None:
-    for family in _FAMILIES:
-        basis = entangled_basis(d, family=family)
+    """Every pair basis is orthonormal, and :func:`mubsig.bases._pair_amplitudes`
+    maps each s = 0 ket of either family to its own unit vector.  That
+    routine is linear and the kets span the pair space, so this proves it
+    reads every pair state right."""
+    eye = np.eye(d * d)
+    plain, u = _pair_kets(d, 0), hat_unitary(d)
+    for family, kets in ((Family.PLAIN, plain), (Family.HAT, u @ plain @ u.T)):
         if family is Family.PLAIN:
-            deviation = _block_gram_deviation(d, basis)
-        else:   # the hat kets (u (x) u)|c,r;0> fill whole columns
-            deviation = np.abs(basis.conj().T @ basis - np.eye(d * d)).max()
-        c.close(deviation, 0.0, "{} pair basis gram", family.value, tol=TOLERANCE)
+            deviation = _block_gram_deviation(d, kets)
+        else:   # the hat kets (u (x) u)|c,r;0>, u Psi u^T, fill whole matrices
+            flat = kets.reshape(d * d, d * d)
+            deviation = np.abs(flat.conj() @ flat.T - eye).max()
+        read = _pair_amplitudes(d, family, kets.reshape(d * d, d, d))
+        c.close(max(deviation, np.abs(read - eye).max()), 0.0,
+                "{} pair basis gram and amplitudes", family.value, tol=TOLERANCE)
     for s in range(1, d):
-        c.close(_block_gram_deviation(d, entangled_basis(d, s=s)), 0.0,
+        c.close(_block_gram_deviation(d, _pair_kets(d, s)), 0.0,
                 "pair basis gram at s={}", s, tol=TOLERANCE)
 
 
 def _check_pair_reduced_states(c: _Check, d: int) -> None:
     mixed = np.eye(d) / d
     for (cc, r, s) in [(0, 0, 0), (1 % d, 0, 0), (0, 1 % d, 0), (1 % d, 1 % d, (d - 1) % d)]:
-        psi = entangled_basis(d, s)[:, cc * d + r].reshape(d, d)
+        psi = _pair_kets(d, s)[cc, r]
         for keep, reduced in zip((1, 2), _reduced_states(psi)):
             c.close(np.abs(reduced - mixed).max(), 0.0,
                     "reduced side {} of ({},{};{})", keep, cc, r, s, tol=TOLERANCE)

@@ -1,5 +1,7 @@
 """Reference routes the package is tested against, kept out of the package.
 
+* The dense pair basis: every ket |c,r;s> as a column of one d^2 x d^2
+  matrix, which the package never builds.
 * The dense density-operator route: a d^2 x d^2 matrix per pair state,
   the Born rule, the nonselective measurement of one half and the
   partial trace.  The package itself works on pure states and exact
@@ -22,12 +24,28 @@ from collections import namedtuple
 import numpy as np
 
 from mubsig.bases import (
+    BasisId,
     Family,
     basis_alphabet,
-    entangled_basis,
+    hat_unitary,
     measurement_basis,
     pair_outcome_labels,
 )
+
+
+def entangled_basis(d, s=0, family=Family.PLAIN):
+    """The pair basis {|c,r;s>} as a d^2 x d^2 matrix whose column c*d + r is
+    |c,r;s>: amplitude w^(s n^2 - 2 r n)/sqrt(d), entry [n, r] of q_s, on
+    |n, c - n>.  The hat kets are (u (x) u)|c,r;s>, u Psi u^T on each d x d
+    amplitude matrix Psi, with u the hat unitary."""
+    n = np.arange(d)[:, None]
+    e = np.zeros((d, d, d, d), dtype=complex)   # [n, n', c, r]
+    e[n, (n.T - n) % d, n.T] = measurement_basis(d, BasisId(Family.PLAIN, s))[:, None, :]
+    basis = e.reshape(d * d, d * d)
+    if family is Family.HAT:
+        u = hat_unitary(d)
+        basis = (u @ basis.T.reshape(d * d, d, d) @ u.T).reshape(d * d, d * d).T
+    return basis
 
 
 def density(ket):

@@ -16,7 +16,6 @@ from mubsig.bases import (
     BasisId,
     Family,
     basis_alphabet,
-    entangled_basis,
     measurement_basis,
     pair_outcome_labels,
 )
@@ -31,7 +30,7 @@ from mubsig.harness import (
 )
 from mubsig.protocol import decode, pair_outcome_probs
 from mubsig.report import build_document, canonical_json
-from dense import basis_code, density, nonselective_measure, partial_trace
+from dense import basis_code, density, entangled_basis, nonselective_measure, partial_trace
 
 acceptance = pytest.mark.acceptance
 

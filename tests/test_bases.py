@@ -5,8 +5,8 @@ from numpy.testing import assert_allclose
 from mubsig.bases import (
     BasisId,
     Family,
+    _pair_amplitudes,
     basis_alphabet,
-    entangled_basis,
     hadamard_root,
     hat_unitary,
     measurement_basis,
@@ -14,6 +14,8 @@ from mubsig.bases import (
     omega_power,
     pair_outcome_labels,
 )
+from mubsig.protocol import pair_outcome_probs
+from dense import entangled_basis
 
 SQRT2 = np.sqrt(2.0)
 EXACT_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -105,18 +107,10 @@ def test_omega_power_ignores_the_integer_type():
 # ---------------------------------------------------------------------------
 
 def test_bases_are_frozen_cached_matrices():
-    cases = [(measurement_basis, (3, b), 3)
-             for b in basis_alphabet(3, (Family.PLAIN, Family.HAT))]
-    cases += [(entangled_basis, (3, s, f), 9)
-              for s, f in ((0, Family.PLAIN), (2, Family.PLAIN), (0, Family.HAT))]
-    for build, args, size in cases:
-        m = build(*args)
-        assert type(m) is np.ndarray and m.shape == (size, size)
-        again = build(*args)
-        if args[1:2] == (2,):   # a pair basis at s != 0 is built anew on every call
-            assert not again.flags.writeable and np.array_equal(again, m)
-        else:
-            assert again is m
+    for b in basis_alphabet(3, (Family.PLAIN, Family.HAT)):
+        m = measurement_basis(3, b)
+        assert type(m) is np.ndarray and m.shape == (3, 3)
+        assert measurement_basis(3, b) is m
         with pytest.raises(ValueError):
             m[0, 0] = 0.0
 
@@ -127,18 +121,16 @@ _WRONGLY_TYPED = {
                             lambda: measurement_basis(7, BasisId(Family.PLAIN, 1))),
     "basis-str": (lambda: measurement_basis(7, "q1"),
                   lambda: measurement_basis(7, BasisId(Family.PLAIN, 1))),
-    "pair-family-str": (lambda: entangled_basis(7, 0, "hat"),
-                        lambda: entangled_basis(7, 0, Family.HAT)),
-    "pair-s-bool": (lambda: entangled_basis(7, True), lambda: entangled_basis(7, 1)),
-    "pair-s-float": (lambda: entangled_basis(5, 1.0), lambda: entangled_basis(5, 1)),
+    "pair-family-str": (lambda: pair_outcome_probs(7, "hat", BasisId(Family.HAT, 1)),
+                        lambda: pair_outcome_probs(7, Family.HAT, BasisId(Family.HAT, 1))),
 }
 
 
 @pytest.mark.parametrize("name", _WRONGLY_TYPED)
 def test_wrongly_typed_arguments_raise_type_error_cold_and_warm(name, fresh_caches):
-    """A family given as its name, a bool or float s, or a basis given as
-    its label never yields a basis: each raises TypeError before and after
-    the well-typed call it resembles has filled the caches."""
+    """A family given as its name, or a basis given as its label, never
+    yields a basis or a pair distribution: each raises TypeError before
+    and after the well-typed call it resembles has filled the caches."""
     bad, good = _WRONGLY_TYPED[name]
     with pytest.raises(TypeError):
         bad()
@@ -265,7 +257,8 @@ def test_hat_unbiasedness_within_family():
 
 
 # ---------------------------------------------------------------------------
-# Entangled pair states
+# Entangled pair states: the dense reference basis of tests/dense.py, which
+# the package's structured reading, _pair_amplitudes, is checked against.
 # ---------------------------------------------------------------------------
 
 def ket_matrix(d, c, r, s=0, family=Family.PLAIN):
@@ -321,10 +314,17 @@ def test_hat_entangled_ket_is_transported_plain():
                             atol=1e-12)
 
 
-def test_hat_entangled_basis_requires_s_zero():
-    entangled_basis(3, 0, Family.HAT)
-    with pytest.raises(ValueError):
-        entangled_basis(3, 1, Family.HAT)
+def test_pair_amplitudes_read_the_dense_pair_basis():
+    """The amplitudes read off the pair basis's structure are those of the
+    dense basis, <e_k|V> = sum_i conj(E[i, k]) V_i, for both families and
+    any stack of pair matrices."""
+    rng = np.random.default_rng(5)
+    for d in (2, 3, 5, 7):
+        pairs = rng.normal(size=(3, 2, d, d)) + 1j * rng.normal(size=(3, 2, d, d))
+        for family in (Family.PLAIN, Family.HAT):
+            dense = pairs.reshape(3, 2, d * d) @ entangled_basis(d, 0, family).conj()
+            assert_allclose(_pair_amplitudes(d, family, pairs), dense, rtol=0, atol=1e-13,
+                            err_msg=f"d={d} {family}")
 
 
 def test_pair_outcome_labels_row_major():

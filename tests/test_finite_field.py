@@ -61,7 +61,6 @@ _CACHED_CALLS = {
     "hadamard_root": bases.hadamard_root,
     "hat_unitary": bases.hat_unitary,
     "pair_outcome_labels": bases.pair_outcome_labels,
-    "entangled_basis": bases.entangled_basis,
     "decode": lambda d: protocol.decode(d, (0, 0, 0), (1, 2)),
     "pair_outcome_probs": lambda d: protocol.pair_outcome_probs(d, Family.PLAIN,
                                                                 BasisId(Family.PLAIN, 1)),
@@ -90,6 +89,26 @@ def test_cached_functions_refuse_a_float_or_bool_dimension_cold_and_warm(name, f
     assert all(text.startswith("dimension must be an int") for text in cold), cold
     call(7)
     assert [_type_error(call, bad) for bad in (7.0, True)] == cold
+
+
+def test_a_warm_call_does_not_check_the_dimension_again(monkeypatch, fresh_caches):
+    """The typed cache holds only keys that :class:`PrimeDim` accepted, so
+    a hit constructs none: only a miss checks d."""
+    built = []
+
+    class Counted(PrimeDim):
+        def __post_init__(self) -> None:
+            built.append(self.d)
+            super().__post_init__()
+
+    monkeypatch.setattr(finite_field, "PrimeDim", Counted)
+    for call in _CACHED_CALLS.values():
+        call(7)
+    assert 7 in built   # the cold calls checked d
+    built.clear()
+    for call in _CACHED_CALLS.values():
+        call(7)
+    assert built == []
 
 
 def test_lru_cache_is_used_only_by_the_cache_owner():

@@ -12,13 +12,12 @@ from mubsig.bases import (
     BasisId,
     Family,
     basis_alphabet,
-    entangled_basis,
     measurement_basis,
     pair_outcome_labels,
 )
 from mubsig.protocol import decode
 from mubsig.quantum import TOLERANCE, sample_outcome
-from dense import born_probabilities, density, nonselective_measure
+from dense import born_probabilities, density, entangled_basis, nonselective_measure
 
 FAMILIES = (Family.PLAIN, Family.HAT)
 

@@ -201,7 +201,7 @@ def test_guide_stays_within_its_entry_limit_at_max_dim():
         bits = protocol._bucket_bits(rows, cells)
         assert 0 <= bits <= 53
         assert (rows << bits) + 1 <= protocol._GUIDE_ENTRIES == 1 << 20
-        assert (rows << bits) * bucket_bytes <= 12 << 20   # start int32, edge int64
+        assert (rows << bits) * bucket_bytes <= 16 << 20   # start and edge int64
         # the smallest power of two >= 8 * cells, unless that overflows the limit
         assert 1 << bits >= 8 * cells or (rows << (bits + 1)) + 1 > 1 << 20
         assert bits == 0 or 1 << (bits - 1) < 8 * cells

@@ -1,11 +1,11 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import as_strided
 from numpy.testing import assert_allclose, assert_array_equal
 
 from mubsig import oracle, protocol
@@ -13,11 +13,9 @@ from mubsig.bases import (
     BasisId,
     Family,
     basis_alphabet,
-    entangled_basis,
     measurement_basis,
     pair_outcome_labels,
 )
-from mubsig.finite_field import MAX_DIM, is_prime
 from mubsig.harness import EveMode, HarnessConfig, Protocol, run_trials
 from mubsig.oracle import (
     RoundRecord,
@@ -36,6 +34,7 @@ from dense import (
     born_probabilities,
     decode_oracle,
     density,
+    entangled_basis,
     nonselective_measure,
     partial_trace,
     pretest_loop,
@@ -134,16 +133,18 @@ def test_pair_outcome_probs_cached():
     assert pair_outcome_probs(3, Family.PLAIN, b) is pair_outcome_probs(3, Family.PLAIN, b)
 
 
-def test_pair_outcome_probs_path_is_the_one_einsum_would_find():
-    """The named contraction order is what optimize=True chooses at every
-    admissible d, so naming it moves no bit of any row.  The search reads
-    only shapes, so zero-stride stand-ins of the operands suffice."""
-    z = np.zeros(1, dtype=complex)
-    for d in filter(is_prime, range(2, MAX_DIM + 1)):
-        e = as_strided(z, shape=(d, d, d * d), strides=(0, 0, 0))
-        m = as_strided(z, shape=(d, d), strides=(0, 0))
-        path, _ = np.einsum_path("ijk,im,mj->km", e, m, m, optimize=True)
-        assert path == protocol._PROBS_PATH, d
+def test_a_cold_d31_table_compile_keeps_no_dense_pair_basis(fresh_caches):
+    """The rows read the pair basis off its structure, so compiling both
+    families' tables at d=31 keeps their tables and lookup only: well under
+    the 29.6 MB that the two dense d^2 x d^2 pair bases alone took."""
+    protocol._table_lookup(3, 2)   # numpy's own first-call allocations
+    tracemalloc.start()
+    try:
+        protocol._table_lookup(31, 2)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 20e6, retained
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])

@@ -171,7 +171,7 @@ def test_cli_refuses_dimensions_above_max_dim_at_once(capsys):
 
 def _run_capped(*args: str) -> subprocess.CompletedProcess:
     """``python -m mubsig.cli *args`` in a child process under a 1.5 GB
-    address-space cap, where d = 101's pair basis asks for 1.55 GiB."""
+    address-space cap."""
     resource = pytest.importorskip("resource")
     cap = 1536 * 2 ** 20
 
@@ -187,18 +187,30 @@ def _run_capped(*args: str) -> subprocess.CompletedProcess:
 
 
 def test_cli_out_of_memory_is_a_usage_error():
-    """A dimension whose pair basis cannot be allocated ends in one error
-    line and exit 2, not a traceback."""
-    proc = _run_capped("run", "--dim", "101", "--protocol", "original", "--rounds", "100")
+    """A session whose round log cannot be allocated (2^32 rounds of int64
+    columns ask for about 137 GB) ends in one error line and exit 2, not a
+    traceback."""
+    proc = _run_capped("run", "--dim", "3", "--protocol", "original",
+                       "--rounds", "4294967296", "--format", "csv")
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.splitlines() == [
-        "mubsig: error: dimension 101 needs more memory than this process may use"]
+        "mubsig: error: dimension 3 needs more memory than this process may use"]
     assert proc.stdout == ""
+
+
+def test_cli_run_at_d101_fits_the_cap():
+    """The sessions read the pair basis off its structure and never build
+    its d^4 matrix, which at d=101 alone would ask for 1.55 GiB."""
+    proc = _run_capped("run", "--dim", "101", "--protocol", "original", "--rounds", "100")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "" and proc.stdout
 
 
 def test_cli_verify_out_of_memory_is_a_usage_error():
     """Running out of memory in ``verify`` is the same usage error, not a
-    failed check: the suite lets the MemoryError through."""
+    failed check: the suite lets the MemoryError through.  At d=101 the
+    d^2 x d^2 pair kets that verify builds from their definition ask for
+    1.55 GiB."""
     proc = _run_capped("verify", "--dim", "101")
     assert proc.returncode == 2, proc.stdout
     assert proc.stderr.splitlines() == [

@@ -14,7 +14,6 @@ from mubsig.bases import (
     BasisId,
     Family,
     basis_alphabet,
-    entangled_basis,
     measurement_basis,
 )
 from mubsig.cli import main
@@ -22,7 +21,13 @@ from mubsig.harness import dual_family_detection_probability
 from mubsig.protocol import _prep_pair
 from mubsig.streams import derive_round_stream
 from mubsig.verify import CheckResult, run_invariant_suite
-from dense import born_probabilities, density, nonselective_measure, partial_trace
+from dense import (
+    born_probabilities,
+    density,
+    entangled_basis,
+    nonselective_measure,
+    partial_trace,
+)
 
 EXPECTED_NAMES = (
     "field-arithmetic",
@@ -226,21 +231,20 @@ def test_measurement_backaction_catches_a_conjugated_kept_half(monkeypatch, fres
     assert re.match(r"(plain|hat)/(hat-)?(comp|q\d) off-diagonal: ", result.detail), result.detail
 
 
-def _patched_pair_basis(monkeypatch, d, target, change):
-    """Let verify read the plain pair basis at s = ``target`` through ``change``.
+def _patched_pair_kets(monkeypatch, d, target, change):
+    """Let verify build its plain pair kets at s = ``target`` through ``change``.
 
-    Only verify's own name is patched, so no cache ever holds the
-    patched basis and none needs clearing."""
-    real = verify.entangled_basis
+    Only verify's own name is patched, and no cache holds the kets, so
+    none needs clearing."""
+    real = verify._pair_kets
 
-    def patched(dim, s=0, family=Family.PLAIN):
-        basis = real(dim, s, family)
-        if (dim, s, family) == (d, target, Family.PLAIN):
-            basis = basis.copy()
-            change(basis)
-        return basis
+    def patched(dim, s):
+        kets = real(dim, s)
+        if (dim, s) == (d, target):
+            change(kets)
+        return kets
 
-    monkeypatch.setattr(verify, "entangled_basis", patched)
+    monkeypatch.setattr(verify, "_pair_kets", patched)
 
 
 def test_entangled_basis_catches_an_amplitude_off_the_block(monkeypatch):
@@ -248,12 +252,11 @@ def test_entangled_basis_catches_an_amplitude_off_the_block(monkeypatch):
     so only the off-block entries can catch it, as the dense Gram did."""
     d, s = 5, 2
     cc, r, n = 3, 1, 0
-    row = n * d + (cc - n + 1) % d   # n' = c - n is the support; this is off it
 
-    def leak(basis):
-        basis[row, cc * d + r] = 1e-6
+    def leak(kets):   # n' = c - n is the support; this is off it
+        kets[cc, r, n, (cc - n + 1) % d] = 1e-6
 
-    _patched_pair_basis(monkeypatch, d, s, leak)
+    _patched_pair_kets(monkeypatch, d, s, leak)
     result = verify._run_check("entangled-basis", d)
     assert not result.passed and result.assertions == d + 1
     assert result.detail.startswith(f"pair basis gram at s={s}: 1e-06 != 0.0"), result.detail
@@ -261,12 +264,11 @@ def test_entangled_basis_catches_an_amplitude_off_the_block(monkeypatch):
 
 def test_entangled_basis_catches_two_overlapping_kets_of_one_block(monkeypatch):
     d, s = 5, 3
-    first, second = 2 * d + 1, 2 * d + 4   # (c, r) = (2, 1) and (2, 4)
 
-    def tilt(basis):   # unit norm, but overlap sin(0.1) with the first ket
-        basis[:, second] = np.cos(0.1) * basis[:, second] + np.sin(0.1) * basis[:, first]
+    def tilt(kets):   # (c, r) = (2, 4): unit norm, but overlap sin(0.1) with (2, 1)
+        kets[2, 4] = np.cos(0.1) * kets[2, 4] + np.sin(0.1) * kets[2, 1]
 
-    _patched_pair_basis(monkeypatch, d, s, tilt)
+    _patched_pair_kets(monkeypatch, d, s, tilt)
     result = verify._run_check("entangled-basis", d)
     assert not result.passed and result.assertions == d + 1
     assert result.detail.startswith(f"pair basis gram at s={s}: "), result.detail
@@ -321,13 +323,23 @@ def test_a_check_that_raises_fails_alone(monkeypatch, capsys):
         f"17/18 checks passed, {sum(r.assertions for r in results)} assertions, d=3"]
 
 
-def test_entangled_basis_keeps_one_entry_per_basis(fresh_caches):
-    """Callers spell a pair basis as (d), (d, s), (d, s=s), (d, family=f)
-    and (d, 0, f); the cache keys every spelling of one basis as one entry
-    and keeps only the s = 0 bases, so a suite run at d=7 leaves its plain
-    and its hat basis."""
-    assert all(r.passed for r in run_invariant_suite(7))
-    assert entangled_basis.cache_info().currsize == 2
+def test_entangled_basis_catches_a_hat_transport_through_u_for_conj_u(monkeypatch):
+    """The check reads every s = 0 ket back through the package's own
+    bases._pair_amplitudes: transporting a hat pair by u^H V u, where
+    u^H V conj(u) belongs, fails it."""
+    d = 5
+    real = verify._pair_amplitudes
+
+    def through_u(dim, family, pairs):
+        if family is not Family.HAT:
+            return real(dim, family, pairs)
+        u = verify.hat_unitary(dim)
+        return real(dim, Family.PLAIN, u.conj().T @ pairs @ u)
+
+    monkeypatch.setattr(verify, "_pair_amplitudes", through_u)
+    result = verify._run_check("entangled-basis", d)
+    assert not result.passed and result.assertions == d + 1
+    assert result.detail.startswith("hat pair basis gram and amplitudes: "), result.detail
 
 
 _SUITE_PEAK = """
@@ -342,8 +354,9 @@ print(all(r.passed for r in results), sum(r.assertions for r in results), peak_k
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
 def test_suite_at_d31_peaks_below_250_mb():
-    """The suite keeps only the pair bases at s = 0, so at d=31 its peak
-    stays well below the 560 MB that keeping all 32 bases took.  The child
+    """The suite keeps no pair basis: it builds each one from its definition
+    where it checks it, so at d=31 its peak stays well below the 560 MB
+    that keeping all 32 bases took.  The child
     reports VmHWM, the peak of its own address space: its ru_maxrss would
     carry over the peak of this test process, which exec keeps."""
     env = dict(os.environ, PYTHONPATH=str(Path(verify.__file__).parents[1]))

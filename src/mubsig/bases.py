@@ -13,12 +13,13 @@ The phase exponent b n^2 - 2 n m is an exact integer and is reduced only
 modulo the true period of w (4 when d = 2, else d); reducing mod d first
 would silently corrupt the d = 2 bases.
 
-The entangled pair states |c,r;s> = (1/sqrt d) sum_n |n>|c-n> w^(s n^2 - 2 r n)
-form, for fixed s, an orthonormal basis of the pair space: |c,r;s> is the
-r-th ket of the quadratic basis q_s laid along the anti-diagonal n' = c - n.  The
-protocols measure in the s = 0 basis; its hat variant transports it
-through the hat unitary on both halves.  :func:`_pair_amplitudes` reads
-amplitudes in it off that structure, so no d^2 x d^2 basis is ever made.
+Entangled pair states |c,r;s> = (1/sqrt d) sum_n |n>|c-n> w^(s n^2 - 2 r n)
+form, for fixed s, an orthonormal basis of the pair space: |c,r;s> is
+the r-th ket of the quadratic basis q_s laid along the anti-diagonal
+n' = c - n.  The protocols measure in the s = 0 basis; its hat variant
+transports it through the hat unitary on both halves.
+:func:`_pair_amplitudes` reads amplitudes in it off that structure, so
+no d^2 x d^2 basis is ever made.
 
 Every single-qudit basis is built whole, as a read-only matrix whose
 column k is its k-th ket, from one cached table of the powers of w.

@@ -113,7 +113,8 @@ def test_a_warm_call_does_not_check_the_dimension_again(monkeypatch, fresh_cache
 
 def test_lru_cache_is_used_only_by_the_cache_owner():
     """Every cache keyed on d goes through ``finite_field.per_dim_cache``,
-    which checks d first and which ``_clear_caches`` empties as a whole."""
+    which checks d on every miss and which ``_clear_caches`` empties as a
+    whole."""
     src = Path(finite_field.__file__).parent
     hits = {p.name: p.read_text().count("lru_cache") for p in sorted(src.glob("*.py"))}
     owner = inspect.getsource(finite_field.per_dim_cache).count("lru_cache")

@@ -16,6 +16,8 @@ a dimension too large for the memory at hand.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import enum
 import json
 import os
 import sys
@@ -26,7 +28,7 @@ from typing import TextIO
 
 from .bases import BasisId, Family, basis_alphabet
 from .finite_field import PrimeDim
-from .harness import HarnessConfig, analytic_outcome_distribution, run_trials
+from .harness import _CONFIG_KEYS, HarnessConfig, analytic_outcome_distribution, run_trials
 from .protocol import pair_outcome_labels
 from .report import (
     _config_fields,
@@ -57,17 +59,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one session and write a report")
-    run.add_argument("--dim", type=int, help="prime Hilbert-space dimension")
-    run.add_argument("--protocol", choices=["original", "tomographic", "dualfamily"],
-                     help="which signaling protocol to run")
-    run.add_argument("--eve", choices=["off", "intercept", "dualfamily"],
-                     help="eavesdropping strategy (default off)")
-    run.add_argument("--rounds", type=int, help="number of rounds")
-    run.add_argument("--seed", type=int, help="session seed (default 0)")
-    run.add_argument("--pretest-fraction", type=float,
-                     help="fraction of rounds spent on the tomography pre-test")
-    run.add_argument("--posttest-fraction", type=float,
-                     help="fraction of conclusive rounds revealed for checking")
+    for key, (_, kind, help_text) in _CONFIG_KEYS.items():   # every key but the weights
+        if help_text is not None:
+            choices = [m.value for m in kind] if issubclass(kind, enum.Enum) else None
+            run.add_argument("--" + key.replace("_", "-"), type=None if choices else kind,
+                             choices=choices, help=help_text)
     run.add_argument("--workers", type=int, default=1,
                      help="worker threads (never changes results)")
     run.add_argument("--format", choices=["json", "csv", "text"], default="json",
@@ -111,18 +107,8 @@ def _load_config_file(path: Path) -> dict:
 
 def _merge_run_config(args: argparse.Namespace) -> HarnessConfig:
     base = {} if args.config is None else _config_fields(_load_config_file(args.config))
-    overrides = {
-        "dim": args.dim,
-        "protocol": args.protocol,
-        "eve": args.eve,
-        "rounds": args.rounds,
-        "seed": args.seed,
-        "pretest_fraction": args.pretest_fraction,
-        "posttest_fraction": args.posttest_fraction,
-    }
-    base.update({k: v for k, v in overrides.items() if v is not None})
-    if base.get("dim") is None:
-        raise _CliError("--dim is required (directly or via --config)")
+    base.update({key: value for key in _CONFIG_KEYS
+                 if (value := getattr(args, key, None)) is not None})
     return config_from_document(base)
 
 
@@ -143,7 +129,7 @@ def _output(out: Path | None) -> Iterator[TextIO]:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _merge_run_config(args)
-    args.dim = config.d   # named by an out-of-memory error
+    args.dim, args.rounds = config.d, config.rounds   # named by an out-of-memory error
     if args.workers < 1:
         raise _CliError("--workers must be >= 1")
     with _output(args.out) as out:
@@ -196,15 +182,11 @@ def _table_text(d: int, rows: list[BasisId], fmt: str) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    d = PrimeDim(args.dim).d
-    results = run_invariant_suite(d)
+    results = run_invariant_suite(args.dim)   # checks the dimension first
     failed = [r for r in results if not r.passed]
     if args.format == "json":
-        doc = {"dim": d,
-               "passed": not failed,
-               "checks": [{"name": r.name, "passed": r.passed,
-                           "assertions": r.assertions, "detail": r.detail}
-                          for r in results]}
+        doc = {"dim": args.dim, "passed": not failed,
+               "checks": [dataclasses.asdict(r) for r in results]}
         sys.stdout.write(canonical_json(doc))
     else:
         for r in results:
@@ -215,7 +197,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(line)
         total = sum(r.assertions for r in results)
         print(f"{len(results) - len(failed)}/{len(results)} checks passed, "
-              f"{total} assertions, d={d}")
+              f"{total} assertions, d={args.dim}")
     return _CHECK_FAILURE if failed else 0
 
 
@@ -235,8 +217,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"mubsig: error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     except MemoryError:
-        print(f"mubsig: error: dimension {args.dim} needs more memory than this "
-              "process may use", file=sys.stderr)
+        rounds = f" with {args.rounds} rounds" if args.command == "run" else ""
+        print(f"mubsig: error: dimension {args.dim}{rounds} needs more memory than "
+              "this process may use", file=sys.stderr)
         return _USAGE_ERROR
     except BrokenPipeError:
         # The reader closed stdout early (``mubsig run ... | head``) and has

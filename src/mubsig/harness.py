@@ -63,6 +63,22 @@ _PROTOCOL_FAMILIES: dict[Protocol, tuple[Family, ...]] = {
 }
 
 
+# One row per HarnessConfig field, in echo order: config key -> (field, the type
+# its value is read as or None, the help of its ``run`` flag or None for none).
+_CONFIG_KEYS: dict[str, tuple[str, type | None, str | None]] = {
+    "dim": ("d", int, "prime Hilbert-space dimension"),
+    "protocol": ("protocol", Protocol, "which signaling protocol to run"),
+    "eve": ("eve", EveMode, "eavesdropping strategy (default off)"),
+    "rounds": ("rounds", int, "number of rounds"),
+    "seed": ("seed", int, "session seed (default 0)"),
+    "pretest_fraction": ("pretest_fraction", float,
+                         "fraction of rounds spent on the tomography pre-test"),
+    "posttest_fraction": ("posttest_fraction", float,
+                          "fraction of conclusive rounds revealed for checking"),
+    "message_distribution": ("message_distribution", None, None),
+}
+
+
 @dataclass(frozen=True)
 class HarnessConfig:
     """Everything needed to reproduce one session exactly."""
@@ -78,14 +94,11 @@ class HarnessConfig:
 
     def __post_init__(self) -> None:
         PrimeDim(self.d)
-        if not isinstance(self.protocol, Protocol):
-            raise TypeError(f"protocol must be a Protocol, got {self.protocol!r}")
-        if not isinstance(self.eve, EveMode):
-            raise TypeError(f"eve must be an EveMode, got {self.eve!r}")
-        for name in ("rounds", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+        for field, kind, _ in _CONFIG_KEYS.values():   # fractions: range-checked below
+            value = getattr(self, field)
+            if kind in (int, Protocol, EveMode) and (isinstance(value, bool)
+                                                     or not isinstance(value, kind)):
+                raise TypeError(f"{field} must be of type {kind.__name__}, got {value!r}")
         if not 1 <= self.rounds <= 2 ** 32:   # at most 131072 blocks per session
             raise ValueError("rounds must lie in [1, 2**32]")
         if not 0 <= self.seed < 2 ** 64:
@@ -106,7 +119,14 @@ class HarnessConfig:
             elif value is not None:
                 raise ValueError(f"{name} does not apply to protocol "
                                  f"{self.protocol.value}")
+        if not need_pre <= self.pretest_rounds() < self.rounds:   # both phases nonempty
+            raise ValueError(f"pretest_fraction={self.pretest_fraction} of {self.rounds} rounds "
+                             "leaves an empty pre-test or signal phase")
         self.message_weights()  # validate eagerly
+
+    def pretest_rounds(self) -> int:
+        """Rounds spent on the tomography pre-test; the rest signal."""
+        return int(round(self.rounds * (self.pretest_fraction or 0)))
 
     def alphabet(self) -> tuple[BasisId, ...]:
         return basis_alphabet(self.d, _PROTOCOL_FAMILIES[self.protocol])
@@ -133,17 +153,23 @@ class HarnessConfig:
                 raise ValueError(f"message weight for {label!r} must be a finite "
                                  f"number >= 0")
             weights[known[label]] = w
-        _check_weight_sum(weights)
-        return weights
+        return _checked_weights(weights, len(alphabet))
 
 
-def _check_weight_sum(weights: np.ndarray) -> None:
+def _checked_weights(weights, n_bases: int) -> np.ndarray:
+    """``weights`` as floats: ``n_bases`` entries >= 0 with a positive, finite sum."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (n_bases,):
+        raise ValueError(f"expected {n_bases} message weights, got shape {weights.shape}")
+    if not np.isfinite(weights).all() or (weights < 0).any():
+        raise ValueError("message weights must be finite and >= 0")
     with np.errstate(over="ignore"):
         total = weights.sum()
     if total <= 0:
         raise ValueError("message weights must not all vanish")
     if not np.isfinite(total):
         raise ValueError("message weights must have a finite sum")
+    return weights
 
 
 @dataclass(frozen=True)
@@ -235,14 +261,8 @@ def dual_family_detection_probability(d: int, eve_family: Family = Family.PLAIN,
         raise TypeError(f"eve_family must be a Family, got {eve_family!r}")
     tables = _tables(d, 2)
     n_bases = len(tables.alphabet)
-    weights = np.ones(n_bases) if message_weights is None else np.asarray(
-        message_weights, dtype=float)
-    if weights.shape != (n_bases,):
-        raise ValueError(f"expected {n_bases} message weights, "
-                         f"got shape {weights.shape}")
-    if not np.isfinite(weights).all() or (weights < 0).any():
-        raise ValueError("message weights must be finite and >= 0")
-    _check_weight_sum(weights)
+    weights = np.ones(n_bases) if message_weights is None else _checked_weights(
+        message_weights, n_bases)
     codes = tables.decode_code
     per_family = d + 1
     bob_fam, bob_code = np.divmod(np.arange(n_bases), per_family)
@@ -278,8 +298,7 @@ def run_trials(config: HarnessConfig, *, workers: int = 1,
         config.d, config.rounds, config.seed,
         n_families=len(_PROTOCOL_FAMILIES[config.protocol]),
         eve=config.eve is not EveMode.OFF, message_weights=config.message_weights(),
-        pretest_fraction=config.pretest_fraction,
-        posttest_fraction=config.posttest_fraction,
+        n_pre=config.pretest_rounds(), posttest_fraction=config.posttest_fraction,
         workers=workers, collect=return_rounds)
     if return_rounds:
         return report, log

@@ -559,17 +559,14 @@ def _pretest_phase(d: int, n_pre: int, seed: int, eve: bool, workers: int,
 
 
 def _run_session(d: int, rounds: int, seed: int, *, n_families: int, eve: bool,
-                 message_weights: np.ndarray, pretest_fraction: float | None,
+                 message_weights: np.ndarray, n_pre: int,
                  posttest_fraction: float | None, workers: int, collect: bool,
                  ) -> tuple[SessionReport, RoundLog | None]:
-    """Run one session of any protocol, as configured by :class:`HarnessConfig`.
-
-    The config validates every argument; the engine only refuses a
-    pre-test fraction that leaves the pre-test or signal phase empty.
+    """Run one session as configured, and checked, by :class:`HarnessConfig`.
 
     ``n_families`` is 1 for the original and tomographic protocols and 2
-    for the dual-family one.  A ``pretest_fraction`` spends that share of
-    the rounds on tomography before signalling; ``pretest_divergence`` in
+    for the dual-family one.  The first ``n_pre`` of the ``rounds`` are
+    spent on tomography before signalling; ``pretest_divergence`` in
     the report is the total-variation distance between the announced
     pre-test frequencies and the exact undisturbed joint distribution.
     With ``posttest_fraction=None`` every conclusive decode is checked
@@ -577,11 +574,7 @@ def _run_session(d: int, rounds: int, seed: int, *, n_families: int, eve: bool,
     itself has no verification step).  With ``collect`` the rounds come
     back as a :class:`RoundLog`, which the blocks fill in place.
     """
-    n_pre = 0 if pretest_fraction is None else int(round(rounds * pretest_fraction))
     n_signal = rounds - n_pre
-    if n_signal < 1 or (pretest_fraction is not None and n_pre < 1):
-        raise ValueError(f"rounds={rounds} with pretest_fraction={pretest_fraction} "
-                         "leaves an empty pre-test or signal phase")
     tables = _tables(d, n_families)
     log = None
     if collect:

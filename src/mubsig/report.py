@@ -10,13 +10,14 @@ document.
 from __future__ import annotations
 
 import dataclasses
+import enum
 import json
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .bases import BasisId, basis_alphabet, pair_outcome_labels
-from .harness import EveMode, HarnessConfig, Protocol, analytic_outcome_distribution
+from .harness import _CONFIG_KEYS, HarnessConfig, analytic_outcome_distribution
 from .protocol import _FAMILIES, RoundLog, SessionReport, _decode_codes
 
 SCHEMA = "mubsig.report/1"
@@ -33,19 +34,15 @@ __all__ = [
 
 
 def _config_echo(config: HarnessConfig) -> dict:
-    dist = config.message_distribution
-    if isinstance(dist, Mapping):
-        dist = {str(k): float(v) for k, v in dist.items()}
-    return {
-        "dim": config.d,
-        "protocol": config.protocol.value,
-        "eve": config.eve.value,
-        "rounds": config.rounds,
-        "seed": config.seed,
-        "pretest_fraction": config.pretest_fraction,
-        "posttest_fraction": config.posttest_fraction,
-        "message_distribution": dist,
-    }
+    echo = {}
+    for key, (field, _, _) in _CONFIG_KEYS.items():
+        value = getattr(config, field)
+        if isinstance(value, enum.Enum):
+            value = value.value
+        elif isinstance(value, Mapping):
+            value = {str(k): float(v) for k, v in value.items()}
+        echo[key] = value
+    return echo
 
 
 def build_document(config: HarnessConfig, report: SessionReport, *,
@@ -96,45 +93,38 @@ def config_from_document(document: Mapping) -> HarnessConfig:
     default.  Raises ValueError on unknown keys or malformed values.
     """
     data = _config_fields(document)
-    known = {"dim", "protocol", "eve", "rounds", "seed",
-             "pretest_fraction", "posttest_fraction", "message_distribution"}
-    unknown = set(data) - known
+    unknown = set(data) - set(_CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    data = {k: v for k, v in data.items() if v is not None}
-    for key in ("dim", "protocol", "rounds"):
-        if key not in data:
+    required = {f.name for f in dataclasses.fields(HarnessConfig)
+                if f.default is dataclasses.MISSING}
+    fields = {}
+    for key, (field, kind, _) in _CONFIG_KEYS.items():
+        if data.get(key) is not None:
+            fields[field] = _config_value(key, kind, data[key])
+        elif field in required:
             raise ValueError(f"config is missing required key {key!r}")
-    try:
-        protocol = Protocol(data["protocol"])
-    except ValueError:
-        raise ValueError(f"unknown protocol {data['protocol']!r}") from None
-    try:
-        eve = EveMode(data.get("eve", "off"))
-    except ValueError:
-        raise ValueError(f"unknown eve mode {data['eve']!r}") from None
-    def _number(key, kind):
-        value = data.get(key)
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-                kind is int and isinstance(value, float) and not value.is_integer()):
-            raise ValueError(f"config key {key!r} must be {kind.__name__}-valued, "
-                             f"got {value!r}")
+    return HarnessConfig(**fields)
+
+
+def _config_value(key: str, kind: type | None, value: object) -> object:
+    """One config value read as ``kind``: an integral float is an int."""
+    if kind is None:
+        return value
+    if issubclass(kind, enum.Enum):
         try:
             return kind(value)
-        except OverflowError:
-            raise ValueError(f"config key {key!r} is out of range") from None
-    return HarnessConfig(
-        d=_number("dim", int),
-        protocol=protocol,
-        rounds=_number("rounds", int),
-        eve=eve,
-        pretest_fraction=_number("pretest_fraction", float),
-        posttest_fraction=_number("posttest_fraction", float),
-        seed=_number("seed", int) if "seed" in data else 0,
-        message_distribution=data.get("message_distribution", "uniform"),
-    )
+        except ValueError:
+            raise ValueError(f"config key {key!r} must be one of "
+                             f"{[m.value for m in kind]}, got {value!r}") from None
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            kind is int and isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"config key {key!r} must be {kind.__name__}-valued, "
+                         f"got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ValueError(f"config key {key!r} is out of range") from None
 
 
 def render_text(document: Mapping) -> str:

@@ -53,7 +53,7 @@ def session_configs(draw):
     if protocol is not Protocol.ORIGINAL:
         fractions["posttest_fraction"] = draw(st.floats(0.01, 0.99))
     distribution = "uniform"
-    labels = [b.text() for b in HarnessConfig(d, protocol, 1, **fractions).alphabet()]
+    labels = [b.text() for b in HarnessConfig(d, protocol, rounds, **fractions).alphabet()]
     weights = draw(st.none() | st.lists(st.floats(0.0, 10.0), min_size=len(labels),
                                         max_size=len(labels)).filter(lambda w: sum(w) > 0))
     if weights is not None:

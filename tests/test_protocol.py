@@ -440,11 +440,11 @@ def test_session_rejects_bad_arguments():
         tomographic(2, 100, seed=0, posttest_fraction=1.0)
     with pytest.raises(ValueError):
         dual(2, 100, seed=0, posttest_fraction=0.0)
-    # valid fractions can still leave a phase empty: the engine refuses
+    # valid fractions can still leave a phase empty: the config refuses
     with pytest.raises(ValueError, match="empty pre-test or signal phase"):
-        run_trials(tomographic(2, 2, seed=0, pretest_fraction=0.1))
+        tomographic(2, 2, seed=0, pretest_fraction=0.1)
     with pytest.raises(ValueError, match="empty pre-test or signal phase"):
-        run_trials(tomographic(2, 2, seed=0, pretest_fraction=0.9))
+        tomographic(2, 2, seed=0, pretest_fraction=0.9)
 
 
 def test_sessions_deterministic_in_seed():

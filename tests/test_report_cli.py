@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -9,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from mubsig.cli import main
-from mubsig.harness import EveMode, HarnessConfig, Protocol, run_trials
+from mubsig.cli import _build_parser, main
+from mubsig.harness import _CONFIG_KEYS, EveMode, HarnessConfig, Protocol, run_trials
 from mubsig.report import (
     SCHEMA,
     build_document,
@@ -193,8 +195,8 @@ def test_cli_out_of_memory_is_a_usage_error():
     proc = _run_capped("run", "--dim", "3", "--protocol", "original",
                        "--rounds", "4294967296", "--format", "csv")
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.splitlines() == [
-        "mubsig: error: dimension 3 needs more memory than this process may use"]
+    assert proc.stderr.splitlines() == ["mubsig: error: dimension 3 with 4294967296 rounds "
+                                        "needs more memory than this process may use"]
     assert proc.stdout == ""
 
 
@@ -216,6 +218,30 @@ def test_cli_verify_out_of_memory_is_a_usage_error():
     assert proc.stderr.splitlines() == [
         "mubsig: error: dimension 101 needs more memory than this process may use"]
     assert proc.stdout == ""
+
+
+def test_each_config_key_is_defined_once():
+    """Every HarnessConfig field has one row in the key table; the fields
+    without defaults are the required keys; every key but the message
+    distribution is a ``run`` flag of that name."""
+    fields = dataclasses.fields(HarnessConfig)
+    rows = [field for field, _, _ in _CONFIG_KEYS.values()]
+    assert sorted(rows) == sorted(f.name for f in fields)
+    key_of = {field: key for key, (field, _, _) in _CONFIG_KEYS.items()}
+    full = {"dim": 3, "protocol": "original", "rounds": 10}
+    required = set()
+    for key in _CONFIG_KEYS:
+        try:
+            config_from_document({k: v for k, v in full.items() if k != key})
+        except ValueError as exc:
+            assert str(exc) == f"config is missing required key {key!r}"
+            required.add(key)
+    assert required == {key_of[f.name] for f in fields if f.default is dataclasses.MISSING}
+    commands = next(a for a in _build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in commands.choices["run"]._actions}
+    assert [k for k in _CONFIG_KEYS if k in dests] == [
+        k for k in _CONFIG_KEYS if k != "message_distribution"]
 
 
 def test_config_from_document_accepts_integral_floats():
@@ -343,6 +369,18 @@ def test_cli_run_refuses_an_unwritable_out_before_the_session(fmt, tmp_path, mon
                      "--format", fmt, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"mubsig: error: cannot write {out}: ") and err.count("\n") == 1
+
+
+def test_cli_run_refuses_a_config_that_cannot_run_before_opening_out(tmp_path, capsys):
+    """Valid fractions that leave a phase empty are refused by the config,
+    so the ``--out`` file is never opened and keeps its contents."""
+    out = tmp_path / "f"
+    out.write_text("precious\n")
+    assert main(["run", "--dim", "2", "--protocol", "tomographic", "--rounds", "2",
+                 "--pretest-fraction", "0.1", "--posttest-fraction", "0.5",
+                 "--out", str(out)]) == 2
+    assert "empty pre-test or signal phase" in capsys.readouterr().err
+    assert out.read_text() == "precious\n"
 
 
 def test_cli_table_refuses_an_unwritable_out(tmp_path, monkeypatch, capsys):

@@ -28,16 +28,22 @@ from typing import TextIO
 
 from .bases import BasisId, Family, basis_alphabet
 from .finite_field import PrimeDim
-from .harness import _CONFIG_KEYS, HarnessConfig, analytic_outcome_distribution, run_trials
+from .harness import (
+    _CONFIG_KEYS,
+    HarnessConfig,
+    _session,
+    analytic_outcome_distribution,
+    run_trials,
+)
 from .protocol import pair_outcome_labels
 from .report import (
     _config_fields,
+    _csv_chunks,
     _outcome_tables,
     build_document,
     canonical_json,
     config_from_document,
     render_text,
-    round_log_csv_chunks,
 )
 from .verify import run_invariant_suite
 
@@ -133,9 +139,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise _CliError("--workers must be >= 1")
     with _output(args.out) as out:
-        if args.format == "csv":
-            _, log = run_trials(config, workers=args.workers, return_rounds=True)
-            out.writelines(round_log_csv_chunks(log))
+        if args.format == "csv":   # each block's rounds are written as they come
+            out.writelines(_csv_chunks(_session(config, args.workers, collect=True)))
             return 0
         report = run_trials(config, workers=args.workers)
         document = build_document(config, report, include_tables=args.include_tables)

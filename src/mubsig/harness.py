@@ -12,7 +12,7 @@ import enum
 import numbers
 import sys
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Generator, Mapping
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .protocol import (
     RoundLog,
     SessionReport,
     _INCONCLUSIVE_CODE,
+    _joined,
     _run_session,
     _tables,
     _total_variation,
@@ -282,6 +283,21 @@ def dual_family_detection_probability(d: int, eve_family: Family = Family.PLAIN,
     return float(p_mismatch / p_kept)
 
 
+def _session(config: HarnessConfig, workers: int, collect: bool,
+             ) -> Generator[RoundLog, None, SessionReport]:
+    """The session of ``config`` as the engine runs it: with ``collect`` it
+    yields its rounds as RoundLog pieces in round order, and it returns its
+    report."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    return _run_session(
+        config.d, config.rounds, config.seed,
+        n_families=len(_PROTOCOL_FAMILIES[config.protocol]),
+        eve=config.eve is not EveMode.OFF, message_weights=config.message_weights(),
+        n_pre=config.pretest_rounds(), posttest_fraction=config.posttest_fraction,
+        workers=workers, collect=collect)
+
+
 def run_trials(config: HarnessConfig, *, workers: int = 1,
                return_rounds: bool = False,
                ) -> SessionReport | tuple[SessionReport, RoundLog]:
@@ -292,14 +308,14 @@ def run_trials(config: HarnessConfig, *, workers: int = 1,
     With ``return_rounds=True`` also returns every round as a
     :class:`~mubsig.protocol.RoundLog`, in round order.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    report, log = _run_session(
-        config.d, config.rounds, config.seed,
-        n_families=len(_PROTOCOL_FAMILIES[config.protocol]),
-        eve=config.eve is not EveMode.OFF, message_weights=config.message_weights(),
-        n_pre=config.pretest_rounds(), posttest_fraction=config.posttest_fraction,
-        workers=workers, collect=return_rounds)
+    session = _session(config, workers, return_rounds)
+    pieces = []
+    while True:
+        try:
+            pieces.append(next(session))
+        except StopIteration as done:
+            report = done.value
+            break
     if return_rounds:
-        return report, log
+        return report, _joined(pieces)
     return report

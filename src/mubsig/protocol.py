@@ -48,8 +48,11 @@ session takes no page faults per block.  :func:`_run_blocks` owns them:
 for one phase of one session it gives each worker thread one
 :class:`_Scratch`, and drops it when the phase ends, so no buffer
 outlives a session.  Each block writes its lookups, codes and masks
-into its thread's set through ``out=``; a collected session's blocks
-write their columns straight into their slice of the :class:`RoundLog`.
+into its thread's set through ``out=``.  A collected block copies its
+columns out of the set into a :class:`RoundLog` piece of its own, in the
+narrow dtypes of ``_COLUMN_DTYPES``.  A session yields these pieces in
+round order, sampled at most a few blocks ahead of its reader, so a
+reader that writes each piece out holds only a few blocks of rounds.
 The no-alias rule: a buffer is named, two values share a buffer only
 when they share its name, and a value is written there only once the
 one before it is dead; a lookup's ``out`` is never its rows or draws.
@@ -61,9 +64,10 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Generator, Iterator
 
 import numpy as np
 
@@ -76,7 +80,7 @@ from .bases import (
     measurement_basis,
     pair_outcome_labels,
 )
-from .finite_field import per_dim_cache
+from .finite_field import MAX_DIM, per_dim_cache
 from .quantum import TOLERANCE, _cdf, _frozen
 from .streams import derive_round_stream
 
@@ -124,6 +128,12 @@ class RoundLog:
     Alice's pair outcome as an index into :func:`pair_outcome_labels`;
     ``eve_outcome`` is the eavesdropper's outcome on her plain decoy, in
     the same numbering, or None when nobody intercepts.
+
+    Each column has the dtype ``_COLUMN_DTYPES`` gives it, the narrowest
+    unsigned integer that holds its indices at ``MAX_DIM``: uint32 for
+    ``pretest``, uint8 for ``family`` and uint16 for the others.  Widen a
+    column before doing arithmetic on it.  A session that streams its
+    rounds yields them as pieces, consecutive RoundLogs in round order.
     """
 
     d: int
@@ -136,6 +146,36 @@ class RoundLog:
 
     def __len__(self) -> int:
         return self.pretest.size + self.basis.size
+
+
+# The dtype of each RoundLog column, in field order: the narrowest unsigned
+# integer that holds every index the column takes at MAX_DIM.  Pre-test cells
+# number ((d + 1) d)^2, pair outcomes d^2, and the bases of both families 2(d + 1).
+_COLUMN_DTYPES = {name: np.min_scalar_type(size - 1) for name, size in (
+    ("pretest", ((MAX_DIM + 1) * MAX_DIM) ** 2),
+    ("family", 2),
+    ("basis", 2 * (MAX_DIM + 1)),
+    ("outcome", MAX_DIM ** 2),
+    ("eve_outcome", MAX_DIM ** 2))}
+
+
+def _piece(d: int, alphabet: tuple[BasisId, ...], eve: bool, **columns: np.ndarray) -> RoundLog:
+    """A RoundLog of ``columns``, each copied into its dtype; a column not
+    given is empty, and ``eve_outcome`` is None without ``eve``."""
+    def column(name: str) -> np.ndarray:
+        return np.asarray(columns.get(name, ())).astype(_COLUMN_DTYPES[name])
+
+    return RoundLog(d, alphabet, column("pretest"), column("family"), column("basis"),
+                    column("outcome"), column("eve_outcome") if eve else None)
+
+
+def _joined(pieces: list[RoundLog]) -> RoundLog:
+    """The pieces of one session's rounds, in round order, as one RoundLog."""
+    def column(name: str) -> np.ndarray | None:
+        parts = [getattr(piece, name) for piece in pieces]
+        return None if parts[0] is None else np.concatenate(parts)
+
+    return RoundLog(pieces[0].d, pieces[0].alphabet, *map(column, _COLUMN_DTYPES))
 
 
 @dataclass(frozen=True)
@@ -426,32 +466,40 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_blocks(worker: Callable[[np.random.Generator, int, int, _Scratch], object],
-                total: int, seed: int, stream_base: int, workers: int) -> list:
-    """``worker(stream, start, n, scratch)`` on every block of ``total`` rounds,
-    its results in block order.
+def _run_blocks(worker: Callable[[np.random.Generator, int, _Scratch], object],
+                total: int, seed: int, stream_base: int, workers: int) -> Iterator:
+    """``worker(stream, n, scratch)`` on every block of ``total`` rounds, its
+    results yielded in block order.
 
-    Of ``w`` threads, thread t samples blocks t, t + w, ... into one
-    :class:`_Scratch` of its own, made here and dropped on return, so no
-    buffer outlives the call.
+    Of ``w`` threads, the reading thread samples every w-th block itself
+    and a pool of ``w - 1`` samples the others, at most ``2 w`` blocks
+    ahead of the reader.  (A reader that only waited for ``w`` pool
+    threads made ``workers=2`` sessions 10-15 % slower on 2 CPUs: three
+    threads took turns at the GIL.)  Each thread samples into one
+    :class:`_Scratch` of its own, made on its first block and dropped
+    with this generator, so no buffer outlives it.
     """
     starts = range(0, total, BLOCK_ROUNDS)
     workers = min(workers, len(starts), _usable_cpus())
+    lane = threading.local()
 
-    def lane(first: int) -> list:
-        scratch = _Scratch(min(total, BLOCK_ROUNDS))
-        return [worker(derive_round_stream(seed, stream_base + j), starts[j],
-                       min(BLOCK_ROUNDS, total - starts[j]), scratch)
-                for j in range(first, len(starts), workers)]
+    def block(j: int) -> object:
+        if not hasattr(lane, "scratch"):
+            lane.scratch = _Scratch(min(total, BLOCK_ROUNDS))
+        return worker(derive_round_stream(seed, stream_base + j),
+                      min(BLOCK_ROUNDS, total - starts[j]), lane.scratch)
 
     if workers <= 1:
-        return lane(0)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        lanes = list(pool.map(lane, range(workers)))
-    results: list = [None] * len(starts)
-    for first, done in enumerate(lanes):
-        results[first::workers] = done
-    return results
+        yield from map(block, range(len(starts)))
+        return
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        ahead = {k: pool.submit(block, k) for k in range(min(len(starts), 2 * workers))
+                 if k % workers}
+        for j in range(len(starts)):
+            k = j + 2 * workers
+            if k < len(starts) and k % workers:
+                ahead[k] = pool.submit(block, k)
+            yield ahead.pop(j).result() if j % workers else block(j)
 
 
 @dataclass
@@ -471,40 +519,35 @@ class _SignalTally:
 
 
 def _signal_block(tables: _Tables, lookup: _InverseCdf, d: int, eve: bool,
-                  message: _InverseCdf, posttest_fraction: float | None,
-                  log: RoundLog | None, stream: np.random.Generator, start: int, n: int,
-                  scratch: _Scratch) -> _SignalTally:
-    """Sample the ``n`` signal rounds from ``start`` on from one block stream.
+                  message: _InverseCdf, posttest_fraction: float | None, collect: bool,
+                  stream: np.random.Generator, n: int, scratch: _Scratch,
+                  ) -> tuple[_SignalTally, RoundLog | None]:
+    """Sample ``n`` signal rounds from one block stream: their tally, and
+    with ``collect`` the rounds as a :class:`RoundLog` piece.
 
     Draw order: Alice's family coin (two families only), Bob's message,
     the first outcome (Alice's, or Eve's when she intercepts), Alice's
     outcome after Eve's resend, and the post-test coin (unless every
-    conclusive round is checked).  Eve's decoy pair is plain.  With a
-    ``log``, the block writes its columns into their slice of it.
+    conclusive round is checked).  Eve's decoy pair is plain.
     """
     n_families, rows_per_family = tables.probs.shape[:2]
-    stop = start + n
-
-    def column(field: str, buffer: str) -> np.ndarray:
-        return scratch(buffer, np.int64, n) if log is None else getattr(log, field)[start:stop]
 
     # integer coins: k >= 2^52 is u >= 1/2 (hat), and k < ceil(f*2^53) is u < f
     hat = None
     if n_families == 2:
         hat = np.greater_equal(_draws(stream, n), _UNIT >> 1, out=scratch("hat", bool, n))
-        if log is not None:
-            log.family[start:stop] = hat
-    b_idx = message(0, _draws(stream, n), column("basis", "basis"), scratch)
+    b_idx = message(0, _draws(stream, n), scratch("basis", np.int64, n), scratch)
     row = np.add(b_idx, 1, out=scratch("row", np.int64, n))
     if eve:   # Eve's decoy is a plain pair, and she resends in the plain basis she decoded
-        # unlogged, her outcome is dead once decoded, so Alice's takes its buffer
-        eve_idx = lookup(row, _draws(stream, n), column("eve_outcome", "outcome"), scratch)
+        # uncollected, her outcome is dead once decoded, so Alice's takes its buffer
+        eve_buffer = "eve_outcome" if collect else "outcome"
+        eve_idx = lookup(row, _draws(stream, n), scratch(eve_buffer, np.int64, n), scratch)
         eve_code = np.take(tables.decode_code, eve_idx, out=scratch("eve", np.int64, n),
                            mode="clip")
         np.add(eve_code, 1, out=row)
     if hat is not None:
         row += np.multiply(hat, rows_per_family, out=scratch("offset", np.int64, n))
-    out_idx = lookup(row, _draws(stream, n), column("outcome", "outcome"), scratch)
+    out_idx = lookup(row, _draws(stream, n), scratch("outcome", np.int64, n), scratch)
     dcode = np.take(tables.decode_code, out_idx, out=row, mode="clip")   # the row is spent
     kept = np.not_equal(dcode, _INCONCLUSIVE_CODE, out=scratch("kept", bool, n))
     matched = n
@@ -533,7 +576,10 @@ def _signal_block(tables: _Tables, lookup: _InverseCdf, d: int, eve: bool,
         tally.eve_conclusive = int(np.count_nonzero(
             np.not_equal(eve_code, _INCONCLUSIVE_CODE, out=eve_hit)))
         tally.eve_correct = int(np.count_nonzero(np.equal(eve_code, b_idx, out=eve_hit)))
-    return tally
+    if not collect:
+        return tally, None
+    return tally, _piece(d, tables.alphabet, eve, family=np.zeros(n, bool) if hat is None else hat,
+                         basis=b_idx, outcome=out_idx, eve_outcome=eve_idx if eve else ())
 
 
 @per_dim_cache
@@ -542,27 +588,12 @@ def _pretest_lookup(d: int, eve: bool) -> _InverseCdf:
     return _inverse_cdf(_cdf(probs.ravel()))
 
 
-def _pretest_phase(d: int, n_pre: int, seed: int, eve: bool, workers: int,
-                   cells: np.ndarray | None) -> float:
-    """The pre-test's total-variation distance; with ``cells``, each round's
-    cell is written there as well."""
-    ideal = ideal_pretest_distribution(d).ravel()
-    lookup = _pretest_lookup(d, eve)
-
-    def worker(stream: np.random.Generator, start: int, n: int,
-               scratch: _Scratch) -> np.ndarray:
-        out = scratch("outcome", np.int64, n) if cells is None else cells[start:start + n]
-        return np.bincount(lookup(0, _draws(stream, n), out, scratch), minlength=ideal.size)
-
-    counts = sum(_run_blocks(worker, n_pre, seed, _PRETEST_STREAM_BASE, workers))
-    return float(_total_variation(counts, n_pre, ideal))
-
-
 def _run_session(d: int, rounds: int, seed: int, *, n_families: int, eve: bool,
                  message_weights: np.ndarray, n_pre: int,
                  posttest_fraction: float | None, workers: int, collect: bool,
-                 ) -> tuple[SessionReport, RoundLog | None]:
-    """Run one session as configured, and checked, by :class:`HarnessConfig`.
+                 ) -> Generator[RoundLog, None, SessionReport]:
+    """Run one session as configured, and checked, by :class:`HarnessConfig`;
+    the generator's return value is its report.
 
     ``n_families`` is 1 for the original and tomographic protocols and 2
     for the dual-family one.  The first ``n_pre`` of the ``rounds`` are
@@ -571,32 +602,42 @@ def _run_session(d: int, rounds: int, seed: int, *, n_families: int, eve: bool,
     pre-test frequencies and the exact undisturbed joint distribution.
     With ``posttest_fraction=None`` every conclusive decode is checked
     against Bob's record (a supervisor's view; the original protocol
-    itself has no verification step).  With ``collect`` the rounds come
-    back as a :class:`RoundLog`, which the blocks fill in place.
+    itself has no verification step).  With ``collect`` the session
+    yields its rounds, one :class:`RoundLog` piece per block, in round
+    order; without, it yields nothing.
     """
     n_signal = rounds - n_pre
     tables = _tables(d, n_families)
-    log = None
-    if collect:
-        log = RoundLog(d, tables.alphabet, np.empty(n_pre, dtype=np.int64),
-                       np.zeros(n_signal, dtype=np.int64),
-                       *(np.empty(n_signal, dtype=np.int64) for _ in range(2)),
-                       np.empty(n_signal, dtype=np.int64) if eve else None)
     divergence = None
     if n_pre:
-        divergence = _pretest_phase(d, n_pre, seed, eve, workers,
-                                    None if log is None else log.pretest)
+        ideal = ideal_pretest_distribution(d).ravel()
+        lookup = _pretest_lookup(d, eve)
+
+        def pretest_block(stream: np.random.Generator, n: int,
+                          scratch: _Scratch) -> tuple[np.ndarray, RoundLog | None]:
+            cells = lookup(0, _draws(stream, n), scratch("outcome", np.int64, n), scratch)
+            return (np.bincount(cells, minlength=ideal.size),
+                    _piece(d, tables.alphabet, eve, pretest=cells) if collect else None)
+
+        counts = 0
+        for block_counts, piece in _run_blocks(pretest_block, n_pre, seed,
+                                               _PRETEST_STREAM_BASE, workers):
+            counts += block_counts
+            if piece is not None:
+                yield piece
+        divergence = float(_total_variation(counts, n_pre, ideal))
     message = _inverse_cdf(_cdf(message_weights / message_weights.sum()))
     worker = functools.partial(_signal_block, tables, _table_lookup(d, n_families), d, eve,
-                               message, posttest_fraction, log)
+                               message, posttest_fraction, collect)
     tally = _SignalTally()
-    for t in _run_blocks(worker, n_signal, seed, 0, workers):
-        tally.add(t)
-    report = SessionReport(
+    for block_tally, piece in _run_blocks(worker, n_signal, seed, 0, workers):
+        tally.add(block_tally)
+        if piece is not None:
+            yield piece
+    return SessionReport(
         rounds=rounds, sifted=tally.kept,
         decode_accuracy=_ratio(tally.correct, tally.kept),
         inconclusive_rate=_ratio(tally.matched - tally.kept, tally.matched),
         detection_rate=_ratio(tally.mismatches, tally.checked),
         eve_information_rate=_ratio(tally.eve_correct, tally.rounds),
         pretest_divergence=divergence, seed=seed)
-    return report, log

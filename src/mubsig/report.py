@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import json
 from typing import Iterable, Iterator, Mapping
 
@@ -162,15 +163,27 @@ def _byte_table(cells: list[str]) -> np.ndarray:
     return raw.view(np.uint8).reshape(len(cells), -1)
 
 
+@functools.cache
+def _four_digits() -> np.ndarray:
+    """The four zero-padded decimal digits of 0..9999, one uint32 of ASCII bytes each."""
+    n = np.arange(10_000)
+    digits = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1) + ord("0")
+    return digits.astype(np.uint8).view(np.uint32).ravel()
+
+
 def _round_digits(start: int, stop: int) -> np.ndarray:
     """Decimal digits of the rounds ``start..stop-1``, one row each, with
     NUL in place of leading zeros."""
     rounds = np.arange(start, stop)
-    digits = np.zeros((rounds.size, len(str(stop - 1))), np.uint8)
-    digits[:, -1] = rounds % 10 + ord("0")
-    for col in range(digits.shape[1] - 2, -1, -1):
-        rounds = rounds // 10
-        digits[:, col] = np.where(rounds > 0, rounds % 10 + ord("0"), 0)
+    width = len(str(stop - 1))
+    groups = -(-width // 4)
+    padded = np.empty((rounds.size, groups), np.uint32)
+    for col in range(groups - 1, -1, -1):   # four digits at a time, lowest first
+        rounds, low = np.divmod(rounds, 10_000)
+        padded[:, col] = _four_digits()[low]
+    digits = padded.view(np.uint8)[:, 4 * groups - width:]
+    for col in range(width - 1):   # the rounds are consecutive: short ones come first
+        digits[:max(0, 10 ** (width - 1 - col) - start), col] = 0
     return digits
 
 
@@ -180,41 +193,61 @@ def _rows(*columns: np.ndarray) -> str:
     return block[block != 0].tobytes().decode("ascii")
 
 
+def _csv_tables(d: int, alphabet: tuple[BasisId, ...], eve: bool) -> tuple[np.ndarray, ...]:
+    """The byte tables of the CSV cells: pre-test Bob and Alice cells by
+    basis and outcome, signal heads by family and basis, Alice's outcome
+    and decode by pair outcome, and the eavesdropper's cells."""
+    plain = basis_alphabet(d)
+    decodes = ["inconclusive" if code < 0 else plain[code].text()
+               for code in _decode_codes(d).tolist()]
+    pairs = [f"{c},{r}" for c, r in pair_outcome_labels(d)]
+    bob = _byte_table([f",pretest,{b.text()},{m}," for b in plain for m in range(d)])
+    alice = _byte_table([f"{a.text()},,,,{m},,,,,\n" for a in plain for m in range(d)])
+    heads = _byte_table([f",signal,{b.text()},,,{f.value}," for f in _FAMILIES for b in alphabet])
+    outcomes = _byte_table([f"{p},,{t}" for p, t in zip(pairs, decodes)])
+    if not eve:
+        return bob, alice, heads, outcomes, _byte_table([",,,,\n"])
+    return bob, alice, heads, outcomes, _byte_table(
+        [f",{p},{t},{'' if t == 'inconclusive' else t}\n" for p, t in zip(pairs, decodes)])
+
+
+def _csv_chunks(pieces: Iterable[RoundLog]) -> Iterator[str]:
+    """The text of :func:`round_log_csv` for a session's rounds given as
+    consecutive pieces in round order: the header with the first piece,
+    then 8192 rows at most per chunk, each phase of each piece on its own.
+    Only the piece being written is held, and each chunk's indices are
+    widened to intp before any index arithmetic."""
+    first = 0   # the round of the piece's first row
+    tables = None
+    for piece in pieces:
+        if tables is None:
+            yield ",".join(_CSV_COLUMNS) + "\n"
+            tables = _csv_tables(piece.d, piece.alphabet, piece.eve_outcome is not None)
+        bob, alice, heads, outcomes, eve = tables
+        for start in range(0, piece.pretest.size, _CHUNK_ROWS):
+            cells = piece.pretest[start:start + _CHUNK_ROWS].astype(np.intp)
+            yield _rows(_round_digits(first + start, first + start + cells.size),
+                        bob.take(cells // len(bob), axis=0), alice.take(cells % len(bob), axis=0))
+        first += piece.pretest.size
+        for start in range(0, piece.basis.size, _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            head = piece.family[rows].astype(np.intp)
+            head *= len(piece.alphabet)
+            head += piece.basis[rows]
+            eve_rows = (np.broadcast_to(eve, (head.size, eve.shape[1]))
+                        if piece.eve_outcome is None
+                        else eve.take(piece.eve_outcome[rows].astype(np.intp), axis=0))
+            yield _rows(_round_digits(first + start, first + start + head.size),
+                        heads.take(head, axis=0),
+                        outcomes.take(piece.outcome[rows].astype(np.intp), axis=0), eve_rows)
+        first += piece.basis.size
+
+
 def round_log_csv_chunks(log: RoundLog) -> Iterator[str]:
     """The text of :func:`round_log_csv` as successive pieces: the header,
     then 8192 rows at most per piece, each phase on its own, so a caller
     can write the log out without ever holding all of it."""
-    d, labels = log.d, pair_outcome_labels(log.d)
-    plain = basis_alphabet(d)
-    decodes = ["inconclusive" if code < 0 else plain[code].text()
-               for code in _decode_codes(d).tolist()]
-    pairs = [f"{c},{r}" for c, r in labels]
-    yield ",".join(_CSV_COLUMNS) + "\n"
-    bob = _byte_table([f",pretest,{b.text()},{m},"
-                       for b in plain for m in range(d)])
-    alice = _byte_table([f"{a.text()},,,,{m},,,,,\n"
-                         for a in plain for m in range(d)])
-    n_pre = log.pretest.size
-    for start in range(0, n_pre, _CHUNK_ROWS):
-        cells = log.pretest[start:start + _CHUNK_ROWS]
-        yield _rows(_round_digits(start, start + cells.size),
-                    bob.take(cells // len(bob), axis=0), alice.take(cells % len(bob), axis=0))
-    heads = _byte_table([f",signal,{b.text()},,,{f.value},"
-                         for f in _FAMILIES for b in log.alphabet])
-    outcomes = _byte_table([f"{p},,{t}" for p, t in zip(pairs, decodes)])
-    if log.eve_outcome is None:
-        eve = _byte_table([",,,,\n"])
-    else:
-        eve = _byte_table([f",{p},{t},{'' if t == 'inconclusive' else t}\n"
-                           for p, t in zip(pairs, decodes)])
-    for start in range(0, log.basis.size, _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
-        basis = log.basis[rows]
-        eve_rows = (np.broadcast_to(eve, (basis.size, eve.shape[1])) if log.eve_outcome is None
-                    else eve.take(log.eve_outcome[rows], axis=0))
-        yield _rows(_round_digits(n_pre + start, n_pre + start + basis.size),
-                    heads.take(log.family[rows] * len(log.alphabet) + basis, axis=0),
-                    outcomes.take(log.outcome[rows], axis=0), eve_rows)
+    return _csv_chunks((log,))
 
 
 def round_log_csv(log: RoundLog) -> str:

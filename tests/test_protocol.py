@@ -1,7 +1,10 @@
+import dataclasses
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +25,10 @@ from mubsig.oracle import (
     run_round_original,
     run_protocol2_round,
 )
+from mubsig.finite_field import MAX_DIM
 from mubsig.protocol import (
     BLOCK_ROUNDS,
+    RoundLog,
     decode,
     ideal_pretest_distribution,
     pair_outcome_probs,
@@ -405,6 +410,25 @@ def test_tomographic_session_record_structure():
     assert report.decode_accuracy == 1.0
 
 
+_DTYPES = {"pretest": np.uint32, "family": np.uint8, "basis": np.uint16,
+           "outcome": np.uint16, "eve_outcome": np.uint16}
+
+
+def test_round_log_dtypes_hold_every_index_at_max_dim():
+    """Each column's dtype holds the largest index it takes at MAX_DIM, by
+    arithmetic alone: pre-test cells reach ((d + 1) d)^2 - 1, which passes
+    2^16 from d = 17 on, pair outcomes d^2 - 1 and bases 2(d + 1) - 1."""
+    largest = {"pretest": ((MAX_DIM + 1) * MAX_DIM) ** 2 - 1, "family": 1,
+               "basis": 2 * (MAX_DIM + 1) - 1, "outcome": MAX_DIM ** 2 - 1,
+               "eve_outcome": MAX_DIM ** 2 - 1}
+    assert protocol._COLUMN_DTYPES == {name: np.dtype(t) for name, t in _DTYPES.items()}
+    assert list(protocol._COLUMN_DTYPES) == [f.name for f in dataclasses.fields(RoundLog)][2:]
+    for name, dtype in _DTYPES.items():
+        assert largest[name] <= np.iinfo(dtype).max, name
+    assert ((17 + 1) * 17) ** 2 > np.iinfo(np.uint16).max
+    assert largest["pretest"] == 4_000_815_503
+
+
 def test_round_log_arrays_are_integer_per_phase():
     """Every RoundLog array is an integer ndarray with one entry per round of
     its phase, indexing the alphabet, the pair outcomes or the pre-test cells."""
@@ -427,6 +451,7 @@ def test_round_log_arrays_are_integer_per_phase():
                 continue
             assert isinstance(array, np.ndarray), (cfg, name)
             assert np.issubdtype(array.dtype, np.integer), (cfg, name)
+            assert array.dtype == _DTYPES[name], (cfg, name)
             assert array.shape == (size,), (cfg, name)
             assert size == 0 or 0 <= array.min() <= array.max() < bound, (cfg, name)
 
@@ -580,11 +605,9 @@ def test_integer_coins_are_the_float_predicates(k):
     n_bases = len(tables.alphabet)
     message = protocol._inverse_cdf(_cdf(np.full(n_bases, 1.0 / n_bases)))
     for f in (np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0)):
-        log = protocol.RoundLog(d, tables.alphabet, np.zeros(0, dtype=np.int64),
-                                *(np.full(4, -1) for _ in range(3)), None)
-        tally = protocol._signal_block(
-            tables, protocol._table_lookup(d, 2), d, False, message, float(f), log,
-            _ConstantRawStream(k), 0, 4, protocol._Scratch(4))
+        tally, log = protocol._signal_block(
+            tables, protocol._table_lookup(d, 2), d, False, message, float(f), True,
+            _ConstantRawStream(k), 4, protocol._Scratch(4))
         assert_array_equal(log.family, np.full(4, int(u >= 0.5)))
         assert tally.kept == 4
         assert tally.checked == (4 if u < f else 0), (k, f)
@@ -677,15 +700,41 @@ def test_warm_blocks_take_no_page_faults(kind, eve):
     assert float(proc.stdout) < 50, proc.stdout
 
 
+def test_block_stream_stays_a_few_blocks_ahead_of_its_reader(monkeypatch):
+    """At workers=2 the blocks come in block order, at most four of them
+    are sampled before the reader takes them, and each of the two threads
+    samples into one scratch set of its own."""
+    monkeypatch.setattr(protocol, "_usable_cpus", lambda: 2)
+    total = 20 * BLOCK_ROUNDS + 5
+    started, scratches = [], set()
+
+    def worker(stream, n, scratch):
+        started.append(n)
+        scratches.add(id(scratch))
+        return n, int(stream.bit_generator.random_raw())
+
+    expected = list(protocol._run_blocks(worker, total, 9, 0, 1))
+    assert [n for n, _ in expected] == [BLOCK_ROUNDS] * 20 + [5]
+    started.clear()
+    scratches.clear()
+    got = []
+    for taken, result in enumerate(protocol._run_blocks(worker, total, 9, 0, 2)):
+        time.sleep(0.002)   # time for the threads to run ahead, if they could
+        assert len(started) <= taken + 4, (taken, len(started))
+        got.append(result)
+    assert got == expected
+    assert len(scratches) <= 2
+
+
 def test_worker_threads_are_capped(monkeypatch):
-    """The pool never outgrows the blocks or the CPUs this process may use
-    (its affinity mask, or ``cpu_count`` where there is none); no real
-    thread starts."""
+    """The sampling threads, the pool's and the reading thread, never
+    outnumber the blocks or the CPUs this process may use (its affinity
+    mask, or ``cpu_count`` where there is none); no real thread starts."""
     sizes = []
 
     class RecordingPool:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            sizes.append(max_workers + 1)   # the reading thread samples blocks too
 
         def __enter__(self):
             return self
@@ -693,8 +742,10 @@ def test_worker_threads_are_capped(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(protocol, "ThreadPoolExecutor", RecordingPool)
     three_blocks = original(2, 3 * BLOCK_ROUNDS, seed=1)

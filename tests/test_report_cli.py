@@ -189,13 +189,14 @@ def _run_capped(*args: str) -> subprocess.CompletedProcess:
 
 
 def test_cli_out_of_memory_is_a_usage_error():
-    """A session whose round log cannot be allocated (2^32 rounds of int64
-    columns ask for about 137 GB) ends in one error line and exit 2, not a
-    traceback."""
-    proc = _run_capped("run", "--dim", "3", "--protocol", "original",
-                       "--rounds", "4294967296", "--format", "csv")
+    """A session that cannot be allocated ends in one error line and exit 2,
+    not a traceback.  At d=101 the pre-test's ((d + 1) d)^2 cell
+    distribution and its lookup ask for more than the cap."""
+    proc = _run_capped("run", "--dim", "101", "--protocol", "tomographic",
+                       "--pretest-fraction", "0.2", "--posttest-fraction", "0.5",
+                       "--rounds", "100")
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.splitlines() == ["mubsig: error: dimension 3 with 4294967296 rounds "
+    assert proc.stderr.splitlines() == ["mubsig: error: dimension 101 with 100 rounds "
                                         "needs more memory than this process may use"]
     assert proc.stdout == ""
 

@@ -9,8 +9,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from numpy.testing import assert_array_equal
 
-from mubsig import cli, report
+from mubsig import cli, harness, protocol, report
 from mubsig.bases import basis_alphabet, pair_outcome_labels
 from mubsig.harness import EveMode, HarnessConfig, Protocol, run_trials
 from mubsig.protocol import _FAMILIES, BLOCK_ROUNDS
@@ -84,6 +85,16 @@ def test_writer_matches_the_reference_across_chunks_and_digit_widths(rounds):
     assert first_difference("".join(chunks), reference_csv(log)) is None
 
 
+@pytest.mark.parametrize("start,stop", [(0, 1), (0, 10_001), (9_990, 10_010),
+                                        (99_999_990, 100_000_010), (10 ** 12 - 5, 10 ** 12 + 5)])
+def test_round_digits_are_the_decimal_round_numbers(start, stop):
+    # Rows past 10^8 span three four-digit groups; no session here is that long.
+    digits = report._round_digits(start, stop)
+    assert digits.shape == (stop - start, len(str(stop - 1)))
+    assert ([bytes(row).lstrip(b"\0").decode("ascii") for row in digits]
+            == [str(r) for r in range(start, stop)])
+
+
 def test_writer_matches_the_reference_when_the_pretest_ends_mid_chunk(monkeypatch):
     log = _log(HarnessConfig(d=5, protocol=Protocol.TOMOGRAPHIC, rounds=20_001,
                              eve=EveMode.INTERCEPT, seed=3, pretest_fraction=0.45,
@@ -142,15 +153,73 @@ def test_cli_writes_the_csv_chunk_by_chunk(monkeypatch):
 
 
 def test_cli_stops_quietly_when_the_reader_closes_the_pipe():
-    # About 10 MB of CSV: far more than a pipe buffers.
-    proc = subprocess.Popen([sys.executable, "-m", "mubsig.cli", "run", "--dim", "3",
-                             "--protocol", "original", "--rounds", "200000", "--format", "csv"],
-                            env=_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.readline().startswith(b"round,phase,")
-    proc.stdout.close()
-    try:
-        assert proc.wait(timeout=120) == 0
-    finally:
-        proc.kill()
-    assert proc.stderr.read() == b""
-    proc.stderr.close()
+    # About 10 MB of CSV: far more than a pipe buffers.  With two workers,
+    # blocks sampled ahead of the writer must not keep the process alive.
+    for workers in ("1", "2"):
+        proc = subprocess.Popen([sys.executable, "-m", "mubsig.cli", "run", "--dim", "3",
+                                 "--protocol", "original", "--rounds", "200000",
+                                 "--workers", workers, "--format", "csv"],
+                                env=_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline().startswith(b"round,phase,")
+        proc.stdout.close()
+        try:
+            assert proc.wait(timeout=120) == 0, workers
+        finally:
+            proc.kill()
+        assert proc.stderr.read() == b"", workers
+        proc.stderr.close()
+
+
+_PEAK_RSS = """
+import resource, sys
+from mubsig import cli
+assert cli.main(sys.argv[1:]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads ru_maxrss in KiB, as Linux reports it")
+@pytest.mark.parametrize("workers", ("1", "2"))
+def test_cli_csv_memory_does_not_grow_with_rounds(workers):
+    """The CLI writes each block's rounds as they come and never holds the
+    session's log: ten times the rounds leave the peak RSS of a fresh
+    process where it was (a collected int64 log added 36 MB here)."""
+    def peak_mb(rounds):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, "run", "--dim", "3", "--protocol", "original",
+             "--eve", "intercept", "--rounds", str(rounds), "--workers", workers,
+             "--format", "csv", "--out", os.devnull],
+            env=_ENV, capture_output=True, text=True, timeout=120, check=True)
+        return int(proc.stdout) / 1024
+
+    small, large = peak_mb(200_000), peak_mb(2_000_000)
+    assert large - small < 10, (small, large)
+
+
+def test_session_pieces_are_its_blocks_in_round_order():
+    """The session streams one narrow RoundLog piece per block, pre-test
+    blocks first; joined they are the collected log, and written one by
+    one they are its CSV, at any worker count."""
+    config = HarnessConfig(d=5, protocol=Protocol.TOMOGRAPHIC, rounds=3 * BLOCK_ROUNDS + 10,
+                           eve=EveMode.INTERCEPT, seed=3, pretest_fraction=0.45,
+                           posttest_fraction=0.5)
+    expected, log = run_trials(config, return_rounds=True)
+    n_pre = config.pretest_rounds()
+    for workers in (1, 2):
+        session = harness._session(config, workers, collect=True)
+        pieces = []
+        with pytest.raises(StopIteration) as done:
+            while True:
+                pieces.append(next(session))
+        assert done.value.value == expected
+        sizes = [(piece.pretest.size, piece.basis.size) for piece in pieces]
+        assert sizes == ([(BLOCK_ROUNDS, 0)] + [(n_pre - BLOCK_ROUNDS, 0)]
+                         + [(0, BLOCK_ROUNDS)] + [(0, config.rounds - n_pre - BLOCK_ROUNDS)])
+        for piece in pieces:
+            for name, dtype in protocol._COLUMN_DTYPES.items():
+                assert getattr(piece, name).dtype == dtype, name
+        joined = protocol._joined(pieces)
+        for name in protocol._COLUMN_DTYPES:
+            assert_array_equal(getattr(joined, name), getattr(log, name), err_msg=name)
+        assert "".join(report._csv_chunks(pieces)) == round_log_csv(log)

@@ -65,10 +65,6 @@ class BasisId:
         if self.quad is not None and self.quad < 0:
             raise ValueError(f"quad label must be nonnegative, got {self.quad}")
 
-    @property
-    def is_computational(self) -> bool:
-        return self.quad is None
-
     def text(self) -> str:
         label = "comp" if self.quad is None else f"q{self.quad}"
         return label if self.family is Family.PLAIN else f"hat-{label}"
@@ -107,16 +103,12 @@ def _omega_table(d: int) -> np.ndarray:
     return _frozen(np.exp(2j * np.pi * np.arange(d) / d))
 
 
-def omega(d: int) -> complex:
-    """The phase unit for dimension d: i for d = 2, exp(2 pi i / d) otherwise."""
-    return omega_power(d, 1)
-
-
 def omega_power(d: int, exponent: int) -> complex:
-    """omega(d) raised to an exact integer exponent.
+    """The phase unit omega(d), i for d = 2 and exp(2 pi i / d) otherwise,
+    raised to an exact integer exponent.
 
     The exponent is reduced modulo the actual period of omega: 4 for
-    d = 2 (omega = i), d otherwise.
+    d = 2, d otherwise.
     """
     table = _omega_table(d)
     return complex(table[exponent % len(table)])

@@ -138,6 +138,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     args.dim, args.rounds = config.d, config.rounds   # named by an out-of-memory error
     if args.workers < 1:
         raise _CliError("--workers must be >= 1")
+    if args.include_tables and args.format != "json":
+        raise _CliError("--include-tables applies to --format json only")
     with _output(args.out) as out:
         if args.format == "csv":   # each block's rounds are written as they come
             out.writelines(_csv_chunks(_session(config, args.workers, collect=True)))

@@ -19,10 +19,10 @@ import numpy as np
 from .bases import BasisId, Family, basis_alphabet
 from .finite_field import PrimeDim
 from .protocol import (
+    _COLUMN_DTYPES,
     RoundLog,
     SessionReport,
     _INCONCLUSIVE_CODE,
-    _joined,
     _run_session,
     _tables,
     _total_variation,
@@ -288,6 +288,8 @@ def _session(config: HarnessConfig, workers: int, collect: bool,
     """The session of ``config`` as the engine runs it: with ``collect`` it
     yields its rounds as RoundLog pieces in round order, and it returns its
     report."""
+    if isinstance(workers, bool) or not isinstance(workers, int):
+        raise TypeError(f"workers must be of type int, got {workers!r}")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     return _run_session(
@@ -306,16 +308,36 @@ def run_trials(config: HarnessConfig, *, workers: int = 1,
     Deterministic given ``config.seed``; ``workers`` only spreads the
     fixed blocks over threads and cannot change any reported value.
     With ``return_rounds=True`` also returns every round as a
-    :class:`~mubsig.protocol.RoundLog`, in round order.
+    :class:`~mubsig.protocol.RoundLog`, in round order: its columns are
+    made before the session runs and each piece is copied in as it
+    arrives, so the log is the only copy of the rounds held.
     """
     session = _session(config, workers, return_rounds)
-    pieces = []
+    log = _unfilled_log(config) if return_rounds else None
+    filled = dict.fromkeys(_COLUMN_DTYPES, 0)
     while True:
         try:
-            pieces.append(next(session))
+            piece = next(session)
         except StopIteration as done:
-            report = done.value
-            break
-    if return_rounds:
-        return report, _joined(pieces)
-    return report
+            return (done.value, log) if return_rounds else done.value
+        for name, start in filled.items():
+            part = getattr(piece, name)
+            if part is not None and part.size:
+                getattr(log, name)[start:start + part.size] = part
+                filled[name] += part.size
+
+
+def _unfilled_log(config: HarnessConfig) -> RoundLog:
+    """The RoundLog of ``config``'s session with every column allocated in
+    its dtype and none written: one pre-test cell per pre-test round, and
+    the signal columns per signal round."""
+    n_pre = config.pretest_rounds()
+    eve = config.eve is not EveMode.OFF
+
+    def column(name: str) -> np.ndarray | None:
+        if name == "eve_outcome" and not eve:
+            return None
+        return np.empty(n_pre if name == "pretest" else config.rounds - n_pre,
+                        _COLUMN_DTYPES[name])
+
+    return RoundLog(config.d, config.alphabet(), *map(column, _COLUMN_DTYPES))

@@ -16,10 +16,11 @@ reach the same numbers by a summed formula instead.
 
 The branch amplitudes <e_k|v_m> of each (d, family, basis) are computed
 once per process, by :func:`_amplitudes`; :mod:`mubsig.verify` reads the
-same arrays.  The same cache entry keeps the inverse CDFs a round draws
-from, built on its first draw by :func:`mubsig.quantum.sample_outcome`'s
-own steps, so a draw is one ``rng.random()`` and one search, and a round
-replays ``sample_outcome`` on the same generator draw for draw.  A round's
+same arrays.  The same cache entry keeps the CDFs a round draws from,
+each ``_cdf(_clean_probabilities(p))`` of its probabilities p and built
+on its first draw, so a draw is one ``u = rng.random()`` and one
+``searchsorted(cdf, u, side="right")``: never a cell below the
+tolerance, and one uniform per draw in draw order.  A round's
 decode is read off ``protocol._decode_codes``: :func:`mubsig.protocol.decode`
 of every outcome, computed once per d.
 
@@ -98,8 +99,8 @@ class _Measured:
     @cached_property
     def cdfs(self) -> tuple[np.ndarray, np.ndarray]:
         """The CDF of the w_m, and in row m the CDF of the |a[m, k]|^2 over
-        k, each row made by :func:`mubsig.quantum.sample_outcome`'s own
-        steps; built on the first draw, as only the rounds read them."""
+        k, each row ``_cdf(_clean_probabilities(p))`` of its probabilities;
+        built on the first draw, as only the rounds read them."""
         return (_cdf(_clean_probabilities(self.weights)),
                 _cdf(_clean_probabilities(np.abs(self.amps) ** 2)))
 
@@ -132,7 +133,7 @@ def _amplitudes(d: int, family: Family, basis: BasisId | None) -> _Measured:
 
 
 def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
-    """One inverse-CDF draw, as :func:`mubsig.quantum.sample_outcome` makes it."""
+    """One inverse-CDF draw: the first cell whose CDF exceeds ``rng.random()``."""
     return int(np.searchsorted(cdf, rng.random(), side="right"))
 
 

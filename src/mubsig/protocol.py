@@ -40,8 +40,8 @@ Its guide table answers almost every draw with two gathers and one
 comparison, so a million rounds cost about as much as a few million
 array gathers.  The per-round statistics remain
 exactly those of the state-by-state simulation in :mod:`mubsig.oracle`,
-which runs one round at a time on pure states and draws as
-:func:`mubsig.quantum.sample_outcome` does.
+which runs one round at a time on pure states and draws each outcome
+with one uniform and one float inverse-CDF search.
 
 Blocks are sampled into reused buffers, not fresh arrays, so a warm
 session takes no page faults per block.  :func:`_run_blocks` owns them:
@@ -167,15 +167,6 @@ def _piece(d: int, alphabet: tuple[BasisId, ...], eve: bool, **columns: np.ndarr
 
     return RoundLog(d, alphabet, column("pretest"), column("family"), column("basis"),
                     column("outcome"), column("eve_outcome") if eve else None)
-
-
-def _joined(pieces: list[RoundLog]) -> RoundLog:
-    """The pieces of one session's rounds, in round order, as one RoundLog."""
-    def column(name: str) -> np.ndarray | None:
-        parts = [getattr(piece, name) for piece in pieces]
-        return None if parts[0] is None else np.concatenate(parts)
-
-    return RoundLog(pieces[0].d, pieces[0].alphabet, *map(column, _COLUMN_DTYPES))
 
 
 @dataclass(frozen=True)
@@ -322,16 +313,14 @@ class _InverseCdf:
     edge: np.ndarray
     searches: bool
 
-    def __call__(self, rows: np.ndarray | int, k: np.ndarray, out: np.ndarray | None = None,
-                 scratch: _Scratch | None = None) -> np.ndarray:
+    def __call__(self, rows: np.ndarray | int, k: np.ndarray, out: np.ndarray,
+                 scratch: _Scratch) -> np.ndarray:
         """Cell index per draw ``k`` on row ``rows`` (int64 array or scalar).
 
-        The cells go to ``out`` (int64, fresh when None).  It holds the
+        The cells go to ``out`` (int64, ``k.size`` entries).  It holds the
         row offsets and edges first, so it must not alias ``rows`` or
         ``k``.  ``scratch`` lends the ``bucket`` and ``mask`` buffers."""
         n = k.size
-        scratch = _Scratch(n) if scratch is None else scratch
-        out = np.empty(n, dtype=np.int64) if out is None else out
         bucket = np.right_shift(k, _UNIT_BITS - self.bits, out=scratch("bucket", np.int64, n))
         bucket += np.left_shift(rows, self.bits, out=out) if np.ndim(rows) else rows << self.bits
         edge = np.take(self.edge, bucket, out=out, mode="clip")

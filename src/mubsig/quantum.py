@@ -1,4 +1,4 @@
-"""Outcome sampling from exact probability vectors.
+"""Exact probability vectors: their tolerance, their checks and their CDFs.
 
 One numeric tolerance, :data:`TOLERANCE`, for every comparison in the
 package: probabilities that dip below zero by more than it are treated
@@ -50,18 +50,3 @@ def _cdf(probs: np.ndarray) -> np.ndarray:
     last = p.shape[-1] - 1 - np.argmax(p[..., ::-1] > 0.0, axis=-1)
     cum[np.arange(p.shape[-1]) >= np.expand_dims(last, -1)] = 1.0
     return _frozen(cum)
-
-
-def sample_outcome(probs: np.ndarray, rng: np.random.Generator,
-                   size: int | None = None) -> int | np.ndarray:
-    """Draw outcome indices by inverse-CDF in the given ordering.
-
-    No outcome below ``TOLERANCE`` is ever drawn (see :func:`_cdf`).
-    With ``size=None`` returns a single int; otherwise an int64 array.
-    """
-    cdf = _cdf(_clean_probabilities(np.asarray(probs, dtype=float)))
-    u = rng.random() if size is None else rng.random(size)
-    idx = np.searchsorted(cdf, u, side="right")
-    if size is None:
-        return int(idx)
-    return idx.astype(np.int64)

@@ -30,7 +30,6 @@ __all__ = [
     "config_from_document",
     "render_text",
     "round_log_csv",
-    "round_log_csv_chunks",
 ]
 
 
@@ -243,13 +242,6 @@ def _csv_chunks(pieces: Iterable[RoundLog]) -> Iterator[str]:
         first += piece.basis.size
 
 
-def round_log_csv_chunks(log: RoundLog) -> Iterator[str]:
-    """The text of :func:`round_log_csv` as successive pieces: the header,
-    then 8192 rows at most per piece, each phase on its own, so a caller
-    can write the log out without ever holding all of it."""
-    return _csv_chunks((log,))
-
-
 def round_log_csv(log: RoundLog) -> str:
     """Flat per-round CSV log, one row per round in session order.
 
@@ -268,4 +260,4 @@ def round_log_csv(log: RoundLog) -> str:
       ``eve_forward_basis`` (the basis she measured the stolen qudit in,
       empty when she forwarded it unmeasured).
     """
-    return "".join(round_log_csv_chunks(log))
+    return "".join(_csv_chunks((log,)))

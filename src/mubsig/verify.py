@@ -39,13 +39,12 @@ from .harness import (
     run_trials,
 )
 from .oracle import _amplitudes, _branches, _forward_basis, _Measured, run_round_original
-from .protocol import _INCONCLUSIVE_CODE, _decode_codes, _inverses, decode
+from .protocol import _FAMILIES, _INCONCLUSIVE_CODE, _decode_codes, _inverses, decode
 from .quantum import TOLERANCE
 from .streams import derive_round_stream
 
 __all__ = ["CheckResult", "run_invariant_suite"]
 
-_FAMILIES = (Family.PLAIN, Family.HAT)
 _SHOWN_FAILURES = 3   # a result's detail names at most this many failures
 
 

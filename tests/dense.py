@@ -8,6 +8,9 @@
   tables; these plain functions on arrays are what those are checked
   against.
 * The undisturbed pre-test joint, one (b, m, a, m') cell at a time.
+* Outcome sampling by a float inverse CDF, one ``rng.random()`` and one
+  ``searchsorted`` per draw: the draws that the single-round oracle
+  makes off its cached CDFs, replayed on an identically seeded generator.
 * The decode rule in plain-integer arithmetic, with ``pow(a, -1, d)``
   for the inverse, and the round-by-round reading of a ``RoundLog`` built
   on it, so a log is read back without the engine's code table.
@@ -31,6 +34,7 @@ from mubsig.bases import (
     measurement_basis,
     pair_outcome_labels,
 )
+from mubsig.quantum import _cdf, _clean_probabilities
 
 
 def entangled_basis(d, s=0, family=Family.PLAIN):
@@ -79,6 +83,20 @@ def partial_trace(rho, keep):
     d = math.isqrt(rho.shape[0])
     r = rho.reshape(d, d, d, d)
     return np.trace(r, axis1=1, axis2=3) if keep == 1 else np.trace(r, axis1=0, axis2=2)
+
+
+def sample_outcome(probs, rng, size=None):
+    """Outcome indices drawn by inverse CDF in the given ordering.
+
+    No outcome below ``TOLERANCE`` is ever drawn (see ``quantum._cdf``).
+    With ``size=None`` returns a single int; otherwise an int64 array.
+    """
+    cdf = _cdf(_clean_probabilities(np.asarray(probs, dtype=float)))
+    u = rng.random() if size is None else rng.random(size)
+    idx = np.searchsorted(cdf, u, side="right")
+    if size is None:
+        return int(idx)
+    return idx.astype(np.int64)
 
 
 def pretest_loop(d):

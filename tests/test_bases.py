@@ -10,7 +10,6 @@ from mubsig.bases import (
     hadamard_root,
     hat_unitary,
     measurement_basis,
-    omega,
     omega_power,
     pair_outcome_labels,
 )
@@ -53,14 +52,14 @@ def test_basis_id_parse_rejects_garbage():
 def test_basis_id_validation():
     with pytest.raises(ValueError):
         BasisId(Family.PLAIN, -1)
-    assert BasisId(Family.PLAIN, None).is_computational
-    assert not BasisId(Family.PLAIN, 0).is_computational
+    assert BasisId(Family.PLAIN, None).quad is None
+    assert BasisId(Family.PLAIN, 0).quad is not None
 
 
 def test_basis_alphabet_order_and_count():
     plain = basis_alphabet(3)
     assert len(plain) == 4
-    assert plain[0].is_computational
+    assert plain[0].quad is None
     assert [b.quad for b in plain[1:]] == [0, 1, 2]
     both = basis_alphabet(2, (Family.PLAIN, Family.HAT))
     assert len(both) == 6
@@ -72,7 +71,7 @@ def test_basis_alphabet_order_and_count():
 # ---------------------------------------------------------------------------
 
 def test_omega_d2_has_period_four():
-    assert omega(2) == 1j
+    assert omega_power(2, 1) == 1j
     assert omega_power(2, 2) == -1
     assert omega_power(2, 3) == -1j
     assert omega_power(2, 4) == 1
@@ -82,7 +81,7 @@ def test_omega_d2_has_period_four():
 
 def test_omega_odd_prime():
     for d in (3, 5, 7):
-        assert_allclose(omega(d), np.exp(2j * np.pi / d), atol=1e-15)
+        assert_allclose(omega_power(d, 1), np.exp(2j * np.pi / d), atol=1e-15)
         assert_allclose(omega_power(d, d), 1.0, atol=1e-12)
         total = sum(omega_power(d, k) for k in range(d))
         assert abs(total) < 1e-12

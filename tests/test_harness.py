@@ -15,7 +15,7 @@ from mubsig.harness import (
     dual_family_detection_probability,
     run_trials,
 )
-from mubsig import harness
+from mubsig import harness, protocol
 from mubsig.protocol import _total_variation, ideal_pretest_distribution, pair_outcome_probs
 from mubsig.streams import derive_round_stream
 from dense import basis_code, decode_oracle
@@ -325,6 +325,22 @@ def test_run_trials_worker_count_is_invisible():
     assert run_trials(cfg, workers=1) == run_trials(cfg, workers=4)
     with pytest.raises(ValueError):
         run_trials(cfg, workers=0)
+
+
+@pytest.mark.parametrize("rounds", (10, 200_000))
+@pytest.mark.parametrize("workers", (2.5, True))
+def test_sessions_refuse_a_worker_count_that_is_not_an_int(monkeypatch, rounds, workers):
+    """A float or bool worker count raises TypeError before any block runs,
+    in ``run_trials`` and in the session the CSV writer reads, also where
+    enough CPUs would spread the blocks over threads."""
+    monkeypatch.setattr(protocol, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(protocol, "_run_blocks", lambda *a: pytest.fail("a block ran"))
+    cfg = HarnessConfig(d=3, protocol=Protocol.ORIGINAL, rounds=rounds, seed=2)
+    for return_rounds in (False, True):
+        with pytest.raises(TypeError, match="workers must be of type int"):
+            run_trials(cfg, workers=workers, return_rounds=return_rounds)
+    with pytest.raises(TypeError, match="workers must be of type int"):
+        harness._session(cfg, workers, collect=True)
 
 
 def test_run_trials_return_rounds():

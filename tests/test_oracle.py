@@ -16,8 +16,14 @@ from mubsig.bases import (
     pair_outcome_labels,
 )
 from mubsig.protocol import decode
-from mubsig.quantum import TOLERANCE, sample_outcome
-from dense import born_probabilities, density, entangled_basis, nonselective_measure
+from mubsig.quantum import TOLERANCE
+from dense import (
+    born_probabilities,
+    density,
+    entangled_basis,
+    nonselective_measure,
+    sample_outcome,
+)
 
 FAMILIES = (Family.PLAIN, Family.HAT)
 

@@ -183,7 +183,7 @@ def test_guide_lookup_is_the_float_searchsorted(probs, data):
     k = np.concatenate([edges.reshape(n_rows, -1), rng.integers(0, unit, (n_rows, 200)),
                         np.tile([0.0, unit - 1], (n_rows, 1))], axis=1).astype(np.int64)
     rows = np.repeat(np.arange(n_rows), k.shape[1])
-    got = lookup(rows, k.ravel())
+    got = lookup(rows, k.ravel(), np.empty(k.size, dtype=np.int64), protocol._Scratch(k.size))
     expected = np.concatenate([np.searchsorted(c, x / unit, side="right")
                                for c, x in zip(cum, k)])
     assert_array_equal(got, expected)

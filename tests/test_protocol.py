@@ -33,7 +33,7 @@ from mubsig.protocol import (
     ideal_pretest_distribution,
     pair_outcome_probs,
 )
-from mubsig.quantum import TOLERANCE, _cdf, sample_outcome
+from mubsig.quantum import TOLERANCE, _cdf
 from dense import (
     basis_code,
     born_probabilities,
@@ -43,6 +43,7 @@ from dense import (
     nonselective_measure,
     partial_trace,
     pretest_loop,
+    sample_outcome,
 )
 
 # ---------------------------------------------------------------------------
@@ -583,16 +584,15 @@ def _assert_lookup_is_searchsorted(lookup, probs: np.ndarray) -> None:
     cum = _cdf(probs)
     rng = np.random.default_rng(3)
     draws = [_edge_draws(row, rng) for row in cum]
-    if len(cum) == 1:   # one-row lookups take the row as a scalar, as the engine passes it
-        got = lookup(0, draws[0])
-    else:
-        got = lookup(np.repeat(np.arange(len(cum)), [k.size for k in draws]),
-                     np.concatenate(draws))
-    assert got.dtype == np.int64
-    expected = np.concatenate([np.searchsorted(row, k / 2.0 ** 53, side="right")
-                               for row, k in zip(cum, draws)])
+    k = np.concatenate(draws)
+    rows = np.repeat(np.arange(len(cum)), [row.size for row in draws])
+    out, scratch = np.empty(k.size, dtype=np.int64), protocol._Scratch(k.size)
+    # one-row lookups take the row as a scalar, as the engine passes it
+    got = lookup(0 if len(cum) == 1 else rows, k, out, scratch)
+    assert got is out and got.dtype == np.int64
+    expected = np.concatenate([np.searchsorted(row, x / 2.0 ** 53, side="right")
+                               for row, x in zip(cum, draws)])
     assert_array_equal(got, expected)
-    rows = np.repeat(np.arange(len(cum)), [k.size for k in draws])
     assert (probs[rows, got] >= TOLERANCE).all()
 
 

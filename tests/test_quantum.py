@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mubsig.quantum import TOLERANCE, sample_outcome
-from dense import born_probabilities, density, nonselective_measure, partial_trace
+from mubsig.quantum import TOLERANCE
+from dense import born_probabilities, density, nonselective_measure, partial_trace, sample_outcome
 
 
 def random_ket(size, seed):

@@ -384,6 +384,20 @@ def test_cli_run_refuses_a_config_that_cannot_run_before_opening_out(tmp_path, c
     assert out.read_text() == "precious\n"
 
 
+@pytest.mark.parametrize("fmt", ("csv", "text"))
+def test_cli_run_refuses_include_tables_outside_json_before_opening_out(tmp_path, capsys,
+                                                                         fmt):
+    """Only the JSON report embeds the tables; any other format refuses the
+    flag with one line rather than dropping it, and leaves ``--out`` alone."""
+    out = tmp_path / "f"
+    out.write_text("precious\n")
+    assert main(["run", "--dim", "3", "--protocol", "original", "--rounds", "20",
+                 "--format", fmt, "--include-tables", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "mubsig: error: --include-tables applies to --format json only\n"
+    assert out.read_text() == "precious\n"
+
+
 def test_cli_table_refuses_an_unwritable_out(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("mubsig.cli.analytic_outcome_distribution",
                         lambda *a, **k: pytest.fail("table computed"))

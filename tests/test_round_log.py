@@ -6,8 +6,10 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
@@ -15,7 +17,7 @@ from mubsig import cli, harness, protocol, report
 from mubsig.bases import basis_alphabet, pair_outcome_labels
 from mubsig.harness import EveMode, HarnessConfig, Protocol, run_trials
 from mubsig.protocol import _FAMILIES, BLOCK_ROUNDS
-from mubsig.report import _CHUNK_ROWS, _CSV_COLUMNS, round_log_csv, round_log_csv_chunks
+from mubsig.report import _CHUNK_ROWS, _CSV_COLUMNS, _csv_chunks, round_log_csv
 from dense import decode_oracle, decode_text
 from test_golden import _PAIRS, GOLDEN, _config
 
@@ -80,7 +82,7 @@ def test_writer_matches_the_reference_for_every_protocol(d):
 def test_writer_matches_the_reference_across_chunks_and_digit_widths(rounds):
     # 10_001 rows number 0..10000: every width step 9->10 up to 9999->10000.
     log = _log(_config(3, Protocol.ORIGINAL, EveMode.INTERCEPT, rounds, 3))
-    chunks = list(round_log_csv_chunks(log))
+    chunks = list(_csv_chunks((log,)))
     assert len(chunks) == 1 + -(-rounds // _CHUNK_ROWS)
     assert first_difference("".join(chunks), reference_csv(log)) is None
 
@@ -103,7 +105,7 @@ def test_writer_matches_the_reference_when_the_pretest_ends_mid_chunk(monkeypatc
     assert first_difference(round_log_csv(log), reference_csv(log)) is None
     for chunk_rows in (1, 7, 1000):   # boundaries in both phases, one row at a time
         monkeypatch.setattr(report, "_CHUNK_ROWS", chunk_rows)
-        chunks = list(round_log_csv_chunks(log))
+        chunks = list(_csv_chunks((log,)))
         assert max(chunk.count("\n") for chunk in chunks) == chunk_rows
         assert first_difference("".join(chunks), reference_csv(log)) is None
 
@@ -199,8 +201,8 @@ def test_cli_csv_memory_does_not_grow_with_rounds(workers):
 
 def test_session_pieces_are_its_blocks_in_round_order():
     """The session streams one narrow RoundLog piece per block, pre-test
-    blocks first; joined they are the collected log, and written one by
-    one they are its CSV, at any worker count."""
+    blocks first; concatenated they are the collected log, and written
+    one by one they are its CSV, at any worker count."""
     config = HarnessConfig(d=5, protocol=Protocol.TOMOGRAPHIC, rounds=3 * BLOCK_ROUNDS + 10,
                            eve=EveMode.INTERCEPT, seed=3, pretest_fraction=0.45,
                            posttest_fraction=0.5)
@@ -219,7 +221,28 @@ def test_session_pieces_are_its_blocks_in_round_order():
         for piece in pieces:
             for name, dtype in protocol._COLUMN_DTYPES.items():
                 assert getattr(piece, name).dtype == dtype, name
-        joined = protocol._joined(pieces)
-        for name in protocol._COLUMN_DTYPES:
-            assert_array_equal(getattr(joined, name), getattr(log, name), err_msg=name)
-        assert "".join(report._csv_chunks(pieces)) == round_log_csv(log)
+        for name, dtype in protocol._COLUMN_DTYPES.items():
+            column = getattr(log, name)
+            assert column.dtype == dtype, name
+            assert_array_equal(np.concatenate([getattr(piece, name) for piece in pieces]),
+                               column, err_msg=name)
+        assert "".join(_csv_chunks(pieces)) == round_log_csv(log)
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_a_collected_log_is_the_only_copy_of_its_rounds(workers):
+    """``run_trials(..., return_rounds=True)`` copies each piece into the log
+    as it arrives: the traced peak of a 4 * 10^6-round session stays near
+    the log's own bytes (joining the pieces at the end held two copies, a
+    peak of 2.00 times the log)."""
+    config = _config(3, Protocol.ORIGINAL, EveMode.INTERCEPT, 4_000_000, 5)
+    run_trials(_config(3, Protocol.ORIGINAL, EveMode.INTERCEPT, 10, 5))   # build the tables
+    tracemalloc.start()
+    try:
+        log = _log(config, workers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    log_bytes = sum(getattr(log, name).nbytes for name in protocol._COLUMN_DTYPES)
+    assert log_bytes == 7 * 4_000_000
+    assert peak < 1.3 * log_bytes, peak / log_bytes

@@ -23,8 +23,9 @@ from .protocol import (
     RoundLog,
     SessionReport,
     _INCONCLUSIVE_CODE,
+    _decode_codes,
+    _outcome_rows,
     _run_session,
-    _tables,
     _total_variation,
     ideal_pretest_distribution,
     pair_outcome_labels,
@@ -250,7 +251,7 @@ def dual_family_detection_probability(d: int, eve_family: Family = Family.PLAIN,
                                       ) -> float:
     """Exact P(checked decode names the wrong basis | round survived sifting).
 
-    Two contractions over the exact outcome array, with the attacker
+    Two contractions over the exact outcome rows, with the attacker
     running her substitution attack in ``eve_family``: her outcome for
     each of Bob's bases, folded into the row her resend leaves Alice with,
     and Alice's outcome, folded into the basis she decodes.  This is the
@@ -260,21 +261,21 @@ def dual_family_detection_probability(d: int, eve_family: Family = Family.PLAIN,
     """
     if not isinstance(eve_family, Family):
         raise TypeError(f"eve_family must be a Family, got {eve_family!r}")
-    tables = _tables(d, 2)
-    n_bases = len(tables.alphabet)
+    probs = _outcome_rows(d, 2)
+    per_family = d + 1
+    n_bases = 2 * per_family
     weights = np.ones(n_bases) if message_weights is None else _checked_weights(
         message_weights, n_bases)
-    codes = tables.decode_code
-    per_family = d + 1
+    codes = _decode_codes(d)
     bob_fam, bob_code = np.divmod(np.arange(n_bases), per_family)
     # Eve's outcome on her decoy, folded into the row her resend leaves
     # Alice with: 1 + the decoded basis, or the untouched row 0.
     eve = 0 if eve_family is Family.PLAIN else 1
     resend = np.where(codes == _INCONCLUSIVE_CODE, 0, 1 + eve * per_family + codes)
-    to_row = tables.probs[eve, 1:] @ (resend[:, None] == np.arange(n_bases + 1))
+    to_row = probs[eve, 1:] @ (resend[:, None] == np.arange(n_bases + 1))
     # Alice's outcome, folded into the basis she decodes; she prepared
     # Bob's family (the rounds that survive sifting; her family coin is fair).
-    decoded = tables.probs[bob_fam] @ (codes[:, None] == np.arange(per_family))
+    decoded = probs[bob_fam] @ (codes[:, None] == np.arange(per_family))
     wrong = np.arange(per_family) != bob_code[:, None]
     p_kept = np.einsum("j,jr,jrc->", weights, to_row, decoded)
     p_mismatch = np.einsum("j,jr,jrc,jc->", weights, to_row, decoded, wrong)

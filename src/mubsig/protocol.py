@@ -31,7 +31,7 @@ All three protocols run on one session engine.  They share the
 signalling round and differ only in the preparation alphabet (one
 family, or plain and hat together) and in their checks (a tomography
 pre-test, post-test checking with sifting).  Sessions sample rounds
-from one exact array of outcome distributions, compiled once per
+from one exact inverse CDF of the outcome rows, compiled once per
 dimension and family count from the pure pair states.  Every draw (Bob's
 message, each pair outcome, each pre-test cell) is the top 53 bits k of
 one raw 64-bit word of the block's stream, the integer behind the
@@ -56,7 +56,7 @@ reader that writes each piece out holds only a few blocks of rounds.
 The no-alias rule: a buffer is named, two values share a buffer only
 when they share its name, and a value is written there only once the
 one before it is dead; a lookup's ``out`` is never its rows or draws.
-The only array still made per draw is the raw words of the stream.
+The only array still made per block is the stream's raw words.
 """
 
 from __future__ import annotations
@@ -315,14 +315,16 @@ class _InverseCdf:
 
     def __call__(self, rows: np.ndarray | int, k: np.ndarray, out: np.ndarray,
                  scratch: _Scratch) -> np.ndarray:
-        """Cell index per draw ``k`` on row ``rows`` (int64 array or scalar).
+        """Cell index per draw ``k`` on row ``rows`` (int64 array, or the
+        scalar 0 of a one-row lookup).
 
         The cells go to ``out`` (int64, ``k.size`` entries).  It holds the
         row offsets and edges first, so it must not alias ``rows`` or
         ``k``.  ``scratch`` lends the ``bucket`` and ``mask`` buffers."""
         n = k.size
         bucket = np.right_shift(k, _UNIT_BITS - self.bits, out=scratch("bucket", np.int64, n))
-        bucket += np.left_shift(rows, self.bits, out=out) if np.ndim(rows) else rows << self.bits
+        if np.ndim(rows):   # the scalar row 0 adds nothing
+            bucket += np.left_shift(rows, self.bits, out=out)
         edge = np.take(self.edge, bucket, out=out, mode="clip")
         mask = scratch("mask", bool, n)
         search = np.flatnonzero(np.less(edge, 0, out=mask)) if self.searches else ()
@@ -364,39 +366,31 @@ def _inverse_cdf(cum: np.ndarray) -> _InverseCdf:
                        not same.all())
 
 
-@dataclass(frozen=True)
-class _Tables:
-    """The exact outcome array for the alphabet of one or both families.
+def _outcome_rows(d: int, n_families: int) -> np.ndarray:
+    """The exact outcome rows for the alphabet of one or both families,
+    stacked from the cached :func:`pair_outcome_probs` on each call.
 
-    ``probs[f, 1 + j]`` is Alice's pair-outcome distribution when she
+    Row ``[f, 1 + j]`` is Alice's pair-outcome distribution when she
     prepared the (0,0) pair of ``_FAMILIES[f]`` and the travelling half
-    was measured in ``alphabet[j]``; ``probs[f, 0]`` is the untouched
-    pair, all mass on (0,0).  The plain bases come first, so the row of a
-    plain basis is ``1 + code`` for its decode code, and the inconclusive
-    code lands on the untouched row.
+    was measured in the j-th basis of ``basis_alphabet(d, families)``;
+    row ``[f, 0]`` is the untouched pair, all mass on (0,0).  The plain
+    bases come first, so the row of a plain basis is ``1 + code`` for its
+    decode code, and the inconclusive code lands on the untouched row.
     """
-
-    alphabet: tuple[BasisId, ...]
-    probs: np.ndarray
-    decode_code: np.ndarray
-
-
-@per_dim_cache
-def _tables(d: int, n_families: int) -> _Tables:
     families = _FAMILIES[:n_families]
-    alphabet = basis_alphabet(d, families)
+    alphabet = basis_alphabet(d, families)   # checks d before any work
     untouched = np.eye(1, d * d)[0]
-    probs = np.array([[untouched] + [pair_outcome_probs(d, f, b) for b in alphabet]
-                      for f in families])
-    return _Tables(alphabet, _frozen(probs), _decode_codes(d))
+    return np.array([[untouched] + [pair_outcome_probs(d, f, b) for b in alphabet]
+                     for f in families])
 
 
 @per_dim_cache
 def _table_lookup(d: int, n_families: int) -> _InverseCdf:
-    """The exact inverse CDF of every row of ``_tables(d, n_families)``,
-    numbered ``f * probs.shape[1] + row``.  Only sessions draw from it, so
-    the exact probabilities of :mod:`mubsig.harness` never build it."""
-    return _inverse_cdf(_cdf(_tables(d, n_families).probs))
+    """The exact inverse CDF of every row of ``_outcome_rows(d, n_families)``,
+    numbered ``f * (1 + len(alphabet)) + row`` for the alphabet of those
+    families.  Only sessions draw from it, so the exact probabilities of
+    :mod:`mubsig.harness` never build it."""
+    return _inverse_cdf(_cdf(_outcome_rows(d, n_families)))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +435,8 @@ def _eve_pretest_probs(d: int) -> np.ndarray:
 def _total_variation(counts: np.ndarray, total: int, ideal: np.ndarray) -> np.ndarray:
     """Total-variation distance of count vectors (last axis: the flat cells)
     of ``total`` rounds each from the flat distribution ``ideal``."""
-    return 0.5 * np.abs(counts / total - ideal).sum(axis=-1)
+    share = counts / total - ideal   # numpy reuses the temporary counts / total
+    return 0.5 * np.abs(share, out=share).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +502,7 @@ class _SignalTally:
             setattr(self, f, getattr(self, f) + getattr(other, f))
 
 
-def _signal_block(tables: _Tables, lookup: _InverseCdf, d: int, eve: bool,
+def _signal_block(alphabet: tuple[BasisId, ...], lookup: _InverseCdf, d: int, eve: bool,
                   message: _InverseCdf, posttest_fraction: float | None, collect: bool,
                   stream: np.random.Generator, n: int, scratch: _Scratch,
                   ) -> tuple[_SignalTally, RoundLog | None]:
@@ -517,27 +512,30 @@ def _signal_block(tables: _Tables, lookup: _InverseCdf, d: int, eve: bool,
     Draw order: Alice's family coin (two families only), Bob's message,
     the first outcome (Alice's, or Eve's when she intercepts), Alice's
     outcome after Eve's resend, and the post-test coin (unless every
-    conclusive round is checked).  Eve's decoy pair is plain.
+    conclusive round is checked), each a row of one raw-word draw.  Eve's
+    decoy pair is plain.
     """
-    n_families, rows_per_family = tables.probs.shape[:2]
+    two_families = len(alphabet) > d + 1
+    codes = _decode_codes(d)
+    n_draws = two_families + 2 + eve + (posttest_fraction is not None)
+    draws = iter(_draws(stream, n_draws * n).reshape(n_draws, n))
 
     # integer coins: k >= 2^52 is u >= 1/2 (hat), and k < ceil(f*2^53) is u < f
     hat = None
-    if n_families == 2:
-        hat = np.greater_equal(_draws(stream, n), _UNIT >> 1, out=scratch("hat", bool, n))
-    b_idx = message(0, _draws(stream, n), scratch("basis", np.int64, n), scratch)
+    if two_families:
+        hat = np.greater_equal(next(draws), _UNIT >> 1, out=scratch("hat", bool, n))
+    b_idx = message(0, next(draws), scratch("basis", np.int64, n), scratch)
     row = np.add(b_idx, 1, out=scratch("row", np.int64, n))
     if eve:   # Eve's decoy is a plain pair, and she resends in the plain basis she decoded
         # uncollected, her outcome is dead once decoded, so Alice's takes its buffer
         eve_buffer = "eve_outcome" if collect else "outcome"
-        eve_idx = lookup(row, _draws(stream, n), scratch(eve_buffer, np.int64, n), scratch)
-        eve_code = np.take(tables.decode_code, eve_idx, out=scratch("eve", np.int64, n),
-                           mode="clip")
+        eve_idx = lookup(row, next(draws), scratch(eve_buffer, np.int64, n), scratch)
+        eve_code = np.take(codes, eve_idx, out=scratch("eve", np.int64, n), mode="clip")
         np.add(eve_code, 1, out=row)
-    if hat is not None:
-        row += np.multiply(hat, rows_per_family, out=scratch("offset", np.int64, n))
-    out_idx = lookup(row, _draws(stream, n), scratch("outcome", np.int64, n), scratch)
-    dcode = np.take(tables.decode_code, out_idx, out=row, mode="clip")   # the row is spent
+    if hat is not None:   # the hat pair's rows follow the plain pair's
+        row += np.multiply(hat, 1 + len(alphabet), out=scratch("offset", np.int64, n))
+    out_idx = lookup(row, next(draws), scratch("outcome", np.int64, n), scratch)
+    dcode = np.take(codes, out_idx, out=row, mode="clip")   # the row is spent
     kept = np.not_equal(dcode, _INCONCLUSIVE_CODE, out=scratch("kept", bool, n))
     matched = n
     if hat is not None:
@@ -554,7 +552,7 @@ def _signal_block(tables: _Tables, lookup: _InverseCdf, d: int, eve: bool,
     if posttest_fraction is None:
         tally.checked, tally.mismatches = tally.kept, tally.kept - tally.correct
     else:
-        checked = np.less(_draws(stream, n), math.ceil(posttest_fraction * _UNIT),
+        checked = np.less(next(draws), math.ceil(posttest_fraction * _UNIT),
                           out=scratch("checked", bool, n))
         checked &= kept
         tally.checked = int(np.count_nonzero(checked))
@@ -567,7 +565,7 @@ def _signal_block(tables: _Tables, lookup: _InverseCdf, d: int, eve: bool,
         tally.eve_correct = int(np.count_nonzero(np.equal(eve_code, b_idx, out=eve_hit)))
     if not collect:
         return tally, None
-    return tally, _piece(d, tables.alphabet, eve, family=np.zeros(n, bool) if hat is None else hat,
+    return tally, _piece(d, alphabet, eve, family=np.zeros(n, bool) if hat is None else hat,
                          basis=b_idx, outcome=out_idx, eve_outcome=eve_idx if eve else ())
 
 
@@ -595,31 +593,27 @@ def _run_session(d: int, rounds: int, seed: int, *, n_families: int, eve: bool,
     yields its rounds, one :class:`RoundLog` piece per block, in round
     order; without, it yields nothing.
     """
-    n_signal = rounds - n_pre
-    tables = _tables(d, n_families)
+    alphabet = basis_alphabet(d, _FAMILIES[:n_families])
     divergence = None
     if n_pre:
-        ideal = ideal_pretest_distribution(d).ravel()
         lookup = _pretest_lookup(d, eve)
 
-        def pretest_block(stream: np.random.Generator, n: int,
-                          scratch: _Scratch) -> tuple[np.ndarray, RoundLog | None]:
+        def pretest_block(stream: np.random.Generator, n: int, scratch: _Scratch) -> RoundLog:
             cells = lookup(0, _draws(stream, n), scratch("outcome", np.int64, n), scratch)
-            return (np.bincount(cells, minlength=ideal.size),
-                    _piece(d, tables.alphabet, eve, pretest=cells) if collect else None)
+            return _piece(d, alphabet, eve, pretest=cells)
 
-        counts = 0
-        for block_counts, piece in _run_blocks(pretest_block, n_pre, seed,
-                                               _PRETEST_STREAM_BASE, workers):
-            counts += block_counts
-            if piece is not None:
+        ideal = ideal_pretest_distribution(d).ravel()
+        counts = np.zeros(ideal.size, dtype=np.int64)
+        for piece in _run_blocks(pretest_block, n_pre, seed, _PRETEST_STREAM_BASE, workers):
+            np.add.at(counts, piece.pretest, 1)
+            if collect:
                 yield piece
         divergence = float(_total_variation(counts, n_pre, ideal))
     message = _inverse_cdf(_cdf(message_weights / message_weights.sum()))
-    worker = functools.partial(_signal_block, tables, _table_lookup(d, n_families), d, eve,
+    worker = functools.partial(_signal_block, alphabet, _table_lookup(d, n_families), d, eve,
                                message, posttest_fraction, collect)
     tally = _SignalTally()
-    for block_tally, piece in _run_blocks(worker, n_signal, seed, 0, workers):
+    for block_tally, piece in _run_blocks(worker, rounds - n_pre, seed, 0, workers):
         tally.add(block_tally)
         if piece is not None:
             yield piece

@@ -34,6 +34,7 @@ from mubsig.protocol import (
     pair_outcome_probs,
 )
 from mubsig.quantum import TOLERANCE, _cdf
+from mubsig.streams import derive_round_stream
 from dense import (
     basis_code,
     born_probabilities,
@@ -156,17 +157,20 @@ def test_a_cold_d31_table_compile_keeps_no_dense_pair_basis(fresh_caches):
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_tables_match_dense_derivation(d):
     """Every row of the exact array against the density-matrix derivation."""
-    tables = protocol._tables(d, 2)
-    assert len(tables.alphabet) == 2 * (d + 1)
+    probs = protocol._outcome_rows(d, 2)
+    alphabet = basis_alphabet(d, (Family.PLAIN, Family.HAT))
+    assert len(alphabet) == 2 * (d + 1)
+    assert probs.shape == (2, 1 + len(alphabet), d * d)
     for f, family in enumerate((Family.PLAIN, Family.HAT)):
         prep = density(entangled_basis(d, 0, family)[:, 0])
-        untouched = tables.probs[f, 0]
+        untouched = probs[f, 0]
         assert untouched[0] == 1.0 and not untouched[1:].any()
-        for j, basis in enumerate(tables.alphabet):
+        for j, basis in enumerate(alphabet):
             dense = born_probabilities(
                 nonselective_measure(prep, 1, measurement_basis(d, basis)),
                 entangled_basis(d, 0, family))
-            row = tables.probs[f, 1 + j]
+            row = probs[f, 1 + j]
+            assert_array_equal(row, pair_outcome_probs(d, family, basis))
             assert_allclose(row, dense, rtol=0, atol=1e-14, err_msg=f"{family} {basis}")
             assert (row[dense < 1e-12] == 0.0).all(), (family, basis)
 
@@ -601,25 +605,57 @@ def test_integer_coins_are_the_float_predicates(k):
     """Around u = k / 2^53 = 1/2 the family coin is u >= 1/2 and the
     post-test coin is u < f, for f at 1/2 and one ulp either side."""
     d, u = 3, k / 2.0 ** 53
-    tables = protocol._tables(d, 2)
-    n_bases = len(tables.alphabet)
+    alphabet = basis_alphabet(d, (Family.PLAIN, Family.HAT))
+    n_bases = len(alphabet)
     message = protocol._inverse_cdf(_cdf(np.full(n_bases, 1.0 / n_bases)))
     for f in (np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0)):
         tally, log = protocol._signal_block(
-            tables, protocol._table_lookup(d, 2), d, False, message, float(f), True,
+            alphabet, protocol._table_lookup(d, 2), d, False, message, float(f), True,
             _ConstantRawStream(k), 4, protocol._Scratch(4))
         assert_array_equal(log.family, np.full(4, int(u >= 0.5)))
         assert tally.kept == 4
         assert tally.checked == (4 if u < f else 0), (k, f)
 
 
+class _RecordingStream:
+    """A block stream that serves a real stream's raw words and records how
+    many each call asked for."""
+
+    def __init__(self, seed):
+        self.bit_generator = self
+        self.words = derive_round_stream(seed, 0).bit_generator
+        self.calls = []
+
+    def random_raw(self, n):
+        self.calls.append(n)
+        return self.words.random_raw(n)
+
+
+@pytest.mark.parametrize("n_families,eve,posttest_fraction",
+                         [(f, e, p) for f in (1, 2) for e in (False, True) for p in (None, 0.5)])
+def test_a_signal_block_draws_its_words_in_one_call(n_families, eve, posttest_fraction):
+    """A block takes every word it uses from one ``random_raw`` call: n words
+    for each draw the config makes (family coin, message, first outcome,
+    outcome after the resend, post-test coin), and no more."""
+    d, n = 5, 1000
+    alphabet = basis_alphabet(d, protocol._FAMILIES[:n_families])
+    message = protocol._inverse_cdf(_cdf(np.full(len(alphabet), 1.0 / len(alphabet))))
+    stream = _RecordingStream(4)
+    tally, log = protocol._signal_block(
+        alphabet, protocol._table_lookup(d, n_families), d, eve, message, posttest_fraction,
+        True, stream, n, protocol._Scratch(n))
+    draws = (n_families == 2) + 2 + eve + (posttest_fraction is not None)
+    assert stream.calls == [draws * n]
+    assert tally.rounds == len(log) == n
+
+
 @pytest.mark.parametrize("d,n_families", [(d, f) for d in (2, 5, 13, 31) for f in (1, 2)])
 def test_grouped_lookup_equals_per_row_searchsorted(d, n_families):
     """The guide-table lookups of the outcome tables, of Bob's message and of
     the pre-test cells are the per-row float inverse CDF, also on cell edges."""
-    tables = protocol._tables(d, n_families)
-    _assert_lookup_is_searchsorted(protocol._table_lookup(d, n_families), tables.probs)
-    n_bases = len(tables.alphabet)
+    _assert_lookup_is_searchsorted(protocol._table_lookup(d, n_families),
+                                   protocol._outcome_rows(d, n_families))
+    n_bases = len(basis_alphabet(d, protocol._FAMILIES[:n_families]))
     weights = np.random.default_rng(d).random(n_bases)
     weights[::3] = 0.0
     for w in (np.full(n_bases, 1.0 / n_bases), weights / weights.sum()):
@@ -724,6 +760,28 @@ def test_block_stream_stays_a_few_blocks_ahead_of_its_reader(monkeypatch):
         got.append(result)
     assert got == expected
     assert len(scratches) <= 2
+
+
+def test_pretest_blocks_are_counted_into_one_vector(monkeypatch):
+    """The pre-test blocks of a d=31 session at workers=2 return their cells,
+    and the reader counts them into the session's one vector over the
+    (d(d+1))^2 cells.  With the lookup and ``ideal`` cached, the session's
+    traced peak is that vector, the float share of it that the divergence
+    takes, and at most 4 MB of block buffers and pieces (a count vector per
+    block, sampled ahead of the reader, peaked at 4.1 vectors)."""
+    monkeypatch.setattr(protocol, "_usable_cpus", lambda: 2)
+    d = 31
+    config = tomographic(d, 8 * BLOCK_ROUNDS, 3, eve=EveMode.INTERCEPT, pretest_fraction=0.75)
+    assert config.pretest_rounds() >= 4 * BLOCK_ROUNDS
+    run_trials(tomographic(d, 10, 3, eve=EveMode.INTERCEPT, pretest_fraction=0.5))   # the caches
+    tracemalloc.start()
+    try:
+        run_trials(config, workers=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    vector = ideal_pretest_distribution(d).size * np.dtype(np.int64).itemsize
+    assert peak < 2 * vector + 4e6, peak / vector
 
 
 def test_worker_threads_are_capped(monkeypatch):

@@ -32,10 +32,8 @@ from .harness import (
     _CONFIG_KEYS,
     HarnessConfig,
     _session,
-    analytic_outcome_distribution,
     run_trials,
 )
-from .protocol import pair_outcome_labels
 from .report import (
     _config_fields,
     _csv_chunks,
@@ -169,22 +167,19 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _table_text(d: int, rows: list[BasisId], fmt: str) -> str:
+    tables = _outcome_tables(d, rows)
     if fmt == "json":
-        return canonical_json({"dim": d, "rows": _outcome_tables(d, rows)})
-    labels = pair_outcome_labels(d)
-    dists = {b: analytic_outcome_distribution(d, b) for b in rows}
+        return canonical_json({"dim": d, "rows": tables})
     if fmt == "csv":
         lines = ["basis,c,r,probability"]
-        for b in rows:
-            for (c, r), p in dists[b].as_mapping().items():
-                lines.append(f"{b.text()},{c},{r},{float(p)!r}")
+        lines += [f"{basis},{cell},{p!r}" for basis, table in tables.items()
+                  for cell, p in table.items()]
         return "\n".join(lines) + "\n"
-    width = max(8, max(len(b.text()) for b in rows) + 2)
-    header = "".join(f"{f'({c},{r})':>9}" for c, r in labels)
+    width = max(8, max(map(len, tables)) + 2)
+    header = "".join(f"{f'({cell})':>9}" for cell in tables[rows[0].text()])
     lines = [f"{'basis':<{width}}{header}"]
-    for b in rows:
-        cells = "".join(f"{p:>9.4f}" for p in dists[b].probabilities)
-        lines.append(f"{b.text():<{width}}{cells}")
+    lines += [f"{basis:<{width}}" + "".join(f"{p:>9.4f}" for p in table.values())
+              for basis, table in tables.items()]
     return "\n".join(lines) + "\n"
 
 

@@ -22,9 +22,7 @@ from .protocol import (
     _COLUMN_DTYPES,
     RoundLog,
     SessionReport,
-    _INCONCLUSIVE_CODE,
     _decode_codes,
-    _outcome_rows,
     _run_session,
     _total_variation,
     ideal_pretest_distribution,
@@ -203,6 +201,8 @@ def analytic_outcome_distribution(d: int, bob_basis: BasisId) -> AnalyticDistrib
     against the dense density-matrix derivation, and against the
     state-by-state single-round path.
     """
+    if not isinstance(bob_basis, BasisId):
+        raise TypeError(f"bob_basis must be a BasisId, got {type(bob_basis).__name__}")
     probs = pair_outcome_probs(d, bob_basis.family, bob_basis)
     return AnalyticDistribution(pair_outcome_labels(d), probs)
 
@@ -228,6 +228,8 @@ def calibrate_tv_threshold(d: int, sample_size: int, seed: int) -> float:
     or more: no session's TV can exceed it, so the pre-test could never
     raise an alarm with that few rounds.
     """
+    if isinstance(sample_size, bool) or not isinstance(sample_size, int):
+        raise TypeError(f"sample_size must be of type int, got {sample_size!r}")
     if sample_size < 1:
         raise ValueError("sample_size must be >= 1")
     ideal = ideal_pretest_distribution(d).ravel()
@@ -251,34 +253,34 @@ def dual_family_detection_probability(d: int, eve_family: Family = Family.PLAIN,
                                       ) -> float:
     """Exact P(checked decode names the wrong basis | round survived sifting).
 
-    Two contractions over the exact outcome rows, with the attacker
-    running her substitution attack in ``eve_family``: her outcome for
-    each of Bob's bases, folded into the row her resend leaves Alice with,
-    and Alice's outcome, folded into the basis she decodes.  This is the
-    quantity the dual-family session's ``detection_rate`` estimates.
-    ``message_weights`` has one finite, nonnegative entry per basis of both
-    families, in :func:`basis_alphabet` order, and a positive, finite sum.
+    The attacker runs her substitution attack in ``eve_family``.  Each
+    exact outcome row is folded into the basis it decodes to: her read of
+    her decoy per basis j of Bob's, ``eve[j, c]``, and Alice's read per
+    family f she prepared and basis c of the attacker's resend,
+    ``alice[f, c, c']``.  Sifting keeps the rounds where Alice prepared
+    Bob's family.  An inconclusive attacker sends the pair back
+    untouched and Alice then reads inconclusive, so that case adds to
+    neither sum.  This is the quantity the dual-family session's
+    ``detection_rate`` estimates.  ``message_weights`` has one finite,
+    nonnegative entry per basis of both families, in
+    :func:`basis_alphabet` order, and a positive, finite sum.
     """
     if not isinstance(eve_family, Family):
         raise TypeError(f"eve_family must be a Family, got {eve_family!r}")
-    probs = _outcome_rows(d, 2)
+    families = _PROTOCOL_FAMILIES[Protocol.DUAL_FAMILY]
+    alphabet = basis_alphabet(d, families)   # checks d before any work
     per_family = d + 1
-    n_bases = 2 * per_family
-    weights = np.ones(n_bases) if message_weights is None else _checked_weights(
-        message_weights, n_bases)
-    codes = _decode_codes(d)
-    bob_fam, bob_code = np.divmod(np.arange(n_bases), per_family)
-    # Eve's outcome on her decoy, folded into the row her resend leaves
-    # Alice with: 1 + the decoded basis, or the untouched row 0.
-    eve = 0 if eve_family is Family.PLAIN else 1
-    resend = np.where(codes == _INCONCLUSIVE_CODE, 0, 1 + eve * per_family + codes)
-    to_row = probs[eve, 1:] @ (resend[:, None] == np.arange(n_bases + 1))
-    # Alice's outcome, folded into the basis she decodes; she prepared
-    # Bob's family (the rounds that survive sifting; her family coin is fair).
-    decoded = probs[bob_fam] @ (codes[:, None] == np.arange(per_family))
-    wrong = np.arange(per_family) != bob_code[:, None]
-    p_kept = np.einsum("j,jr,jrc->", weights, to_row, decoded)
-    p_mismatch = np.einsum("j,jr,jrc,jc->", weights, to_row, decoded, wrong)
+    weights = np.ones(len(alphabet)) if message_weights is None else _checked_weights(
+        message_weights, len(alphabet))
+    decoded = (_decode_codes(d)[:, None] == np.arange(per_family)).astype(float)
+    eve = np.array([pair_outcome_probs(d, eve_family, b) @ decoded for b in alphabet])
+    alice = np.array([[pair_outcome_probs(d, f, b) @ decoded
+                       for b in basis_alphabet(d, (eve_family,))] for f in families])
+    # reach[f, j, c']: Bob sent the j-th basis of family f, and Alice, who
+    # prepared f, decoded c'
+    reach = (weights[:, None] * eve).reshape(2, per_family, per_family) @ alice
+    p_kept = reach.sum()
+    p_mismatch = reach[:, ~np.eye(per_family, dtype=bool)].sum()
     if p_kept <= 0.0:
         raise RuntimeError("attack left no sifted conclusive rounds")
     return float(p_mismatch / p_kept)

@@ -366,31 +366,25 @@ def _inverse_cdf(cum: np.ndarray) -> _InverseCdf:
                        not same.all())
 
 
-def _outcome_rows(d: int, n_families: int) -> np.ndarray:
-    """The exact outcome rows for the alphabet of one or both families,
-    stacked from the cached :func:`pair_outcome_probs` on each call.
-
-    Row ``[f, 1 + j]`` is Alice's pair-outcome distribution when she
-    prepared the (0,0) pair of ``_FAMILIES[f]`` and the travelling half
-    was measured in the j-th basis of ``basis_alphabet(d, families)``;
-    row ``[f, 0]`` is the untouched pair, all mass on (0,0).  The plain
-    bases come first, so the row of a plain basis is ``1 + code`` for its
-    decode code, and the inconclusive code lands on the untouched row.
-    """
-    families = _FAMILIES[:n_families]
-    alphabet = basis_alphabet(d, families)   # checks d before any work
-    untouched = np.eye(1, d * d)[0]
-    return np.array([[untouched] + [pair_outcome_probs(d, f, b) for b in alphabet]
-                     for f in families])
-
-
 @per_dim_cache
 def _table_lookup(d: int, n_families: int) -> _InverseCdf:
-    """The exact inverse CDF of every row of ``_outcome_rows(d, n_families)``,
-    numbered ``f * (1 + len(alphabet)) + row`` for the alphabet of those
-    families.  Only sessions draw from it, so the exact probabilities of
-    :mod:`mubsig.harness` never build it."""
-    return _inverse_cdf(_cdf(_outcome_rows(d, n_families)))
+    """The exact inverse CDF of the outcome rows of one or both families.
+
+    For the alphabet ``basis_alphabet(d, _FAMILIES[:n_families])``, row
+    ``f * (1 + len(alphabet)) + 1 + j`` is Alice's pair-outcome
+    distribution, :func:`pair_outcome_probs`, when she prepared the (0,0)
+    pair of ``_FAMILIES[f]`` and the travelling half was measured in the
+    j-th basis; row ``f * (1 + len(alphabet))`` is her untouched pair, all
+    mass on (0,0).  The plain bases come first, so within a family the row
+    of a plain basis is ``1 + code`` for its decode code, and the
+    inconclusive code lands on the untouched row.  Only sessions draw from
+    it, so the exact probabilities of :mod:`mubsig.harness` never build it.
+    """
+    families = _FAMILIES[:n_families]
+    alphabet = basis_alphabet(d, families)
+    untouched = np.eye(1, d * d)[0]
+    return _inverse_cdf(_cdf(np.array(
+        [[untouched] + [pair_outcome_probs(d, f, b) for b in alphabet] for f in families])))
 
 
 # ---------------------------------------------------------------------------

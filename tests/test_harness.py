@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -158,6 +159,12 @@ def test_analytic_outcome_distribution_wraps_exact_table():
             assert abs(dist.as_mapping()[(0, 0)] - 1.0 / d) < 1e-12
 
 
+@pytest.mark.parametrize("basis", ["comp", None, (Family.PLAIN, None)])
+def test_analytic_outcome_distribution_refuses_a_basis_that_is_not_a_basis_id(basis):
+    with pytest.raises(TypeError, match="bob_basis must be a BasisId"):
+        analytic_outcome_distribution(3, basis)
+
+
 def test_calibrate_tv_threshold_behavior():
     t1 = calibrate_tv_threshold(2, 2000, seed=5)
     t2 = calibrate_tv_threshold(2, 2000, seed=5)
@@ -169,6 +176,14 @@ def test_calibrate_tv_threshold_behavior():
     assert calibrate_tv_threshold(2, 20000, seed=5) < t1
     with pytest.raises(ValueError):
         calibrate_tv_threshold(2, 0, seed=5)
+
+
+@pytest.mark.parametrize("sample_size", [2000.9, 2000.0, True, "2000", None])
+def test_calibrate_tv_threshold_refuses_a_sample_size_that_is_not_an_int(sample_size):
+    """The multinomial would truncate 2000.9 rounds to 2000 while the TV
+    divides by 2000.9, and True would pass as one round."""
+    with pytest.raises(TypeError, match="sample_size must be of type int"):
+        calibrate_tv_threshold(2, sample_size, seed=5)
 
 
 def test_calibrate_tv_threshold_refuses_a_threshold_no_tv_reaches():
@@ -280,6 +295,22 @@ def test_dual_detection_probability_matches_explicit_sum():
                                           if weights is None else weights)
                 assert_allclose(dual_family_detection_probability(d, eve_family, weights),
                                 loop, rtol=0, atol=1e-14, err_msg=f"d={d} {eve_family}")
+
+
+def test_a_warm_dual_detection_probability_holds_no_stacked_rows():
+    """Warm, the d=31 contraction folds each cached row into the d + 1
+    bases it decodes to, so it never holds a stack of d^2-cell rows per
+    Bob basis, which would take 34 MB."""
+    for family in Family:
+        dual_family_detection_probability(31, family)
+    tracemalloc.start()
+    try:
+        for family in Family:
+            dual_family_detection_probability(31, family)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6, peak
 
 
 def test_dual_detection_probability_validates_weights():

@@ -39,7 +39,7 @@ def test_oracle_never_reads_the_compiled_tables():
             used.add(node.attr)
         elif isinstance(node, ast.alias):
             used.update({node.name, node.asname})
-    assert not used & {"_outcome_rows", "pair_outcome_probs", "analytic_outcome_distribution",
+    assert not used & {"pair_outcome_probs", "analytic_outcome_distribution",
                         "_inverse_cdf", "_InverseCdf", "_table_lookup", "_draws"}
 
 

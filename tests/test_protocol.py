@@ -154,10 +154,20 @@ def test_a_cold_d31_table_compile_keeps_no_dense_pair_basis(fresh_caches):
     assert retained < 20e6, retained
 
 
+def _table_rows(d, n_families):
+    """The rows of ``protocol._table_lookup(d, n_families)``, stacked in its
+    numbering: per family, the untouched pair (all mass on (0,0)), then one
+    :func:`pair_outcome_probs` row per basis of the alphabet."""
+    families = protocol._FAMILIES[:n_families]
+    untouched = np.eye(1, d * d)[0]
+    return np.array([[untouched] + [pair_outcome_probs(d, f, b)
+                                    for b in basis_alphabet(d, families)] for f in families])
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_tables_match_dense_derivation(d):
     """Every row of the exact array against the density-matrix derivation."""
-    probs = protocol._outcome_rows(d, 2)
+    probs = _table_rows(d, 2)
     alphabet = basis_alphabet(d, (Family.PLAIN, Family.HAT))
     assert len(alphabet) == 2 * (d + 1)
     assert probs.shape == (2, 1 + len(alphabet), d * d)
@@ -653,8 +663,13 @@ def test_a_signal_block_draws_its_words_in_one_call(n_families, eve, posttest_fr
 def test_grouped_lookup_equals_per_row_searchsorted(d, n_families):
     """The guide-table lookups of the outcome tables, of Bob's message and of
     the pre-test cells are the per-row float inverse CDF, also on cell edges."""
-    _assert_lookup_is_searchsorted(protocol._table_lookup(d, n_families),
-                                   protocol._outcome_rows(d, n_families))
+    lookup, rows = protocol._table_lookup(d, n_families), _table_rows(d, n_families)
+    _assert_lookup_is_searchsorted(lookup, rows)
+    k = np.array([0, 1, 1 << 52, (1 << 53) - 1])
+    for untouched in np.arange(n_families) * rows.shape[1]:
+        cells = lookup(np.full(k.size, untouched), k, np.empty(k.size, np.int64),
+                       protocol._Scratch(k.size))
+        assert_array_equal(cells, 0)   # the untouched pair always reads (0,0)
     n_bases = len(basis_alphabet(d, protocol._FAMILIES[:n_families]))
     weights = np.random.default_rng(d).random(n_bases)
     weights[::3] = 0.0

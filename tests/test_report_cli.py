@@ -399,7 +399,7 @@ def test_cli_run_refuses_include_tables_outside_json_before_opening_out(tmp_path
 
 
 def test_cli_table_refuses_an_unwritable_out(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr("mubsig.cli.analytic_outcome_distribution",
+    monkeypatch.setattr("mubsig.cli._outcome_tables",
                         lambda *a, **k: pytest.fail("table computed"))
     out = tmp_path / "missing" / "t.txt"
     assert main(["table", "--dim", "3", "--out", str(out)]) == 2

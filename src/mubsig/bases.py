@@ -78,7 +78,7 @@ class BasisId:
             body = body[4:]
         if body == "comp":
             return cls(family, None)
-        if body.startswith("q") and body[1:].isdigit():
+        if body.startswith("q") and body[1:].isascii() and body[1:].isdigit():
             return cls(family, int(body[1:]))
         raise ValueError(f"unrecognized basis label {text!r}")
 

@@ -56,7 +56,8 @@ reader that writes each piece out holds only a few blocks of rounds.
 The no-alias rule: a buffer is named, two values share a buffer only
 when they share its name, and a value is written there only once the
 one before it is dead; a lookup's ``out`` is never its rows or draws.
-The only array still made per block is the stream's raw words.
+The only arrays still made per block are the stream's raw words, one
+row per draw, each drawn where it is used and dead before the next.
 """
 
 from __future__ import annotations
@@ -506,29 +507,28 @@ def _signal_block(alphabet: tuple[BasisId, ...], lookup: _InverseCdf, d: int, ev
     Draw order: Alice's family coin (two families only), Bob's message,
     the first outcome (Alice's, or Eve's when she intercepts), Alice's
     outcome after Eve's resend, and the post-test coin (unless every
-    conclusive round is checked), each a row of one raw-word draw.  Eve's
+    conclusive round is checked), each a row of ``n`` raw words drawn
+    where it is used, so a block holds one row of words at a time.  Eve's
     decoy pair is plain.
     """
     two_families = len(alphabet) > d + 1
     codes = _decode_codes(d)
-    n_draws = two_families + 2 + eve + (posttest_fraction is not None)
-    draws = iter(_draws(stream, n_draws * n).reshape(n_draws, n))
 
     # integer coins: k >= 2^52 is u >= 1/2 (hat), and k < ceil(f*2^53) is u < f
     hat = None
     if two_families:
-        hat = np.greater_equal(next(draws), _UNIT >> 1, out=scratch("hat", bool, n))
-    b_idx = message(0, next(draws), scratch("basis", np.int64, n), scratch)
+        hat = np.greater_equal(_draws(stream, n), _UNIT >> 1, out=scratch("hat", bool, n))
+    b_idx = message(0, _draws(stream, n), scratch("basis", np.int64, n), scratch)
     row = np.add(b_idx, 1, out=scratch("row", np.int64, n))
     if eve:   # Eve's decoy is a plain pair, and she resends in the plain basis she decoded
         # uncollected, her outcome is dead once decoded, so Alice's takes its buffer
         eve_buffer = "eve_outcome" if collect else "outcome"
-        eve_idx = lookup(row, next(draws), scratch(eve_buffer, np.int64, n), scratch)
+        eve_idx = lookup(row, _draws(stream, n), scratch(eve_buffer, np.int64, n), scratch)
         eve_code = np.take(codes, eve_idx, out=scratch("eve", np.int64, n), mode="clip")
         np.add(eve_code, 1, out=row)
     if hat is not None:   # the hat pair's rows follow the plain pair's
         row += np.multiply(hat, 1 + len(alphabet), out=scratch("offset", np.int64, n))
-    out_idx = lookup(row, next(draws), scratch("outcome", np.int64, n), scratch)
+    out_idx = lookup(row, _draws(stream, n), scratch("outcome", np.int64, n), scratch)
     dcode = np.take(codes, out_idx, out=row, mode="clip")   # the row is spent
     kept = np.not_equal(dcode, _INCONCLUSIVE_CODE, out=scratch("kept", bool, n))
     matched = n
@@ -546,7 +546,7 @@ def _signal_block(alphabet: tuple[BasisId, ...], lookup: _InverseCdf, d: int, ev
     if posttest_fraction is None:
         tally.checked, tally.mismatches = tally.kept, tally.kept - tally.correct
     else:
-        checked = np.less(next(draws), math.ceil(posttest_fraction * _UNIT),
+        checked = np.less(_draws(stream, n), math.ceil(posttest_fraction * _UNIT),
                           out=scratch("checked", bool, n))
         checked &= kept
         tally.checked = int(np.count_nonzero(checked))

@@ -14,6 +14,9 @@ import numpy as np
 
 def derive_round_stream(seed: int, index: int) -> np.random.Generator:
     """Pure mapping (seed, index) -> an independent random stream."""
+    for name, value in (("seed", seed), ("index", index)):
+        if isinstance(value, bool):   # True would pass for the int 1
+            raise TypeError(f"stream {name} must be an int, not a bool")
     if index < 0:
         raise ValueError(f"stream index must be nonnegative, got {index}")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))

@@ -44,8 +44,9 @@ def test_basis_id_text_round_trip():
 
 
 def test_basis_id_parse_rejects_garbage():
-    for bad in ["", "comp2", "qx", "hat", "hat-", "q-1"]:
-        with pytest.raises(ValueError):
+    # q followed by digits that are not ASCII: Arabic-Indic three, superscript two
+    for bad in ["", "comp2", "qx", "hat", "hat-", "q-1", "q\u0663", "q\u00b2", "hat-q\u0663"]:
+        with pytest.raises(ValueError, match="unrecognized basis label"):
             BasisId.parse(bad)
 
 

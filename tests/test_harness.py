@@ -216,6 +216,18 @@ def test_stream_derivation_pure_and_decoupled():
         derive_round_stream(42, -1)
 
 
+@pytest.mark.parametrize("seed,index", [(True, 0), (0, True), (False, 3)])
+def test_a_bool_seed_or_stream_index_is_refused(seed, index):
+    """A bool is an int to numpy, so True drew the stream of seed 1."""
+    with pytest.raises(TypeError, match="not a bool"):
+        derive_round_stream(seed, index)
+
+
+def test_calibrate_tv_threshold_refuses_a_bool_seed():
+    with pytest.raises(TypeError, match="not a bool"):
+        calibrate_tv_threshold(3, 100, True)
+
+
 @pytest.mark.parametrize("seed,index,n", [(0, 0, 1), (1, 3, 7), (42, 7, 1000),
                                           (2 ** 40, 2 ** 40 + 5, 32768), (9, 123, 32768)])
 def test_stream_raw_draws_are_the_uniform_draws(seed, index, n):

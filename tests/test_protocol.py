@@ -644,9 +644,9 @@ class _RecordingStream:
 @pytest.mark.parametrize("n_families,eve,posttest_fraction",
                          [(f, e, p) for f in (1, 2) for e in (False, True) for p in (None, 0.5)])
 def test_a_signal_block_draws_its_words_in_one_call(n_families, eve, posttest_fraction):
-    """A block takes every word it uses from one ``random_raw`` call: n words
-    for each draw the config makes (family coin, message, first outcome,
-    outcome after the resend, post-test coin), and no more."""
+    """A block takes each draw's words in one ``random_raw`` call of n words,
+    one call for each draw the config makes (family coin, message, first
+    outcome, outcome after the resend, post-test coin), and no more."""
     d, n = 5, 1000
     alphabet = basis_alphabet(d, protocol._FAMILIES[:n_families])
     message = protocol._inverse_cdf(_cdf(np.full(len(alphabet), 1.0 / len(alphabet))))
@@ -655,8 +655,33 @@ def test_a_signal_block_draws_its_words_in_one_call(n_families, eve, posttest_fr
         alphabet, protocol._table_lookup(d, n_families), d, eve, message, posttest_fraction,
         True, stream, n, protocol._Scratch(n))
     draws = (n_families == 2) + 2 + eve + (posttest_fraction is not None)
-    assert stream.calls == [draws * n]
+    assert stream.calls == [n] * draws
     assert tally.rounds == len(log) == n
+
+
+def test_a_signal_block_holds_one_row_of_raw_words_at_a_time():
+    """Once its thread's buffers are made, a full block with every draw (two
+    families, the attacker, a post-test coin) traces at most two rows of raw
+    words: each row is dead before the next is drawn."""
+    d, n = 7, BLOCK_ROUNDS
+    alphabet = basis_alphabet(d, protocol._FAMILIES)
+    message = protocol._inverse_cdf(_cdf(np.full(len(alphabet), 1.0 / len(alphabet))))
+    scratch = protocol._Scratch(n)
+
+    def block(stream):
+        return protocol._signal_block(alphabet, protocol._table_lookup(d, 2), d, True,
+                                      message, 0.5, False, stream, n, scratch)
+
+    block(derive_round_stream(5, 0))   # makes the buffers
+    stream = derive_round_stream(5, 1)
+    tracemalloc.start()
+    try:
+        block(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row = n * np.dtype(np.uint64).itemsize
+    assert peak <= 2 * row, peak / row
 
 
 @pytest.mark.parametrize("d,n_families", [(d, f) for d in (2, 5, 13, 31) for f in (1, 2)])

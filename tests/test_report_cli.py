@@ -434,6 +434,13 @@ def test_cli_table_csv_and_errors(capsys):
     assert main(["table", "--dim", "2", "--basis", "q5"]) == 2
     assert main(["table", "--dim", "2", "--basis", "zonk"]) == 2
     capsys.readouterr()
+    # only ASCII digits name a quadratic basis: an Arabic-Indic three printed
+    # the q3 row, and a superscript two failed inside int()
+    for label in ("q\u0663", "q\u00b2"):
+        assert main(["table", "--dim", "5", "--basis", label]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"mubsig: error: unrecognized basis label {label!r}\n"
 
 
 def test_cli_verify_text(capsys):

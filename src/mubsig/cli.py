@@ -22,18 +22,14 @@ import json
 import os
 import sys
 from collections.abc import Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import TextIO
 
 from .bases import BasisId, Family, basis_alphabet
 from .finite_field import PrimeDim
-from .harness import (
-    _CONFIG_KEYS,
-    HarnessConfig,
-    _session,
-    run_trials,
-)
+from .harness import _CONFIG_KEYS, HarnessConfig, run_trials
+from .protocol import _run_session
 from .report import (
     _config_fields,
     _csv_chunks,
@@ -119,16 +115,25 @@ def _merge_run_config(args: argparse.Namespace) -> HarnessConfig:
 @contextmanager
 def _output(out: Path | None) -> Iterator[TextIO]:
     """Where a command writes: stdout, or the ``--out`` file, opened
-    (and so checked) before the command does any work."""
-    if out is None:
-        yield sys.stdout
-        return
+    (and so checked) before the command does any work.
+
+    A failed write ends the output.  When the reader closed the pipe
+    (``mubsig run ... | head``) it has all it wanted, and the command
+    still returns its own exit code; any other failure, a full disk say,
+    is an error like an ``--out`` that cannot be opened."""
     try:
-        handle = out.open("w")
+        handle = sys.stdout if out is None else out.open("w")
     except OSError as exc:
         raise _CliError(f"cannot write {out}: {exc.strerror or exc}") from exc
-    with handle:
-        yield handle
+    try:
+        with nullcontext() if out is None else handle:
+            yield handle
+            handle.flush()
+    except OSError as exc:
+        if out is None:   # so that the flush at exit does not fail a second time
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            raise _CliError(f"cannot write {out or 'stdout'}: {exc.strerror or exc}") from exc
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -140,7 +145,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise _CliError("--include-tables applies to --format json only")
     with _output(args.out) as out:
         if args.format == "csv":   # each block's rounds are written as they come
-            out.writelines(_csv_chunks(_session(config, args.workers, collect=True)))
+            out.writelines(_csv_chunks(_run_session(config, args.workers, collect=True)))
             return 0
         report = run_trials(config, workers=args.workers)
         document = build_document(config, report, include_tables=args.include_tables)
@@ -186,20 +191,21 @@ def _table_text(d: int, rows: list[BasisId], fmt: str) -> str:
 def _cmd_verify(args: argparse.Namespace) -> int:
     results = run_invariant_suite(args.dim)   # checks the dimension first
     failed = [r for r in results if not r.passed]
-    if args.format == "json":
-        doc = {"dim": args.dim, "passed": not failed,
-               "checks": [dataclasses.asdict(r) for r in results]}
-        sys.stdout.write(canonical_json(doc))
-    else:
-        for r in results:
-            mark = "ok  " if r.passed else "FAIL"
-            line = f"[{mark}] {r.name} ({r.assertions} assertions)"
-            if not r.passed and r.detail:
-                line += f": {r.detail}"
-            print(line)
-        total = sum(r.assertions for r in results)
-        print(f"{len(results) - len(failed)}/{len(results)} checks passed, "
-              f"{total} assertions, d={args.dim}")
+    with _output(None) as out:
+        if args.format == "json":
+            doc = {"dim": args.dim, "passed": not failed,
+                   "checks": [dataclasses.asdict(r) for r in results]}
+            out.write(canonical_json(doc))
+        else:
+            for r in results:
+                mark = "ok  " if r.passed else "FAIL"
+                line = f"[{mark}] {r.name} ({r.assertions} assertions)"
+                if not r.passed and r.detail:
+                    line += f": {r.detail}"
+                print(line, file=out)
+            total = sum(r.assertions for r in results)
+            print(f"{len(results) - len(failed)}/{len(results)} checks passed, "
+                  f"{total} assertions, d={args.dim}", file=out)
     return _CHECK_FAILURE if failed else 0
 
 
@@ -223,12 +229,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"mubsig: error: dimension {args.dim}{rounds} needs more memory than "
               "this process may use", file=sys.stderr)
         return _USAGE_ERROR
-    except BrokenPipeError:
-        # The reader closed stdout early (``mubsig run ... | head``) and has
-        # all it wanted.  Point stdout at devnull so that the flush at exit
-        # does not fail a second time.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
 
 
 if __name__ == "__main__":

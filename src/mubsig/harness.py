@@ -8,21 +8,23 @@ so reports are byte-for-byte reproducible at any degree of parallelism.
 
 from __future__ import annotations
 
-import enum
 import numbers
 import sys
 from dataclasses import dataclass
-from typing import Generator, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .bases import BasisId, Family, basis_alphabet
 from .finite_field import PrimeDim
 from .protocol import (
-    _COLUMN_DTYPES,
+    _PROTOCOL_FAMILIES,
+    EveMode,
+    Protocol,
     RoundLog,
     SessionReport,
     _decode_codes,
+    _finish,
     _run_session,
     _total_variation,
     ideal_pretest_distribution,
@@ -42,25 +44,6 @@ __all__ = [
     "dual_family_detection_probability",
     "run_trials",
 ]
-
-
-class Protocol(enum.Enum):
-    ORIGINAL = "original"
-    TOMOGRAPHIC = "tomographic"
-    DUAL_FAMILY = "dualfamily"
-
-
-class EveMode(enum.Enum):
-    OFF = "off"
-    INTERCEPT = "intercept"
-    DUAL_FAMILY = "dualfamily"
-
-
-_PROTOCOL_FAMILIES: dict[Protocol, tuple[Family, ...]] = {
-    Protocol.ORIGINAL: (Family.PLAIN,),
-    Protocol.TOMOGRAPHIC: (Family.PLAIN,),
-    Protocol.DUAL_FAMILY: (Family.PLAIN, Family.HAT),
-}
 
 
 # One row per HarnessConfig field, in echo order: config key -> (field, the type
@@ -286,23 +269,6 @@ def dual_family_detection_probability(d: int, eve_family: Family = Family.PLAIN,
     return float(p_mismatch / p_kept)
 
 
-def _session(config: HarnessConfig, workers: int, collect: bool,
-             ) -> Generator[RoundLog, None, SessionReport]:
-    """The session of ``config`` as the engine runs it: with ``collect`` it
-    yields its rounds as RoundLog pieces in round order, and it returns its
-    report."""
-    if isinstance(workers, bool) or not isinstance(workers, int):
-        raise TypeError(f"workers must be of type int, got {workers!r}")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    return _run_session(
-        config.d, config.rounds, config.seed,
-        n_families=len(_PROTOCOL_FAMILIES[config.protocol]),
-        eve=config.eve is not EveMode.OFF, message_weights=config.message_weights(),
-        n_pre=config.pretest_rounds(), posttest_fraction=config.posttest_fraction,
-        workers=workers, collect=collect)
-
-
 def run_trials(config: HarnessConfig, *, workers: int = 1,
                return_rounds: bool = False,
                ) -> SessionReport | tuple[SessionReport, RoundLog]:
@@ -311,36 +277,12 @@ def run_trials(config: HarnessConfig, *, workers: int = 1,
     Deterministic given ``config.seed``; ``workers`` only spreads the
     fixed blocks over threads and cannot change any reported value.
     With ``return_rounds=True`` also returns every round as a
-    :class:`~mubsig.protocol.RoundLog`, in round order: its columns are
-    made before the session runs and each piece is copied in as it
-    arrives, so the log is the only copy of the rounds held.
+    :class:`~mubsig.protocol.RoundLog`, in round order, the only copy of
+    the rounds held (see :func:`~mubsig.protocol._finish`).
     """
-    session = _session(config, workers, return_rounds)
-    log = _unfilled_log(config) if return_rounds else None
-    filled = dict.fromkeys(_COLUMN_DTYPES, 0)
-    while True:
-        try:
-            piece = next(session)
-        except StopIteration as done:
-            return (done.value, log) if return_rounds else done.value
-        for name, start in filled.items():
-            part = getattr(piece, name)
-            if part is not None and part.size:
-                getattr(log, name)[start:start + part.size] = part
-                filled[name] += part.size
-
-
-def _unfilled_log(config: HarnessConfig) -> RoundLog:
-    """The RoundLog of ``config``'s session with every column allocated in
-    its dtype and none written: one pre-test cell per pre-test round, and
-    the signal columns per signal round."""
-    n_pre = config.pretest_rounds()
-    eve = config.eve is not EveMode.OFF
-
-    def column(name: str) -> np.ndarray | None:
-        if name == "eve_outcome" and not eve:
-            return None
-        return np.empty(n_pre if name == "pretest" else config.rounds - n_pre,
-                        _COLUMN_DTYPES[name])
-
-    return RoundLog(config.d, config.alphabet(), *map(column, _COLUMN_DTYPES))
+    if isinstance(workers, bool) or not isinstance(workers, int):
+        raise TypeError(f"workers must be of type int, got {workers!r}")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    report, log = _finish(config, _run_session(config, workers, return_rounds))
+    return (report, log) if return_rounds else report

@@ -27,7 +27,8 @@ Interception strategies for the eavesdropper are included for both the
 original protocol (substitute pair, resend after decoding) and the
 dual-family variant (the same attack mounted in one fixed family).
 
-All three protocols run on one session engine.  They share the
+All three protocols run on one session engine, :func:`_run_session`,
+which reads a :class:`~mubsig.harness.HarnessConfig`.  They share the
 signalling round and differ only in the preparation alphabet (one
 family, or plain and hat together) and in their checks (a tomography
 pre-test, post-test checking with sifting).  Sessions sample rounds
@@ -52,7 +53,8 @@ into its thread's set through ``out=``.  A collected block copies its
 columns out of the set into a :class:`RoundLog` piece of its own, in the
 narrow dtypes of ``_COLUMN_DTYPES``.  A session yields these pieces in
 round order, sampled at most a few blocks ahead of its reader, so a
-reader that writes each piece out holds only a few blocks of rounds.
+reader that writes each piece out holds only a few blocks of rounds;
+:func:`_finish` copies them into one log instead.
 The no-alias rule: a buffer is named, two values share a buffer only
 when they share its name, and a value is written there only once the
 one before it is dead; a lookup's ``out`` is never its rows or draws.
@@ -62,13 +64,14 @@ row per draw, each drawn where it is used and dead before the next.
 
 from __future__ import annotations
 
+import enum
 import functools
 import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterator
+from typing import TYPE_CHECKING, Callable, Generator, Iterator
 
 import numpy as np
 
@@ -85,12 +88,34 @@ from .finite_field import MAX_DIM, per_dim_cache
 from .quantum import TOLERANCE, _cdf, _frozen
 from .streams import derive_round_stream
 
+if TYPE_CHECKING:
+    from .harness import HarnessConfig
+
 # Rounds are processed in fixed-size blocks; each block draws from its own
 # derived stream, so results do not depend on how blocks are scheduled.
 BLOCK_ROUNDS = 1 << 15
 _PRETEST_STREAM_BASE = 1 << 40
 
 _INCONCLUSIVE_CODE = -1
+
+
+class Protocol(enum.Enum):
+    ORIGINAL = "original"
+    TOMOGRAPHIC = "tomographic"
+    DUAL_FAMILY = "dualfamily"
+
+
+class EveMode(enum.Enum):
+    OFF = "off"
+    INTERCEPT = "intercept"
+    DUAL_FAMILY = "dualfamily"
+
+
+_PROTOCOL_FAMILIES: dict[Protocol, tuple[Family, ...]] = {
+    Protocol.ORIGINAL: (Family.PLAIN,),
+    Protocol.TOMOGRAPHIC: (Family.PLAIN,),
+    Protocol.DUAL_FAMILY: (Family.PLAIN, Family.HAT),
+}
 
 
 @per_dim_cache
@@ -168,6 +193,30 @@ def _piece(d: int, alphabet: tuple[BasisId, ...], eve: bool, **columns: np.ndarr
 
     return RoundLog(d, alphabet, column("pretest"), column("family"), column("basis"),
                     column("outcome"), column("eve_outcome") if eve else None)
+
+
+def _finish(config: HarnessConfig, session: Generator[RoundLog, None, SessionReport],
+            ) -> tuple[SessionReport, RoundLog | None]:
+    """Run ``session``, the session of ``config``, to its end: its report, and
+    the pieces it yields copied into one RoundLog, or None if it yields none.
+    The log takes its columns from the first piece and is the only copy held."""
+    n_pre = config.pretest_rounds()
+    log, filled = None, dict.fromkeys(_COLUMN_DTYPES, 0)
+    while True:
+        try:
+            piece = next(session)
+        except StopIteration as done:
+            return done.value, log
+        if log is None:
+            log = RoundLog(piece.d, piece.alphabet, *(
+                None if getattr(piece, name) is None
+                else np.empty(n_pre if name == "pretest" else config.rounds - n_pre, dtype)
+                for name, dtype in _COLUMN_DTYPES.items()))
+        for name, start in filled.items():
+            part = getattr(piece, name)
+            if part is not None and part.size:
+                getattr(log, name)[start:start + part.size] = part
+                filled[name] += part.size
 
 
 @dataclass(frozen=True)
@@ -569,25 +618,26 @@ def _pretest_lookup(d: int, eve: bool) -> _InverseCdf:
     return _inverse_cdf(_cdf(probs.ravel()))
 
 
-def _run_session(d: int, rounds: int, seed: int, *, n_families: int, eve: bool,
-                 message_weights: np.ndarray, n_pre: int,
-                 posttest_fraction: float | None, workers: int, collect: bool,
+def _run_session(config: HarnessConfig, workers: int, collect: bool,
                  ) -> Generator[RoundLog, None, SessionReport]:
-    """Run one session as configured, and checked, by :class:`HarnessConfig`;
-    the generator's return value is its report.
+    """Run the session of ``config``, which names everything the engine
+    reads, on ``workers`` threads; the generator's return value is its report.
 
-    ``n_families`` is 1 for the original and tomographic protocols and 2
-    for the dual-family one.  The first ``n_pre`` of the ``rounds`` are
-    spent on tomography before signalling; ``pretest_divergence`` in
-    the report is the total-variation distance between the announced
-    pre-test frequencies and the exact undisturbed joint distribution.
-    With ``posttest_fraction=None`` every conclusive decode is checked
-    against Bob's record (a supervisor's view; the original protocol
-    itself has no verification step).  With ``collect`` the session
-    yields its rounds, one :class:`RoundLog` piece per block, in round
-    order; without, it yields nothing.
+    The first ``config.pretest_rounds()`` rounds are spent on tomography
+    before signalling; ``pretest_divergence`` in the report is the
+    total-variation distance between the announced pre-test frequencies
+    and the exact undisturbed joint distribution.  With
+    ``posttest_fraction=None`` every conclusive decode is checked against
+    Bob's record (a supervisor's view; the original protocol itself has
+    no verification step).  With ``collect`` the session yields its
+    rounds, one :class:`RoundLog` piece per block, in round order;
+    without, it yields nothing.  The callers check that ``workers`` is an
+    int >= 1; it never changes a result.
     """
-    alphabet = basis_alphabet(d, _FAMILIES[:n_families])
+    d, rounds, seed = config.d, config.rounds, config.seed
+    alphabet = config.alphabet()
+    eve = config.eve is not EveMode.OFF
+    n_pre = config.pretest_rounds()
     divergence = None
     if n_pre:
         lookup = _pretest_lookup(d, eve)
@@ -603,9 +653,11 @@ def _run_session(d: int, rounds: int, seed: int, *, n_families: int, eve: bool,
             if collect:
                 yield piece
         divergence = float(_total_variation(counts, n_pre, ideal))
-    message = _inverse_cdf(_cdf(message_weights / message_weights.sum()))
-    worker = functools.partial(_signal_block, alphabet, _table_lookup(d, n_families), d, eve,
-                               message, posttest_fraction, collect)
+    weights = config.message_weights()
+    message = _inverse_cdf(_cdf(weights / weights.sum()))
+    table = _table_lookup(d, len(_PROTOCOL_FAMILIES[config.protocol]))
+    worker = functools.partial(_signal_block, alphabet, table, d, eve, message,
+                               config.posttest_fraction, collect)
     tally = _SignalTally()
     for block_tally, piece in _run_blocks(worker, rounds - n_pre, seed, 0, workers):
         tally.add(block_tally)

@@ -33,6 +33,15 @@ def test_top_level_exports_are_the_readme_api():
         assert hasattr(mubsig, name), name
 
 
+def test_the_config_enums_are_one_object_under_every_name():
+    """The session engine defines Protocol and EveMode; the harness and the
+    top level re-export the same classes."""
+    from mubsig import harness, protocol
+
+    for name in ("Protocol", "EveMode"):
+        assert getattr(mubsig, name) is getattr(harness, name) is getattr(protocol, name)
+
+
 def test_readme_layout_table_lists_every_module():
     """The modules in README's layout table are exactly src/mubsig/*.py."""
     readme = (ROOT / "README.md").read_text()

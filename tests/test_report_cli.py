@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -21,6 +22,7 @@ from mubsig.report import (
     render_text,
     round_log_csv,
 )
+from mubsig.verify import CheckResult
 
 
 def run_session(config):
@@ -405,6 +407,101 @@ def test_cli_table_refuses_an_unwritable_out(tmp_path, monkeypatch, capsys):
     assert main(["table", "--dim", "3", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == f"mubsig: error: cannot write {out}: No such file or directory\n"
+
+
+class _FailingStream(io.StringIO):
+    """A text stream whose every write raises ``error``; its file descriptor is ``fd``."""
+
+    def __init__(self, error: OSError, fd: int = -1) -> None:
+        super().__init__()
+        self.error, self.fd = error, fd
+
+    def write(self, text: str) -> int:
+        raise self.error
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+@pytest.fixture
+def failing_stdout(tmp_path, monkeypatch):
+    """Make stdout a stream whose writes raise the given error; its file
+    descriptor is a scratch file, which the CLI may point at devnull."""
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    yield lambda error: monkeypatch.setattr(sys, "stdout", _FailingStream(error, fd))
+    os.close(fd)
+
+
+_DISK_FULL = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+_CLOSED_PIPE = BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+_WRITING_COMMANDS = {
+    "verify": ["verify", "--dim", "2"],
+    "verify-json": ["verify", "--dim", "2", "--format", "json"],
+    "table": ["table", "--dim", "2"],
+    "table-csv": ["table", "--dim", "2", "--format", "csv"],
+    "run": ["run", "--dim", "2", "--protocol", "original", "--rounds", "10"],
+    "run-text": ["run", "--dim", "2", "--protocol", "original", "--rounds", "10",
+                 "--format", "text"],
+    "run-csv": ["run", "--dim", "2", "--protocol", "original", "--rounds", "10",
+                "--format", "csv"],
+}
+
+
+@pytest.mark.parametrize("args", _WRITING_COMMANDS.values(), ids=_WRITING_COMMANDS.keys())
+def test_cli_write_errors_are_usage_errors(args, failing_stdout, tmp_path, monkeypatch,
+                                           capsys):
+    """A write that fails (here ENOSPC, a full disk) ends in one error line
+    and exit 2, the code of an ``--out`` that cannot be opened, not in a
+    traceback and exit 1, the code of a failed check."""
+    failing_stdout(_DISK_FULL)
+    assert main(args) == 2
+    assert capsys.readouterr().err == ("mubsig: error: cannot write stdout: "
+                                       "No space left on device\n")
+    if args[0] == "verify":   # verify has no --out
+        return
+    out = tmp_path / "out"
+    monkeypatch.setattr(Path, "open", lambda *a, **k: _FailingStream(_DISK_FULL))
+    assert main(args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"mubsig: error: cannot write {out}: "
+                                       "No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("args,to_out", [
+    (_WRITING_COMMANDS["verify"], False), (_WRITING_COMMANDS["table"], True),
+    (_WRITING_COMMANDS["run"], True), (_WRITING_COMMANDS["run-csv"], False)],
+    ids=("verify", "table-out", "run-out", "run-csv"))
+def test_cli_write_errors_to_a_full_device(args, to_out):
+    """The same against /dev/full in a child process, where the flush at
+    exit, after the error, must neither fail nor change the exit code."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "mubsig.cli", *args]
+                              + (["--out", "/dev/full"] if to_out else []),
+                              env=env, stdout=subprocess.DEVNULL if to_out else full,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    where = "/dev/full" if to_out else "stdout"
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"mubsig: error: cannot write {where}: No space left on device\n"
+
+
+@pytest.mark.parametrize("fmt", ("text", "json"))
+@pytest.mark.parametrize("closed", (False, True), ids=("open", "closed"))
+def test_cli_verify_keeps_its_verdict_when_the_reader_closes_the_pipe(
+        fmt, closed, failing_stdout, monkeypatch, capsys):
+    """A failed check exits 1 also when the reader closed stdout early
+    (``mubsig verify | head -1`` under ``set -o pipefail``); a passing
+    suite still exits 0, quietly."""
+    passing = (CheckResult("field-arithmetic", True, 3),)
+    failing = passing + (CheckResult("decode-soundness", False, 1, "forced"),)
+    if closed:
+        failing_stdout(_CLOSED_PIPE)
+    for results, code in ((failing, 1), (passing, 0)):
+        monkeypatch.setattr("mubsig.cli.run_invariant_suite", lambda d: results)
+        assert main(["verify", "--dim", "5", "--format", fmt]) == code
+        assert capsys.readouterr().err == ""
 
 
 def test_cli_table_text(capsys):

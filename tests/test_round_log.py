@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from mubsig import cli, harness, protocol, report
+from mubsig import cli, protocol, report
 from mubsig.bases import basis_alphabet, pair_outcome_labels
 from mubsig.harness import EveMode, HarnessConfig, Protocol, run_trials
 from mubsig.protocol import _FAMILIES, BLOCK_ROUNDS
@@ -147,6 +147,9 @@ def test_cli_writes_the_csv_chunk_by_chunk(monkeypatch):
             for line in lines:
                 self.write(line)
 
+        def flush(self):
+            pass
+
     monkeypatch.setattr(sys, "stdout", Recorder())
     assert cli.main(["run", "--dim", "3", "--protocol", "original", "--rounds", "20000",
                      "--format", "csv"]) == 0
@@ -209,7 +212,7 @@ def test_session_pieces_are_its_blocks_in_round_order():
     expected, log = run_trials(config, return_rounds=True)
     n_pre = config.pretest_rounds()
     for workers in (1, 2):
-        session = harness._session(config, workers, collect=True)
+        session = protocol._run_session(config, workers, collect=True)
         pieces = []
         with pytest.raises(StopIteration) as done:
             while True:

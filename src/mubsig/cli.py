@@ -98,7 +98,7 @@ def _load_config_file(path: Path) -> dict:
         raise _CliError(f"cannot read config file: {exc}") from exc
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:   # RecursionError: nested too deep
         raise _CliError(f"malformed config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise _CliError(f"config file {path} must hold a JSON object")

@@ -406,14 +406,12 @@ def _inverse_cdf(cum: np.ndarray) -> _InverseCdf:
     by_row -= np.arange(0, rows * cells, cells, dtype=np.int64)[:, None]
     inside = keys >= 0
     bucket, keys = bucket[inside], keys[inside]
-    first = np.diff(bucket, prepend=-1) != 0   # keys are sorted, so a bucket's are a run
-    last = np.append(first[1:], True)
-    same = keys[first] == keys[last]   # the run's first and last keys, so all its keys
     edge = np.full(rows << bits, _UNIT, dtype=np.int64)
-    edge[bucket] = -1
-    edge[bucket[first][same]] = keys[first][same]
+    edge[bucket] = keys   # one of each bucket's keys, whichever write wins
+    differs = keys != edge[bucket]
+    edge[bucket[differs]] = -1
     return _InverseCdf(cells, bits, _frozen(thresholds), _frozen(start), _frozen(edge),
-                       not same.all())
+                       bool(differs.any()))
 
 
 @per_dim_cache
@@ -462,18 +460,6 @@ def ideal_pretest_distribution(d: int) -> np.ndarray:
     if abs(probs.sum() - 1.0) > 1e-12:
         raise RuntimeError("pre-test reference distribution does not normalize")
     return _frozen(probs)
-
-
-def _eve_pretest_probs(d: int) -> np.ndarray:
-    """Pre-test joint distribution while the substitution attack is running.
-
-    Bob measures half of Eve's decoy pair and Alice's own half is away in
-    Eve's hands, so both reduced states are maximally mixed, the announced
-    pairs decouple, and every (b, m, a, m') has probability 1/((d+1) d)^2.
-    Same shape as :func:`ideal_pretest_distribution`.
-    """
-    n_bases = d + 1
-    return _frozen(np.full((n_bases, d, n_bases, d), 1.0 / (n_bases * d) ** 2))
 
 
 def _total_variation(counts: np.ndarray, total: int, ideal: np.ndarray) -> np.ndarray:
@@ -532,13 +518,11 @@ def _run_blocks(worker: Callable[[np.random.Generator, int, _Scratch], object],
 
 @dataclass
 class _SignalTally:
-    rounds: int = 0
     matched: int = 0          # family-matched rounds (all, for single-family runs)
     kept: int = 0             # matched and conclusive
     correct: int = 0
     checked: int = 0
     mismatches: int = 0
-    eve_conclusive: int = 0
     eve_correct: int = 0
 
     def add(self, other: _SignalTally) -> None:
@@ -590,7 +574,7 @@ def _signal_block(alphabet: tuple[BasisId, ...], lookup: _InverseCdf, d: int, ev
         dcode += np.multiply(hat, d + 1, out=scratch("offset", np.int64, n))
     hit = np.equal(dcode, b_idx, out=scratch("hit", bool, n))
     hit &= kept
-    tally = _SignalTally(rounds=n, matched=matched, kept=int(np.count_nonzero(kept)),
+    tally = _SignalTally(matched=matched, kept=int(np.count_nonzero(kept)),
                          correct=int(np.count_nonzero(hit)))
     if posttest_fraction is None:
         tally.checked, tally.mismatches = tally.kept, tally.kept - tally.correct
@@ -602,10 +586,8 @@ def _signal_block(alphabet: tuple[BasisId, ...], lookup: _InverseCdf, d: int, ev
         checked &= hit
         tally.mismatches = tally.checked - int(np.count_nonzero(checked))
     if eve:   # Eve's codes name plain bases, so only plain messages can match
-        eve_hit = scratch("eve_hit", bool, n)
-        tally.eve_conclusive = int(np.count_nonzero(
-            np.not_equal(eve_code, _INCONCLUSIVE_CODE, out=eve_hit)))
-        tally.eve_correct = int(np.count_nonzero(np.equal(eve_code, b_idx, out=eve_hit)))
+        tally.eve_correct = int(np.count_nonzero(
+            np.equal(eve_code, b_idx, out=scratch("eve_hit", bool, n))))
     if not collect:
         return tally, None
     return tally, _piece(d, alphabet, eve, family=np.zeros(n, bool) if hat is None else hat,
@@ -614,8 +596,14 @@ def _signal_block(alphabet: tuple[BasisId, ...], lookup: _InverseCdf, d: int, ev
 
 @per_dim_cache
 def _pretest_lookup(d: int, eve: bool) -> _InverseCdf:
-    probs = _eve_pretest_probs(d) if eve else ideal_pretest_distribution(d)
-    return _inverse_cdf(_cdf(probs.ravel()))
+    """The exact inverse CDF of the pre-test cells.  Under the substitution
+    attack Bob measures half of Eve's decoy and Alice's half is in Eve's
+    hands, so both are maximally mixed and every (b, m, a, m') has
+    probability 1/((d+1) d)^2."""
+    if eve:
+        cells = ((d + 1) * d) ** 2
+        return _inverse_cdf(_cdf(np.full(cells, 1.0 / cells)))
+    return _inverse_cdf(_cdf(ideal_pretest_distribution(d).ravel()))
 
 
 def _run_session(config: HarnessConfig, workers: int, collect: bool,
@@ -668,5 +656,5 @@ def _run_session(config: HarnessConfig, workers: int, collect: bool,
         decode_accuracy=_ratio(tally.correct, tally.kept),
         inconclusive_rate=_ratio(tally.matched - tally.kept, tally.matched),
         detection_rate=_ratio(tally.mismatches, tally.checked),
-        eve_information_rate=_ratio(tally.eve_correct, tally.rounds),
+        eve_information_rate=_ratio(tally.eve_correct, rounds - n_pre),
         pretest_divergence=divergence, seed=seed)

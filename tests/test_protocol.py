@@ -316,10 +316,12 @@ def dense_eve_pretest_probs(d):
 
 
 def test_eve_pretest_probs_match_dense_derivation():
+    """Under the substitution attack every pre-test cell has probability
+    1/((d+1) d)^2, the uniform joint the attacked pre-test lookup draws from."""
     for d in (2, 3, 5):
-        closed = protocol._eve_pretest_probs(d)
-        assert closed.shape == (d + 1, d, d + 1, d)
-        assert_allclose(closed, dense_eve_pretest_probs(d), rtol=0, atol=1e-15)
+        dense = dense_eve_pretest_probs(d)
+        assert dense.shape == (d + 1, d, d + 1, d)
+        assert_allclose(dense, 1 / ((d + 1) * d) ** 2, rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -651,12 +653,12 @@ def test_a_signal_block_draws_its_words_in_one_call(n_families, eve, posttest_fr
     alphabet = basis_alphabet(d, protocol._FAMILIES[:n_families])
     message = protocol._inverse_cdf(_cdf(np.full(len(alphabet), 1.0 / len(alphabet))))
     stream = _RecordingStream(4)
-    tally, log = protocol._signal_block(
+    _, log = protocol._signal_block(
         alphabet, protocol._table_lookup(d, n_families), d, eve, message, posttest_fraction,
         True, stream, n, protocol._Scratch(n))
     draws = (n_families == 2) + 2 + eve + (posttest_fraction is not None)
     assert stream.calls == [n] * draws
-    assert tally.rounds == len(log) == n
+    assert len(log) == n
 
 
 def test_a_signal_block_holds_one_row_of_raw_words_at_a_time():
@@ -703,24 +705,43 @@ def test_grouped_lookup_equals_per_row_searchsorted(d, n_families):
     if n_families == 1:
         _assert_lookup_is_searchsorted(protocol._pretest_lookup(d, False),
                                        ideal_pretest_distribution(d).ravel())
+        cells = ((d + 1) * d) ** 2
         _assert_lookup_is_searchsorted(protocol._pretest_lookup(d, True),
-                                       protocol._eve_pretest_probs(d).ravel())
+                                       np.full(cells, 1 / cells))
 
 
 @pytest.mark.parametrize("d", [3, 7, 13])
 def test_guide_searches_only_buckets_of_different_keys(d):
-    """A bucket whose in-row keys are all equal (zero cells after a nonzero
-    one share their edge) takes that key as its edge and never searches."""
-    lookup = protocol._table_lookup(d, 1)
-    row = np.arange(lookup.thresholds.size) // lookup.cells
-    keys = lookup.thresholds - row * 2 ** 53
-    inside = keys >= 0   # a key of -1 (a leading zero cell) lies below its row's buckets
-    bucket = lookup.thresholds[inside] >> (53 - lookup.bits)
-    pairs = np.unique(np.stack([bucket, keys[inside]]), axis=1)
-    buckets, distinct = np.unique(pairs[0], return_counts=True)
-    searched = np.flatnonzero(lookup.edge < 0)
-    assert_array_equal(searched, buckets[distinct >= 2])
-    assert lookup.searches == (searched.size > 0)
+    """Per bucket of every lookup a session builds, ``edge`` is 2^53 when
+    the bucket holds no in-row key, its key when all its keys are equal
+    (zero cells after a nonzero one share their edge), and -1 otherwise;
+    ``start`` counts the in-row keys below the bucket.  Only -1 searches."""
+    lookups = [protocol._table_lookup(d, 1), protocol._table_lookup(d, 2),
+               protocol._pretest_lookup(d, False), protocol._pretest_lookup(d, True)]
+    n_bases = len(basis_alphabet(d, protocol._FAMILIES))
+    weights = np.arange(n_bases, dtype=float) % 3   # some messages never sent
+    for w in (np.ones(n_bases), weights):
+        lookups.append(protocol._inverse_cdf(_cdf(w / w.sum())))
+    for lookup in lookups:
+        rows = lookup.thresholds.size // lookup.cells
+        row = np.repeat(np.arange(rows), lookup.cells)
+        keys = lookup.thresholds - row * 2 ** 53
+        per_row = 1 << lookup.bits
+        # a key of -1 (a leading zero cell) lies below its row's buckets
+        inside = keys >= 0
+        bucket = (row << lookup.bits)[inside] + (keys[inside] >> (53 - lookup.bits))
+        held = np.bincount(bucket, minlength=rows * per_row)
+        low = np.full(rows * per_row, 2 ** 53)
+        high = np.full(rows * per_row, -1)
+        np.minimum.at(low, bucket, keys[inside])
+        np.maximum.at(high, bucket, keys[inside])
+        edge = np.where(held == 0, 2 ** 53, np.where(low == high, low, -1))
+        assert_array_equal(lookup.edge, edge)
+        floor = np.arange(per_row) << (53 - lookup.bits)   # each bucket's first key
+        start = np.concatenate([np.searchsorted(np.sort(keys[row == r]), floor)
+                                for r in range(rows)])
+        assert_array_equal(lookup.start, start)
+        assert lookup.searches == bool((edge < 0).any())
 
 
 # Blocks sample into buffers that each worker thread reuses; these sessions

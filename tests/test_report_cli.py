@@ -361,6 +361,12 @@ def test_cli_usage_errors(tmp_path, capsys):
     bad.write_text("{broken")
     assert main(["run", "--config", str(bad)]) == 2
     capsys.readouterr()
+    deep = tmp_path / "deep.json"   # nested past the parser's recursion limit
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["run", "--config", str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"mubsig: error: malformed config file {deep}: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -1,5 +1,5 @@
-"""Monte Carlo trial running, exact reference distributions, and the
-statistics used to compare the two.
+"""Monte Carlo trial running and the exact reference distributions the
+sessions are checked against.
 
 Everything here is deterministic given the configured seed: rounds are
 sampled block-wise from streams derived purely from (seed, block index),
@@ -26,13 +26,10 @@ from .protocol import (
     _decode_codes,
     _finish,
     _run_session,
-    _total_variation,
-    ideal_pretest_distribution,
     pair_outcome_labels,
     pair_outcome_probs,
 )
 from .quantum import _frozen
-from .streams import derive_round_stream
 
 __all__ = [
     "AnalyticDistribution",
@@ -40,7 +37,6 @@ __all__ = [
     "HarnessConfig",
     "Protocol",
     "analytic_outcome_distribution",
-    "calibrate_tv_threshold",
     "dual_family_detection_probability",
     "run_trials",
 ]
@@ -188,47 +184,6 @@ def analytic_outcome_distribution(d: int, bob_basis: BasisId) -> AnalyticDistrib
         raise TypeError(f"bob_basis must be a BasisId, got {type(bob_basis).__name__}")
     probs = pair_outcome_probs(d, bob_basis.family, bob_basis)
     return AnalyticDistribution(pair_outcome_labels(d), probs)
-
-
-# calibrate_tv_threshold takes this quantile of the statistic over this many
-# undisturbed runs, times this margin.  It draws the runs a chunk at a time,
-# from one stream, so it never holds more than a chunk of count vectors.
-_CALIBRATION_RUNS = 4000
-_CALIBRATION_QUANTILE = 0.999
-_CALIBRATION_MARGIN = 1.5
-_CALIBRATION_CHUNK = 64
-
-
-def calibrate_tv_threshold(d: int, sample_size: int, seed: int) -> float:
-    """Threshold for the pre-test statistic, calibrated by simulation.
-
-    Draws undisturbed count vectors of ``sample_size`` pre-test rounds at
-    dimension ``d``, takes a high quantile of their total-variation
-    distances from the exact joint, and inflates it by a margin.  The
-    margin keeps the false-alarm rate negligible across many repetitions
-    while staying far below the order-one divergence an interception
-    produces at small d.  Raises ``ValueError`` when the threshold is 1
-    or more: no session's TV can exceed it, so the pre-test could never
-    raise an alarm with that few rounds.
-    """
-    if isinstance(sample_size, bool) or not isinstance(sample_size, int):
-        raise TypeError(f"sample_size must be of type int, got {sample_size!r}")
-    if sample_size < 1:
-        raise ValueError("sample_size must be >= 1")
-    ideal = ideal_pretest_distribution(d).ravel()
-    rng = derive_round_stream(seed, 0)
-    tvs = []
-    for start in range(0, _CALIBRATION_RUNS, _CALIBRATION_CHUNK):
-        size = min(_CALIBRATION_CHUNK, _CALIBRATION_RUNS - start)
-        draws = rng.multinomial(sample_size, ideal, size=size)
-        tvs.append(_total_variation(draws, sample_size, ideal))
-    threshold = float(_CALIBRATION_MARGIN * np.quantile(np.concatenate(tvs),
-                                                        _CALIBRATION_QUANTILE))
-    if threshold >= 1.0:
-        raise ValueError(f"the calibrated TV threshold at d={d}, sample_size={sample_size} "
-                         f"is {threshold:.3f}, but a TV never exceeds 1, so the pre-test "
-                         "could never raise an alarm; use more pre-test rounds")
-    return threshold
 
 
 def dual_family_detection_probability(d: int, eve_family: Family = Family.PLAIN,

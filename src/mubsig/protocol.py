@@ -34,12 +34,13 @@ family, or plain and hat together) and in their checks (a tomography
 pre-test, post-test checking with sifting).  Sessions sample rounds
 from one exact inverse CDF of the outcome rows, compiled once per
 dimension and family count from the pure pair states.  Every draw (Bob's
-message, each pair outcome, each pre-test cell) is the top 53 bits k of
-one raw 64-bit word of the block's stream, the integer behind the
-uniform u = k/2^53, and one exact inverse-CDF lookup, :class:`_InverseCdf`.
-Its guide table answers almost every draw with two gathers and one
-comparison, so a million rounds cost about as much as a few million
-array gathers.  The per-round statistics remain
+message, each pair outcome) is the top 53 bits k of one raw 64-bit word
+of the block's stream, the integer behind the uniform u = k/2^53, and
+one exact inverse-CDF lookup, :class:`_InverseCdf`.  Its guide table
+answers almost every draw with two gathers and one comparison, so a
+million rounds cost about as much as a few million array gathers.  A
+pre-test round needs no table: its cell is uniform but for the partner
+pairs of :func:`_pretest_partners`.  The per-round statistics remain
 exactly those of the state-by-state simulation in :mod:`mubsig.oracle`,
 which runs one round at a time on pure states and draws each outcome
 with one uniform and one float inverse-CDF search.
@@ -147,8 +148,9 @@ class RoundLog:
     """Every round of one collected session, as the index arrays the engine sampled.
 
     Pre-test rounds come first, then signal rounds, each phase in block
-    order.  ``pretest`` holds one cell of :func:`ideal_pretest_distribution`
-    per pre-test round, as an index into its ``ravel()``.  Per signal
+    order.  ``pretest`` holds one cell per pre-test round: Bob's basis and
+    outcome (b, m) and Alice's (a, m'), bases in :func:`basis_alphabet`
+    order, as a flat C-order index over shape (d+1, d, d+1, d).  Per signal
     round, ``family`` is Alice's preparation family (0 plain, 1 hat),
     ``basis`` Bob's basis as an index into ``alphabet``, and ``outcome``
     Alice's pair outcome as an index into :func:`pair_outcome_labels`;
@@ -230,6 +232,14 @@ class SessionReport:
     sifted rounds, ``detection_rate`` over the checked subset, and
     ``eve_information_rate`` over all signal rounds.  Ratios over an
     empty denominator report 0.0.
+
+    The pre-test fields are None without a pre-test.
+    ``pretest_correlated`` counts the pre-test rounds whose bases (b, a)
+    are partners, where the undisturbed pair fixes Alice's outcome
+    (:func:`_pretest_partners`); ``pretest_hits`` counts those where she
+    read it.  ``pretest_abort`` is ``pretest_hits < pretest_correlated``.
+    Without channel noise an undisturbed session never aborts, and an
+    intercepted one goes unnoticed with probability (1/d)^correlated.
     """
 
     rounds: int
@@ -238,7 +248,9 @@ class SessionReport:
     inconclusive_rate: float
     detection_rate: float
     eve_information_rate: float
-    pretest_divergence: float | None
+    pretest_correlated: int | None
+    pretest_hits: int | None
+    pretest_abort: bool | None
     seed: int
 
 
@@ -436,37 +448,23 @@ def _table_lookup(d: int, n_families: int) -> _InverseCdf:
 
 
 # ---------------------------------------------------------------------------
-# Public tomography test reference distributions.
+# The public tomography pre-test.
 # ---------------------------------------------------------------------------
 
 @per_dim_cache
-def ideal_pretest_distribution(d: int) -> np.ndarray:
-    """Joint distribution of (b, m, a, m') in an undisturbed pre-test round.
+def _pretest_partners(d: int) -> np.ndarray:
+    """The ket Alice's half of the (0,0;0) pair is left in once Bob reads m
+    in the plain basis b, as the read-only (d+1) x d int64 array of a*d + m'
+    for the a-th basis's m'-th ket, bases in :func:`basis_alphabet` order.
 
-    Bob picks b uniformly over the d+1 plain bases and measures his half
-    of the (0,0;0) pair; Alice picks a uniformly and measures hers.
-    Returns a read-only array of shape (d+1, d, d+1, d) indexed
-    [b, m, a, m'], bases in :func:`basis_alphabet` order; its ``ravel()``
-    numbers the pre-test cells.
+    Her half is then the conjugate of Bob's ket, reflected n -> -n: comp
+    at -m for comp, and q_(-b) at m for q_b, or at m + b for d = 2, where
+    the phase unit i has period 4.  Every other basis of hers is unbiased
+    to that one, so in it her outcome is uniform.
     """
-    alphabet = basis_alphabet(d)
-    # bh[b, m] is <b_m| of basis b.  Stacks of matrix-vector products on this
-    # transposed view sum in a fixed order per cell; a matrix product, or a
-    # contiguous copy of bh, would move cells by an ulp.
-    bh = np.array([measurement_basis(d, b) for b in alphabet]).conj().transpose(0, 2, 1)
-    kept = (_prep_pair(d, Family.PLAIN).T @ bh[..., None])[..., 0]   # [b, m]: Alice's half
-    amps = bh @ kept[:, :, None, :, None]   # [b, m, a, m', 1]
-    probs = np.abs(amps[..., 0]) ** 2 / len(alphabet) ** 2
-    if abs(probs.sum() - 1.0) > 1e-12:
-        raise RuntimeError("pre-test reference distribution does not normalize")
-    return _frozen(probs)
-
-
-def _total_variation(counts: np.ndarray, total: int, ideal: np.ndarray) -> np.ndarray:
-    """Total-variation distance of count vectors (last axis: the flat cells)
-    of ``total`` rounds each from the flat distribution ``ideal``."""
-    share = counts / total - ideal   # numpy reuses the temporary counts / total
-    return 0.5 * np.abs(share, out=share).sum(axis=-1)
+    b, m = np.arange(d)[:, None], np.arange(d)
+    quad = -b % d * d + (m + b * (d == 2)) % d   # q_b -> q_(-b) at m (+ b)
+    return _frozen(np.concatenate([[-m % d], d + quad]))
 
 
 # ---------------------------------------------------------------------------
@@ -594,16 +592,53 @@ def _signal_block(alphabet: tuple[BasisId, ...], lookup: _InverseCdf, d: int, ev
                          basis=b_idx, outcome=out_idx, eve_outcome=eve_idx if eve else ())
 
 
-@per_dim_cache
-def _pretest_lookup(d: int, eve: bool) -> _InverseCdf:
-    """The exact inverse CDF of the pre-test cells.  Under the substitution
-    attack Bob measures half of Eve's decoy and Alice's half is in Eve's
-    hands, so both are maximally mixed and every (b, m, a, m') has
-    probability 1/((d+1) d)^2."""
-    if eve:
-        cells = ((d + 1) * d) ** 2
-        return _inverse_cdf(_cdf(np.full(cells, 1.0 / cells)))
-    return _inverse_cdf(_cdf(ideal_pretest_distribution(d).ravel()))
+_HIGH_BITS = 26   # a draw k splits into k >> 26 and the low 26 bits
+
+
+def _scaled(high: np.ndarray, low: np.ndarray, size: int, out: np.ndarray,
+            spare: np.ndarray) -> np.ndarray:
+    """floor(k * size / 2^53) of the draws k = high * 2^26 + low, exactly,
+    for ``size`` < 2^32: high * size < 2^59 and low * size < 2^58 fit in
+    int64.  The result goes to ``out`` and ``spare`` takes a temporary;
+    either may be ``high`` or ``low``, whichever this is the last use of."""
+    np.multiply(low, size, out=spare)
+    spare >>= _HIGH_BITS
+    np.multiply(high, size, out=out)
+    out += spare
+    out >>= _UNIT_BITS - _HIGH_BITS
+    return out
+
+
+def _pretest_block(alphabet: tuple[BasisId, ...], eve: bool, collect: bool, first: np.ndarray,
+                   target: np.ndarray, stream: np.random.Generator, n: int, scratch: _Scratch,
+                   ) -> tuple[int, int, RoundLog | None]:
+    """Sample ``n`` pre-test rounds from one row of raw words: how many
+    fell on partner bases, how many of those read the partner outcome, and
+    with ``collect`` the rounds as a :class:`RoundLog` piece.
+
+    Draw k is the cell floor(k N / 2^53) of the N = ((d+1) d)^2 cells, and
+    x = floor(k (d+1) d / 2^53) is its (b, m), so every cell is equally
+    likely: that is the attacked joint, where Bob and Alice measure halves
+    of different pairs, each maximally mixed.  Without Eve, Alice's
+    outcome on Bob's partner basis becomes the partner outcome, which
+    makes it the undisturbed joint.  ``first[x]`` is the first cell of the
+    partner basis pair of x and ``target[x]`` its partner cell.
+    """
+    d, side = len(alphabet) - 1, first.size
+    k = _draws(stream, n)
+    high = np.right_shift(k, _HIGH_BITS, out=scratch("high", np.int64, n))
+    k &= (1 << _HIGH_BITS) - 1
+    cell = _scaled(high, k, side * side, scratch("cell", np.int64, n), scratch("row", np.int64, n))
+    x = _scaled(high, k, side, high, k)
+    offset = np.take(first, x, out=k, mode="clip")
+    np.subtract(cell, offset, out=offset)
+    correlated = np.less(offset.view(np.uint64), d, out=scratch("mask", bool, n))
+    hit = np.take(target, x, out=scratch("row", np.int64, n), mode="clip")
+    if not eve:   # cell += hit - cell on partner rounds; a masked copy took twice as long
+        cell += np.multiply(np.subtract(hit, cell, out=offset), correlated, out=offset)
+    hits = np.count_nonzero(np.equal(cell, hit, out=scratch("hit", bool, n)))
+    piece = _piece(d, alphabet, eve, pretest=cell) if collect else None
+    return int(np.count_nonzero(correlated)), int(hits), piece
 
 
 def _run_session(config: HarnessConfig, workers: int, collect: bool,
@@ -612,9 +647,7 @@ def _run_session(config: HarnessConfig, workers: int, collect: bool,
     reads, on ``workers`` threads; the generator's return value is its report.
 
     The first ``config.pretest_rounds()`` rounds are spent on tomography
-    before signalling; ``pretest_divergence`` in the report is the
-    total-variation distance between the announced pre-test frequencies
-    and the exact undisturbed joint distribution.  With
+    before signalling (see :class:`SessionReport` for its fields).  With
     ``posttest_fraction=None`` every conclusive decode is checked against
     Bob's record (a supervisor's view; the original protocol itself has
     no verification step).  With ``collect`` the session yields its
@@ -626,21 +659,19 @@ def _run_session(config: HarnessConfig, workers: int, collect: bool,
     alphabet = config.alphabet()
     eve = config.eve is not EveMode.OFF
     n_pre = config.pretest_rounds()
-    divergence = None
+    correlated = hits = None
     if n_pre:
-        lookup = _pretest_lookup(d, eve)
-
-        def pretest_block(stream: np.random.Generator, n: int, scratch: _Scratch) -> RoundLog:
-            cells = lookup(0, _draws(stream, n), scratch("outcome", np.int64, n), scratch)
-            return _piece(d, alphabet, eve, pretest=cells)
-
-        ideal = ideal_pretest_distribution(d).ravel()
-        counts = np.zeros(ideal.size, dtype=np.int64)
-        for piece in _run_blocks(pretest_block, n_pre, seed, _PRETEST_STREAM_BASE, workers):
-            np.add.at(counts, piece.pretest, 1)
-            if collect:
+        correlated = hits = 0
+        partner = _pretest_partners(d).ravel()
+        target = np.arange(0, partner.size ** 2, partner.size) + partner   # x side + a d + m'
+        pretest = functools.partial(_pretest_block, alphabet, eve, collect,
+                                    target - partner % d, target)
+        for block_correlated, block_hits, piece in _run_blocks(
+                pretest, n_pre, seed, _PRETEST_STREAM_BASE, workers):
+            correlated += block_correlated
+            hits += block_hits
+            if piece is not None:
                 yield piece
-        divergence = float(_total_variation(counts, n_pre, ideal))
     weights = config.message_weights()
     message = _inverse_cdf(_cdf(weights / weights.sum()))
     table = _table_lookup(d, len(_PROTOCOL_FAMILIES[config.protocol]))
@@ -657,4 +688,5 @@ def _run_session(config: HarnessConfig, workers: int, collect: bool,
         inconclusive_rate=_ratio(tally.matched - tally.kept, tally.matched),
         detection_rate=_ratio(tally.mismatches, tally.checked),
         eve_information_rate=_ratio(tally.eve_correct, rounds - n_pre),
-        pretest_divergence=divergence, seed=seed)
+        pretest_correlated=correlated, pretest_hits=hits,
+        pretest_abort=None if hits is None else hits < correlated, seed=seed)

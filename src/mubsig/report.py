@@ -21,7 +21,7 @@ from .bases import BasisId, basis_alphabet, pair_outcome_labels
 from .harness import _CONFIG_KEYS, HarnessConfig, analytic_outcome_distribution
 from .protocol import _FAMILIES, RoundLog, SessionReport, _decode_codes
 
-SCHEMA = "mubsig.report/1"
+SCHEMA = "mubsig.report/2"
 
 __all__ = [
     "SCHEMA",
@@ -140,8 +140,10 @@ def render_text(document: Mapping) -> str:
         f"         detection={results['detection_rate']:.6f} "
         f"eve_information={results['eve_information_rate']:.6f}",
     ]
-    if results.get("pretest_divergence") is not None:
-        lines.append(f"pretest  tv_divergence={results['pretest_divergence']:.6f}")
+    if results.get("pretest_abort") is not None:
+        lines.append(f"pretest  correlated={results['pretest_correlated']} "
+                     f"hits={results['pretest_hits']} "
+                     f"decision={'abort' if results['pretest_abort'] else 'accept'}")
     return "\n".join(lines) + "\n"
 
 

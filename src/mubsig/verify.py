@@ -39,7 +39,15 @@ from .harness import (
     run_trials,
 )
 from .oracle import _amplitudes, _branches, _forward_basis, _Measured, run_round_original
-from .protocol import _FAMILIES, _INCONCLUSIVE_CODE, _decode_codes, _inverses, decode
+from .protocol import (
+    _FAMILIES,
+    _INCONCLUSIVE_CODE,
+    _decode_codes,
+    _inverses,
+    _prep_pair,
+    _pretest_partners,
+    decode,
+)
 from .quantum import TOLERANCE
 from .streams import derive_round_stream
 
@@ -276,6 +284,27 @@ def _check_measurement_backaction(c: _Check, d: int) -> None:
                 f"{diag[support[i]]!r} != {1.0 / d!r}"))
 
 
+def _check_pretest_partners(c: _Check, d: int) -> None:
+    """Once Bob reads m in a plain basis b, Alice's half of the (0,0;0) pair
+    is the ket of the partner basis at the partner outcome that the
+    pre-test sampler assigns, up to a phase: |<a_m'|phi_m>|^2 = <phi_m|phi_m>
+    for her unnormalized conditional ket phi_m.  Every other basis of hers
+    is unbiased to that one (``mutual-unbiasedness``), so in it her outcome
+    is uniform, as the sampler draws it."""
+    alphabet = basis_alphabet(d)
+    partners = _pretest_partners(d)
+    pair = _prep_pair(d, Family.PLAIN)
+    for b, basis in enumerate(alphabet):
+        phi = measurement_basis(d, basis).conj().T @ pair   # row m: phi_m
+        a, mp = np.divmod(partners[b], d)
+        kets = np.array([measurement_basis(d, alphabet[i])[:, j] for i, j in zip(a, mp)])
+        overlap = np.abs((kets.conj() * phi).sum(axis=1)) ** 2
+        norm = (np.abs(phi) ** 2).sum(axis=1)
+        c.expect_all(np.abs(overlap - norm) <= TOLERANCE, lambda m: (
+            f"{basis.text()} outcome {m}: Alice's ket is not {alphabet[a[m]].text()} "
+            f"outcome {mp[m]} ({float(overlap[m])!r} != {float(norm[m])!r})"))
+
+
 def _check_decode_soundness(c: _Check, d: int) -> None:
     """Every supported outcome of every basis choice decodes back to it."""
     labels = np.array(pair_outcome_labels(d))
@@ -459,6 +488,7 @@ _CHECKS: dict[str, Callable[[_Check, int], None]] = {
     "pair-reduced-states": _check_pair_reduced_states,
     "hadamard-root": _check_hadamard_root,
     "measurement-backaction": _check_measurement_backaction,
+    "pretest-partners": _check_pretest_partners,
     "decode-soundness": _check_decode_soundness,
     "decode-completeness": _check_decode_completeness,
     "travelling-privacy": _check_travelling_privacy,

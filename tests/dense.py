@@ -7,7 +7,9 @@
   partial trace.  The package itself works on pure states and exact
   tables; these plain functions on arrays are what those are checked
   against.
-* The undisturbed pre-test joint, one (b, m, a, m') cell at a time.
+* The undisturbed pre-test joint over (b, m, a, m'), as one dense array
+  and one cell at a time, and the total-variation distance between
+  joints or from count vectors.
 * Outcome sampling by a float inverse CDF, one ``rng.random()`` and one
   ``searchsorted`` per draw: the draws that the single-round oracle
   makes off its cached CDFs, replayed on an identically seeded generator.
@@ -97,6 +99,29 @@ def sample_outcome(probs, rng, size=None):
     if size is None:
         return int(idx)
     return idx.astype(np.int64)
+
+
+def pretest_joint(d):
+    """The undisturbed pre-test joint as a read-only array of shape
+    (d+1, d, d+1, d), indexed [b, m, a, m'], bases in ``basis_alphabet``
+    order: Bob picks b uniformly and measures his half of the (0,0;0)
+    pair, and Alice picks a uniformly and measures hers."""
+    alphabet = basis_alphabet(d)
+    # bh[b, m] is <b_m| of basis b
+    bh = np.array([measurement_basis(d, b) for b in alphabet]).conj().transpose(0, 2, 1)
+    psi = entangled_basis(d)[:, 0].reshape(d, d)
+    kept = (psi.T @ bh[..., None])[..., 0]   # [b, m]: Alice's half
+    amps = bh @ kept[:, :, None, :, None]   # [b, m, a, m', 1]
+    probs = np.abs(amps[..., 0]) ** 2 / len(alphabet) ** 2
+    probs.setflags(write=False)
+    return probs
+
+
+def total_variation(counts, total, ideal):
+    """Total-variation distance of count vectors (last axis: the flat cells)
+    of ``total`` rounds each from the flat distribution ``ideal``; with
+    ``total=1``, of one distribution from another."""
+    return 0.5 * np.abs(np.asarray(counts) / total - ideal).sum(axis=-1)
 
 
 def pretest_loop(d):

@@ -24,7 +24,6 @@ from mubsig.harness import (
     HarnessConfig,
     Protocol,
     analytic_outcome_distribution,
-    calibrate_tv_threshold,
     dual_family_detection_probability,
     run_trials,
 )
@@ -279,29 +278,31 @@ def test_dual_family_sifting_exposes_the_intercept():
 
 # ---------------------------------------------------------------------------
 # 9. The tomography pre-test separates clean and intercepted sessions
-#    with a threshold calibrated from the exact reference distribution.
+#    exactly: a clean session reads the partner outcome on every round on
+#    partner bases, and an attacked one misses it with probability 1 - 1/d.
 # ---------------------------------------------------------------------------
 
 @acceptance
 def test_tomography_pretest_flags_interception():
     start = time.monotonic()
-    d, rounds, frac = 2, 40_000, 0.5
-    n_pre = int(round(rounds * frac))
-    threshold = calibrate_tv_threshold(d, n_pre, seed=1000)
-    assert 0.0 < threshold < 0.5
 
-    def divergence(seed, eve):
-        return run_trials(HarnessConfig(
+    def pretest(d, rounds, frac, seed, eve):
+        report = run_trials(HarnessConfig(
             d=d, protocol=Protocol.TOMOGRAPHIC, rounds=rounds,
             pretest_fraction=frac, posttest_fraction=0.5, seed=seed,
-            eve=EveMode.INTERCEPT if eve else EveMode.OFF)).pretest_divergence
+            eve=EveMode.INTERCEPT if eve else EveMode.OFF))
+        assert report.pretest_correlated > 0
+        assert report.pretest_abort == (report.pretest_hits < report.pretest_correlated)
+        return report
 
-    false_alarms = sum(divergence(seed, eve=False) > threshold
-                       for seed in range(100))
-    detections = sum(divergence(seed, eve=True) > threshold
-                     for seed in range(200, 300))
-    assert false_alarms == 0
-    assert detections >= 99
+    # 20 000 pre-test rounds each: 100 seeds per side at d = 2, 10 at the others
+    runs = [(2, 100, 40_000, 0.5)] + [(d, 10, 25_000, 0.8) for d in (3, 5, 7, 11, 13, 31)]
+    for d, seeds, rounds, frac in runs:
+        for seed in range(seeds):
+            clean = pretest(d, rounds, frac, seed, eve=False)
+            assert clean.pretest_hits == clean.pretest_correlated, (d, seed)
+            assert not clean.pretest_abort
+            assert pretest(d, rounds, frac, 200 + seed, eve=True).pretest_abort, (d, seed)
     assert time.monotonic() - start < 120.0
 
 

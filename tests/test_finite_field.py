@@ -64,7 +64,6 @@ _CACHED_CALLS = {
     "decode": lambda d: protocol.decode(d, (0, 0, 0), (1, 2)),
     "pair_outcome_probs": lambda d: protocol.pair_outcome_probs(d, Family.PLAIN,
                                                                 BasisId(Family.PLAIN, 1)),
-    "ideal_pretest_distribution": protocol.ideal_pretest_distribution,
     "analytic_outcome_distribution": lambda d: analytic_outcome_distribution(
         d, BasisId(Family.HAT, 1)),
     "dual_family_detection_probability": dual_family_detection_probability,

@@ -12,12 +12,11 @@ from mubsig.harness import (
     HarnessConfig,
     Protocol,
     analytic_outcome_distribution,
-    calibrate_tv_threshold,
     dual_family_detection_probability,
     run_trials,
 )
-from mubsig import harness, protocol
-from mubsig.protocol import _total_variation, ideal_pretest_distribution, pair_outcome_probs
+from mubsig import protocol
+from mubsig.protocol import pair_outcome_probs
 from mubsig.streams import derive_round_stream
 from dense import basis_code, decode_oracle
 
@@ -165,45 +164,6 @@ def test_analytic_outcome_distribution_refuses_a_basis_that_is_not_a_basis_id(ba
         analytic_outcome_distribution(3, basis)
 
 
-def test_calibrate_tv_threshold_behavior():
-    t1 = calibrate_tv_threshold(2, 2000, seed=5)
-    t2 = calibrate_tv_threshold(2, 2000, seed=5)
-    t3 = calibrate_tv_threshold(2, 2000, seed=6)
-    assert t1 == t2
-    assert t1 != t3
-    assert 0.0 < t1 < 0.5
-    # the statistic shrinks roughly as 1/sqrt(n)
-    assert calibrate_tv_threshold(2, 20000, seed=5) < t1
-    with pytest.raises(ValueError):
-        calibrate_tv_threshold(2, 0, seed=5)
-
-
-@pytest.mark.parametrize("sample_size", [2000.9, 2000.0, True, "2000", None])
-def test_calibrate_tv_threshold_refuses_a_sample_size_that_is_not_an_int(sample_size):
-    """The multinomial would truncate 2000.9 rounds to 2000 while the TV
-    divides by 2000.9, and True would pass as one round."""
-    with pytest.raises(TypeError, match="sample_size must be of type int"):
-        calibrate_tv_threshold(2, sample_size, seed=5)
-
-
-def test_calibrate_tv_threshold_refuses_a_threshold_no_tv_reaches():
-    """TV never exceeds 1: at d=7 with 500 rounds the calibrated 1.216 could
-    never raise an alarm, so the calibration refuses it."""
-    with pytest.raises(ValueError, match=r"d=7.*sample_size=500"):
-        calibrate_tv_threshold(7, 500, seed=2)
-
-
-@pytest.mark.parametrize("d", (2, 3))
-def test_calibration_chunks_draw_the_one_shot_sample(d, monkeypatch):
-    """Drawing the runs in chunks of 7 gives the threshold of one draw of all runs."""
-    ideal = ideal_pretest_distribution(d).ravel()
-    draws = derive_round_stream(9, 0).multinomial(300, ideal, size=harness._CALIBRATION_RUNS)
-    one_shot = harness._CALIBRATION_MARGIN * np.quantile(
-        _total_variation(draws, 300, ideal), harness._CALIBRATION_QUANTILE)
-    monkeypatch.setattr(harness, "_CALIBRATION_CHUNK", 7)
-    assert calibrate_tv_threshold(d, 300, seed=9) == float(one_shot)
-
-
 def test_stream_derivation_pure_and_decoupled():
     a = derive_round_stream(42, 7).random(5)
     b = derive_round_stream(42, 7).random(5)
@@ -221,11 +181,6 @@ def test_a_bool_seed_or_stream_index_is_refused(seed, index):
     """A bool is an int to numpy, so True drew the stream of seed 1."""
     with pytest.raises(TypeError, match="not a bool"):
         derive_round_stream(seed, index)
-
-
-def test_calibrate_tv_threshold_refuses_a_bool_seed():
-    with pytest.raises(TypeError, match="not a bool"):
-        calibrate_tv_threshold(3, 100, True)
 
 
 @pytest.mark.parametrize("seed,index,n", [(0, 0, 1), (1, 3, 7), (42, 7, 1000),

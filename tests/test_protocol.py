@@ -30,7 +30,6 @@ from mubsig.protocol import (
     BLOCK_ROUNDS,
     RoundLog,
     decode,
-    ideal_pretest_distribution,
     pair_outcome_probs,
 )
 from mubsig.quantum import TOLERANCE, _cdf
@@ -43,8 +42,10 @@ from dense import (
     entangled_basis,
     nonselective_measure,
     partial_trace,
+    pretest_joint,
     pretest_loop,
     sample_outcome,
+    total_variation,
 )
 
 # ---------------------------------------------------------------------------
@@ -281,7 +282,7 @@ def test_round_vs_table_distribution():
 
 def test_pretest_distribution_is_the_dense_loop_read_only():
     for d in (2, 3, 5, 7, 11, 13):
-        probs = ideal_pretest_distribution(d)
+        probs = pretest_joint(d)
         assert probs.shape == (d + 1, d, d + 1, d)
         assert not probs.flags.writeable
         assert_array_equal(probs.ravel(), pretest_loop(d))
@@ -289,7 +290,7 @@ def test_pretest_distribution_is_the_dense_loop_read_only():
 
 def test_pretest_distribution_normalized_with_uniform_marginals():
     for d in (2, 3):
-        probs = ideal_pretest_distribution(d)
+        probs = pretest_joint(d)
         assert abs(probs.sum() - 1.0) < 1e-12
         assert_allclose(probs.sum(axis=(2, 3)), 1.0 / ((d + 1) * d), rtol=0, atol=1e-10)
 
@@ -300,7 +301,7 @@ def test_pretest_distribution_computational_anticorrelation():
         comp = basis_alphabet(d).index(BasisId(Family.PLAIN, None))
         m = np.arange(d)
         expected = np.where(m[:, None] == (-m) % d, 1.0 / ((d + 1) ** 2 * d), 0.0)
-        assert_allclose(ideal_pretest_distribution(d)[comp, :, comp, :], expected,
+        assert_allclose(pretest_joint(d)[comp, :, comp, :], expected,
                         rtol=0, atol=1e-12)
 
 
@@ -317,11 +318,97 @@ def dense_eve_pretest_probs(d):
 
 def test_eve_pretest_probs_match_dense_derivation():
     """Under the substitution attack every pre-test cell has probability
-    1/((d+1) d)^2, the uniform joint the attacked pre-test lookup draws from."""
+    1/((d+1) d)^2, the uniform joint an attacked pre-test block draws from."""
     for d in (2, 3, 5):
         dense = dense_eve_pretest_probs(d)
         assert dense.shape == (d + 1, d, d + 1, d)
         assert_allclose(dense, 1 / ((d + 1) * d) ** 2, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
+def test_pretest_partners_are_the_correlated_cells_of_the_joint(d):
+    """Each (b, m) of Bob's has one partner basis a of Alice's where the
+    undisturbed joint puts all of its mass on one m', and every other
+    (b, a) is uniform, in both the dense joint and the sampler's table."""
+    joint = pretest_joint(d).reshape((d + 1) * d, d + 1, d)
+    partner = protocol._pretest_partners(d)
+    assert partner.shape == (d + 1, d) and not partner.flags.writeable
+    a, mp = np.divmod(partner.ravel(), d)
+    x = np.arange(a.size)
+    assert_allclose(joint[x, a, mp], 1 / ((d + 1) ** 2 * d), rtol=0, atol=1e-15)
+    assert (a.reshape(d + 1, d) == a[::d, None]).all()   # one a per b
+    assert sorted(a[::d]) == list(range(d + 1))   # and every a is some b's partner
+    uniform = np.ones(joint.shape, bool)
+    uniform[x, a] = False
+    assert_allclose(joint[uniform], 1 / ((d + 1) * d) ** 2, rtol=0, atol=1e-15)
+
+
+def test_the_total_variation_between_the_joints_shrinks_like_1_over_d():
+    """The exact TV between the undisturbed and the attacked joint is
+    (d - 1) / (d (d + 1)): all of it sits on the partner pairs, a 1/(d+1)
+    share of the rounds.  The statistic the pre-test once thresholded lost
+    its power as d grew; the partner counts keep a factor 1/d per round."""
+    for d in (2, 3, 5, 7, 11, 13):
+        cells = ((d + 1) * d) ** 2
+        tv = total_variation(pretest_joint(d).ravel(), 1, np.full(cells, 1 / cells))
+        assert abs(tv - (d - 1) / (d * (d + 1))) < 1e-12, d
+
+
+class _RawWords:
+    """A stand-in block stream that serves the draws ``k``, each as a raw
+    word with the low 11 bits set, bits the engine must drop."""
+
+    def __init__(self, k):
+        self.bit_generator = self
+        self.words = (np.asarray(k, dtype=np.uint64) << np.uint64(11)) | np.uint64(0x7FF)
+
+    def random_raw(self, n):
+        assert n == self.words.size
+        return self.words.copy()
+
+
+def _pretest_block(d, eve, k):
+    """One collected pre-test block of the draws ``k``: (n_c, h, cells)."""
+    partner = protocol._pretest_partners(d).ravel()
+    target = np.arange(0, partner.size ** 2, partner.size) + partner
+    n_c, h, piece = protocol._pretest_block(
+        basis_alphabet(d), eve, True, target - partner % d, target, _RawWords(k), len(k),
+        protocol._Scratch(len(k)))
+    return n_c, h, piece.pretest.astype(np.int64)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
+def test_pretest_cells_are_the_exact_joint(d):
+    """Draw k reads the cell floor(k N / 2^53) of the N cells: the block
+    reads exactly that on both sides of every cell's least k, and at 0 and
+    2^53 - 1.  So the k in [0, 2^53) that read cell c number
+    least(c + 1) - least(c), and with Alice's outcome on partner bases set
+    to the partner outcome they make the undisturbed joint within 1e-15,
+    with the same zero cells.  The attacked joint is uniform within 2^-53."""
+    side = (d + 1) * d
+    cells = side * side
+    least = [-(-c * 2 ** 53 // cells) for c in range(cells + 1)]   # Python ints, exact
+    k = np.array(least[1:-1], dtype=np.int64)
+    k = np.concatenate([k - 1, k, [0, 2 ** 53 - 1]])
+    read = np.concatenate([np.arange(cells - 1), np.arange(1, cells), [0, cells - 1]])
+    # the undisturbed reading: Alice's m' moves to the partner outcome on partner pairs
+    partner = protocol._pretest_partners(d).ravel()
+    x = np.arange(cells) // side
+    on_partner = np.arange(cells) % side // d == partner[x] // d
+    moved = np.where(on_partner, x * side + partner[x], np.arange(cells))
+    for eve, expected in ((True, read), (False, moved[read])):
+        n_c, h, got = _pretest_block(d, eve, k)
+        assert_array_equal(got, expected)
+        assert n_c == on_partner[read].sum()
+        assert h == (expected == (read // side * side + partner[read // side])).sum()
+    count = np.diff(np.array(least, dtype=np.int64))
+    assert count.sum() == 2 ** 53 and count.max() - count.min() <= 1
+    attacked = count / 2 ** 53
+    assert np.abs(attacked - 1 / cells).max() <= 2 ** -53
+    honest = np.bincount(moved, weights=count, minlength=cells) / 2 ** 53
+    joint = pretest_joint(d).ravel()
+    assert np.abs(honest - joint).max() <= 1e-15
+    assert_array_equal(honest == 0, joint < TOLERANCE)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +451,8 @@ def test_original_session_report_matches_records(signal_rounds):
         # posttest_fraction=None checks every conclusive round
         mism = kept - correct
         assert report.detection_rate == (mism / kept if kept else 0.0)
-        assert report.pretest_divergence is None
+        assert (report.pretest_correlated, report.pretest_hits,
+                report.pretest_abort) == (None, None, None)
 
 
 def test_original_session_exact_rates_no_eve():
@@ -422,8 +510,8 @@ def test_tomographic_session_record_structure():
     report, log = run_trials(tomographic(2, 1000, seed=30), return_rounds=True)
     assert log.pretest.size == 200
     assert log.basis.size == 800
-    assert report.pretest_divergence is not None
-    assert 0.0 <= report.pretest_divergence < 0.5
+    assert 0 < report.pretest_correlated == report.pretest_hits < 200
+    assert report.pretest_abort is False
     assert report.decode_accuracy == 1.0
 
 
@@ -558,7 +646,7 @@ def test_cdf_tail_never_samples_impossible_outcomes(d, monkeypatch, signal_round
     if d == 3:   # these weights sum to 0.9999999999999999 = u, short of 1
         configs.append(original(d, 2, 0, message_distribution={
             "comp": 0.1, "q0": 0.2, "q1": 0.3}))
-    pretest = ideal_pretest_distribution(d).ravel()
+    pretest = pretest_joint(d).ravel()
     for cfg in configs:
         weights = cfg.message_weights()
         sendable = {b for i, b in enumerate(cfg.alphabet())
@@ -688,8 +776,8 @@ def test_a_signal_block_holds_one_row_of_raw_words_at_a_time():
 
 @pytest.mark.parametrize("d,n_families", [(d, f) for d in (2, 5, 13, 31) for f in (1, 2)])
 def test_grouped_lookup_equals_per_row_searchsorted(d, n_families):
-    """The guide-table lookups of the outcome tables, of Bob's message and of
-    the pre-test cells are the per-row float inverse CDF, also on cell edges."""
+    """The guide-table lookups of the outcome tables and of Bob's message
+    are the per-row float inverse CDF, also on cell edges."""
     lookup, rows = protocol._table_lookup(d, n_families), _table_rows(d, n_families)
     _assert_lookup_is_searchsorted(lookup, rows)
     k = np.array([0, 1, 1 << 52, (1 << 53) - 1])
@@ -702,12 +790,6 @@ def test_grouped_lookup_equals_per_row_searchsorted(d, n_families):
     weights[::3] = 0.0
     for w in (np.full(n_bases, 1.0 / n_bases), weights / weights.sum()):
         _assert_lookup_is_searchsorted(protocol._inverse_cdf(_cdf(w)), w)
-    if n_families == 1:
-        _assert_lookup_is_searchsorted(protocol._pretest_lookup(d, False),
-                                       ideal_pretest_distribution(d).ravel())
-        cells = ((d + 1) * d) ** 2
-        _assert_lookup_is_searchsorted(protocol._pretest_lookup(d, True),
-                                       np.full(cells, 1 / cells))
 
 
 @pytest.mark.parametrize("d", [3, 7, 13])
@@ -716,8 +798,7 @@ def test_guide_searches_only_buckets_of_different_keys(d):
     the bucket holds no in-row key, its key when all its keys are equal
     (zero cells after a nonzero one share their edge), and -1 otherwise;
     ``start`` counts the in-row keys below the bucket.  Only -1 searches."""
-    lookups = [protocol._table_lookup(d, 1), protocol._table_lookup(d, 2),
-               protocol._pretest_lookup(d, False), protocol._pretest_lookup(d, True)]
+    lookups = [protocol._table_lookup(d, 1), protocol._table_lookup(d, 2)]
     n_bases = len(basis_alphabet(d, protocol._FAMILIES))
     weights = np.arange(n_bases, dtype=float) % 3   # some messages never sent
     for w in (np.ones(n_bases), weights):
@@ -823,26 +904,27 @@ def test_block_stream_stays_a_few_blocks_ahead_of_its_reader(monkeypatch):
     assert len(scratches) <= 2
 
 
-def test_pretest_blocks_are_counted_into_one_vector(monkeypatch):
-    """The pre-test blocks of a d=31 session at workers=2 return their cells,
-    and the reader counts them into the session's one vector over the
-    (d(d+1))^2 cells.  With the lookup and ``ideal`` cached, the session's
-    traced peak is that vector, the float share of it that the divergence
-    takes, and at most 4 MB of block buffers and pieces (a count vector per
-    block, sampled ahead of the reader, peaked at 4.1 vectors)."""
+def test_pretest_blocks_hold_a_few_blocks_of_buffers(monkeypatch):
+    """The pre-test blocks of a warm d=61 session at workers=2 return two
+    counts each, and nothing the size of the ((d+1) d)^2 = 14.3 M cells is
+    made: the session's traced peak is a few blocks' buffers (each thread's
+    scratch set for either phase, and the rows of raw words in flight),
+    under 20 int64 rows of a block (it peaked at 12.5), where one int64
+    vector over the cells takes 114 MB."""
     monkeypatch.setattr(protocol, "_usable_cpus", lambda: 2)
-    d = 31
+    d = 61
     config = tomographic(d, 8 * BLOCK_ROUNDS, 3, eve=EveMode.INTERCEPT, pretest_fraction=0.75)
     assert config.pretest_rounds() >= 4 * BLOCK_ROUNDS
     run_trials(tomographic(d, 10, 3, eve=EveMode.INTERCEPT, pretest_fraction=0.5))   # the caches
     tracemalloc.start()
     try:
-        run_trials(config, workers=2)
+        report = run_trials(config, workers=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    vector = ideal_pretest_distribution(d).size * np.dtype(np.int64).itemsize
-    assert peak < 2 * vector + 4e6, peak / vector
+    assert report.pretest_abort
+    row = BLOCK_ROUNDS * np.dtype(np.int64).itemsize
+    assert peak < 20 * row, peak / row
 
 
 def test_worker_threads_are_capped(monkeypatch):

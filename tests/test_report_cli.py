@@ -173,11 +173,11 @@ def test_cli_refuses_dimensions_above_max_dim_at_once(capsys):
         assert "largest supported" in capsys.readouterr().err
 
 
-def _run_capped(*args: str) -> subprocess.CompletedProcess:
-    """``python -m mubsig.cli *args`` in a child process under a 1.5 GB
-    address-space cap."""
+def _run_capped(*args: str, cap_mb: int = 1536) -> subprocess.CompletedProcess:
+    """``python -m mubsig.cli *args`` in a child process under an
+    address-space cap of ``cap_mb`` MB, 1.5 GB unless given."""
     resource = pytest.importorskip("resource")
-    cap = 1536 * 2 ** 20
+    cap = cap_mb * 2 ** 20
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
@@ -192,15 +192,26 @@ def _run_capped(*args: str) -> subprocess.CompletedProcess:
 
 def test_cli_out_of_memory_is_a_usage_error():
     """A session that cannot be allocated ends in one error line and exit 2,
-    not a traceback.  At d=101 the pre-test's ((d + 1) d)^2 cell
-    distribution and its lookup ask for more than the cap."""
+    not a traceback.  At d=251 the outcome table's compilation asks for
+    more than a 512 MB cap (a d=251 session peaked at 1.26 GB uncapped)."""
+    proc = _run_capped("run", "--dim", "251", "--protocol", "original", "--rounds", "100",
+                       cap_mb=512)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines() == ["mubsig: error: dimension 251 with 100 rounds "
+                                        "needs more memory than this process may use"]
+    assert proc.stdout == ""
+
+
+def test_cli_tomographic_run_at_d101_fits_the_cap():
+    """The pre-test decides from two counts per block and never builds the
+    ((d + 1) d)^2 = 1.06e8 cells, whose distribution and lookup once took
+    the d=101 session past the cap."""
     proc = _run_capped("run", "--dim", "101", "--protocol", "tomographic",
                        "--pretest-fraction", "0.2", "--posttest-fraction", "0.5",
                        "--rounds", "100")
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.splitlines() == ["mubsig: error: dimension 101 with 100 rounds "
-                                        "needs more memory than this process may use"]
-    assert proc.stdout == ""
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["results"]["pretest_abort"] is False
 
 
 def test_cli_run_at_d101_fits_the_cap():
@@ -247,6 +258,36 @@ def test_each_config_key_is_defined_once():
         k for k in _CONFIG_KEYS if k != "message_distribution"]
 
 
+# A mubsig.report/1 document, whose pre-test reported a total-variation
+# divergence; the signal phase it reports has not changed since.
+_REPORT_1 = {
+    "artifact": {"name": "mubsig", "version": "0.1.0"},
+    "config": {"dim": 2, "eve": "intercept", "message_distribution": "uniform",
+               "posttest_fraction": 0.5, "pretest_fraction": 0.2, "protocol": "tomographic",
+               "rounds": 300, "seed": 7},
+    "results": {"decode_accuracy": 1.0, "detection_rate": 0.0,
+                "eve_information_rate": 0.5166666666666667, "inconclusive_rate": 0.75,
+                "pretest_divergence": 0.4388888888888889, "rounds": 300, "seed": 7,
+                "sifted": 60},
+    "schema": "mubsig.report/1",
+}
+
+
+def test_a_report_1_document_reruns_its_config():
+    """A /1 report still loads as a config, and its rerun echoes that config
+    and reproduces every signal-phase result; only the pre-test keys differ."""
+    config = config_from_document(_REPORT_1)
+    doc = run_session(config)
+    assert doc["schema"] == SCHEMA == "mubsig.report/2"
+    assert doc["config"] == _REPORT_1["config"]
+    old = dict(_REPORT_1["results"])
+    del old["pretest_divergence"]
+    new = dict(doc["results"])
+    assert new.pop("pretest_abort") is True
+    assert new.pop("pretest_hits") < new.pop("pretest_correlated")
+    assert new == old
+
+
 def test_config_from_document_accepts_integral_floats():
     cfg = config_from_document({"dim": 3.0, "protocol": "original",
                                 "rounds": 100.0, "seed": 7.0})
@@ -259,9 +300,13 @@ def test_render_text_summary():
     text = render_text(run_session(cfg))
     assert "d=2 protocol=tomographic" in text
     assert "decode_accuracy=1.000000" in text
-    assert "tv_divergence" in text
+    results = run_trials(cfg)
+    assert (f"pretest  correlated={results.pretest_correlated} "
+            f"hits={results.pretest_correlated} decision=accept\n") in text
+    attacked = dataclasses.replace(cfg, eve=EveMode.INTERCEPT)
+    assert "decision=abort\n" in render_text(run_session(attacked))
     plain = HarnessConfig(d=2, protocol=Protocol.ORIGINAL, rounds=100)
-    assert "tv_divergence" not in render_text(run_session(plain))
+    assert "pretest" not in render_text(run_session(plain))
 
 
 def test_round_log_csv_signal_rows():

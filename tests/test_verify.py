@@ -38,6 +38,7 @@ EXPECTED_NAMES = (
     "pair-reduced-states",
     "hadamard-root",
     "measurement-backaction",
+    "pretest-partners",
     "decode-soundness",
     "decode-completeness",
     "travelling-privacy",
@@ -215,6 +216,21 @@ def test_mutual_unbiasedness_catches_a_perturbed_column(monkeypatch):
     assert re.match(r"\|<comp,\d\|q2,0>\|\^2: ", result.detail), result.detail
 
 
+@pytest.mark.parametrize("d", (2, 5))
+def test_pretest_partners_catches_a_wrong_partner(d, monkeypatch):
+    """The check reads the sampler's partner table and measures it against
+    kets built from the pair and the bases.  Partnering q_b with itself at
+    outcome m holds for comp and q0 only: at d = 5 q1 needs q4, and at
+    d = 2 q1 needs outcome m + 1, as the phase unit i has period 4."""
+    table = np.array([[b * d + m if b else -m % d for m in range(d)] for b in range(d + 1)])
+    monkeypatch.setattr(verify, "_pretest_partners", lambda dim: table)
+    result = verify._run_check("pretest-partners", d)
+    assert not result.passed
+    assert result.assertions == (d + 1) * d
+    assert result.detail.startswith("q1 outcome 0: Alice's ket is not q1 outcome 0"), \
+        result.detail
+
+
 def test_measurement_backaction_catches_a_conjugated_kept_half(monkeypatch, fresh_caches):
     d = 5
     real = oracle._branches
@@ -319,8 +335,10 @@ def test_a_check_that_raises_fails_alone(monkeypatch, capsys):
     assert main(["verify", "--dim", "3"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert [line for line in out if not line.startswith("[ok  ]")] == [
-        f"[FAIL] analytic-distributions (0 assertions): {results[12].detail}",
-        f"17/18 checks passed, {sum(r.assertions for r in results)} assertions, d=3"]
+        f"[FAIL] analytic-distributions (0 assertions): "
+        f"{results[EXPECTED_NAMES.index('analytic-distributions')].detail}",
+        f"{len(EXPECTED_NAMES) - 1}/{len(EXPECTED_NAMES)} checks passed, "
+        f"{sum(r.assertions for r in results)} assertions, d=3"]
 
 
 def test_entangled_basis_catches_a_hat_transport_through_u_for_conj_u(monkeypatch):
@@ -363,5 +381,5 @@ def test_suite_at_d31_peaks_below_250_mb():
     proc = subprocess.run([sys.executable, "-c", _SUITE_PEAK, "31"], env=env,
                           capture_output=True, text=True, timeout=300, check=True)
     passed, assertions, peak_kb = proc.stdout.split()
-    assert (passed, int(assertions)) == ("True", 29_620_292)
+    assert (passed, int(assertions)) == ("True", 29_621_284)   # 992 from pretest-partners
     assert int(peak_kb) < 250 * 1024, peak_kb

@@ -33,14 +33,12 @@ signalling round and differ only in the preparation alphabet (one
 family, or plain and hat together) and in their checks (a tomography
 pre-test, post-test checking with sifting).  Sessions sample rounds
 from one exact inverse CDF of the outcome rows, compiled once per
-dimension and family count from the pure pair states.  Every draw (Bob's
-message, each pair outcome) is the top 53 bits k of one raw 64-bit word
-of the block's stream, the integer behind the uniform u = k/2^53, and
-one exact inverse-CDF lookup, :class:`_InverseCdf`.  Its guide table
-answers almost every draw with two gathers and one comparison, so a
-million rounds cost about as much as a few million array gathers.  A
-pre-test round needs no table: its cell is uniform but for the partner
-pairs of :func:`_pretest_partners`.  The per-round statistics remain
+dimension and family count from the pure pair states.  Every draw is the
+top 53 bits k of one raw 64-bit word of the block's stream, the integer
+behind the uniform u = k/2^53.  Bob's message and each pair outcome take
+one exact inverse-CDF lookup, :class:`_InverseCdf`, whose guide table
+answers almost every draw with two gathers and one comparison, and a
+pre-test cell two products and two gathers.  The per-round statistics remain
 exactly those of the state-by-state simulation in :mod:`mubsig.oracle`,
 which runs one round at a time on pure states and draws each outcome
 with one uniform and one float inverse-CDF search.
@@ -232,14 +230,10 @@ class SessionReport:
     sifted rounds, ``detection_rate`` over the checked subset, and
     ``eve_information_rate`` over all signal rounds.  Ratios over an
     empty denominator report 0.0.
-
-    The pre-test fields are None without a pre-test.
-    ``pretest_correlated`` counts the pre-test rounds whose bases (b, a)
-    are partners, where the undisturbed pair fixes Alice's outcome
-    (:func:`_pretest_partners`); ``pretest_hits`` counts those where she
-    read it.  ``pretest_abort`` is ``pretest_hits < pretest_correlated``.
-    Without channel noise an undisturbed session never aborts, and an
-    intercepted one goes unnoticed with probability (1/d)^correlated.
+    The pre-test fields are None without a pre-test: ``pretest_correlated``
+    counts its rounds on partner bases (:func:`_pretest_partners`),
+    ``pretest_hits`` those where Alice read the partner outcome, and
+    ``pretest_abort`` is ``pretest_hits < pretest_correlated``.
     """
 
     rounds: int
@@ -453,15 +447,11 @@ def _table_lookup(d: int, n_families: int) -> _InverseCdf:
 
 @per_dim_cache
 def _pretest_partners(d: int) -> np.ndarray:
-    """The ket Alice's half of the (0,0;0) pair is left in once Bob reads m
-    in the plain basis b, as the read-only (d+1) x d int64 array of a*d + m'
-    for the a-th basis's m'-th ket, bases in :func:`basis_alphabet` order.
-
-    Her half is then the conjugate of Bob's ket, reflected n -> -n: comp
-    at -m for comp, and q_(-b) at m for q_b, or at m + b for d = 2, where
-    the phase unit i has period 4.  Every other basis of hers is unbiased
-    to that one, so in it her outcome is uniform.
-    """
+    """Alice's m'-th ket of basis a, as a*d + m', that her half of the (0,0;0)
+    pair is left in once Bob reads m in basis b: a read-only (d+1) x d int64
+    array, bases in :func:`basis_alphabet` order.  It is comp at -m for
+    comp, and q_(-b) at m for q_b, or at m + b for d = 2, where the phase
+    unit i has period 4; in her other bases she reads m' uniformly."""
     b, m = np.arange(d)[:, None], np.arange(d)
     quad = -b % d * d + (m + b * (d == 2)) % d   # q_b -> q_(-b) at m (+ b)
     return _frozen(np.concatenate([[-m % d], d + quad]))
@@ -592,45 +582,36 @@ def _signal_block(alphabet: tuple[BasisId, ...], lookup: _InverseCdf, d: int, ev
                          basis=b_idx, outcome=out_idx, eve_outcome=eve_idx if eve else ())
 
 
-_HIGH_BITS = 26   # a draw k splits into k >> 26 and the low 26 bits
-
-
-def _scaled(high: np.ndarray, low: np.ndarray, size: int, out: np.ndarray,
-            spare: np.ndarray) -> np.ndarray:
-    """floor(k * size / 2^53) of the draws k = high * 2^26 + low, exactly,
-    for ``size`` < 2^32: high * size < 2^59 and low * size < 2^58 fit in
-    int64.  The result goes to ``out`` and ``spare`` takes a temporary;
-    either may be ``high`` or ``low``, whichever this is the last use of."""
-    np.multiply(low, size, out=spare)
-    spare >>= _HIGH_BITS
-    np.multiply(high, size, out=out)
+def _scaled(k: np.ndarray, size: int, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """floor(k * size / 2^53) of the draws k into ``out``, exactly for ``size``
+    < 2^32: the high 27 and the low 26 bits of k, times ``size``, fit in int64."""
+    np.bitwise_and(k, (1 << 26) - 1, out=spare)
+    spare *= size
+    spare >>= 26
+    np.right_shift(k, 26, out=out)
+    out *= size
     out += spare
-    out >>= _UNIT_BITS - _HIGH_BITS
+    out >>= _UNIT_BITS - 26
     return out
 
 
 def _pretest_block(alphabet: tuple[BasisId, ...], eve: bool, collect: bool, first: np.ndarray,
                    target: np.ndarray, stream: np.random.Generator, n: int, scratch: _Scratch,
                    ) -> tuple[int, int, RoundLog | None]:
-    """Sample ``n`` pre-test rounds from one row of raw words: how many
-    fell on partner bases, how many of those read the partner outcome, and
-    with ``collect`` the rounds as a :class:`RoundLog` piece.
+    """Sample ``n`` pre-test rounds from one row of raw words: the rounds on
+    partner bases, the hits among them, and with ``collect`` a :class:`RoundLog` piece.
 
-    Draw k is the cell floor(k N / 2^53) of the N = ((d+1) d)^2 cells, and
-    x = floor(k (d+1) d / 2^53) is its (b, m), so every cell is equally
-    likely: that is the attacked joint, where Bob and Alice measure halves
-    of different pairs, each maximally mixed.  Without Eve, Alice's
-    outcome on Bob's partner basis becomes the partner outcome, which
-    makes it the undisturbed joint.  ``first[x]`` is the first cell of the
-    partner basis pair of x and ``target[x]`` its partner cell.
-    """
+    Draw k reads cell floor(k N / 2^53) of the N = ((d+1) d)^2 cells, and
+    x = floor(k (d+1) d / 2^53) is its (b, m).  Uniform cells are the
+    attacked joint, where both halves are maximally mixed; without Eve,
+    Alice's outcome on partner bases becomes the partner outcome.
+    ``first[x]`` is the first cell of x's partner bases, ``target[x]`` its
+    partner cell."""
     d, side = len(alphabet) - 1, first.size
     k = _draws(stream, n)
-    high = np.right_shift(k, _HIGH_BITS, out=scratch("high", np.int64, n))
-    k &= (1 << _HIGH_BITS) - 1
-    cell = _scaled(high, k, side * side, scratch("cell", np.int64, n), scratch("row", np.int64, n))
-    x = _scaled(high, k, side, high, k)
-    offset = np.take(first, x, out=k, mode="clip")
+    cell = _scaled(k, side * side, scratch("cell", np.int64, n), scratch("row", np.int64, n))
+    x = _scaled(k, side, scratch("x", np.int64, n), scratch("row", np.int64, n))
+    offset = np.take(first, x, out=k, mode="clip")   # the draws are spent
     np.subtract(cell, offset, out=offset)
     correlated = np.less(offset.view(np.uint64), d, out=scratch("mask", bool, n))
     hit = np.take(target, x, out=scratch("row", np.int64, n), mode="clip")

@@ -285,12 +285,10 @@ def _check_measurement_backaction(c: _Check, d: int) -> None:
 
 
 def _check_pretest_partners(c: _Check, d: int) -> None:
-    """Once Bob reads m in a plain basis b, Alice's half of the (0,0;0) pair
-    is the ket of the partner basis at the partner outcome that the
-    pre-test sampler assigns, up to a phase: |<a_m'|phi_m>|^2 = <phi_m|phi_m>
-    for her unnormalized conditional ket phi_m.  Every other basis of hers
-    is unbiased to that one (``mutual-unbiasedness``), so in it her outcome
-    is uniform, as the sampler draws it."""
+    """Once Bob reads m in basis b, Alice's conditional ket phi_m is, up to a
+    phase, the partner ket a_m' the pre-test sampler assigns: |<a_m'|phi_m>|^2
+    = <phi_m|phi_m>.  Her other bases are unbiased to a (``mutual-unbiasedness``),
+    so in them she reads uniformly, as the sampler draws."""
     alphabet = basis_alphabet(d)
     partners = _pretest_partners(d)
     pair = _prep_pair(d, Family.PLAIN)

@@ -446,15 +446,19 @@ def _table_lookup(d: int, n_families: int) -> _InverseCdf:
 # ---------------------------------------------------------------------------
 
 @per_dim_cache
-def _pretest_partners(d: int) -> np.ndarray:
-    """Alice's m'-th ket of basis a, as a*d + m', that her half of the (0,0;0)
-    pair is left in once Bob reads m in basis b: a read-only (d+1) x d int64
-    array, bases in :func:`basis_alphabet` order.  It is comp at -m for
-    comp, and q_(-b) at m for q_b, or at m + b for d = 2, where the phase
-    unit i has period 4; in her other bases she reads m' uniformly."""
-    b, m = np.arange(d)[:, None], np.arange(d)
+def _pretest_partners(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each (b, m) of Bob's, numbered x = b d + m, the first pre-test
+    cell (b, m, a, 0) of his partner basis a and his partner cell
+    (b, m, a, m'): once Bob reads m in b, Alice's half of the (0,0;0) pair
+    is the m'-th ket of her basis a.  That is comp at -m for comp, and
+    q_(-b) at m for q_b, or at m + b for d = 2, where the phase unit i has
+    period 4; in her other bases she reads m' uniformly.  Cells are flat
+    C-order indices over shape (d+1, d, d+1, d), bases in
+    :func:`basis_alphabet` order; both arrays are read-only int64."""
+    b, m, side = np.arange(d)[:, None], np.arange(d), (d + 1) * d
     quad = -b % d * d + (m + b * (d == 2)) % d   # q_b -> q_(-b) at m (+ b)
-    return _frozen(np.concatenate([[-m % d], d + quad]))
+    target = np.arange(0, side * side, side) + np.concatenate([[-m % d], d + quad]).ravel()
+    return _frozen(target - target % d), _frozen(target)
 
 
 # ---------------------------------------------------------------------------
@@ -605,8 +609,7 @@ def _pretest_block(alphabet: tuple[BasisId, ...], eve: bool, collect: bool, firs
     x = floor(k (d+1) d / 2^53) is its (b, m).  Uniform cells are the
     attacked joint, where both halves are maximally mixed; without Eve,
     Alice's outcome on partner bases becomes the partner outcome.
-    ``first[x]`` is the first cell of x's partner bases, ``target[x]`` its
-    partner cell."""
+    ``first`` and ``target`` are the tables of :func:`_pretest_partners`."""
     d, side = len(alphabet) - 1, first.size
     k = _draws(stream, n)
     cell = _scaled(k, side * side, scratch("cell", np.int64, n), scratch("row", np.int64, n))
@@ -643,10 +646,7 @@ def _run_session(config: HarnessConfig, workers: int, collect: bool,
     correlated = hits = None
     if n_pre:
         correlated = hits = 0
-        partner = _pretest_partners(d).ravel()
-        target = np.arange(0, partner.size ** 2, partner.size) + partner   # x side + a d + m'
-        pretest = functools.partial(_pretest_block, alphabet, eve, collect,
-                                    target - partner % d, target)
+        pretest = functools.partial(_pretest_block, alphabet, eve, collect, *_pretest_partners(d))
         for block_correlated, block_hits, piece in _run_blocks(
                 pretest, n_pre, seed, _PRETEST_STREAM_BASE, workers):
             correlated += block_correlated

@@ -290,7 +290,7 @@ def _check_pretest_partners(c: _Check, d: int) -> None:
     = <phi_m|phi_m>.  Her other bases are unbiased to a (``mutual-unbiasedness``),
     so in them she reads uniformly, as the sampler draws."""
     alphabet = basis_alphabet(d)
-    partners = _pretest_partners(d)
+    partners = _pretest_partners(d)[1].reshape(d + 1, d) % ((d + 1) * d)   # a d + m'
     pair = _prep_pair(d, Family.PLAIN)
     for b, basis in enumerate(alphabet):
         phi = measurement_basis(d, basis).conj().T @ pair   # row m: phi_m

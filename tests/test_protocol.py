@@ -329,12 +329,16 @@ def test_eve_pretest_probs_match_dense_derivation():
 def test_pretest_partners_are_the_correlated_cells_of_the_joint(d):
     """Each (b, m) of Bob's has one partner basis a of Alice's where the
     undisturbed joint puts all of its mass on one m', and every other
-    (b, a) is uniform, in both the dense joint and the sampler's table."""
-    joint = pretest_joint(d).reshape((d + 1) * d, d + 1, d)
-    partner = protocol._pretest_partners(d)
-    assert partner.shape == (d + 1, d) and not partner.flags.writeable
-    a, mp = np.divmod(partner.ravel(), d)
-    x = np.arange(a.size)
+    (b, a) is uniform, in both the dense joint and the sampler's tables."""
+    side = (d + 1) * d
+    joint = pretest_joint(d).reshape(side, d + 1, d)
+    first, target = protocol._pretest_partners(d)
+    for table in (first, target):
+        assert table.shape == (side,) and not table.flags.writeable
+    x, y = np.divmod(target, side)
+    a, mp = np.divmod(y, d)
+    assert_array_equal(x, np.arange(side))
+    assert_array_equal(first, target - mp)
     assert_allclose(joint[x, a, mp], 1 / ((d + 1) ** 2 * d), rtol=0, atol=1e-15)
     assert (a.reshape(d + 1, d) == a[::d, None]).all()   # one a per b
     assert sorted(a[::d]) == list(range(d + 1))   # and every a is some b's partner
@@ -368,11 +372,10 @@ class _RawWords:
 
 
 def _pretest_block(d, eve, k):
-    """One collected pre-test block of the draws ``k``: (n_c, h, cells)."""
-    partner = protocol._pretest_partners(d).ravel()
-    target = np.arange(0, partner.size ** 2, partner.size) + partner
+    """One collected pre-test block of the draws ``k``, on the session's
+    tables: (n_c, h, cells)."""
     n_c, h, piece = protocol._pretest_block(
-        basis_alphabet(d), eve, True, target - partner % d, target, _RawWords(k), len(k),
+        basis_alphabet(d), eve, True, *protocol._pretest_partners(d), _RawWords(k), len(k),
         protocol._Scratch(len(k)))
     return n_c, h, piece.pretest.astype(np.int64)
 
@@ -392,15 +395,14 @@ def test_pretest_cells_are_the_exact_joint(d):
     k = np.concatenate([k - 1, k, [0, 2 ** 53 - 1]])
     read = np.concatenate([np.arange(cells - 1), np.arange(1, cells), [0, cells - 1]])
     # the undisturbed reading: Alice's m' moves to the partner outcome on partner pairs
-    partner = protocol._pretest_partners(d).ravel()
-    x = np.arange(cells) // side
-    on_partner = np.arange(cells) % side // d == partner[x] // d
-    moved = np.where(on_partner, x * side + partner[x], np.arange(cells))
+    target = protocol._pretest_partners(d)[1][np.arange(cells) // side]
+    on_partner = np.arange(cells) // d == target // d
+    moved = np.where(on_partner, target, np.arange(cells))
     for eve, expected in ((True, read), (False, moved[read])):
         n_c, h, got = _pretest_block(d, eve, k)
         assert_array_equal(got, expected)
         assert n_c == on_partner[read].sum()
-        assert h == (expected == (read // side * side + partner[read // side])).sum()
+        assert h == (expected == target[read]).sum()
     count = np.diff(np.array(least, dtype=np.int64))
     assert count.sum() == 2 ** 53 and count.max() - count.min() <= 1
     attacked = count / 2 ** 53

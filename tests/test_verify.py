@@ -222,8 +222,9 @@ def test_pretest_partners_catches_a_wrong_partner(d, monkeypatch):
     kets built from the pair and the bases.  Partnering q_b with itself at
     outcome m holds for comp and q0 only: at d = 5 q1 needs q4, and at
     d = 2 q1 needs outcome m + 1, as the phase unit i has period 4."""
-    table = np.array([[b * d + m if b else -m % d for m in range(d)] for b in range(d + 1)])
-    monkeypatch.setattr(verify, "_pretest_partners", lambda dim: table)
+    side = (d + 1) * d
+    target = np.array([x * side + (x if x >= d else -x % d) for x in range(side)])
+    monkeypatch.setattr(verify, "_pretest_partners", lambda dim: (target - target % d, target))
     result = verify._run_check("pretest-partners", d)
     assert not result.passed
     assert result.assertions == (d + 1) * d

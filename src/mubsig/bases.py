@@ -7,7 +7,8 @@ Two families are built for each prime dimension d:
   unbiased, where w = i for d = 2 and w = exp(2 pi i / d) otherwise;
 * the hat family: the same construction transported through the basis
   |m-hat> = sum_n |n> h[m, n], where h is the principal square root of
-  the d-dimensional Fourier matrix.
+  the d-dimensional Fourier matrix.  h is symmetric, so it is also the
+  unitary that sends |m> to |m-hat>: the hat transport is h itself.
 
 The phase exponent b n^2 - 2 n m is an exact integer and is reduced only
 modulo the true period of w (4 when d = 2, else d); reducing mod d first
@@ -17,7 +18,7 @@ Entangled pair states |c,r;s> = (1/sqrt d) sum_n |n>|c-n> w^(s n^2 - 2 r n)
 form, for fixed s, an orthonormal basis of the pair space: |c,r;s> is
 the r-th ket of the quadratic basis q_s laid along the anti-diagonal
 n' = c - n.  The protocols measure in the s = 0 basis; its hat variant
-transports it through the hat unitary on both halves.
+transports it through h on both halves.
 :func:`_pair_amplitudes` reads amplitudes in it off that structure, so
 no d^2 x d^2 basis is ever made.
 
@@ -126,7 +127,7 @@ def measurement_basis(d: int, basis: BasisId) -> np.ndarray:
         plain = measurement_basis(d, BasisId(Family.PLAIN, basis.quad))
         # a stack of matrix-vector products, one per ket: one matrix
         # product would sum in another order and move entries by an ulp
-        return _frozen((hat_unitary(d) @ plain.T[:, :, None])[:, :, 0].T.copy())
+        return _frozen((hadamard_root(d) @ plain.T[:, :, None])[:, :, 0].T.copy())
     if basis.quad is None:
         return _frozen(np.eye(d, dtype=complex))
     table = _omega_table(d)   # [n, m]: omega^(b n^2 - 2 n m) / sqrt(d)
@@ -154,6 +155,13 @@ def hadamard_root(d: int) -> np.ndarray:
     P_lam = 1/4 sum_j lam^-j F^j.  Then h = sum_lam sqrt(lam) P_lam,
     with the principal roots sqrt(-1) = i, sqrt(i) = exp(i pi/4) and
     sqrt(-i) = exp(-i pi/4).  F^2 is the parity n -> -n and F^3 = conj(F).
+
+    Each term is a scalar times one of those four symmetric matrices, so
+    h equals its transpose bit for bit: column m of h is the hat ket
+    |m-hat>, and h is the unitary the hat family is transported by.  The
+    hat basis is only useful if it is genuinely different from the
+    computational basis and not mutually unbiased to it; both properties
+    are checked here per dimension and violations raise.
     """
     f = _fourier_matrix(d)
     powers = (np.eye(d), f, np.eye(d)[-np.arange(d) % d], f.conj())
@@ -163,31 +171,15 @@ def hadamard_root(d: int) -> np.ndarray:
         raise RuntimeError("matrix square root failed to reproduce the Fourier matrix")
     if np.abs(h @ h.conj().T - np.eye(d)).max() > TOLERANCE:
         raise RuntimeError("matrix square root is not unitary")
-    return _frozen(h)
-
-
-@per_dim_cache
-def hat_unitary(d: int) -> np.ndarray:
-    """The unitary sending |m> to |m-hat> = sum_n |n> h[m, n], so column m
-    is row m of the Hadamard root h.
-
-    The hat basis is only useful if it is genuinely different from the
-    computational basis and not mutually unbiased to it; both properties
-    are checked here per dimension and violations raise.
-    """
-    u = hadamard_root(d).T.copy()
     eye = np.eye(d)
-    separation = max(
-        np.linalg.norm(u[:, [m]] - eye, axis=0).min() for m in range(d)
-    )
+    separation = max(np.linalg.norm(h[:, [m]] - eye, axis=0).min() for m in range(d))
     if separation <= 0.1:
         raise RuntimeError(
             f"hat basis coincides with the computational basis at d={d}")
-    overlap_dev = np.abs(np.abs(u) ** 2 - 1.0 / d).max()
-    if overlap_dev <= 1e-3:
+    if np.abs(np.abs(h) ** 2 - 1.0 / d).max() <= 1e-3:
         raise RuntimeError(
             f"hat basis is mutually unbiased to the computational basis at d={d}")
-    return _frozen(u)
+    return _frozen(h)
 
 
 @per_dim_cache
@@ -208,7 +200,7 @@ def _pair_amplitudes(d: int, family: Family, pairs: np.ndarray) -> np.ndarray:
     are the plain amplitudes of u^H V conj(u).
     """
     if family is Family.HAT:
-        u = hat_unitary(d)
+        u = hadamard_root(d)
         pairs = u.conj().T @ pairs @ u.conj()
     n = np.arange(d)
     skew = pairs[..., n, (n[:, None] - n) % d]   # [..., c, n] = V[n, c - n]

@@ -14,11 +14,11 @@ nonselective measurement, so the recorded statistics are those of the
 density-operator description (Nielsen & Chuang, section 2.4); the tables
 reach the same numbers by a summed formula instead.
 
-The branch amplitudes <e_k|v_m> of each (d, family, basis) are computed
-once per process, by :func:`_amplitudes`; :mod:`mubsig.verify` reads the
-same arrays.  The same cache entry keeps the CDFs a round draws from,
-each ``_cdf(_clean_probabilities(p))`` of its probabilities p and built
-on its first draw, so a draw is one ``u = rng.random()`` and one
+The branch amplitudes <e_k|v_m> of a (d, family, basis) are computed by
+:func:`_amplitudes`, which :mod:`mubsig.verify` reads too, and are not
+kept.  A round draws from the two CDFs :func:`_round_cdfs` caches for its
+(d, family, basis), each ``_cdf(_clean_probabilities(p))`` of the
+probabilities p, so a draw is one ``u = rng.random()`` and one
 ``searchsorted(cdf, u, side="right")``: never a cell below the
 tolerance, and one uniform per draw in draw order.  A round's
 decode is read off ``protocol._decode_codes``: :func:`mubsig.protocol.decode`
@@ -31,14 +31,13 @@ matrix whose first index is the half that travels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .bases import BasisId, Family, _pair_amplitudes, measurement_basis, pair_outcome_labels
 from .finite_field import per_dim_cache
 from .protocol import _INCONCLUSIVE_CODE, _decode_codes, _prep_pair
-from .quantum import _cdf, _clean_probabilities, _frozen
+from .quantum import _cdf, _clean_probabilities
 
 
 @dataclass(frozen=True)
@@ -89,47 +88,36 @@ def _branches(d: int, family: Family, basis: BasisId) -> tuple[np.ndarray, np.nd
     return weights, b.T[:, :, None] * kept[:, None, :]
 
 
-@dataclass(frozen=True)
-class _Measured:
-    """One entry of :func:`_amplitudes`: the branches of a measured pair."""
-
-    weights: np.ndarray   # w_m = ||phi_m||^2
-    amps: np.ndarray      # a[m, k] = <e_k|v_m>
-
-    @cached_property
-    def cdfs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The CDF of the w_m, and in row m the CDF of the |a[m, k]|^2 over
-        k, each row ``_cdf(_clean_probabilities(p))`` of its probabilities;
-        built on the first draw, as only the rounds read them."""
-        return (_cdf(_clean_probabilities(self.weights)),
-                _cdf(_clean_probabilities(np.abs(self.amps) ** 2)))
-
-
-@per_dim_cache
-def _amplitudes(d: int, family: Family, basis: BasisId | None) -> _Measured:
+def _amplitudes(d: int, family: Family, basis: BasisId | None
+                ) -> tuple[np.ndarray, np.ndarray]:
     """The branches of the family's (0,0) pair after its travelling half is
     measured in ``basis``, in the family's entangled basis {e_k}.
 
-    Returns the weights w_m of :func:`_branches` and the amplitudes
-    a[m, k] = <e_k|v_m> of its collapsed branches v_m, read off the pair
-    basis's structure by :func:`mubsig.bases._pair_amplitudes`, with
-    the CDFs a round draws them from (:attr:`_Measured.cdfs`).  With
-    ``basis`` None the pair is left untouched: one branch, weight 1.
-    Every array is read-only, because every caller shares them.
-
-    The cache, :func:`mubsig.finite_field.per_dim_cache`'s, lives as long
-    as the process: one suite run leaves 2(2d+3) entries, about
-    72(d+1)d^3 bytes: every entry's amplitudes, and the CDFs of the d+2
-    plain-family entries the rounds draw from (0.20 MB at d=7, 1.16 MB at
-    d=11, 68.7 MB at d=31).  Each further d adds its own.  Code that
-    patches what this function reads (``_branches``, ``_prep_pair``,
-    ``_pair_amplitudes``) clears the caches as that function says.
+    Returns the weights w_m = ||phi_m||^2 of :func:`_branches` and the
+    amplitudes a[m, k] = <e_k|v_m> of its collapsed branches v_m, read off
+    the pair basis's structure by :func:`mubsig.bases._pair_amplitudes`.
+    With ``basis`` None the pair is left untouched: one branch, weight 1.
     """
     if basis is None:
         weights, pairs = np.ones(1), _prep_pair(d, family)[None]
     else:
         weights, pairs = _branches(d, family, basis)
-    return _Measured(_frozen(weights), _frozen(_pair_amplitudes(d, family, pairs)))
+    return weights, _pair_amplitudes(d, family, pairs)
+
+
+@per_dim_cache
+def _round_cdfs(d: int, family: Family, basis: BasisId | None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only CDFs a round draws from: that of the weights w_m of
+    :func:`_amplitudes`, and in row m that of the |a[m, k]|^2 over k.
+
+    The cache lives as long as the process and holds one entry per
+    (family, basis) a round measured in: at most 2(2d+3) entries of
+    d(d^2 + 1) floats each.  Code that patches what this function reads
+    clears the caches as :func:`mubsig.finite_field.per_dim_cache` says.
+    """
+    weights, amps = _amplitudes(d, family, basis)
+    return _cdf(_clean_probabilities(weights)), _cdf(_clean_probabilities(np.abs(amps) ** 2))
 
 
 def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
@@ -145,7 +133,7 @@ def _measure(d: int, family: Family, basis: BasisId | None,
 
     Returns the pair outcome (c, r) and its decode.
     """
-    weight_cdf, cdf = _amplitudes(d, family, basis).cdfs
+    weight_cdf, cdf = _round_cdfs(d, family, basis)
     m = 0 if basis is None else _draw(weight_cdf, rng)
     k = _draw(cdf[m], rng)
     return pair_outcome_labels(d)[k], int(_decode_codes(d)[k])

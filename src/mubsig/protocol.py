@@ -79,7 +79,7 @@ from .bases import (
     Family,
     _pair_amplitudes,
     basis_alphabet,
-    hat_unitary,
+    hadamard_root,
     measurement_basis,
     pair_outcome_labels,
 )
@@ -260,14 +260,14 @@ def _ratio(num: int, den: int) -> float:
 def _prep_pair(d: int, family: Family) -> np.ndarray:
     """The (0,0;0) pair of ``family`` as a d x d amplitude matrix, travelling
     index first: 1/sqrt(d) on n' = -n for the plain pair, and u Psi u^T,
-    with u the hat unitary, for the hat pair."""
+    with u the hat transport h (the Hadamard root), for the hat pair."""
     if not isinstance(family, Family):
         raise TypeError(f"family must be a Family, got {type(family).__name__}")
     n = np.arange(d)
     psi = np.zeros((d, d), dtype=complex)
     psi[n, -n % d] = 1 / math.sqrt(d)
     if family is Family.HAT:
-        u = hat_unitary(d)
+        u = hadamard_root(d)
         psi = u @ psi @ u.T
     return _frozen(psi)
 

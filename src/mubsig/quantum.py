@@ -27,13 +27,13 @@ def _clean_probabilities(p: np.ndarray) -> np.ndarray:
     """``p`` clipped at 0, once each distribution along its last axis is
     checked: no cell below -``TOLERANCE``, and a sum within it of 1."""
     if p.min() < -TOLERANCE:
-        raise ValueError(f"probability {p.min()!r} below -tolerance; "
+        raise ValueError(f"probability {float(p.min())!r} below -tolerance; "
                          "upstream state is corrupt")
     p = np.clip(p, 0.0, None)
     totals = np.atleast_1d(p.sum(axis=-1))
     wrong = np.abs(totals - 1.0) > TOLERANCE
     if wrong.any():
-        raise ValueError(f"probabilities sum to {totals[wrong][0]!r}, expected 1")
+        raise ValueError(f"probabilities sum to {float(totals[wrong][0])!r}, expected 1")
     return p
 
 

@@ -22,6 +22,7 @@ from .harness import _CONFIG_KEYS, HarnessConfig, analytic_outcome_distribution
 from .protocol import _FAMILIES, RoundLog, SessionReport, _decode_codes
 
 SCHEMA = "mubsig.report/2"
+_READABLE_SCHEMAS = ("mubsig.report/1", SCHEMA)   # whose config keys mean what they say
 
 __all__ = [
     "SCHEMA",
@@ -76,10 +77,14 @@ def canonical_json(document: Mapping) -> str:
 
 def _config_fields(document: Mapping) -> dict:
     """The config section of a report, or a bare config mapping, with
-    dashes in its keys turned into underscores."""
+    dashes in its keys turned into underscores.  A report of a schema this
+    version cannot read is refused: its keys may mean something else."""
     if not isinstance(document, Mapping):
         raise ValueError("config document must be a mapping")
     if "config" in document and isinstance(document["config"], Mapping):
+        if document.get("schema") not in (None, *_READABLE_SCHEMAS):
+            raise ValueError(f"unknown report schema {document['schema']!r}, "
+                             f"expected one of {list(_READABLE_SCHEMAS)}")
         document = document["config"]
     return {str(k).replace("-", "_"): v for k, v in document.items()}
 

@@ -32,7 +32,7 @@ from mubsig.bases import (
     BasisId,
     Family,
     basis_alphabet,
-    hat_unitary,
+    hadamard_root,
     measurement_basis,
     pair_outcome_labels,
 )
@@ -43,13 +43,13 @@ def entangled_basis(d, s=0, family=Family.PLAIN):
     """The pair basis {|c,r;s>} as a d^2 x d^2 matrix whose column c*d + r is
     |c,r;s>: amplitude w^(s n^2 - 2 r n)/sqrt(d), entry [n, r] of q_s, on
     |n, c - n>.  The hat kets are (u (x) u)|c,r;s>, u Psi u^T on each d x d
-    amplitude matrix Psi, with u the hat unitary."""
+    amplitude matrix Psi, with u the hat transport, the Hadamard root."""
     n = np.arange(d)[:, None]
     e = np.zeros((d, d, d, d), dtype=complex)   # [n, n', c, r]
     e[n, (n.T - n) % d, n.T] = measurement_basis(d, BasisId(Family.PLAIN, s))[:, None, :]
     basis = e.reshape(d * d, d * d)
     if family is Family.HAT:
-        u = hat_unitary(d)
+        u = hadamard_root(d)
         basis = (u @ basis.T.reshape(d * d, d, d) @ u.T).reshape(d * d, d * d).T
     return basis
 

@@ -8,7 +8,6 @@ from mubsig.bases import (
     _pair_amplitudes,
     basis_alphabet,
     hadamard_root,
-    hat_unitary,
     measurement_basis,
     omega_power,
     pair_outcome_labels,
@@ -51,8 +50,10 @@ def test_basis_id_parse_rejects_garbage():
 
 
 def test_basis_id_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="quad label must be nonnegative, got -1"):
         BasisId(Family.PLAIN, -1)
+    with pytest.raises(TypeError, match="quad label must be an int or None"):
+        BasisId(Family.PLAIN, 1.5)
     assert BasisId(Family.PLAIN, None).quad is None
     assert BasisId(Family.PLAIN, 0).quad is not None
 
@@ -203,8 +204,13 @@ PRINCIPAL_ROOTS = np.array([1, 1j, np.exp(0.25j * np.pi), np.exp(-0.25j * np.pi)
 
 
 def test_hadamard_root_squares_to_fourier():
-    for d in PRIMES_TO_97:
+    """h @ h = F, h is unitary on the principal branch, and h equals its
+    transpose in every bit: it is a sum of scalar multiples of I, F, the
+    parity and conj(F), each exactly symmetric, so it is the hat
+    transport as it stands."""
+    for d in (*PRIMES_TO_97, 251):
         h = hadamard_root(d)
+        assert (h == h.T).all(), d
         assert_allclose(h @ h, fourier_matrix(d), atol=1e-12)
         assert_allclose(h @ h.conj().T, np.eye(d), atol=1e-12)
         eigenvalues = np.linalg.eigvals(h)
@@ -230,20 +236,24 @@ def test_hat_kets_are_root_rows():
             assert_allclose(q0[:, m], h.T @ plain_q0[:, m], atol=1e-15)
 
 
-def test_hat_unitary_columns_are_hat_kets():
-    u = hat_unitary(3)
-    assert (u == hadamard_root(3).T).all()
-    assert_allclose(u, measurement_basis(3, BasisId(Family.HAT, None)), atol=1e-15)
+def test_hadamard_root_columns_are_hat_kets():
+    h = hadamard_root(3)
+    assert (h == h.T).all()
+    assert_allclose(h, measurement_basis(3, BasisId(Family.HAT, None)), atol=1e-15)
 
 
 def test_hat_family_differs_from_computational_but_is_not_unbiased():
     """The transported family must be distinct from the plain one yet
-    share no unbiasedness with it; both margins are checked numerically."""
-    for d in (2, 3, 5):
-        u = hat_unitary(d)
-        overlaps = np.abs(u) ** 2
-        assert np.abs(overlaps - 1.0 / d).max() > 1e-3
-        assert overlaps.max() < 1.0 - 1e-6  # no hat ket equals a plain ket
+    share no unbiasedness with it: the margins hadamard_root refuses to
+    go below hold at every prime up to 97 and at 251."""
+    for d in (*PRIMES_TO_97, 251):
+        h = hadamard_root(d)
+        overlaps = np.abs(h) ** 2
+        assert np.abs(overlaps - 1.0 / d).max() > 1e-3, d
+        assert overlaps.max() < 1.0 - 1e-6, d   # no hat ket equals a plain ket
+        separation = max(np.linalg.norm(h[:, [m]] - np.eye(d), axis=0).min()
+                         for m in range(d))
+        assert separation > 0.1, d
 
 
 def test_hat_unbiasedness_within_family():
@@ -307,7 +317,7 @@ def test_entangled_basis_projector_completeness():
 
 def test_hat_entangled_ket_is_transported_plain():
     for d in (2, 3):
-        u = hat_unitary(d)
+        u = hadamard_root(d)
         for (c, r) in [(0, 0), (1, 0), (0, 1)]:
             expected = np.kron(u, u) @ ket_matrix(d, c, r).ravel()
             assert_allclose(ket_matrix(d, c, r, 0, Family.HAT).ravel(), expected,

@@ -59,7 +59,6 @@ _CACHED_CALLS = {
     "omega_power": lambda d: bases.omega_power(d, 1),
     "measurement_basis": lambda d: bases.measurement_basis(d, BasisId(Family.PLAIN, 1)),
     "hadamard_root": bases.hadamard_root,
-    "hat_unitary": bases.hat_unitary,
     "pair_outcome_labels": bases.pair_outcome_labels,
     "decode": lambda d: protocol.decode(d, (0, 0, 0), (1, 2)),
     "pair_outcome_probs": lambda d: protocol.pair_outcome_probs(d, Family.PLAIN,

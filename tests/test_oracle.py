@@ -52,9 +52,9 @@ def test_collapse_route_sums_to_the_nonselective_measurement(d):
         prep = density(oracle._prep_pair(d, family))
         pair_basis = entangled_basis(d, 0, family)
         for basis in (None, *basis_alphabet(d, FAMILIES)):
-            measured = oracle._amplitudes(d, family, basis)
-            assert_allclose(measured.weights.sum(), 1.0, rtol=0, atol=1e-12)
-            route = measured.weights @ np.abs(measured.amps) ** 2
+            weights, amps = oracle._amplitudes(d, family, basis)
+            assert_allclose(weights.sum(), 1.0, rtol=0, atol=1e-12)
+            route = weights @ np.abs(amps) ** 2
             state = prep if basis is None else nonselective_measure(
                 prep, 1, measurement_basis(d, basis))
             dense = born_probabilities(state, pair_basis)
@@ -62,14 +62,12 @@ def test_collapse_route_sums_to_the_nonselective_measurement(d):
             assert (route[dense < TOLERANCE] < TOLERANCE).all(), (family, basis)
 
 
-def test_amplitudes_refuse_writes():
-    """Every caller shares the cached arrays, CDFs included, so none may
-    change them."""
+def test_round_cdfs_refuse_writes():
+    """Every round shares the cached CDFs, so none may change them."""
     for basis in (None, BasisId(Family.PLAIN, 0)):
-        measured = oracle._amplitudes(3, Family.HAT, basis)
-        for array in (measured.weights, measured.amps, *measured.cdfs):
+        for cdf in oracle._round_cdfs(3, Family.HAT, basis):
             with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0
+                cdf[0] = 0
 
 
 def test_collapsed_branches_are_product_states():
@@ -131,12 +129,12 @@ def test_cached_draws_replay_sample_outcome(d):
     generator: the same outcomes, codes and final generator state."""
     for family in FAMILIES:
         for basis in (None, *basis_alphabet(d, FAMILIES)):
-            measured = oracle._amplitudes(d, family, basis)
+            weights, amps = oracle._amplitudes(d, family, basis)
             rng, replay = np.random.default_rng(d), np.random.default_rng(d)
             for _ in range(200):
                 outcome, code = oracle._measure(d, family, basis, rng)
-                m = 0 if basis is None else sample_outcome(measured.weights, replay)
-                k = sample_outcome(np.abs(measured.amps[m]) ** 2, replay)
+                m = 0 if basis is None else sample_outcome(weights, replay)
+                k = sample_outcome(np.abs(amps[m]) ** 2, replay)
                 assert outcome == pair_outcome_labels(d)[k], (family, basis)
                 assert code == decode(d, (0, 0, 0), outcome)
             assert rng.bit_generator.state == replay.bit_generator.state

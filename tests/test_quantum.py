@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mubsig.quantum import TOLERANCE
+from mubsig.quantum import TOLERANCE, _clean_probabilities
 from dense import born_probabilities, density, nonselective_measure, partial_trace, sample_outcome
 
 
@@ -115,6 +115,17 @@ def test_partial_trace_of_product_state():
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("probs, message", [
+    ([0.5, 0.5 + 2e-10, -2e-10], "probability -2e-10 below -tolerance; upstream state"),
+    ([[0.5, 0.5], [0.5, 0.4]], "probabilities sum to 0.9, expected 1"),
+], ids=["cell-below-tolerance", "row-sum-off-one"])
+def test_corrupt_probabilities_are_refused_before_any_draw(probs, message):
+    """A cell below -TOLERANCE, or a distribution whose sum is off 1 by more
+    than it, is a corrupt upstream state, not round-off."""
+    with pytest.raises(ValueError, match=message):
+        _clean_probabilities(np.array(probs))
+
 
 def test_sample_outcome_degenerate_distribution():
     rng = np.random.default_rng(0)

@@ -5,6 +5,7 @@ import errno
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -126,29 +127,37 @@ def test_config_from_document_errors():
         config_from_document({**good, "rounds": "ten"})
 
 
+# Each malformed override, with the error it must raise.
 _MALFORMED = {
-    "fractional-dim": {"dim": 3.5},
-    "fractional-rounds": {"rounds": 100.9},
-    "fractional-seed": {"seed": 7.8},
-    "overflowing-rounds": {"rounds": 1e400},
-    "list-distribution": {"message_distribution": [1, 2]},
-    "boolean-weight": {"message_distribution": {"comp": True}},
-    "null-dim": {"dim": None},
-    "null-rounds": {"rounds": None},
-    "overflowing-weight-sum": {"message_distribution": {"comp": 1e308, "q0": 1e308}},
+    "fractional-dim": ({"dim": 3.5}, "config key 'dim' must be int-valued, got 3.5"),
+    "fractional-rounds": ({"rounds": 100.9},
+                          "config key 'rounds' must be int-valued, got 100.9"),
+    "fractional-seed": ({"seed": 7.8}, "config key 'seed' must be int-valued, got 7.8"),
+    "overflowing-rounds": ({"rounds": 1e400}, "config key 'rounds' must be int-valued, got inf"),
+    # an int past the float range passes the type check and overflows float()
+    "overflowing-fraction": ({"pretest_fraction": 10 ** 400},
+                             "config key 'pretest_fraction' is out of range"),
+    "list-distribution": ({"message_distribution": [1, 2]},
+                          "message distribution must be 'uniform' or a mapping"),
+    "boolean-weight": ({"message_distribution": {"comp": True}},
+                       "message weight for 'comp' must be a finite number >= 0"),
+    "null-dim": ({"dim": None}, "config is missing required key 'dim'"),
+    "null-rounds": ({"rounds": None}, "config is missing required key 'rounds'"),
+    "overflowing-weight-sum": ({"message_distribution": {"comp": 1e308, "q0": 1e308}},
+                               "message weights must have a finite sum"),
 }
 
 
-@pytest.mark.parametrize("override", _MALFORMED.values(), ids=_MALFORMED.keys())
-def test_malformed_config_values_fail_cleanly(override, tmp_path, capsys):
+@pytest.mark.parametrize("override, message", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_malformed_config_values_fail_cleanly(override, message, tmp_path, capsys):
     """Values that cannot be taken as given raise ValueError; the CLI exits 2."""
     doc = {"dim": 3, "protocol": "original", "rounds": 100, "seed": 7, **override}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(message)):
         config_from_document(doc)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     assert main(["run", "--config", str(path)]) == 2
-    assert "error" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"mubsig: error: {message}")
 
 
 def test_rounds_above_the_cap_are_refused_before_any_session(monkeypatch, capsys):
@@ -288,6 +297,31 @@ def test_a_report_1_document_reruns_its_config():
     assert new == old
 
 
+def test_a_report_of_an_unknown_schema_is_refused(tmp_path, capsys):
+    """A report's config keys mean what its schema says, so a report of a
+    schema this version cannot read is refused by name, through the API
+    and through ``run --config``, before ``--out`` is opened.  /1 and /2
+    reports still load."""
+    golden = json.loads((Path(__file__).parent / "golden" / "original-intercept-d3-s7.json")
+                        .read_text())
+    assert golden["schema"] == SCHEMA
+    for report in (_REPORT_1, golden):
+        assert config_from_document(report) == config_from_document(report["config"])
+    future = {**golden, "schema": "mubsig.report/99"}
+    message = ("unknown report schema 'mubsig.report/99', "
+               "expected one of ['mubsig.report/1', 'mubsig.report/2']")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        config_from_document(future)
+    path, out = tmp_path / "report.json", tmp_path / "out.json"
+    path.write_text(json.dumps(future))
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"mubsig: error: {message}\n"
+    assert not out.exists()
+    path.write_text(json.dumps(golden))
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == golden
+
+
 def test_config_from_document_accepts_integral_floats():
     cfg = config_from_document({"dim": 3.0, "protocol": "original",
                                 "rounds": 100.0, "seed": 7.0})
@@ -412,6 +446,11 @@ def test_cli_usage_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"mubsig: error: malformed config file {deep}: ")
     assert err.count("\n") == 1
+    array = tmp_path / "array.json"   # valid JSON, but not a config
+    array.write_text("[3, 100]")
+    assert main(["run", "--config", str(array)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"mubsig: error: config file {array} must hold a JSON object\n"
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

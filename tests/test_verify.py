@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -78,18 +79,42 @@ def test_suite_is_stable_between_runs():
            [(r.name, r.passed, r.assertions) for r in second]
 
 
-def test_suite_computes_each_branch_amplitude_once_per_run(fresh_caches):
-    """The checks share oracle._amplitudes: the first run computes each
-    (family, basis) once, and a second run computes none again."""
-    # Every basis of both families, for each family's pair; None is the
-    # untouched pair of the resends that leave the stolen qudit alone.
-    keys = len(FAMILIES) * (1 + len(basis_alphabet(3, FAMILIES)))
+def test_round_cdfs_hold_only_the_entries_the_rounds_drew_from(monkeypatch, fresh_caches):
+    """The checks read branch amplitudes without keeping them: after a
+    suite run, oracle._round_cdfs holds one entry per (family, basis) the
+    oracle's rounds measured in, and a second run computes none again."""
+    drawn = set()
+    real = oracle._measure
+
+    def recorded(d, family, basis, rng):
+        drawn.add((d, family, basis))
+        return real(d, family, basis, rng)
+
+    monkeypatch.setattr(oracle, "_measure", recorded)
     assert all(r.passed for r in run_invariant_suite(3))
-    first = oracle._amplitudes.cache_info()
-    assert first.misses == first.currsize == keys and first.hits > 0
+    # attack-bookkeeping's intercepted original rounds: Eve in each plain
+    # basis Bob picked, Alice in each basis Eve resent in or untouched
+    assert drawn == {(3, Family.PLAIN, b) for b in (None, *basis_alphabet(3))}
+    first = oracle._round_cdfs.cache_info()
+    assert first.misses == first.currsize == len(drawn) and first.hits > 0
+    for key in drawn:   # each drawn entry is cached: a hit, no miss
+        oracle._round_cdfs(*key)
+    assert oracle._round_cdfs.cache_info().misses == len(drawn)
     assert all(r.passed for r in run_invariant_suite(3))
-    second = oracle._amplitudes.cache_info()
-    assert (second.misses, second.currsize) == (keys, keys) and second.hits > first.hits
+    second = oracle._round_cdfs.cache_info()
+    assert (second.misses, second.currsize) == (len(drawn), len(drawn))
+
+
+def test_dual_attack_detectability_keeps_no_branch_amplitudes(fresh_caches):
+    """The check reads every (family, basis) entry's amplitudes once and
+    keeps none: at d=31 they would hold about 60 MiB."""
+    tracemalloc.start()
+    try:
+        assert verify._run_check("dual-attack-detectability", 31).passed
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 8 * 2 ** 20, kept
 
 
 # Pinned ``mubsig verify --format json`` documents, every check's
@@ -137,9 +162,9 @@ def test_pure_state_route_matches_the_dense_density_operators(d):
             dense = nonselective_measure(prep, 1, measurement_basis(d, basis))
             measured = oracle._amplitudes(d, family, basis)
             coeffs = pair_basis.conj().T @ dense @ pair_basis
-            assert_allclose(verify._pair_coefficients(measured), coeffs,
+            assert_allclose(verify._pair_coefficients(*measured), coeffs,
                             rtol=0, atol=1e-12, err_msg=f"{family} {basis}")
-            assert_allclose(verify._outcome_probs(measured),
+            assert_allclose(verify._outcome_probs(*measured),
                             born_probabilities(dense, pair_basis), rtol=0, atol=1e-12)
             assert_allclose(verify._travelling_state(*verify._branches(d, family, basis)),
                             partial_trace(dense, keep=1), rtol=0, atol=1e-12)
@@ -162,9 +187,9 @@ def test_pure_state_route_matches_the_dense_density_operators(d):
 
 @pytest.mark.parametrize("d", (2, 3, 5, 7))
 def test_summed_detection_probability_matches_the_tables(d):
+    summed = verify._summed_detection_probabilities(d)
     for family in FAMILIES:
-        summed = verify._summed_detection_probability(d, family)
-        assert abs(summed - dual_family_detection_probability(d, family)) <= 1e-12
+        assert abs(summed[family] - dual_family_detection_probability(d, family)) <= 1e-12
 
 
 # Mutation checks: each patch breaks one fact, and the check that owns the
@@ -352,7 +377,7 @@ def test_entangled_basis_catches_a_hat_transport_through_u_for_conj_u(monkeypatc
     def through_u(dim, family, pairs):
         if family is not Family.HAT:
             return real(dim, family, pairs)
-        u = verify.hat_unitary(dim)
+        u = verify.hadamard_root(dim)
         return real(dim, Family.PLAIN, u.conj().T @ pairs @ u)
 
     monkeypatch.setattr(verify, "_pair_amplitudes", through_u)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import enum
+import gc
 import json
 import os
 import sys
@@ -39,9 +40,8 @@ from .report import (
     config_from_document,
     render_text,
 )
-from .verify import run_invariant_suite
 
-__all__ = ["main"]
+__all__ = ["main", "entry"]
 
 _USAGE_ERROR = 2
 _CHECK_FAILURE = 1
@@ -189,6 +189,8 @@ def _table_text(d: int, rows: list[BasisId], fmt: str) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_invariant_suite   # only verify loads the suite and the oracle
+
     results = run_invariant_suite(args.dim)   # checks the dimension first
     failed = [r for r in results if not r.passed]
     with _output(None) as out:
@@ -231,5 +233,17 @@ def main(argv: list[str] | None = None) -> int:
         return _USAGE_ERROR
 
 
-if __name__ == "__main__":
+def entry() -> None:
+    """The ``mubsig`` program: ``main()`` on ``sys.argv``, then exit with its code.
+
+    Every object alive before ``main`` runs, nearly all of them made by
+    imports, is frozen first, so no collection walks them again: neither
+    a full one during the command nor the interpreter's last one at exit.
+    ``main`` itself leaves the collector as it found it.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -68,7 +68,6 @@ import functools
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Generator, Iterator
 
@@ -498,6 +497,8 @@ def _run_blocks(worker: Callable[[np.random.Generator, int, _Scratch], object],
     if workers <= 1:
         yield from map(block, range(len(starts)))
         return
+    from concurrent.futures import ThreadPoolExecutor   # one-thread runs never load it
+
     with ThreadPoolExecutor(max_workers=workers - 1) as pool:
         ahead = {k: pool.submit(block, k) for k in range(min(len(starts), 2 * workers))
                  if k % workers}

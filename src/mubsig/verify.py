@@ -89,7 +89,8 @@ class _Check:
         if abs(value - target) <= tol:
             self.assertions += 1
         else:
-            self.expect(False, "{}: {!r} != {!r}", detail.format(*args), value, target)
+            self.expect(False, "{}: {!r} != {!r}", detail.format(*args),
+                        float(value), float(target))   # 0.5, not np.float64(0.5)
 
     def expect_all(self, ok: np.ndarray, describe: Callable[..., str]) -> None:
         """One assertion per cell of the boolean array ``ok``.

@@ -1,3 +1,4 @@
+import gc
 import importlib
 import importlib.util
 import json
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import mubsig
+from mubsig import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -22,6 +24,54 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert json.loads(proc.stdout) == []
+
+
+def test_run_and_table_load_neither_the_suite_nor_the_thread_pool():
+    """A fresh ``run`` or ``table`` process imports only what it runs:
+    the invariant suite and its oracle load with ``verify``, and the
+    thread pool with a session of more than one worker."""
+    code = """if True:
+        import json, os, sys
+        from mubsig.cli import main
+        assert main(["run", "--dim", "3", "--protocol", "original", "--eve", "intercept",
+                     "--rounds", "70000", "--seed", "3", "--workers", "1",
+                     "--out", os.devnull]) == 0
+        assert main(["table", "--dim", "3", "--out", os.devnull]) == 0
+        loaded = sorted(m for m in ("mubsig.verify", "mubsig.oracle", "concurrent.futures")
+                        if m in sys.modules)
+        verdict = main(["verify", "--dim", "2"])
+        print(json.dumps([loaded, verdict, "mubsig.verify" in sys.modules]))
+    """
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], 0, True]
+
+
+@pytest.fixture
+def unfreeze():
+    yield
+    gc.unfreeze()
+
+
+def test_the_entry_freezes_the_start_up_objects_before_main_runs(monkeypatch, unfreeze):
+    """The console script and ``python -m mubsig.cli`` freeze what the
+    imports made, so neither a collection during the command nor the
+    interpreter's last one at exit walks it; ``main`` exits with its code."""
+    seen = []
+    before = gc.get_freeze_count()
+    monkeypatch.setattr(cli, "main", lambda: seen.append(gc.get_freeze_count()) or 3)
+    with pytest.raises(SystemExit) as exit_:
+        cli.entry()
+    assert exit_.value.code == 3
+    assert len(seen) == 1 and seen[0] > before
+    assert 'mubsig = "mubsig.cli:entry"' in (ROOT / "pyproject.toml").read_text()
+
+
+def test_main_leaves_the_collector_as_it_found_it(capsys):
+    before = gc.get_freeze_count()
+    assert cli.main(["table", "--dim", "2"]) == 0
+    assert gc.get_freeze_count() == before
 
 
 def test_top_level_exports_are_the_readme_api():

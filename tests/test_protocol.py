@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import os
 import subprocess
@@ -950,7 +951,8 @@ def test_worker_threads_are_capped(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(protocol, "ThreadPoolExecutor", RecordingPool)
+    # _run_blocks imports the pool where it needs one, so the patch goes to its module
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     three_blocks = original(2, 3 * BLOCK_ROUNDS, seed=1)
     expected = run_trials(three_blocks)
     cases = ((8, 10 ** 6, [3]), (2, 10 ** 6, [2]), (8, 2, [2]), (1, 4, []))

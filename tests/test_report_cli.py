@@ -589,7 +589,7 @@ def test_cli_verify_keeps_its_verdict_when_the_reader_closes_the_pipe(
     if closed:
         failing_stdout(_CLOSED_PIPE)
     for results, code in ((failing, 1), (passing, 0)):
-        monkeypatch.setattr("mubsig.cli.run_invariant_suite", lambda d: results)
+        monkeypatch.setattr("mubsig.verify.run_invariant_suite", lambda d: results)
         assert main(["verify", "--dim", "5", "--format", fmt]) == code
         assert capsys.readouterr().err == ""
 

@@ -192,6 +192,14 @@ def test_summed_detection_probability_matches_the_tables(d):
         assert abs(summed[family] - dual_family_detection_probability(d, family)) <= 1e-12
 
 
+def test_a_failed_closeness_reads_plain_floats():
+    """Checks pass numpy scalars; the detail shows their values, not their reprs."""
+    check = verify._Check("x-check")
+    check.close(np.float64(0.5), 0.0, "x")
+    check.close(np.float64(1.0), 1.0, "y")
+    assert check.result() == CheckResult("x-check", False, 2, "x: 0.5 != 0.0")
+
+
 # Mutation checks: each patch breaks one fact, and the check that owns the
 # fact must fail with a detail that names the offending cell.
 

@@ -4,6 +4,10 @@ Every case under ``tests/golden/`` was written by the session engine and
 must be reproduced exactly: a refactor of the sampling code that keeps
 the order of random draws leaves every file here untouched.
 
+``sweep.json`` pins longer sessions at larger d by digest alone: for each
+config of ``SWEEP``, the sha256 of its canonical report, the sha256 of its
+CSV log and the log's row count.
+
 Regenerate (only for a deliberate change of the sampled statistics) with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -67,12 +71,24 @@ def _cases():
 
 CASES = _cases()
 
+# Three-block sessions at the dimensions the report goldens do not reach,
+# d = 31 among them, where the guide tables fall back to their search.
+SWEEP = {f"{protocol.value}-{eve.value}-d{d}-s{seed}":
+         _config(d, protocol, eve, LONG_ROUNDS, seed)
+         for d in (7, 13, 31) for seed in (11, BIG_SEED) for protocol, eve in _PAIRS}
+
 
 def _render(config, workers, include_tables):
     report, records = run_trials(config, workers=workers, return_rounds=True)
     text = canonical_json(build_document(config, report, include_tables=include_tables))
     log = round_log_csv(records).encode()
     return text, {"sha256": hashlib.sha256(log).hexdigest(), "rows": log.count(b"\n") - 1}
+
+
+def _digest(config, workers):
+    text, log = _render(config, workers, False)
+    return {"report_sha256": hashlib.sha256(text.encode()).hexdigest(),
+            "log_sha256": log["sha256"], "rows": log["rows"]}
 
 
 def _logs():
@@ -90,10 +106,19 @@ def test_golden_report_and_round_log(name, config, workers, include_tables):
         assert plain == text
 
 
+@pytest.mark.parametrize("name", SWEEP)
+def test_sweep_digests(name):
+    expected = json.loads((GOLDEN / "sweep.json").read_text())[name]
+    for workers in (1, 2):
+        assert _digest(SWEEP[name], workers) == expected
+
+
 def test_golden_directory_has_no_strays():
     names = {case[0] for case in CASES}
     verify = {f"verify-d{d}" for d in (2, 3, 5, 7, 11)}   # pinned by test_verify.py
-    assert {p.stem for p in GOLDEN.glob("*.json")} == names | {"round_logs"} | verify
+    pinned = names | {"round_logs", "sweep"} | verify
+    assert {p.stem for p in GOLDEN.glob("*.json")} == pinned
+    assert set(json.loads((GOLDEN / "sweep.json").read_text())) == set(SWEEP)
     assert set(_logs()) == names
 
 
@@ -104,3 +129,5 @@ if __name__ == "__main__":
         text, logs[name] = _render(config, workers, include_tables)
         (GOLDEN / f"{name}.json").write_text(text)
     (GOLDEN / "round_logs.json").write_text(json.dumps(logs, indent=2, sort_keys=True) + "\n")
+    sweep = {name: _digest(config, 1) for name, config in SWEEP.items()}
+    (GOLDEN / "sweep.json").write_text(json.dumps(sweep, indent=2, sort_keys=True) + "\n")

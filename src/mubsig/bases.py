@@ -70,19 +70,6 @@ class BasisId:
         label = "comp" if self.quad is None else f"q{self.quad}"
         return label if self.family is Family.PLAIN else f"hat-{label}"
 
-    @classmethod
-    def parse(cls, text: str) -> BasisId:
-        body = text.strip()
-        family = Family.PLAIN
-        if body.startswith("hat-"):
-            family = Family.HAT
-            body = body[4:]
-        if body == "comp":
-            return cls(family, None)
-        if body.startswith("q") and body[1:].isascii() and body[1:].isdigit():
-            return cls(family, int(body[1:]))
-        raise ValueError(f"unrecognized basis label {text!r}")
-
 
 @per_dim_cache
 def basis_alphabet(d: int, families: tuple[Family, ...] = (Family.PLAIN,)

@@ -157,10 +157,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _table_rows(d: int, basis_arg: str | None) -> list[BasisId]:
     if basis_arg is None:
         return list(basis_alphabet(d, (Family.PLAIN,)))
-    basis = BasisId.parse(basis_arg)
-    if basis.quad is not None and basis.quad >= d:
-        raise _CliError(f"basis {basis_arg!r} is out of range for --dim {d}")
-    return [basis]
+    labels = {b.text(): b for b in basis_alphabet(d, (Family.PLAIN, Family.HAT))}
+    if basis_arg not in labels:
+        raise _CliError(f"unrecognized basis label {basis_arg!r}")
+    return [labels[basis_arg]]
 
 
 def _cmd_table(args: argparse.Namespace) -> int:

@@ -73,10 +73,10 @@ class HarnessConfig:
 
     def __post_init__(self) -> None:
         PrimeDim(self.d)
-        for field, kind, _ in _CONFIG_KEYS.values():   # fractions: range-checked below
+        for field, kind, _ in _CONFIG_KEYS.values():   # an unset fraction is None
             value = getattr(self, field)
-            if kind in (int, Protocol, EveMode) and (isinstance(value, bool)
-                                                     or not isinstance(value, kind)):
+            if kind is not None and not (kind is float and value is None) and (
+                    isinstance(value, bool) or not isinstance(value, kind)):
                 raise TypeError(f"{field} must be of type {kind.__name__}, got {value!r}")
         if not 1 <= self.rounds <= 2 ** 32:   # at most 131072 blocks per session
             raise ValueError("rounds must lie in [1, 2**32]")

@@ -38,7 +38,9 @@ top 53 bits k of one raw 64-bit word of the block's stream, the integer
 behind the uniform u = k/2^53.  Bob's message and each pair outcome take
 one exact inverse-CDF lookup, :class:`_InverseCdf`, whose guide table
 answers almost every draw with two gathers and one comparison, and a
-pre-test cell two products and two gathers.  The per-round statistics remain
+pre-test cell one split multiply, one division and two gathers.  Every
+block returns its counts as a dict, and a session sums them over both
+its phases in one loop.  The per-round statistics remain
 exactly those of the state-by-state simulation in :mod:`mubsig.oracle`,
 which runs one round at a time on pure states and draws each outcome
 with one uniform and one float inverse-CDF search.
@@ -68,6 +70,7 @@ import functools
 import math
 import os
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Generator, Iterator
 
@@ -509,26 +512,17 @@ def _run_blocks(worker: Callable[[np.random.Generator, int, _Scratch], object],
             yield ahead.pop(j).result() if j % workers else block(j)
 
 
-@dataclass
-class _SignalTally:
-    matched: int = 0          # family-matched rounds (all, for single-family runs)
-    kept: int = 0             # matched and conclusive
-    correct: int = 0
-    checked: int = 0
-    mismatches: int = 0
-    eve_correct: int = 0
-
-    def add(self, other: _SignalTally) -> None:
-        for f in self.__dataclass_fields__:
-            setattr(self, f, getattr(self, f) + getattr(other, f))
-
-
 def _signal_block(alphabet: tuple[BasisId, ...], lookup: _InverseCdf, d: int, eve: bool,
                   message: _InverseCdf, posttest_fraction: float | None, collect: bool,
                   stream: np.random.Generator, n: int, scratch: _Scratch,
-                  ) -> tuple[_SignalTally, RoundLog | None]:
-    """Sample ``n`` signal rounds from one block stream: their tally, and
+                  ) -> tuple[dict[str, int], RoundLog | None]:
+    """Sample ``n`` signal rounds from one block stream: their counts, and
     with ``collect`` the rounds as a :class:`RoundLog` piece.
+
+    The counts are the family-matched rounds (all, for one family), the
+    ``kept`` ones among them that are conclusive, the ``correct`` kept
+    decodes, the ``checked`` kept rounds with their ``mismatches``, and,
+    when Eve intercepts, her ``eve_correct`` decodes.
 
     Draw order: Alice's family coin (two families only), Bob's message,
     the first outcome (Alice's, or Eve's when she intercepts), Alice's
@@ -567,24 +561,25 @@ def _signal_block(alphabet: tuple[BasisId, ...], lookup: _InverseCdf, d: int, ev
         dcode += np.multiply(hat, d + 1, out=scratch("offset", np.int64, n))
     hit = np.equal(dcode, b_idx, out=scratch("hit", bool, n))
     hit &= kept
-    tally = _SignalTally(matched=matched, kept=int(np.count_nonzero(kept)),
-                         correct=int(np.count_nonzero(hit)))
+    counts = {"matched": matched, "kept": int(np.count_nonzero(kept)),
+              "correct": int(np.count_nonzero(hit))}
     if posttest_fraction is None:
-        tally.checked, tally.mismatches = tally.kept, tally.kept - tally.correct
+        counts["checked"] = counts["kept"]
+        counts["mismatches"] = counts["kept"] - counts["correct"]
     else:
         checked = np.less(_draws(stream, n), math.ceil(posttest_fraction * _UNIT),
                           out=scratch("checked", bool, n))
         checked &= kept
-        tally.checked = int(np.count_nonzero(checked))
+        counts["checked"] = int(np.count_nonzero(checked))
         checked &= hit
-        tally.mismatches = tally.checked - int(np.count_nonzero(checked))
+        counts["mismatches"] = counts["checked"] - int(np.count_nonzero(checked))
     if eve:   # Eve's codes name plain bases, so only plain messages can match
-        tally.eve_correct = int(np.count_nonzero(
+        counts["eve_correct"] = int(np.count_nonzero(
             np.equal(eve_code, b_idx, out=scratch("eve_hit", bool, n))))
     if not collect:
-        return tally, None
-    return tally, _piece(d, alphabet, eve, family=np.zeros(n, bool) if hat is None else hat,
-                         basis=b_idx, outcome=out_idx, eve_outcome=eve_idx if eve else ())
+        return counts, None
+    return counts, _piece(d, alphabet, eve, family=np.zeros(n, bool) if hat is None else hat,
+                          basis=b_idx, outcome=out_idx, eve_outcome=eve_idx if eve else ())
 
 
 def _scaled(k: np.ndarray, size: int, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
@@ -602,19 +597,22 @@ def _scaled(k: np.ndarray, size: int, out: np.ndarray, spare: np.ndarray) -> np.
 
 def _pretest_block(alphabet: tuple[BasisId, ...], eve: bool, collect: bool, first: np.ndarray,
                    target: np.ndarray, stream: np.random.Generator, n: int, scratch: _Scratch,
-                   ) -> tuple[int, int, RoundLog | None]:
-    """Sample ``n`` pre-test rounds from one row of raw words: the rounds on
-    partner bases, the hits among them, and with ``collect`` a :class:`RoundLog` piece.
+                   ) -> tuple[dict[str, int], RoundLog | None]:
+    """Sample ``n`` pre-test rounds from one row of raw words: their counts,
+    the ``correlated`` rounds on partner bases and the ``hits`` among them,
+    and with ``collect`` a :class:`RoundLog` piece.
 
-    Draw k reads cell floor(k N / 2^53) of the N = ((d+1) d)^2 cells, and
-    x = floor(k (d+1) d / 2^53) is its (b, m).  Uniform cells are the
-    attacked joint, where both halves are maximally mixed; without Eve,
-    Alice's outcome on partner bases becomes the partner outcome.
+    Draw k reads cell floor(k N / 2^53) of the N = s^2 cells, s = (d+1) d,
+    and x = cell // s is its (b, m), floor(k s / 2^53) exactly, since
+    floor(floor(y) / s) = floor(y / s) for a positive integer s.  Uniform
+    cells are the attacked joint, where both halves are maximally mixed;
+    without Eve, Alice's outcome on partner bases becomes the partner
+    outcome.
     ``first`` and ``target`` are the tables of :func:`_pretest_partners`."""
     d, side = len(alphabet) - 1, first.size
     k = _draws(stream, n)
     cell = _scaled(k, side * side, scratch("cell", np.int64, n), scratch("row", np.int64, n))
-    x = _scaled(k, side, scratch("x", np.int64, n), scratch("row", np.int64, n))
+    x = np.floor_divide(cell, side, out=scratch("x", np.int64, n))
     offset = np.take(first, x, out=k, mode="clip")   # the draws are spent
     np.subtract(cell, offset, out=offset)
     correlated = np.less(offset.view(np.uint64), d, out=scratch("mask", bool, n))
@@ -622,8 +620,8 @@ def _pretest_block(alphabet: tuple[BasisId, ...], eve: bool, collect: bool, firs
     if not eve:   # cell += hit - cell on partner rounds; a masked copy took twice as long
         cell += np.multiply(np.subtract(hit, cell, out=offset), correlated, out=offset)
     hits = np.count_nonzero(np.equal(cell, hit, out=scratch("hit", bool, n)))
-    piece = _piece(d, alphabet, eve, pretest=cell) if collect else None
-    return int(np.count_nonzero(correlated)), int(hits), piece
+    counts = {"correlated": int(np.count_nonzero(correlated)), "hits": int(hits)}
+    return counts, _piece(d, alphabet, eve, pretest=cell) if collect else None
 
 
 def _run_session(config: HarnessConfig, workers: int, collect: bool,
@@ -632,7 +630,9 @@ def _run_session(config: HarnessConfig, workers: int, collect: bool,
     reads, on ``workers`` threads; the generator's return value is its report.
 
     The first ``config.pretest_rounds()`` rounds are spent on tomography
-    before signalling (see :class:`SessionReport` for its fields).  With
+    before signalling (see :class:`SessionReport` for its fields).  Both
+    phases run in one loop, which sums every block's counts into one
+    Counter, where a count no block of the session made reads 0.  With
     ``posttest_fraction=None`` every conclusive decode is checked against
     Bob's record (a supervisor's view; the original protocol itself has
     no verification step).  With ``collect`` the session yields its
@@ -644,31 +644,25 @@ def _run_session(config: HarnessConfig, workers: int, collect: bool,
     alphabet = config.alphabet()
     eve = config.eve is not EveMode.OFF
     n_pre = config.pretest_rounds()
-    correlated = hits = None
-    if n_pre:
-        correlated = hits = 0
-        pretest = functools.partial(_pretest_block, alphabet, eve, collect, *_pretest_partners(d))
-        for block_correlated, block_hits, piece in _run_blocks(
-                pretest, n_pre, seed, _PRETEST_STREAM_BASE, workers):
-            correlated += block_correlated
-            hits += block_hits
-            if piece is not None:
-                yield piece
     weights = config.message_weights()
     message = _inverse_cdf(_cdf(weights / weights.sum()))
     table = _table_lookup(d, len(_PROTOCOL_FAMILIES[config.protocol]))
-    worker = functools.partial(_signal_block, alphabet, table, d, eve, message,
+    pretest = functools.partial(_pretest_block, alphabet, eve, collect, *_pretest_partners(d))
+    signal = functools.partial(_signal_block, alphabet, table, d, eve, message,
                                config.posttest_fraction, collect)
-    tally = _SignalTally()
-    for block_tally, piece in _run_blocks(worker, rounds - n_pre, seed, 0, workers):
-        tally.add(block_tally)
-        if piece is not None:
-            yield piece
+    counts = Counter()   # an empty pre-test runs no block
+    for worker, total, stream_base in ((pretest, n_pre, _PRETEST_STREAM_BASE),
+                                       (signal, rounds - n_pre, 0)):
+        for block_counts, piece in _run_blocks(worker, total, seed, stream_base, workers):
+            counts.update(block_counts)
+            if piece is not None:
+                yield piece
+    correlated, hits = (counts["correlated"], counts["hits"]) if n_pre else (None, None)
     return SessionReport(
-        rounds=rounds, sifted=tally.kept,
-        decode_accuracy=_ratio(tally.correct, tally.kept),
-        inconclusive_rate=_ratio(tally.matched - tally.kept, tally.matched),
-        detection_rate=_ratio(tally.mismatches, tally.checked),
-        eve_information_rate=_ratio(tally.eve_correct, rounds - n_pre),
+        rounds=rounds, sifted=counts["kept"],
+        decode_accuracy=_ratio(counts["correct"], counts["kept"]),
+        inconclusive_rate=_ratio(counts["matched"] - counts["kept"], counts["matched"]),
+        detection_rate=_ratio(counts["mismatches"], counts["checked"]),
+        eve_information_rate=_ratio(counts["eve_correct"], rounds - n_pre),
         pretest_correlated=correlated, pretest_hits=hits,
         pretest_abort=None if hits is None else hits < correlated, seed=seed)

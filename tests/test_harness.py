@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +19,7 @@ from mubsig.harness import (
 )
 from mubsig import protocol
 from mubsig.protocol import pair_outcome_probs
+from mubsig.report import build_document, canonical_json, config_from_document
 from mubsig.streams import derive_round_stream
 from dense import basis_code, decode_oracle
 
@@ -59,6 +62,26 @@ def test_config_refuses_wrongly_typed_fields(fields):
     or in a report that cannot reproduce itself."""
     with pytest.raises(TypeError):
         HarnessConfig(**{"d": 2, "protocol": Protocol.ORIGINAL, "rounds": 100, **fields})
+
+
+@pytest.mark.parametrize("field", ["pretest_fraction", "posttest_fraction"])
+@pytest.mark.parametrize("value", [Fraction(1, 2), Decimal("0.5"), np.float32(0.5)],
+                         ids=["Fraction", "Decimal", "float32"])
+def test_config_refuses_a_fraction_that_is_not_a_float(field, value):
+    """A fraction of another number type would run, and then its report
+    would fail to serialise; it fails at construction instead."""
+    fractions = {"pretest_fraction": 0.2, "posttest_fraction": 0.5, field: value}
+    with pytest.raises(TypeError, match=f"{field} must be of type float"):
+        HarnessConfig(d=3, protocol=Protocol.TOMOGRAPHIC, rounds=100, **fractions)
+
+
+def test_a_float64_fraction_runs_and_its_report_reproduces_it():
+    """``np.float64`` is a float: its session runs, and its report reloads
+    to an equal config."""
+    config = HarnessConfig(d=3, protocol=Protocol.DUAL_FAMILY, rounds=100,
+                           posttest_fraction=np.float64(0.5))
+    document = json.loads(canonical_json(build_document(config, run_trials(config))))
+    assert config_from_document(document) == config
 
 
 def test_config_bounds_rounds():

@@ -374,11 +374,11 @@ class _RawWords:
 
 def _pretest_block(d, eve, k):
     """One collected pre-test block of the draws ``k``, on the session's
-    tables: (n_c, h, cells)."""
-    n_c, h, piece = protocol._pretest_block(
+    tables: (its counts, cells)."""
+    counts, piece = protocol._pretest_block(
         basis_alphabet(d), eve, True, *protocol._pretest_partners(d), _RawWords(k), len(k),
         protocol._Scratch(len(k)))
-    return n_c, h, piece.pretest.astype(np.int64)
+    return counts, piece.pretest.astype(np.int64)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
@@ -400,10 +400,10 @@ def test_pretest_cells_are_the_exact_joint(d):
     on_partner = np.arange(cells) // d == target // d
     moved = np.where(on_partner, target, np.arange(cells))
     for eve, expected in ((True, read), (False, moved[read])):
-        n_c, h, got = _pretest_block(d, eve, k)
+        counts, got = _pretest_block(d, eve, k)
         assert_array_equal(got, expected)
-        assert n_c == on_partner[read].sum()
-        assert h == (expected == target[read]).sum()
+        assert counts["correlated"] == on_partner[read].sum()
+        assert counts["hits"] == (expected == target[read]).sum()
     count = np.diff(np.array(least, dtype=np.int64))
     assert count.sum() == 2 ** 53 and count.max() - count.min() <= 1
     attacked = count / 2 ** 53
@@ -516,6 +516,18 @@ def test_tomographic_session_record_structure():
     assert 0 < report.pretest_correlated == report.pretest_hits < 200
     assert report.pretest_abort is False
     assert report.decode_accuracy == 1.0
+
+
+def test_a_session_builds_its_lookups_before_any_block(monkeypatch):
+    """Both phases' workers are built before the first block runs, so a
+    tomographic session whose table cannot be built yields no pre-test row."""
+    def no_table(d, n_families):
+        raise MemoryError
+
+    monkeypatch.setattr(protocol, "_table_lookup", no_table)
+    session = protocol._run_session(tomographic(3, 1000, seed=30), 1, True)
+    with pytest.raises(MemoryError):
+        next(session)
 
 
 _DTYPES = {"pretest": np.uint32, "family": np.uint8, "basis": np.uint16,
@@ -712,12 +724,12 @@ def test_integer_coins_are_the_float_predicates(k):
     n_bases = len(alphabet)
     message = protocol._inverse_cdf(_cdf(np.full(n_bases, 1.0 / n_bases)))
     for f in (np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0)):
-        tally, log = protocol._signal_block(
+        counts, log = protocol._signal_block(
             alphabet, protocol._table_lookup(d, 2), d, False, message, float(f), True,
             _ConstantRawStream(k), 4, protocol._Scratch(4))
         assert_array_equal(log.family, np.full(4, int(u >= 0.5)))
-        assert tally.kept == 4
-        assert tally.checked == (4 if u < f else 0), (k, f)
+        assert counts["kept"] == 4
+        assert counts["checked"] == (4 if u < f else 0), (k, f)
 
 
 class _RecordingStream:

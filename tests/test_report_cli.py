@@ -621,9 +621,11 @@ def test_cli_table_csv_and_errors(capsys):
     assert main(["table", "--dim", "2", "--basis", "q5"]) == 2
     assert main(["table", "--dim", "2", "--basis", "zonk"]) == 2
     capsys.readouterr()
-    # only ASCII digits name a quadratic basis: an Arabic-Indic three printed
-    # the q3 row, and a superscript two failed inside int()
-    for label in ("q\u0663", "q\u00b2"):
+    # a label is a basis's exact text at --dim: an Arabic-Indic three printed
+    # the q3 row, a superscript two failed inside int(), and " q1" and q01
+    # printed the q1 row
+    for label in ("", "comp2", "qx", "hat", "hat-", "q-1", "q\u0663", "q\u00b2",
+                  "hat-q\u0663", "q01", " q1", "q7"):
         assert main(["table", "--dim", "5", "--basis", label]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -127,12 +127,24 @@ class HarnessConfig:
             if label not in known:
                 raise ValueError(f"message label {label!r} not in the "
                                  f"{self.protocol.value} alphabet")
-            if (isinstance(w, bool) or not isinstance(w, numbers.Real)
-                    or not 0 <= w <= sys.float_info.max):
+            if not _is_weight(w):
                 raise ValueError(f"message weight for {label!r} must be a finite "
                                  f"number >= 0")
             weights[known[label]] = w
         return _checked_weights(weights, len(alphabet))
+
+
+def _is_weight(w) -> bool:
+    """Whether ``w`` is a real number, not a bool, finite and >= 0 as a float.
+
+    It is converted before the range test: an ``np.float32`` compared with
+    the largest double would be compared in float32, where that overflows."""
+    if isinstance(w, bool) or not isinstance(w, numbers.Real):
+        return False
+    try:
+        return 0 <= float(w) <= sys.float_info.max
+    except OverflowError:   # an int or Fraction beyond every float
+        return False
 
 
 def _checked_weights(weights, n_bases: int) -> np.ndarray:

@@ -35,10 +35,15 @@ pre-test, post-test checking with sifting).  Sessions sample rounds
 from one exact inverse CDF of the outcome rows, compiled once per
 dimension and family count from the pure pair states.  Every draw is the
 top 53 bits k of one raw 64-bit word of the block's stream, the integer
-behind the uniform u = k/2^53.  Bob's message and each pair outcome take
-one exact inverse-CDF lookup, :class:`_InverseCdf`, whose guide table
-answers almost every draw with two gathers and one comparison, and a
-pre-test cell one split multiply, one division and two gathers.  Every
+behind the uniform u = k/2^53.  Bob's message takes one exact
+inverse-CDF lookup, :class:`_InverseCdf`, whose guide table answers
+almost every draw with two gathers and one comparison, and a pre-test
+cell one split multiply, one division and two gathers.  A pair outcome
+is one more lookup, and its decode one gather, in a collected block or
+where a row decodes a conclusive cell to another basis than Bob's
+(:func:`_signal_keys`).  Otherwise only (0,0) is inconclusive and every
+other cell names Bob's basis, so an uncollected block counts each
+outcome from one comparison of its draw with its row's key.  Every
 block returns its counts as a dict, and a session sums them over both
 its phases in one loop.  The per-round statistics remain
 exactly those of the state-by-state simulation in :mod:`mubsig.oracle`,
@@ -443,6 +448,42 @@ def _table_lookup(d: int, n_families: int) -> _InverseCdf:
         [[untouched] + [pair_outcome_probs(d, f, b) for b in alphabet] for f in families])))
 
 
+@per_dim_cache
+def _signal_keys(d: int, n_families: int, eve: bool) -> np.ndarray | None:
+    """Per basis of Bob's, in :func:`basis_alphabet` order, the in-row key
+    of cell 0, the (0,0) outcome, on the row of ``_table_lookup(d,
+    n_families)`` that a counted signal round reads: his basis measured on
+    a pair of its own family.  None unless each such row decodes every
+    other cell a draw can reach to his basis.
+
+    A draw k lands past cell 0 of a row exactly when k exceeds its key
+    (see :class:`_InverseCdf`), and a draw can reach cell j >= 1 exactly
+    when its key exceeds cell j-1's.  Only (0,0) is inconclusive, so on
+    these rows a draw is conclusive when k exceeds the key, and then a
+    correct decode.  With ``eve``, Eve's plain decoy reads the plain row
+    of Bob's basis, and Alice, when Eve's read is inconclusive, her
+    untouched row, which then must never decode.  For a hat basis Eve's
+    row is not the one Alice counts, so two families with Eve get None.
+    """
+    if eve and n_families > 1:
+        return None
+    lookup = _table_lookup(d, n_families)
+    codes, cells = _decode_codes(d), lookup.cells
+    if codes[0] != _INCONCLUSIVE_CODE or (codes[1:] == _INCONCLUSIVE_CODE).any():
+        return None
+    basis = np.arange((d + 1) * n_families)
+    family = basis // (d + 1)
+    rows = family * (1 + basis.size) + 1 + basis
+    wanted = dict(zip(rows.tolist(), (basis - family * (d + 1)).tolist()))
+    if eve:
+        wanted[0] = _INCONCLUSIVE_CODE
+    for row, code in wanted.items():   # one row at a time: d^2 keys each
+        reached = np.diff(lookup.thresholds[row * cells:(row + 1) * cells]) > 0
+        if (codes[1:][reached] != code).any():
+            return None
+    return _frozen(lookup.thresholds[rows * cells] - rows * _UNIT)
+
+
 # ---------------------------------------------------------------------------
 # The public tomography pre-test.
 # ---------------------------------------------------------------------------
@@ -529,16 +570,25 @@ def _signal_block(alphabet: tuple[BasisId, ...], lookup: _InverseCdf, d: int, ev
     outcome after Eve's resend, and the post-test coin (unless every
     conclusive round is checked), each a row of ``n`` raw words drawn
     where it is used, so a block holds one row of words at a time.  Eve's
-    decoy pair is plain.
-    """
-    two_families = len(alphabet) > d + 1
-    codes = _decode_codes(d)
+    decoy pair is plain.  ``lookup`` is ``_table_lookup(d, n_families)``.
 
+    Bob's message takes one guide-table lookup.  An uncollected block
+    whose rows :func:`_signal_keys` admits reads each outcome as one
+    comparison of its draw with its row's key: conclusive or not is all
+    its counts need, and every conclusive read is correct.  Any other
+    block looks up each outcome's cell and decodes it.
+    """
+    n_families = 1 + (len(alphabet) > d + 1)
     # integer coins: k >= 2^52 is u >= 1/2 (hat), and k < ceil(f*2^53) is u < f
     hat = None
-    if two_families:
+    if n_families == 2:
         hat = np.greater_equal(_draws(stream, n), _UNIT >> 1, out=scratch("hat", bool, n))
     b_idx = message(0, _draws(stream, n), scratch("basis", np.int64, n), scratch)
+    keys = None if collect else _signal_keys(d, n_families, eve)
+    if keys is not None:
+        return _keyed_counts(keys, hat, b_idx, d, eve, posttest_fraction, stream, n,
+                             scratch), None
+    codes = _decode_codes(d)
     row = np.add(b_idx, 1, out=scratch("row", np.int64, n))
     if eve:   # Eve's decoy is a plain pair, and she resends in the plain basis she decoded
         # uncollected, her outcome is dead once decoded, so Alice's takes its buffer
@@ -580,6 +630,40 @@ def _signal_block(alphabet: tuple[BasisId, ...], lookup: _InverseCdf, d: int, ev
         return counts, None
     return counts, _piece(d, alphabet, eve, family=np.zeros(n, bool) if hat is None else hat,
                           basis=b_idx, outcome=out_idx, eve_outcome=eve_idx if eve else ())
+
+
+def _keyed_counts(keys: np.ndarray, hat: np.ndarray | None, b_idx: np.ndarray, d: int,
+                  eve: bool, posttest_fraction: float | None, stream: np.random.Generator,
+                  n: int, scratch: _Scratch) -> dict[str, int]:
+    """The counts of :func:`_signal_block`'s uncollected block once Bob's
+    basis ``b_idx`` is drawn, from ``keys``, the keys :func:`_signal_keys`
+    gives per basis.
+
+    Eve's read is conclusive when her draw exceeds the key of Bob's basis,
+    and it then names his basis, so she resends his row; else she sends
+    the untouched pair, which Alice never decodes.  On a matched round
+    Alice's read is conclusive when her draw exceeds the same key, and
+    then correct, so no round is a mismatch."""
+    key = np.take(keys, b_idx, out=scratch("key", np.int64, n), mode="clip")
+    counts = {"matched": n, "mismatches": 0}
+    if eve:
+        eve_read = np.greater(_draws(stream, n), key, out=scratch("eve_hit", bool, n))
+        counts["eve_correct"] = int(np.count_nonzero(eve_read))
+    kept = np.greater(_draws(stream, n), key, out=scratch("kept", bool, n))
+    if eve:
+        kept &= eve_read
+    if hat is not None:   # an unmatched round is not counted, whatever its key
+        same = np.greater(b_idx, d, out=scratch("same", bool, n))   # Bob sent a hat basis
+        np.equal(same, hat, out=same)
+        counts["matched"] = int(np.count_nonzero(same))
+        kept &= same
+    counts["kept"] = counts["correct"] = counts["checked"] = int(np.count_nonzero(kept))
+    if posttest_fraction is not None:
+        checked = np.less(_draws(stream, n), math.ceil(posttest_fraction * _UNIT),
+                          out=scratch("checked", bool, n))
+        checked &= kept
+        counts["checked"] = int(np.count_nonzero(checked))
+    return counts
 
 
 def _scaled(k: np.ndarray, size: int, out: np.ndarray, spare: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -154,6 +155,20 @@ def test_config_message_weights():
         original(message_distribution={"q0": -1.0})
     with pytest.raises(ValueError):
         original(message_distribution={"q0": 0.0})
+
+
+@pytest.mark.parametrize("weight", [np.float32(0.5), np.float16(2.0), Fraction(1, 3), 3],
+                         ids=["float32", "float16", "Fraction", "int"])
+def test_a_weight_of_any_real_type_is_range_tested_as_a_float(weight):
+    """A real weight of another type builds its config without a warning, as
+    its float; one past the largest float is refused, not an overflow."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg = original(message_distribution={"comp": weight, "q0": 1.0})
+        assert_array_equal(cfg.message_weights(), [float(weight), 1.0, 0.0])
+    for huge in (10 ** 400, Fraction(10 ** 400, 3)):
+        with pytest.raises(ValueError, match="finite number >= 0"):
+            original(message_distribution={"comp": huge})
 
 
 # ---------------------------------------------------------------------------

@@ -751,30 +751,31 @@ class _RecordingStream:
 def test_a_signal_block_draws_its_words_in_one_call(n_families, eve, posttest_fraction):
     """A block takes each draw's words in one ``random_raw`` call of n words,
     one call for each draw the config makes (family coin, message, first
-    outcome, outcome after the resend, post-test coin), and no more."""
+    outcome, outcome after the resend, post-test coin), and no more, whether
+    collected or not, and so whether it reads its outcomes' cells or keys."""
     d, n = 5, 1000
     alphabet = basis_alphabet(d, protocol._FAMILIES[:n_families])
     message = protocol._inverse_cdf(_cdf(np.full(len(alphabet), 1.0 / len(alphabet))))
-    stream = _RecordingStream(4)
-    _, log = protocol._signal_block(
-        alphabet, protocol._table_lookup(d, n_families), d, eve, message, posttest_fraction,
-        True, stream, n, protocol._Scratch(n))
     draws = (n_families == 2) + 2 + eve + (posttest_fraction is not None)
-    assert stream.calls == [n] * draws
-    assert len(log) == n
+    for collect in (True, False):
+        stream = _RecordingStream(4)
+        _, log = protocol._signal_block(
+            alphabet, protocol._table_lookup(d, n_families), d, eve, message,
+            posttest_fraction, collect, stream, n, protocol._Scratch(n))
+        assert stream.calls == [n] * draws, collect
+        assert len(log) == n if collect else log is None
 
 
-def test_a_signal_block_holds_one_row_of_raw_words_at_a_time():
-    """Once its thread's buffers are made, a full block with every draw (two
-    families, the attacker, a post-test coin) traces at most two rows of raw
-    words: each row is dead before the next is drawn."""
-    d, n = 7, BLOCK_ROUNDS
-    alphabet = basis_alphabet(d, protocol._FAMILIES)
+def _raw_word_rows_at_peak(d: int, n_families: int) -> float:
+    """The traced peak of one warm, full, uncollected block with the
+    attacker and a post-test coin, in rows of raw words."""
+    n = BLOCK_ROUNDS
+    alphabet = basis_alphabet(d, protocol._FAMILIES[:n_families])
     message = protocol._inverse_cdf(_cdf(np.full(len(alphabet), 1.0 / len(alphabet))))
     scratch = protocol._Scratch(n)
 
     def block(stream):
-        return protocol._signal_block(alphabet, protocol._table_lookup(d, 2), d, True,
+        return protocol._signal_block(alphabet, protocol._table_lookup(d, n_families), d, True,
                                       message, 0.5, False, stream, n, scratch)
 
     block(derive_round_stream(5, 0))   # makes the buffers
@@ -785,8 +786,101 @@ def test_a_signal_block_holds_one_row_of_raw_words_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    row = n * np.dtype(np.uint64).itemsize
-    assert peak <= 2 * row, peak / row
+    return peak / (n * np.dtype(np.uint64).itemsize)
+
+
+def test_a_signal_block_holds_one_row_of_raw_words_at_a_time():
+    """Once its thread's buffers are made, a full block with every draw (two
+    families, the attacker, a post-test coin) traces at most two rows of raw
+    words: each row is dead before the next is drawn."""
+    assert protocol._signal_keys(7, 2, True) is None   # the dual-family attack reads cells
+    assert _raw_word_rows_at_peak(7, 2) <= 2
+
+
+def test_a_keyed_signal_block_holds_one_row_of_raw_words_at_a_time():
+    """A tomographic intercepted block at d=31 with a post-test coin, which
+    compares its outcome draws with keys, traces at most two rows of raw
+    words too."""
+    assert protocol._signal_keys(31, 1, True) is not None
+    assert _raw_word_rows_at_peak(31, 1) <= 2
+
+
+# The (n_families, eve, posttest_fraction) of each protocol and Eve pair whose
+# uncollected blocks compare draws with keys instead of reading cells.
+_KEYED = {"original-off": (1, False, None), "original-intercept": (1, True, None),
+          "tomographic-off": (1, False, 0.5), "tomographic-intercept": (1, True, 0.5),
+          "dualfamily-off": (2, False, 0.5)}
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 13, 31])
+@pytest.mark.parametrize("pair", list(_KEYED))
+def test_an_uncollected_block_counts_what_its_cells_count(d, pair):
+    """On 50 streams, with uniform and with skewed messages (some never
+    sent), the counts a block reads off its keys are the counts of the
+    same block read cell by cell, as it is when collected."""
+    n_families, eve, posttest_fraction = _KEYED[pair]
+    assert protocol._signal_keys(d, n_families, eve) is not None
+    alphabet = basis_alphabet(d, protocol._FAMILIES[:n_families])
+    skewed = np.random.default_rng(d).random(len(alphabet)) ** 3
+    skewed[1::3] = 0.0
+    n, scratch = 700, protocol._Scratch(700)
+    for weights in (np.ones(len(alphabet)), skewed):
+        message = protocol._inverse_cdf(_cdf(weights / weights.sum()))
+        for seed in range(50):
+            counts = [protocol._signal_block(
+                alphabet, protocol._table_lookup(d, n_families), d, eve, message,
+                posttest_fraction, collect, derive_round_stream(seed, d), n, scratch)[0]
+                for collect in (False, True)]
+            assert counts[0] == counts[1], (seed, weights)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("pair", list(_KEYED))
+def test_a_draw_on_a_key_reads_as_its_cell_does(d, pair):
+    """Draws one below, on and one above the key of every basis Bob sends
+    count as the cells they land on: a draw on the key is still (0,0)."""
+    n_families, eve, posttest_fraction = _KEYED[pair]
+    alphabet = basis_alphabet(d, protocol._FAMILIES[:n_families])
+    keys = protocol._signal_keys(d, n_families, eve)
+    for j, key in enumerate(keys.tolist()):
+        message = protocol._inverse_cdf(_cdf(np.eye(len(alphabet))[j]))
+        for k in (key - 1, key, key + 1):
+            counts = [protocol._signal_block(
+                alphabet, protocol._table_lookup(d, n_families), d, eve, message,
+                posttest_fraction, collect, _ConstantRawStream(k), 4, protocol._Scratch(4))[0]
+                for collect in (False, True)]
+            assert counts[0] == counts[1], (j, k - key)
+
+
+@pytest.mark.parametrize("make,eve", [
+    (original, EveMode.OFF), (original, EveMode.INTERCEPT), (tomographic, EveMode.OFF),
+    (tomographic, EveMode.INTERCEPT), (dual, EveMode.OFF), (dual, EveMode.DUAL_FAMILY)],
+    ids=["original-off", "original-intercept", "tomographic-off", "tomographic-intercept",
+         "dualfamily-off", "dualfamily-dualfamily"])
+def test_an_uncollected_session_reports_what_a_collected_one_does(make, eve):
+    """A three-block session reports the same whether its blocks read keys
+    (uncollected) or cells (collected), at one and at two workers."""
+    config = make(5, 3 * BLOCK_ROUNDS, 21, eve=eve)
+    expected = run_trials(config, return_rounds=True)[0]
+    for workers in (1, 2):
+        assert run_trials(config, workers=workers) == expected
+        assert run_trials(config, workers=workers, return_rounds=True)[0] == expected
+
+
+def test_a_row_that_decodes_to_another_basis_keeps_its_cells(fresh_caches, monkeypatch):
+    """Whether blocks read keys comes from the table: when Bob's comp row
+    is made q0's, whose conclusive cells decode to q0, no block compares
+    keys, and the session reports the wrong decodes it reads off cells."""
+    d = 3
+    comp, q0 = basis_alphabet(d, (Family.PLAIN,))[:2]
+    exact = protocol.pair_outcome_probs
+    monkeypatch.setattr(protocol, "pair_outcome_probs", lambda dim, family, basis: exact(
+        dim, family, q0 if basis == comp else basis))
+    assert protocol._signal_keys(d, 1, False) is None
+    config = original(d, 3 * BLOCK_ROUNDS, 5)
+    report = run_trials(config)
+    assert report.decode_accuracy < 1
+    assert report == run_trials(config, return_rounds=True)[0]
 
 
 @pytest.mark.parametrize("d,n_families", [(d, f) for d in (2, 5, 13, 31) for f in (1, 2)])

@@ -38,14 +38,14 @@ top 53 bits k of one raw 64-bit word of the block's stream, the integer
 behind the uniform u = k/2^53.  Bob's message takes one exact
 inverse-CDF lookup, :class:`_InverseCdf`, whose guide table answers
 almost every draw with two gathers and one comparison, and a pre-test
-cell one split multiply, one division and two gathers.  A pair outcome
-is one more lookup, and its decode one gather, in a collected block or
-where a row decodes a conclusive cell to another basis than Bob's
-(:func:`_signal_keys`).  Otherwise only (0,0) is inconclusive and every
-other cell names Bob's basis, so an uncollected block counts each
-outcome from one comparison of its draw with its row's key.  Every
-block returns its counts as a dict, and a session sums them over both
-its phases in one loop.  The per-round statistics remain
+cell one split multiply, one division and two gathers.  Only (0,0) is
+inconclusive, and every other cell of a row that a counted round reads
+names Bob's basis (:func:`_signal_keys` refuses a table where it does
+not), so a block counts each outcome from one comparison of its draw
+with its row's key.  Only the dual-family attack's hat rounds decode
+cells, and a collected block looks every outcome's cell up for its log.
+Every block returns its counts as a dict, and a session sums them over
+both its phases in one loop.  The per-round statistics remain
 exactly those of the state-by-state simulation in :mod:`mubsig.oracle`,
 which runs one round at a time on pure states and draws each outcome
 with one uniform and one float inverse-CDF search.
@@ -65,7 +65,8 @@ The no-alias rule: a buffer is named, two values share a buffer only
 when they share its name, and a value is written there only once the
 one before it is dead; a lookup's ``out`` is never its rows or draws.
 The only arrays still made per block are the stream's raw words, one
-row per draw, each drawn where it is used and dead before the next.
+row per draw, each drawn where it is used and dead before the next,
+and, in the dual-family attack, the index of its hat rounds.
 """
 
 from __future__ import annotations
@@ -449,28 +450,23 @@ def _table_lookup(d: int, n_families: int) -> _InverseCdf:
 
 
 @per_dim_cache
-def _signal_keys(d: int, n_families: int, eve: bool) -> np.ndarray | None:
+def _signal_keys(d: int, n_families: int, eve: bool) -> np.ndarray:
     """Per basis of Bob's, in :func:`basis_alphabet` order, the in-row key
-    of cell 0, the (0,0) outcome, on the row of ``_table_lookup(d,
-    n_families)`` that a counted signal round reads: his basis measured on
-    a pair of its own family.  None unless each such row decodes every
-    other cell a draw can reach to his basis.
+    of cell 0, the (0,0) outcome, on its own row of ``_table_lookup(d,
+    n_families)``: the basis measured on a pair of its own family.
 
     A draw k lands past cell 0 of a row exactly when k exceeds its key
     (see :class:`_InverseCdf`), and a draw can reach cell j >= 1 exactly
-    when its key exceeds cell j-1's.  Only (0,0) is inconclusive, so on
-    these rows a draw is conclusive when k exceeds the key, and then a
-    correct decode.  With ``eve``, Eve's plain decoy reads the plain row
-    of Bob's basis, and Alice, when Eve's read is inconclusive, her
-    untouched row, which then must never decode.  For a hat basis Eve's
-    row is not the one Alice counts, so two families with Eve get None.
+    when its key exceeds cell j-1's.  :func:`_signal_block` counts a draw
+    past the key of Bob's basis as a correct decode and any other as
+    inconclusive.  So (0,0) must be inconclusive, and each own row must
+    decode every other cell a draw can reach to its basis; with ``eve``,
+    Alice's untouched plain row, which she reads when Eve's read is
+    inconclusive, must never decode.  A table that breaks this raises
+    ``RuntimeError``.
     """
-    if eve and n_families > 1:
-        return None
     lookup = _table_lookup(d, n_families)
     codes, cells = _decode_codes(d), lookup.cells
-    if codes[0] != _INCONCLUSIVE_CODE or (codes[1:] == _INCONCLUSIVE_CODE).any():
-        return None
     basis = np.arange((d + 1) * n_families)
     family = basis // (d + 1)
     rows = family * (1 + basis.size) + 1 + basis
@@ -479,8 +475,9 @@ def _signal_keys(d: int, n_families: int, eve: bool) -> np.ndarray | None:
         wanted[0] = _INCONCLUSIVE_CODE
     for row, code in wanted.items():   # one row at a time: d^2 keys each
         reached = np.diff(lookup.thresholds[row * cells:(row + 1) * cells]) > 0
-        if (codes[1:][reached] != code).any():
-            return None
+        if codes[0] != _INCONCLUSIVE_CODE or (codes[1:][reached] != code).any():
+            raise RuntimeError(f"row {row} of the d={d} outcome table does not decode "
+                               "as its key counts")
     return _frozen(lookup.thresholds[rows * cells] - rows * _UNIT)
 
 
@@ -553,9 +550,9 @@ def _run_blocks(worker: Callable[[np.random.Generator, int, _Scratch], object],
             yield ahead.pop(j).result() if j % workers else block(j)
 
 
-def _signal_block(alphabet: tuple[BasisId, ...], lookup: _InverseCdf, d: int, eve: bool,
-                  message: _InverseCdf, posttest_fraction: float | None, collect: bool,
-                  stream: np.random.Generator, n: int, scratch: _Scratch,
+def _signal_block(alphabet: tuple[BasisId, ...], lookup: _InverseCdf, keys: np.ndarray, d: int,
+                  eve: bool, message: _InverseCdf, posttest_fraction: float | None,
+                  collect: bool, stream: np.random.Generator, n: int, scratch: _Scratch,
                   ) -> tuple[dict[str, int], RoundLog | None]:
     """Sample ``n`` signal rounds from one block stream: their counts, and
     with ``collect`` the rounds as a :class:`RoundLog` piece.
@@ -570,49 +567,78 @@ def _signal_block(alphabet: tuple[BasisId, ...], lookup: _InverseCdf, d: int, ev
     outcome after Eve's resend, and the post-test coin (unless every
     conclusive round is checked), each a row of ``n`` raw words drawn
     where it is used, so a block holds one row of words at a time.  Eve's
-    decoy pair is plain.  ``lookup`` is ``_table_lookup(d, n_families)``.
+    decoy pair is plain.  ``lookup`` is ``_table_lookup(d, n_families)``
+    and ``keys`` its :func:`_signal_keys`.
 
-    Bob's message takes one guide-table lookup.  An uncollected block
-    whose rows :func:`_signal_keys` admits reads each outcome as one
-    comparison of its draw with its row's key: conclusive or not is all
-    its counts need, and every conclusive read is correct.  Any other
-    block looks up each outcome's cell and decodes it.
+    Bob's message takes one guide-table lookup, and a draw past the key of
+    his basis is a conclusive, correct read: Eve's of a plain message, and
+    Alice's on a matched pair.  Only the dual-family attack's hat rounds,
+    a hat message on Alice's hat pair, decode cells: Eve's read of a hat
+    basis on her plain decoy, and Alice's of the plain basis Eve resends.
+    They look these up for their subset alone, or, collected, gather
+    Alice's from the cells the block looks up for its piece.
     """
-    n_families = 1 + (len(alphabet) > d + 1)
+    n_bases, codes = len(alphabet), _decode_codes(d)
     # integer coins: k >= 2^52 is u >= 1/2 (hat), and k < ceil(f*2^53) is u < f
-    hat = None
-    if n_families == 2:
+    hat = same = cross = None
+    if n_bases > d + 1:
         hat = np.greater_equal(_draws(stream, n), _UNIT >> 1, out=scratch("hat", bool, n))
     b_idx = message(0, _draws(stream, n), scratch("basis", np.int64, n), scratch)
-    keys = None if collect else _signal_keys(d, n_families, eve)
-    if keys is not None:
-        return _keyed_counts(keys, hat, b_idx, d, eve, posttest_fraction, stream, n,
-                             scratch), None
-    codes = _decode_codes(d)
-    row = np.add(b_idx, 1, out=scratch("row", np.int64, n))
-    if eve:   # Eve's decoy is a plain pair, and she resends in the plain basis she decoded
-        # uncollected, her outcome is dead once decoded, so Alice's takes its buffer
-        eve_buffer = "eve_outcome" if collect else "outcome"
-        eve_idx = lookup(row, _draws(stream, n), scratch(eve_buffer, np.int64, n), scratch)
-        eve_code = np.take(codes, eve_idx, out=scratch("eve", np.int64, n), mode="clip")
-        np.add(eve_code, 1, out=row)
-    if hat is not None:   # the hat pair's rows follow the plain pair's
-        row += np.multiply(hat, 1 + len(alphabet), out=scratch("offset", np.int64, n))
-    out_idx = lookup(row, _draws(stream, n), scratch("outcome", np.int64, n), scratch)
-    dcode = np.take(codes, out_idx, out=row, mode="clip")   # the row is spent
-    kept = np.not_equal(dcode, _INCONCLUSIVE_CODE, out=scratch("kept", bool, n))
-    matched = n
+    key = np.take(keys, b_idx, out=scratch("key", np.int64, n), mode="clip")
     if hat is not None:
-        same = np.greater(b_idx, d, out=scratch("same", bool, n))   # Bob sent a hat basis
-        np.equal(same, hat, out=same)
-        matched = int(np.count_nonzero(same))
+        bob_hat = np.greater(b_idx, d, out=scratch("bob_hat", bool, n))
+        same = np.equal(bob_hat, hat, out=scratch("same", bool, n))
+        if eve:   # a hat message on Alice's hat pair: these rounds decode cells
+            cross = np.flatnonzero(np.logical_and(bob_hat, hat, out=scratch("cross", bool, n)))
+            m = cross.size
+            cross_basis = np.take(b_idx, cross, out=scratch("cross_basis", np.int64, m),
+                                  mode="clip")
+
+            def cross_cells(rows: np.ndarray, k: np.ndarray) -> np.ndarray:
+                """The cells that these rounds' draws among ``k`` read on ``rows``."""
+                return lookup(rows, np.take(k, cross, out=scratch("cross_draw", np.int64, m),
+                                            mode="clip"), scratch("cross_cell", np.int64, m),
+                              scratch)
+    if collect:
+        row = np.add(b_idx, 1, out=scratch("row", np.int64, n))
+    if eve:   # she resends in the plain basis she decoded, or the untouched pair
+        k = _draws(stream, n)
+        eve_read = np.greater(k, key, out=scratch("eve_read", bool, n))
+        if collect:
+            eve_idx = lookup(row, k, scratch("eve_outcome", np.int64, n), scratch)
+            np.add(np.take(codes, eve_idx, out=row, mode="clip"), 1, out=row)
+        elif cross is not None:
+            cross_row = np.add(cross_basis, 1, out=scratch("cross_row", np.int64, m))
+            np.take(codes, cross_cells(cross_row, k), out=cross_row, mode="clip")
+            cross_row += 2 + n_bases   # the hat pair's row of the basis Eve resends
+        if hat is not None:   # her plain decoy never names a hat message
+            np.greater(eve_read, bob_hat, out=eve_read)
+        del k   # dead before the next row is drawn
+    k = _draws(stream, n)
+    kept = np.greater(k, key, out=scratch("kept", bool, n))
+    if collect:
+        if hat is not None:   # the hat pair's rows follow the plain pair's
+            row += np.multiply(hat, 1 + n_bases, out=scratch("offset", np.int64, n))
+        out_idx = lookup(row, k, scratch("outcome", np.int64, n), scratch)
+    if eve:
+        kept &= eve_read
+    if hat is not None:
         kept &= same
-        # Alice's code in Bob's numbering, where the hat bases follow the plain ones
-        dcode += np.multiply(hat, d + 1, out=scratch("offset", np.int64, n))
-    hit = np.equal(dcode, b_idx, out=scratch("hit", bool, n))
-    hit &= kept
-    counts = {"matched": matched, "kept": int(np.count_nonzero(kept)),
-              "correct": int(np.count_nonzero(hit))}
+    hit = kept
+    if cross is not None:
+        cell = (np.take(out_idx, cross, out=scratch("cross_cell", np.int64, m), mode="clip")
+                if collect else cross_cells(cross_row, k))
+        # Alice's codes take the buffer of her rows, which are spent
+        code = np.take(codes, cell, out=scratch("cross_row", np.int64, m), mode="clip")
+        mask = scratch("cross_mask", bool, m)
+        np.put(kept, cross, np.not_equal(code, _INCONCLUSIVE_CODE, out=mask), mode="clip")
+        hit = scratch("hit", bool, n)
+        np.copyto(hit, kept)
+        code += d + 1   # in Bob's numbering, where the hat bases follow the plain ones
+        np.put(hit, cross, np.equal(code, cross_basis, out=mask), mode="clip")
+    del k
+    counts = {"matched": n if same is None else int(np.count_nonzero(same)),
+              "kept": int(np.count_nonzero(kept)), "correct": int(np.count_nonzero(hit))}
     if posttest_fraction is None:
         counts["checked"] = counts["kept"]
         counts["mismatches"] = counts["kept"] - counts["correct"]
@@ -623,47 +649,12 @@ def _signal_block(alphabet: tuple[BasisId, ...], lookup: _InverseCdf, d: int, ev
         counts["checked"] = int(np.count_nonzero(checked))
         checked &= hit
         counts["mismatches"] = counts["checked"] - int(np.count_nonzero(checked))
-    if eve:   # Eve's codes name plain bases, so only plain messages can match
-        counts["eve_correct"] = int(np.count_nonzero(
-            np.equal(eve_code, b_idx, out=scratch("eve_hit", bool, n))))
+    if eve:
+        counts["eve_correct"] = int(np.count_nonzero(eve_read))
     if not collect:
         return counts, None
     return counts, _piece(d, alphabet, eve, family=np.zeros(n, bool) if hat is None else hat,
                           basis=b_idx, outcome=out_idx, eve_outcome=eve_idx if eve else ())
-
-
-def _keyed_counts(keys: np.ndarray, hat: np.ndarray | None, b_idx: np.ndarray, d: int,
-                  eve: bool, posttest_fraction: float | None, stream: np.random.Generator,
-                  n: int, scratch: _Scratch) -> dict[str, int]:
-    """The counts of :func:`_signal_block`'s uncollected block once Bob's
-    basis ``b_idx`` is drawn, from ``keys``, the keys :func:`_signal_keys`
-    gives per basis.
-
-    Eve's read is conclusive when her draw exceeds the key of Bob's basis,
-    and it then names his basis, so she resends his row; else she sends
-    the untouched pair, which Alice never decodes.  On a matched round
-    Alice's read is conclusive when her draw exceeds the same key, and
-    then correct, so no round is a mismatch."""
-    key = np.take(keys, b_idx, out=scratch("key", np.int64, n), mode="clip")
-    counts = {"matched": n, "mismatches": 0}
-    if eve:
-        eve_read = np.greater(_draws(stream, n), key, out=scratch("eve_hit", bool, n))
-        counts["eve_correct"] = int(np.count_nonzero(eve_read))
-    kept = np.greater(_draws(stream, n), key, out=scratch("kept", bool, n))
-    if eve:
-        kept &= eve_read
-    if hat is not None:   # an unmatched round is not counted, whatever its key
-        same = np.greater(b_idx, d, out=scratch("same", bool, n))   # Bob sent a hat basis
-        np.equal(same, hat, out=same)
-        counts["matched"] = int(np.count_nonzero(same))
-        kept &= same
-    counts["kept"] = counts["correct"] = counts["checked"] = int(np.count_nonzero(kept))
-    if posttest_fraction is not None:
-        checked = np.less(_draws(stream, n), math.ceil(posttest_fraction * _UNIT),
-                          out=scratch("checked", bool, n))
-        checked &= kept
-        counts["checked"] = int(np.count_nonzero(checked))
-    return counts
 
 
 def _scaled(k: np.ndarray, size: int, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
@@ -730,9 +721,10 @@ def _run_session(config: HarnessConfig, workers: int, collect: bool,
     n_pre = config.pretest_rounds()
     weights = config.message_weights()
     message = _inverse_cdf(_cdf(weights / weights.sum()))
-    table = _table_lookup(d, len(_PROTOCOL_FAMILIES[config.protocol]))
+    n_families = len(_PROTOCOL_FAMILIES[config.protocol])
     pretest = functools.partial(_pretest_block, alphabet, eve, collect, *_pretest_partners(d))
-    signal = functools.partial(_signal_block, alphabet, table, d, eve, message,
+    signal = functools.partial(_signal_block, alphabet, _table_lookup(d, n_families),
+                               _signal_keys(d, n_families, eve), d, eve, message,
                                config.posttest_fraction, collect)
     counts = Counter()   # an empty pre-test runs no block
     for worker, total, stream_base in ((pretest, n_pre, _PRETEST_STREAM_BASE),

@@ -1,5 +1,7 @@
 import concurrent.futures
 import dataclasses
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -616,6 +618,27 @@ class _ConstantRawStream:
         return np.full(n, self.word, dtype=np.uint64)
 
 
+class _RowStream:
+    """A stand-in block stream whose i-th ``random_raw`` call returns one row
+    of words, each with top 53 bits ``ks[i]`` and low 11 bits set."""
+
+    def __init__(self, ks):
+        self.bit_generator = self
+        self.ks = iter(ks)
+
+    def random_raw(self, n):
+        return np.full(n, next(self.ks) << 11 | 0x7FF, dtype=np.uint64)
+
+
+def _settings(d, n_families, eve, weights):
+    """The leading arguments of ``protocol._signal_block`` in a session of
+    ``n_families`` at ``d``, with Bob's message drawn from ``weights``."""
+    weights = np.asarray(weights, dtype=float)
+    return (basis_alphabet(d, protocol._FAMILIES[:n_families]),
+            protocol._table_lookup(d, n_families), protocol._signal_keys(d, n_families, eve),
+            d, eve, protocol._inverse_cdf(_cdf(weights / weights.sum())))
+
+
 class _TopOfUnitInterval(_ConstantRawStream):
     """A stand-in stream or generator: every uniform draw is the largest float
     below 1, u = 1 - 2^-53, and every raw draw is 2^64 - 1, whose top 53 bits
@@ -720,13 +743,10 @@ def test_integer_coins_are_the_float_predicates(k):
     """Around u = k / 2^53 = 1/2 the family coin is u >= 1/2 and the
     post-test coin is u < f, for f at 1/2 and one ulp either side."""
     d, u = 3, k / 2.0 ** 53
-    alphabet = basis_alphabet(d, (Family.PLAIN, Family.HAT))
-    n_bases = len(alphabet)
-    message = protocol._inverse_cdf(_cdf(np.full(n_bases, 1.0 / n_bases)))
+    settings = _settings(d, 2, False, np.ones(2 * (d + 1)))
     for f in (np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0)):
-        counts, log = protocol._signal_block(
-            alphabet, protocol._table_lookup(d, 2), d, False, message, float(f), True,
-            _ConstantRawStream(k), 4, protocol._Scratch(4))
+        counts, log = protocol._signal_block(*settings, float(f), True, _ConstantRawStream(k),
+                                             4, protocol._Scratch(4))
         assert_array_equal(log.family, np.full(4, int(u >= 0.5)))
         assert counts["kept"] == 4
         assert counts["checked"] == (4 if u < f else 0), (k, f)
@@ -752,16 +772,14 @@ def test_a_signal_block_draws_its_words_in_one_call(n_families, eve, posttest_fr
     """A block takes each draw's words in one ``random_raw`` call of n words,
     one call for each draw the config makes (family coin, message, first
     outcome, outcome after the resend, post-test coin), and no more, whether
-    collected or not, and so whether it reads its outcomes' cells or keys."""
+    collected or not, and so whether it looks its outcomes' cells up or not."""
     d, n = 5, 1000
-    alphabet = basis_alphabet(d, protocol._FAMILIES[:n_families])
-    message = protocol._inverse_cdf(_cdf(np.full(len(alphabet), 1.0 / len(alphabet))))
+    settings = _settings(d, n_families, eve, np.ones((d + 1) * n_families))
     draws = (n_families == 2) + 2 + eve + (posttest_fraction is not None)
     for collect in (True, False):
         stream = _RecordingStream(4)
-        _, log = protocol._signal_block(
-            alphabet, protocol._table_lookup(d, n_families), d, eve, message,
-            posttest_fraction, collect, stream, n, protocol._Scratch(n))
+        _, log = protocol._signal_block(*settings, posttest_fraction, collect, stream, n,
+                                        protocol._Scratch(n))
         assert stream.calls == [n] * draws, collect
         assert len(log) == n if collect else log is None
 
@@ -770,13 +788,11 @@ def _raw_word_rows_at_peak(d: int, n_families: int) -> float:
     """The traced peak of one warm, full, uncollected block with the
     attacker and a post-test coin, in rows of raw words."""
     n = BLOCK_ROUNDS
-    alphabet = basis_alphabet(d, protocol._FAMILIES[:n_families])
-    message = protocol._inverse_cdf(_cdf(np.full(len(alphabet), 1.0 / len(alphabet))))
+    settings = _settings(d, n_families, True, np.ones((d + 1) * n_families))
     scratch = protocol._Scratch(n)
 
     def block(stream):
-        return protocol._signal_block(alphabet, protocol._table_lookup(d, n_families), d, True,
-                                      message, 0.5, False, stream, n, scratch)
+        return protocol._signal_block(*settings, 0.5, False, stream, n, scratch)
 
     block(derive_round_stream(5, 0))   # makes the buffers
     stream = derive_round_stream(5, 1)
@@ -792,64 +808,99 @@ def _raw_word_rows_at_peak(d: int, n_families: int) -> float:
 def test_a_signal_block_holds_one_row_of_raw_words_at_a_time():
     """Once its thread's buffers are made, a full block with every draw (two
     families, the attacker, a post-test coin) traces at most two rows of raw
-    words: each row is dead before the next is drawn."""
-    assert protocol._signal_keys(7, 2, True) is None   # the dual-family attack reads cells
+    words: each row is dead before the next is drawn, and the hat rounds
+    that decode cells look them up in the thread's subset buffers."""
+    assert protocol._signal_keys(7, 2, True) is not None   # the dual-family attack reads keys
     assert _raw_word_rows_at_peak(7, 2) <= 2
 
 
 def test_a_keyed_signal_block_holds_one_row_of_raw_words_at_a_time():
     """A tomographic intercepted block at d=31 with a post-test coin, which
-    compares its outcome draws with keys, traces at most two rows of raw
+    compares every outcome draw with a key, traces at most two rows of raw
     words too."""
     assert protocol._signal_keys(31, 1, True) is not None
     assert _raw_word_rows_at_peak(31, 1) <= 2
 
 
-# The (n_families, eve, posttest_fraction) of each protocol and Eve pair whose
-# uncollected blocks compare draws with keys instead of reading cells.
-_KEYED = {"original-off": (1, False, None), "original-intercept": (1, True, None),
+# The (n_families, eve, posttest_fraction) of each protocol and Eve pair.
+_PAIRS = {"original-off": (1, False, None), "original-intercept": (1, True, None),
           "tomographic-off": (1, False, 0.5), "tomographic-intercept": (1, True, 0.5),
-          "dualfamily-off": (2, False, 0.5)}
+          "dualfamily-off": (2, False, 0.5), "dualfamily-dualfamily": (2, True, 0.5)}
+
+
+def _logged_counts(rounds, coin):
+    """A signal block's counts recomputed from its collected ``rounds``, as
+    ``dense.signal_rounds`` decodes them, and ``coin``, its post-test coin
+    per round (all True when every conclusive round is checked)."""
+    matched = [r.alice_prep_family is r.bob_basis.family for r in rounds]
+    kept = [m and r.alice_decode >= 0 for m, r in zip(matched, rounds)]
+    correct = [k and r.alice_decode == basis_code(r.bob_basis) for k, r in zip(kept, rounds)]
+    checked = [k and c for k, c in zip(kept, coin)]
+    counts = {"matched": sum(matched), "kept": sum(kept), "correct": sum(correct),
+              "checked": sum(checked),
+              "mismatches": sum(c and not ok for c, ok in zip(checked, correct))}
+    if rounds and rounds[0].eve_decode is not None:   # her decoy is plain
+        counts["eve_correct"] = sum(r.bob_basis.family is Family.PLAIN
+                                    and r.eve_decode == basis_code(r.bob_basis) for r in rounds)
+    return counts
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 13, 31])
-@pytest.mark.parametrize("pair", list(_KEYED))
-def test_an_uncollected_block_counts_what_its_cells_count(d, pair):
+@pytest.mark.parametrize("pair", list(_PAIRS))
+def test_an_uncollected_block_counts_what_its_cells_count(d, pair, signal_rounds):
     """On 50 streams, with uniform and with skewed messages (some never
-    sent), the counts a block reads off its keys are the counts of the
-    same block read cell by cell, as it is when collected."""
-    n_families, eve, posttest_fraction = _KEYED[pair]
-    assert protocol._signal_keys(d, n_families, eve) is not None
-    alphabet = basis_alphabet(d, protocol._FAMILIES[:n_families])
-    skewed = np.random.default_rng(d).random(len(alphabet)) ** 3
+    sent), a block counts the same uncollected and collected, and both are
+    the counts of the cells its collected log holds: each round decoded by
+    the plain-integer oracle, and the post-test coin replayed from the
+    block's last row of raw words."""
+    n_families, eve, posttest_fraction = _PAIRS[pair]
+    n_bases = (d + 1) * n_families
+    skewed = np.random.default_rng(d).random(n_bases) ** 3
     skewed[1::3] = 0.0
+    draws = (n_families == 2) + 2 + eve + (posttest_fraction is not None)
     n, scratch = 700, protocol._Scratch(700)
-    for weights in (np.ones(len(alphabet)), skewed):
-        message = protocol._inverse_cdf(_cdf(weights / weights.sum()))
+    for weights in (np.ones(n_bases), skewed):
+        settings = _settings(d, n_families, eve, weights)
         for seed in range(50):
-            counts = [protocol._signal_block(
-                alphabet, protocol._table_lookup(d, n_families), d, eve, message,
-                posttest_fraction, collect, derive_round_stream(seed, d), n, scratch)[0]
-                for collect in (False, True)]
-            assert counts[0] == counts[1], (seed, weights)
+            (counts, log), (uncollected, none) = (
+                protocol._signal_block(*settings, posttest_fraction, collect,
+                                       derive_round_stream(seed, d), n, scratch)
+                for collect in (True, False))
+            assert none is None
+            coin = np.ones(n, bool)
+            if posttest_fraction is not None:
+                words = derive_round_stream(seed, d).bit_generator.random_raw(draws * n)
+                coin = (words[-n:] >> 11) * 2.0 ** -53 < posttest_fraction
+            expected = _logged_counts(signal_rounds(log), coin.tolist())
+            assert counts == uncollected == expected, (seed, weights)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
-@pytest.mark.parametrize("pair", list(_KEYED))
-def test_a_draw_on_a_key_reads_as_its_cell_does(d, pair):
-    """Draws one below, on and one above the key of every basis Bob sends
-    count as the cells they land on: a draw on the key is still (0,0)."""
-    n_families, eve, posttest_fraction = _KEYED[pair]
+@pytest.mark.parametrize("pair", list(_PAIRS))
+def test_a_draw_on_a_key_reads_as_its_cell_does(d, pair, signal_rounds):
+    """For every basis Bob sends, on a pair of its own family, Eve's and
+    Alice's draws one below, on and one above its key count, collected and
+    not, as the cells of the collected log decode: a draw on the key is
+    still (0,0).  The key is the last k whose u = k / 2^53 lies below the
+    row's first CDF entry."""
+    n_families, eve, posttest_fraction = _PAIRS[pair]
     alphabet = basis_alphabet(d, protocol._FAMILIES[:n_families])
-    keys = protocol._signal_keys(d, n_families, eve)
-    for j, key in enumerate(keys.tolist()):
-        message = protocol._inverse_cdf(_cdf(np.eye(len(alphabet))[j]))
-        for k in (key - 1, key, key + 1):
-            counts = [protocol._signal_block(
-                alphabet, protocol._table_lookup(d, n_families), d, eve, message,
-                posttest_fraction, collect, _ConstantRawStream(k), 4, protocol._Scratch(4))[0]
-                for collect in (False, True)]
-            assert counts[0] == counts[1], (j, k - key)
+    keys = protocol._signal_keys(d, n_families, eve).tolist()
+    for j, basis in enumerate(alphabet):
+        first = _cdf(pair_outcome_probs(d, basis.family, basis))[0]
+        assert keys[j] == math.ceil(first * 2 ** 53) - 1, basis
+        settings = _settings(d, n_families, eve, np.eye(len(alphabet))[j])
+        # the family coin: k = 0 is plain, 2^53 - 1 hat; the post-test coin k = 0 checks
+        coin = [] if n_families == 1 else [0 if basis.family is Family.PLAIN else (1 << 53) - 1]
+        around = (keys[j] - 1, keys[j], keys[j] + 1)
+        for reads in itertools.product(around, repeat=1 + eve):
+            rows = [*coin, 0, *reads] + ([] if posttest_fraction is None else [0])
+            (counts, log), (uncollected, _) = (
+                protocol._signal_block(*settings, posttest_fraction, collect, _RowStream(rows),
+                                       4, protocol._Scratch(4))
+                for collect in (True, False))
+            expected = _logged_counts(signal_rounds(log), [True] * 4)
+            assert counts == uncollected == expected, (basis, reads)
 
 
 @pytest.mark.parametrize("make,eve", [
@@ -858,8 +909,8 @@ def test_a_draw_on_a_key_reads_as_its_cell_does(d, pair):
     ids=["original-off", "original-intercept", "tomographic-off", "tomographic-intercept",
          "dualfamily-off", "dualfamily-dualfamily"])
 def test_an_uncollected_session_reports_what_a_collected_one_does(make, eve):
-    """A three-block session reports the same whether its blocks read keys
-    (uncollected) or cells (collected), at one and at two workers."""
+    """A three-block session reports the same whether its blocks look their
+    cells up for a log (collected) or not, at one and at two workers."""
     config = make(5, 3 * BLOCK_ROUNDS, 21, eve=eve)
     expected = run_trials(config, return_rounds=True)[0]
     for workers in (1, 2):
@@ -867,20 +918,23 @@ def test_an_uncollected_session_reports_what_a_collected_one_does(make, eve):
         assert run_trials(config, workers=workers, return_rounds=True)[0] == expected
 
 
-def test_a_row_that_decodes_to_another_basis_keeps_its_cells(fresh_caches, monkeypatch):
-    """Whether blocks read keys comes from the table: when Bob's comp row
-    is made q0's, whose conclusive cells decode to q0, no block compares
-    keys, and the session reports the wrong decodes it reads off cells."""
+def test_a_row_that_decodes_to_another_basis_is_refused(fresh_caches, monkeypatch):
+    """Every round is counted from keys, so a table whose rows break the
+    decode rule is refused: when Bob's comp row is made q0's, whose
+    conclusive cells decode to q0, a session raises ``RuntimeError``
+    before any block draws a word, collected or not."""
     d = 3
     comp, q0 = basis_alphabet(d, (Family.PLAIN,))[:2]
     exact = protocol.pair_outcome_probs
     monkeypatch.setattr(protocol, "pair_outcome_probs", lambda dim, family, basis: exact(
         dim, family, q0 if basis == comp else basis))
-    assert protocol._signal_keys(d, 1, False) is None
-    config = original(d, 3 * BLOCK_ROUNDS, 5)
-    report = run_trials(config)
-    assert report.decode_accuracy < 1
-    assert report == run_trials(config, return_rounds=True)[0]
+    streams = []
+    monkeypatch.setattr(protocol, "derive_round_stream",
+                        lambda seed, index: streams.append(index))
+    for return_rounds in (False, True):
+        with pytest.raises(RuntimeError, match="does not decode as its key counts"):
+            run_trials(original(d, 3 * BLOCK_ROUNDS, 5), return_rounds=return_rounds)
+    assert streams == []
 
 
 @pytest.mark.parametrize("d,n_families", [(d, f) for d in (2, 5, 13, 31) for f in (1, 2)])

@@ -32,18 +32,19 @@ which reads a :class:`~mubsig.harness.HarnessConfig`.  They share the
 signalling round and differ only in the preparation alphabet (one
 family, or plain and hat together) and in their checks (a tomography
 pre-test, post-test checking with sifting).  Sessions sample rounds
-from one exact inverse CDF of the outcome rows, compiled once per
-dimension and family count from the pure pair states.  Every draw is the
-top 53 bits k of one raw 64-bit word of the block's stream, the integer
-behind the uniform u = k/2^53.  Bob's message takes one exact
-inverse-CDF lookup, :class:`_InverseCdf`, whose guide table answers
-almost every draw with two gathers and one comparison, and a pre-test
-cell one split multiply, one division and two gathers.  Only (0,0) is
-inconclusive, and every other cell of a row that a counted round reads
-names Bob's basis (:func:`_signal_keys` refuses a table where it does
-not), so a block counts each outcome from one comparison of its draw
-with its row's key.  Only the dual-family attack's hat rounds decode
-cells, and a collected block looks every outcome's cell up for its log.
+from one exact inverse CDF of the outcome rows, which
+:func:`_table_lookup` compiles, checks and keys once per dimension and
+family count from the pure pair states.  Every draw is the top 53 bits
+k of one raw 64-bit word of the block's stream, the integer behind the
+uniform u = k/2^53.  Bob's message takes one exact inverse-CDF lookup,
+:class:`_InverseCdf`, whose guide table answers almost every draw with
+two gathers and one comparison, and a pre-test cell one split multiply,
+one division and two gathers.  Only (0,0) is inconclusive, and every
+other cell of a row that a counted round reads names Bob's basis (the
+check refuses a table where it does not), so a block counts each
+outcome from one comparison of its draw with its row's key.  Only the
+dual-family attack's hat rounds decode cells, and a collected block
+looks every outcome's cell up for its log.
 Every block returns its counts as a dict, and a session sums them over
 both its phases in one loop.  The per-round statistics remain
 exactly those of the state-by-state simulation in :mod:`mubsig.oracle`,
@@ -429,8 +430,9 @@ def _inverse_cdf(cum: np.ndarray) -> _InverseCdf:
 
 
 @per_dim_cache
-def _table_lookup(d: int, n_families: int) -> _InverseCdf:
-    """The exact inverse CDF of the outcome rows of one or both families.
+def _table_lookup(d: int, n_families: int) -> tuple[_InverseCdf, np.ndarray]:
+    """The exact inverse CDF of the outcome rows of one or both families,
+    checked, and the key of each basis of Bob's on it.
 
     For the alphabet ``basis_alphabet(d, _FAMILIES[:n_families])``, row
     ``f * (1 + len(alphabet)) + 1 + j`` is Alice's pair-outcome
@@ -441,44 +443,33 @@ def _table_lookup(d: int, n_families: int) -> _InverseCdf:
     of a plain basis is ``1 + code`` for its decode code, and the
     inconclusive code lands on the untouched row.  Only sessions draw from
     it, so the exact probabilities of :mod:`mubsig.harness` never build it.
+
+    The keys, in alphabet order, are the in-row keys of cell 0, the (0,0)
+    outcome, on each basis's own row: the basis measured on a pair of its
+    own family.  A draw k lands past cell 0 of a row exactly when k exceeds
+    its key (see :class:`_InverseCdf`), and a draw can reach cell j >= 1
+    exactly when its key exceeds cell j-1's.  :func:`_signal_block` counts
+    a draw past the key of Bob's basis as a correct decode and any other as
+    inconclusive.  So (0,0) must be inconclusive, and each own row must
+    decode every other cell a draw can reach to its basis; a table that
+    breaks this raises ``RuntimeError``.
     """
     families = _FAMILIES[:n_families]
     alphabet = basis_alphabet(d, families)
     untouched = np.eye(1, d * d)[0]
-    return _inverse_cdf(_cdf(np.array(
+    lookup = _inverse_cdf(_cdf(np.array(
         [[untouched] + [pair_outcome_probs(d, f, b) for b in alphabet] for f in families])))
-
-
-@per_dim_cache
-def _signal_keys(d: int, n_families: int, eve: bool) -> np.ndarray:
-    """Per basis of Bob's, in :func:`basis_alphabet` order, the in-row key
-    of cell 0, the (0,0) outcome, on its own row of ``_table_lookup(d,
-    n_families)``: the basis measured on a pair of its own family.
-
-    A draw k lands past cell 0 of a row exactly when k exceeds its key
-    (see :class:`_InverseCdf`), and a draw can reach cell j >= 1 exactly
-    when its key exceeds cell j-1's.  :func:`_signal_block` counts a draw
-    past the key of Bob's basis as a correct decode and any other as
-    inconclusive.  So (0,0) must be inconclusive, and each own row must
-    decode every other cell a draw can reach to its basis; with ``eve``,
-    Alice's untouched plain row, which she reads when Eve's read is
-    inconclusive, must never decode.  A table that breaks this raises
-    ``RuntimeError``.
-    """
-    lookup = _table_lookup(d, n_families)
     codes, cells = _decode_codes(d), lookup.cells
-    basis = np.arange((d + 1) * n_families)
+    basis = np.arange(len(alphabet))
     family = basis // (d + 1)
     rows = family * (1 + basis.size) + 1 + basis
-    wanted = dict(zip(rows.tolist(), (basis - family * (d + 1)).tolist()))
-    if eve:
-        wanted[0] = _INCONCLUSIVE_CODE
-    for row, code in wanted.items():   # one row at a time: d^2 keys each
+    wanted = (basis - family * (d + 1)).tolist()
+    for row, code in zip(rows.tolist(), wanted):   # one row at a time: d^2 keys each
         reached = np.diff(lookup.thresholds[row * cells:(row + 1) * cells]) > 0
         if codes[0] != _INCONCLUSIVE_CODE or (codes[1:][reached] != code).any():
             raise RuntimeError(f"row {row} of the d={d} outcome table does not decode "
                                "as its key counts")
-    return _frozen(lookup.thresholds[rows * cells] - rows * _UNIT)
+    return lookup, _frozen(lookup.thresholds[rows * cells] - rows * _UNIT)
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +558,8 @@ def _signal_block(alphabet: tuple[BasisId, ...], lookup: _InverseCdf, keys: np.n
     outcome after Eve's resend, and the post-test coin (unless every
     conclusive round is checked), each a row of ``n`` raw words drawn
     where it is used, so a block holds one row of words at a time.  Eve's
-    decoy pair is plain.  ``lookup`` is ``_table_lookup(d, n_families)``
-    and ``keys`` its :func:`_signal_keys`.
+    decoy pair is plain.  ``lookup`` and ``keys`` are the checked table
+    and keys of ``_table_lookup(d, n_families)``.
 
     Bob's message takes one guide-table lookup, and a draw past the key of
     his basis is a conclusive, correct read: Eve's of a plain message, and
@@ -723,9 +714,8 @@ def _run_session(config: HarnessConfig, workers: int, collect: bool,
     message = _inverse_cdf(_cdf(weights / weights.sum()))
     n_families = len(_PROTOCOL_FAMILIES[config.protocol])
     pretest = functools.partial(_pretest_block, alphabet, eve, collect, *_pretest_partners(d))
-    signal = functools.partial(_signal_block, alphabet, _table_lookup(d, n_families),
-                               _signal_keys(d, n_families, eve), d, eve, message,
-                               config.posttest_fraction, collect)
+    signal = functools.partial(_signal_block, alphabet, *_table_lookup(d, n_families), d, eve,
+                               message, config.posttest_fraction, collect)
     counts = Counter()   # an empty pre-test runs no block
     for worker, total, stream_base in ((pretest, n_pre, _PRETEST_STREAM_BASE),
                                        (signal, rounds - n_pre, 0)):

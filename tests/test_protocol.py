@@ -635,7 +635,7 @@ def _settings(d, n_families, eve, weights):
     ``n_families`` at ``d``, with Bob's message drawn from ``weights``."""
     weights = np.asarray(weights, dtype=float)
     return (basis_alphabet(d, protocol._FAMILIES[:n_families]),
-            protocol._table_lookup(d, n_families), protocol._signal_keys(d, n_families, eve),
+            *protocol._table_lookup(d, n_families),
             d, eve, protocol._inverse_cdf(_cdf(weights / weights.sum())))
 
 
@@ -810,7 +810,6 @@ def test_a_signal_block_holds_one_row_of_raw_words_at_a_time():
     families, the attacker, a post-test coin) traces at most two rows of raw
     words: each row is dead before the next is drawn, and the hat rounds
     that decode cells look them up in the thread's subset buffers."""
-    assert protocol._signal_keys(7, 2, True) is not None   # the dual-family attack reads keys
     assert _raw_word_rows_at_peak(7, 2) <= 2
 
 
@@ -818,7 +817,6 @@ def test_a_keyed_signal_block_holds_one_row_of_raw_words_at_a_time():
     """A tomographic intercepted block at d=31 with a post-test coin, which
     compares every outcome draw with a key, traces at most two rows of raw
     words too."""
-    assert protocol._signal_keys(31, 1, True) is not None
     assert _raw_word_rows_at_peak(31, 1) <= 2
 
 
@@ -885,7 +883,7 @@ def test_a_draw_on_a_key_reads_as_its_cell_does(d, pair, signal_rounds):
     row's first CDF entry."""
     n_families, eve, posttest_fraction = _PAIRS[pair]
     alphabet = basis_alphabet(d, protocol._FAMILIES[:n_families])
-    keys = protocol._signal_keys(d, n_families, eve).tolist()
+    keys = protocol._table_lookup(d, n_families)[1].tolist()
     for j, basis in enumerate(alphabet):
         first = _cdf(pair_outcome_probs(d, basis.family, basis))[0]
         assert keys[j] == math.ceil(first * 2 ** 53) - 1, basis
@@ -919,21 +917,31 @@ def test_an_uncollected_session_reports_what_a_collected_one_does(make, eve):
 
 
 def test_a_row_that_decodes_to_another_basis_is_refused(fresh_caches, monkeypatch):
-    """Every round is counted from keys, so a table whose rows break the
-    decode rule is refused: when Bob's comp row is made q0's, whose
-    conclusive cells decode to q0, a session raises ``RuntimeError``
-    before any block draws a word, collected or not."""
+    """Every round is counted from keys, so a table whose own rows break
+    the decode rule is refused.  When the comp row of a family's own pair
+    is made that pair's q0 row, whose conclusive cells decode to q0,
+    building the table raises ``RuntimeError`` naming the row: row 1 for
+    the plain pair, row 14 for the hat pair at d=3, whose rows follow the
+    plain pair's nine.  A session raises it too, before any block draws a
+    word, collected or not, and the dual-family one under attack too."""
     d = 3
-    comp, q0 = basis_alphabet(d, (Family.PLAIN,))[:2]
     exact = protocol.pair_outcome_probs
-    monkeypatch.setattr(protocol, "pair_outcome_probs", lambda dim, family, basis: exact(
-        dim, family, q0 if basis == comp else basis))
     streams = []
     monkeypatch.setattr(protocol, "derive_round_stream",
                         lambda seed, index: streams.append(index))
-    for return_rounds in (False, True):
-        with pytest.raises(RuntimeError, match="does not decode as its key counts"):
-            run_trials(original(d, 3 * BLOCK_ROUNDS, 5), return_rounds=return_rounds)
+    for family, n_families, row, configs in (
+            (Family.PLAIN, 1, 1, [original(d, 3 * BLOCK_ROUNDS, 5)]),
+            (Family.HAT, 2, 14, [dual(d, 3 * BLOCK_ROUNDS, 5, eve=eve)
+                                 for eve in (EveMode.OFF, EveMode.DUAL_FAMILY)])):
+        comp, q0 = basis_alphabet(d, (family,))[:2]
+        monkeypatch.setattr(protocol, "pair_outcome_probs", lambda dim, own, basis: exact(
+            dim, own, q0 if own is family and basis == comp else basis))
+        refused = f"row {row} of the d=3 outcome table does not decode as its key counts"
+        with pytest.raises(RuntimeError, match=refused):
+            protocol._table_lookup(d, n_families)
+        for config, return_rounds in itertools.product(configs, (False, True)):
+            with pytest.raises(RuntimeError, match=refused):
+                run_trials(config, return_rounds=return_rounds)
     assert streams == []
 
 
@@ -941,13 +949,16 @@ def test_a_row_that_decodes_to_another_basis_is_refused(fresh_caches, monkeypatc
 def test_grouped_lookup_equals_per_row_searchsorted(d, n_families):
     """The guide-table lookups of the outcome tables and of Bob's message
     are the per-row float inverse CDF, also on cell edges."""
-    lookup, rows = protocol._table_lookup(d, n_families), _table_rows(d, n_families)
+    lookup, rows = protocol._table_lookup(d, n_families)[0], _table_rows(d, n_families)
     _assert_lookup_is_searchsorted(lookup, rows)
     k = np.array([0, 1, 1 << 52, (1 << 53) - 1])
     for untouched in np.arange(n_families) * rows.shape[1]:
         cells = lookup(np.full(k.size, untouched), k, np.empty(k.size, np.int64),
                        protocol._Scratch(k.size))
         assert_array_equal(cells, 0)   # the untouched pair always reads (0,0)
+        # every in-row key is the row's last, so no draw reaches a cell past (0,0)
+        in_row = lookup.thresholds[untouched * lookup.cells:(untouched + 1) * lookup.cells]
+        assert_array_equal(in_row - untouched * 2 ** 53, 2 ** 53 - 1)
     n_bases = len(basis_alphabet(d, protocol._FAMILIES[:n_families]))
     weights = np.random.default_rng(d).random(n_bases)
     weights[::3] = 0.0
@@ -961,7 +972,7 @@ def test_guide_searches_only_buckets_of_different_keys(d):
     the bucket holds no in-row key, its key when all its keys are equal
     (zero cells after a nonzero one share their edge), and -1 otherwise;
     ``start`` counts the in-row keys below the bucket.  Only -1 searches."""
-    lookups = [protocol._table_lookup(d, 1), protocol._table_lookup(d, 2)]
+    lookups = [protocol._table_lookup(d, 1)[0], protocol._table_lookup(d, 2)[0]]
     n_bases = len(basis_alphabet(d, protocol._FAMILIES))
     weights = np.arange(n_bases, dtype=float) % 3   # some messages never sent
     for w in (np.ones(n_bases), weights):

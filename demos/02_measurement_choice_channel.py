@@ -4,9 +4,9 @@ pair without any classical announcement."""
 
 import numpy as np
 
-from mubsig.bases import basis_alphabet, pair_outcome_labels
+from mubsig.bases import Family, basis_alphabet, pair_outcome_labels
 from mubsig.harness import analytic_outcome_distribution
-from mubsig.oracle import run_round_original
+from mubsig.oracle import run_round
 
 d = 3
 rng = np.random.default_rng(7)
@@ -34,7 +34,7 @@ print("ten rounds, Bob signalling q1 every time:")
 sent = 2
 basis = basis_alphabet(d)[sent]
 for i in range(10):
-    rec = run_round_original(d, basis, rng)
+    rec = run_round(d, Family.PLAIN, basis, rng)
     code = rec.alice_decode
     named = "inconclusive" if code < 0 else basis_alphabet(d)[code].text()
     print(f"  round {i}: alice outcome {rec.alice_outcome} -> {named}")
@@ -44,7 +44,7 @@ print()
 # fraction is discarded.
 n, hits, conclusive = 3000, 0, 0
 for _ in range(n):
-    rec = run_round_original(d, basis, rng)
+    rec = run_round(d, Family.PLAIN, basis, rng)
     if rec.alice_decode >= 0:
         conclusive += 1
         hits += rec.alice_decode == sent

@@ -146,19 +146,11 @@ def _forward_basis(family: Family, code: int) -> BasisId | None:
     return BasisId(family, None if code == 0 else code - 1)
 
 
-def run_round_original(d: int, bob_basis: BasisId, rng: np.random.Generator,
-                       *, eve: bool = False) -> RoundRecord:
-    """One signalling round of the original protocol."""
-    if bob_basis.family is not Family.PLAIN:
-        raise ValueError("the original protocol signals with plain-family bases")
-    return run_protocol2_round(d, Family.PLAIN, bob_basis, rng,
-                               eve_family=Family.PLAIN if eve else None)
-
-
-def run_protocol2_round(d: int, alice_family: Family, bob_basis: BasisId,
-                        rng: np.random.Generator, *,
-                        eve_family: Family | None = None) -> RoundRecord:
-    """One round of the dual-family protocol (sifting left to the caller).
+def run_round(d: int, alice_family: Family, bob_basis: BasisId,
+              rng: np.random.Generator, *,
+              eve_family: Family | None = None) -> RoundRecord:
+    """One round of any protocol (sifting left to the caller); the
+    single-family protocols pass ``Family.PLAIN`` for Alice's family.
 
     ``eve_family`` runs the substitution (intercept-resend) attack: Eve
     keeps the travelling qudit, feeds Bob half of her own (0,0) pair in

@@ -261,9 +261,11 @@ def round_log_csv(log: RoundLog) -> str:
       ``alice_basis`` and ``alice_outcome_m`` (Alice's basis and m');
     * signal rows: ``alice_family`` (``plain`` or ``hat``),
       ``alice_outcome_c`` and ``alice_outcome_r`` (her pair outcome), and
-      ``decode`` (a basis label or ``inconclusive``);
+      ``decode`` (``inconclusive``, or the basis label within Alice's
+      family, so a hat pair that reads ``hat-q1`` prints ``q1``);
     * intercepted signal rows: ``eve_outcome_c``, ``eve_outcome_r`` and
-      ``eve_decode`` (the eavesdropper's outcome and reading), and
+      ``eve_decode`` (the eavesdropper's outcome and reading, a plain
+      label, since her decoy pair is plain), and
       ``eve_forward_basis`` (the basis she measured the stolen qudit in,
       empty when she forwarded it unmeasured).
     """

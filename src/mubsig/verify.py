@@ -37,7 +37,7 @@ from .harness import (
     dual_family_detection_probability,
     run_trials,
 )
-from .oracle import _amplitudes, _branches, _forward_basis, run_round_original
+from .oracle import _amplitudes, _branches, _forward_basis, run_round
 from .protocol import (
     _FAMILIES,
     _INCONCLUSIVE_CODE,
@@ -404,7 +404,7 @@ def _check_attack_statistics(c: _Check, d: int) -> None:
     rng = derive_round_stream(7, 0)
     for _ in range(200):
         bob = basis_alphabet(d, (Family.PLAIN,))[int(rng.integers(d + 1))]
-        record = run_round_original(d, bob, rng, eve=True)
+        record = run_round(d, Family.PLAIN, bob, rng, eve_family=Family.PLAIN)
         c.expect(record.eve_active, "eve record missing")
         if record.eve_decode != _INCONCLUSIVE_CODE:
             c.expect(record.eve_forward_basis is not None,

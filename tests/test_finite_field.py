@@ -66,8 +66,9 @@ _CACHED_CALLS = {
     "analytic_outcome_distribution": lambda d: analytic_outcome_distribution(
         d, BasisId(Family.HAT, 1)),
     "dual_family_detection_probability": dual_family_detection_probability,
-    "run_round_original": lambda d: oracle.run_round_original(
-        d, BasisId(Family.PLAIN, 1), np.random.default_rng(0), eve=True),
+    "run_round": lambda d: oracle.run_round(
+        d, Family.PLAIN, BasisId(Family.PLAIN, 1), np.random.default_rng(0),
+        eve_family=Family.PLAIN),
 }
 
 

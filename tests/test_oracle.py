@@ -103,11 +103,12 @@ def _pinned_records():
             for bob in basis_alphabet(d, FAMILIES):
                 for eve in (None, *FAMILIES):
                     for _ in range(3):
-                        records.append(oracle.run_protocol2_round(d, alice, bob, rng,
-                                                                  eve_family=eve))
+                        records.append(oracle.run_round(d, alice, bob, rng,
+                                                        eve_family=eve))
         for bob in basis_alphabet(d, (Family.PLAIN,)):
             for eve in (False, True):
-                records.append(oracle.run_round_original(d, bob, rng, eve=eve))
+                records.append(oracle.run_round(
+                    d, Family.PLAIN, bob, rng, eve_family=Family.PLAIN if eve else None))
     return [_record_fields(r) for r in records]
 
 

@@ -25,8 +25,7 @@ from mubsig.bases import (
 from mubsig.harness import EveMode, HarnessConfig, Protocol, run_trials
 from mubsig.oracle import (
     RoundRecord,
-    run_round_original,
-    run_protocol2_round,
+    run_round,
 )
 from mubsig.finite_field import MAX_DIM
 from mubsig.protocol import (
@@ -198,25 +197,17 @@ def test_round_original_conclusive_decodes_match_bob():
     for d in (2, 3):
         for basis in basis_alphabet(d):
             for _ in range(40):
-                rec = run_round_original(d, basis, rng)
+                rec = run_round(d, Family.PLAIN, basis, rng)
                 assert not rec.eve_active
                 if rec.alice_decode >= 0:
                     assert rec.alice_decode == basis_code(basis)
-
-
-def test_round_original_rejects_hat_basis():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        run_round_original(2, BasisId(Family.HAT, 0), rng)
-    with pytest.raises(ValueError):
-        run_round_original(2, BasisId(Family.HAT, None), rng, eve=True)
 
 
 def test_round_original_inconclusive_rate():
     rng = np.random.default_rng(7)
     d, n = 2, 2000
     hits = sum(
-        run_round_original(d, BasisId(Family.PLAIN, 0), rng).alice_decode < 0
+        run_round(d, Family.PLAIN, BasisId(Family.PLAIN, 0), rng).alice_decode < 0
         for _ in range(n))
     p = 1.0 / d
     assert abs(hits - n * p) < 5 * np.sqrt(n * p * (1 - p))
@@ -229,7 +220,8 @@ def test_eve_inconclusive_leaves_pair_untouched():
     d = 2
     saw_branch = 0
     for _ in range(200):
-        rec = run_round_original(d, BasisId(Family.PLAIN, 1), rng, eve=True)
+        rec = run_round(d, Family.PLAIN, BasisId(Family.PLAIN, 1), rng,
+                        eve_family=Family.PLAIN)
         assert rec.eve_active
         if rec.eve_decode < 0:
             saw_branch += 1
@@ -247,18 +239,18 @@ def test_eve_conclusive_decodes_match_bob():
     for d in (2, 3):
         for basis in basis_alphabet(d):
             for _ in range(30):
-                rec = run_round_original(d, basis, rng, eve=True)
+                rec = run_round(d, Family.PLAIN, basis, rng, eve_family=Family.PLAIN)
                 if rec.eve_decode >= 0:
                     assert rec.eve_decode == basis_code(basis)
 
 
 def test_dual_round_record_structure():
     rng = np.random.default_rng(9)
-    rec = run_protocol2_round(3, Family.HAT, BasisId(Family.HAT, 1), rng)
+    rec = run_round(3, Family.HAT, BasisId(Family.HAT, 1), rng)
     assert rec.alice_prep_family is Family.HAT
     assert rec.sifted
-    rec = run_protocol2_round(3, Family.PLAIN, BasisId(Family.HAT, 1), rng,
-                              eve_family=Family.PLAIN)
+    rec = run_round(3, Family.PLAIN, BasisId(Family.HAT, 1), rng,
+                    eve_family=Family.PLAIN)
     assert rec.eve_active
     assert not rec.sifted
 
@@ -272,7 +264,7 @@ def test_round_vs_table_distribution():
     labels = pair_outcome_labels(d)
     counts = {label: 0 for label in labels}
     for _ in range(n):
-        counts[run_round_original(d, basis, rng).alice_outcome] += 1
+        counts[run_round(d, Family.PLAIN, basis, rng).alice_outcome] += 1
     probs = pair_outcome_probs(d, Family.PLAIN, basis)
     for label, p in zip(labels, probs):
         sigma = np.sqrt(n * p * (1 - p))

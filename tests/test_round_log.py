@@ -116,6 +116,20 @@ def test_writer_matches_the_reference_for_a_single_round():
     assert round_log_csv(log).count("\n") == 2
 
 
+def test_decode_names_the_label_within_alices_family():
+    """On a hat pair ``decode`` prints the label without its ``hat-``
+    prefix: a conclusive sifted row decodes to Bob's label, stripped."""
+    log = _log(_config(5, Protocol.DUAL_FAMILY, EveMode.OFF, 2000, 1))
+    rows = [dict(zip(_CSV_COLUMNS, line.split(",")))
+            for line in round_log_csv(log).splitlines()[1:]]
+    sifted = [row for row in rows if row["decode"] != "inconclusive"
+              and row["alice_family"] == ("hat" if row["bob_basis"].startswith("hat-")
+                                          else "plain")]
+    assert {row["alice_family"] for row in sifted} == {"plain", "hat"}
+    for row in sifted:
+        assert row["decode"] == row["bob_basis"].removeprefix("hat-"), row
+
+
 # The 70 000-round golden log (more than two session blocks), from the CLI.
 _GOLDEN_CASE = "long-tomographic-intercept-d5-w1"
 _GOLDEN_ARGS = ["run", "--dim", "5", "--protocol", "tomographic", "--eve", "intercept",

@@ -18,7 +18,8 @@ import numpy as np
 from .bases import BasisId, Family, basis_alphabet
 from .finite_field import PrimeDim
 from .protocol import (
-    _PROTOCOL_FAMILIES,
+    _FAMILIES,
+    _PROTOCOLS,
     EveMode,
     Protocol,
     RoundLog,
@@ -82,13 +83,10 @@ class HarnessConfig:
             raise ValueError("rounds must lie in [1, 2**32]")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
-        if self.eve is EveMode.INTERCEPT and self.protocol is Protocol.DUAL_FAMILY:
-            raise ValueError("the intercept-resend strategy targets the "
-                             "single-family protocols")
-        if self.eve is EveMode.DUAL_FAMILY and self.protocol is not Protocol.DUAL_FAMILY:
-            raise ValueError("the dual-family attack targets the dual-family protocol")
-        need_pre = self.protocol is Protocol.TOMOGRAPHIC
-        need_post = self.protocol in (Protocol.TOMOGRAPHIC, Protocol.DUAL_FAMILY)
+        _, attack, need_pre, need_post = _PROTOCOLS[self.protocol]
+        if self.eve not in (EveMode.OFF, attack):
+            raise ValueError(f"protocol {self.protocol.value} admits eve off or "
+                             f"{attack.value}, not {self.eve.value}")
         for name, value, needed in (("pretest_fraction", self.pretest_fraction, need_pre),
                                     ("posttest_fraction", self.posttest_fraction, need_post)):
             if needed:
@@ -108,7 +106,7 @@ class HarnessConfig:
         return int(round(self.rounds * (self.pretest_fraction or 0)))
 
     def alphabet(self) -> tuple[BasisId, ...]:
-        return basis_alphabet(self.d, _PROTOCOL_FAMILIES[self.protocol])
+        return basis_alphabet(self.d, _PROTOCOLS[self.protocol][0])
 
     def message_weights(self) -> np.ndarray:
         """Message weights aligned to :meth:`alphabet`; all ones for uniform."""
@@ -217,15 +215,14 @@ def dual_family_detection_probability(d: int, eve_family: Family = Family.PLAIN,
     """
     if not isinstance(eve_family, Family):
         raise TypeError(f"eve_family must be a Family, got {eve_family!r}")
-    families = _PROTOCOL_FAMILIES[Protocol.DUAL_FAMILY]
-    alphabet = basis_alphabet(d, families)   # checks d before any work
+    alphabet = basis_alphabet(d, _FAMILIES)   # checks d before any work
     per_family = d + 1
     weights = np.ones(len(alphabet)) if message_weights is None else _checked_weights(
         message_weights, len(alphabet))
     decoded = (_decode_codes(d)[:, None] == np.arange(per_family)).astype(float)
     eve = np.array([pair_outcome_probs(d, eve_family, b) @ decoded for b in alphabet])
     alice = np.array([[pair_outcome_probs(d, f, b) @ decoded
-                       for b in basis_alphabet(d, (eve_family,))] for f in families])
+                       for b in basis_alphabet(d, (eve_family,))] for f in _FAMILIES])
     # reach[f, j, c']: Bob sent the j-th basis of family f, and Alice, who
     # prepared f, decoded c'
     reach = (weights[:, None] * eve).reshape(2, per_family, per_family) @ alice

@@ -29,9 +29,9 @@ dual-family variant (the same attack mounted in one fixed family).
 
 All three protocols run on one session engine, :func:`_run_session`,
 which reads a :class:`~mubsig.harness.HarnessConfig`.  They share the
-signalling round and differ only in the preparation alphabet (one
-family, or plain and hat together) and in their checks (a tomography
-pre-test, post-test checking with sifting).  Sessions sample rounds
+signalling round and differ only in their row of ``_PROTOCOLS``: the
+families of the preparation alphabet, the one attack admitted, and the
+checks (a tomography pre-test, a post-test).  Sessions sample rounds
 from one exact inverse CDF of the outcome rows, which
 :func:`_table_lookup` compiles, checks and keys once per dimension and
 family count from the pure pair states.  Every draw is the top 53 bits
@@ -119,10 +119,13 @@ class EveMode(enum.Enum):
     DUAL_FAMILY = "dualfamily"
 
 
-_PROTOCOL_FAMILIES: dict[Protocol, tuple[Family, ...]] = {
-    Protocol.ORIGINAL: (Family.PLAIN,),
-    Protocol.TOMOGRAPHIC: (Family.PLAIN,),
-    Protocol.DUAL_FAMILY: (Family.PLAIN, Family.HAT),
+_FAMILIES = (Family.PLAIN, Family.HAT)
+
+# Per protocol: (families, the attack admitted besides OFF, needs pretest, needs posttest).
+_PROTOCOLS: dict[Protocol, tuple[tuple[Family, ...], EveMode, bool, bool]] = {
+    Protocol.ORIGINAL: (_FAMILIES[:1], EveMode.INTERCEPT, False, False),
+    Protocol.TOMOGRAPHIC: (_FAMILIES[:1], EveMode.INTERCEPT, True, True),
+    Protocol.DUAL_FAMILY: (_FAMILIES, EveMode.DUAL_FAMILY, False, True),
 }
 
 
@@ -306,7 +309,6 @@ def _decode_codes(d: int) -> np.ndarray:
     return _frozen(decode(d, (0, 0, 0), np.array(pair_outcome_labels(d)).T))
 
 
-_FAMILIES = (Family.PLAIN, Family.HAT)
 _UNIT_BITS = 53
 _UNIT = 1 << _UNIT_BITS   # Generator.random() returns k / 2**53 with integer k
 _GUIDE_ENTRIES = 1 << 20   # most entries in one guide table
@@ -712,7 +714,7 @@ def _run_session(config: HarnessConfig, workers: int, collect: bool,
     n_pre = config.pretest_rounds()
     weights = config.message_weights()
     message = _inverse_cdf(_cdf(weights / weights.sum()))
-    n_families = len(_PROTOCOL_FAMILIES[config.protocol])
+    n_families = len(_PROTOCOLS[config.protocol][0])
     pretest = functools.partial(_pretest_block, alphabet, eve, collect, *_pretest_partners(d))
     signal = functools.partial(_signal_block, alphabet, *_table_lookup(d, n_families), d, eve,
                                message, config.posttest_fraction, collect)

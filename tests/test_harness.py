@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 import warnings
 from decimal import Decimal
@@ -103,16 +104,31 @@ def test_weights_with_an_overflowing_sum_are_refused():
         dual_family_detection_probability(3, message_weights=weights)
 
 
+# Per protocol: the one attack it admits besides off, and the fractions it needs.
+_GATE = {
+    Protocol.ORIGINAL: (EveMode.INTERCEPT, {}),
+    Protocol.TOMOGRAPHIC: (EveMode.INTERCEPT,
+                           {"pretest_fraction": 0.2, "posttest_fraction": 0.5}),
+    Protocol.DUAL_FAMILY: (EveMode.DUAL_FAMILY, {"posttest_fraction": 0.5}),
+}
+
+
 def test_config_rejects_mismatched_attacks():
-    with pytest.raises(ValueError):
-        HarnessConfig(d=2, protocol=Protocol.DUAL_FAMILY, rounds=10,
-                      posttest_fraction=0.5, eve=EveMode.INTERCEPT)
-    with pytest.raises(ValueError):
-        original(eve=EveMode.DUAL_FAMILY)
-    with pytest.raises(ValueError):
-        HarnessConfig(d=2, protocol=Protocol.TOMOGRAPHIC, rounds=10,
-                      pretest_fraction=0.2, posttest_fraction=0.5,
-                      eve=EveMode.DUAL_FAMILY)
+    """Of all nine (protocol, eve) pairs, each built with the fractions its
+    protocol needs, a protocol accepts eve off and its own attack, and
+    refuses the other by naming itself, the attack it admits and the one
+    given."""
+    for protocol, (attack, fractions) in _GATE.items():
+        for eve in EveMode:
+            build = lambda: HarnessConfig(d=2, protocol=protocol, rounds=10, eve=eve,
+                                          **fractions)
+            if eve in (EveMode.OFF, attack):
+                assert build().eve is eve
+                continue
+            message = (f"protocol {protocol.value} admits eve off or {attack.value}, "
+                       f"not {eve.value}")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build()
 
 
 def test_config_fraction_requirements():

@@ -91,14 +91,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _object_of_unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, refused if it names a key twice."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"key {key!r} is repeated")
+        data[key] = value
+    return data
+
+
 def _load_config_file(path: Path) -> dict:
     try:
         raw = path.read_text()
     except OSError as exc:
         raise _CliError(f"cannot read config file: {exc}") from exc
-    try:
-        data = json.loads(raw)
-    except (json.JSONDecodeError, RecursionError) as exc:   # RecursionError: nested too deep
+    try:   # RecursionError: nested too deep
+        data = json.loads(raw, object_pairs_hook=_object_of_unique_keys)
+    except (ValueError, RecursionError) as exc:
         raise _CliError(f"malformed config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise _CliError(f"config file {path} must hold a JSON object")

@@ -22,7 +22,7 @@ from typing import Callable
 MAX_DIM = 251
 
 
-def is_prime(n: int) -> bool:
+def _is_prime(n: int) -> bool:
     """Deterministic primality check by trial division (desk-scale inputs)."""
     if n < 2:
         return False
@@ -49,7 +49,7 @@ class PrimeDim:
             raise TypeError(f"dimension must be an int, got {type(self.d).__name__}")
         if self.d > MAX_DIM:
             raise ValueError(f"dimension {self.d} exceeds the largest supported, {MAX_DIM}")
-        if not is_prime(self.d):
+        if not _is_prime(self.d):
             raise ValueError(f"dimension must be prime, got {self.d}")
 
 

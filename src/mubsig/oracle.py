@@ -64,14 +64,6 @@ class RoundRecord:
             raise ValueError("eve's outcome and decode are set together, "
                              "and a forward basis needs both")
 
-    @property
-    def eve_active(self) -> bool:
-        return self.eve_outcome is not None
-
-    @property
-    def sifted(self) -> bool:
-        return self.alice_prep_family is self.bob_basis.family
-
 
 def _branches(d: int, family: Family, basis: BasisId) -> tuple[np.ndarray, np.ndarray]:
     """Measure the travelling half of the family's (0,0) pair in ``basis``,

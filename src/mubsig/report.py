@@ -77,8 +77,9 @@ def canonical_json(document: Mapping) -> str:
 
 def _config_fields(document: Mapping) -> dict:
     """The config section of a report, or a bare config mapping, with
-    dashes in its keys turned into underscores.  A report of a schema this
-    version cannot read is refused: its keys may mean something else."""
+    dashes in its keys turned into underscores; two keys that turn into
+    one are refused.  A report of a schema this version cannot read is
+    refused too: its keys may mean something else."""
     if not isinstance(document, Mapping):
         raise ValueError("config document must be a mapping")
     if "config" in document and isinstance(document["config"], Mapping):
@@ -86,7 +87,12 @@ def _config_fields(document: Mapping) -> dict:
             raise ValueError(f"unknown report schema {document['schema']!r}, "
                              f"expected one of {list(_READABLE_SCHEMAS)}")
         document = document["config"]
-    return {str(k).replace("-", "_"): v for k, v in document.items()}
+    names = {}
+    for key in document:
+        first = names.setdefault(str(key).replace("-", "_"), key)
+        if first != key:
+            raise ValueError(f"config keys {first!r} and {key!r} name one setting")
+    return {name: document[key] for name, key in names.items()}
 
 
 def config_from_document(document: Mapping) -> HarnessConfig:

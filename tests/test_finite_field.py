@@ -6,7 +6,7 @@ import pytest
 
 from mubsig import bases, finite_field, oracle, protocol
 from mubsig.bases import BasisId, Family
-from mubsig.finite_field import MAX_DIM, PrimeDim, is_prime
+from mubsig.finite_field import MAX_DIM, PrimeDim, _is_prime
 from mubsig.harness import analytic_outcome_distribution, dual_family_detection_probability
 from mubsig.protocol import _inverses
 
@@ -16,7 +16,7 @@ PRIMES = [2, 3, 5, 7, 11]
 def test_is_prime_small_values():
     known = {2, 3, 5, 7, 11, 13, 17, 19, 23}
     for n in range(-3, 25):
-        assert is_prime(n) == (n in known)
+        assert _is_prime(n) == (n in known)
 
 
 def test_prime_dim_rejects_composites_and_units():
@@ -29,7 +29,7 @@ def test_prime_dim_refuses_dimensions_above_max_dim():
     """251 is the largest prime whose dual-family table (4d + 6 rows) keeps
     the int64 lookup keys row * 2^53 + k below 2^63; larger d is refused
     before the primality test runs."""
-    assert MAX_DIM == 251 and is_prime(MAX_DIM)
+    assert MAX_DIM == 251 and _is_prime(MAX_DIM)
     assert (4 * MAX_DIM + 6) * 2 ** 53 <= 2 ** 63 < (4 * 257 + 6) * 2 ** 53
     assert PrimeDim(251).d == 251
     for bad in (257, 1_000_000_000_000_000_003):

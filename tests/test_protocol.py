@@ -81,16 +81,14 @@ def test_decode_result_matches_label():
 def test_round_record_consistency():
     comp = BasisId(Family.PLAIN, None)
     ok = RoundRecord(comp, Family.PLAIN, (0, 1), 0)
-    assert ok.sifted and not ok.eve_active
+    assert ok.eve_outcome is None
     with pytest.raises(ValueError):
         RoundRecord(comp, Family.PLAIN, (0, 1), 0, eve_outcome=(0, 0))
     with pytest.raises(ValueError):
         RoundRecord(comp, Family.PLAIN, (0, 1), 0, eve_decode=0)
     with pytest.raises(ValueError):
         RoundRecord(comp, Family.PLAIN, (0, 1), 0, eve_forward_basis=comp)
-    assert RoundRecord(comp, Family.PLAIN, (0, 1), 0, (0, 0), -1).eve_active
-    hat_round = RoundRecord(BasisId(Family.HAT, 0), Family.PLAIN, (0, 0), -1)
-    assert not hat_round.sifted
+    assert RoundRecord(comp, Family.PLAIN, (0, 1), 0, (0, 0), -1).eve_outcome == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +196,7 @@ def test_round_original_conclusive_decodes_match_bob():
         for basis in basis_alphabet(d):
             for _ in range(40):
                 rec = run_round(d, Family.PLAIN, basis, rng)
-                assert not rec.eve_active
+                assert rec.eve_outcome is None
                 if rec.alice_decode >= 0:
                     assert rec.alice_decode == basis_code(basis)
 
@@ -222,7 +220,7 @@ def test_eve_inconclusive_leaves_pair_untouched():
     for _ in range(200):
         rec = run_round(d, Family.PLAIN, BasisId(Family.PLAIN, 1), rng,
                         eve_family=Family.PLAIN)
-        assert rec.eve_active
+        assert rec.eve_outcome is not None
         if rec.eve_decode < 0:
             saw_branch += 1
             assert rec.eve_forward_basis is None
@@ -247,12 +245,12 @@ def test_eve_conclusive_decodes_match_bob():
 def test_dual_round_record_structure():
     rng = np.random.default_rng(9)
     rec = run_round(3, Family.HAT, BasisId(Family.HAT, 1), rng)
-    assert rec.alice_prep_family is Family.HAT
-    assert rec.sifted
+    assert rec.alice_prep_family is rec.bob_basis.family is Family.HAT
+    assert rec.eve_outcome is None
     rec = run_round(3, Family.PLAIN, BasisId(Family.HAT, 1), rng,
                     eve_family=Family.PLAIN)
-    assert rec.eve_active
-    assert not rec.sifted
+    assert rec.eve_outcome is not None
+    assert rec.alice_prep_family is Family.PLAIN is not rec.bob_basis.family
 
 
 def test_round_vs_table_distribution():

@@ -453,6 +453,34 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert err == f"mubsig: error: config file {array} must hold a JSON object\n"
 
 
+_TOMOGRAPHIC = '{"dim": 3, "protocol": "tomographic", "rounds": 1000, "posttest_fraction": 0.5, '
+_ORIGINAL = '{"dim": 3, "protocol": "original", "rounds": 1000, '
+# Each config file that names one setting twice, with the error it must raise.
+_REPEATED = {
+    "dash-first": (_TOMOGRAPHIC + '"pretest-fraction": 0.2, "pretest_fraction": 0.3}',
+                   "config keys 'pretest-fraction' and 'pretest_fraction' name one setting"),
+    "underscore-first": (_TOMOGRAPHIC + '"pretest_fraction": 0.3, "pretest-fraction": 0.2}',
+                         "config keys 'pretest_fraction' and 'pretest-fraction' name one "
+                         "setting"),
+    "top-level-key": (_ORIGINAL + '"seed": 1, "seed": 2}',
+                      "malformed config file {path}: key 'seed' is repeated"),
+    "distribution-label": (_ORIGINAL + '"message_distribution": {"q0": 1, "q0": 2}}',
+                           "malformed config file {path}: key 'q0' is repeated"),
+}
+
+
+@pytest.mark.parametrize("text, message", _REPEATED.values(), ids=_REPEATED.keys())
+def test_a_config_file_names_each_setting_once(text, message, tmp_path, capsys):
+    """A config file that names a setting twice, by one key or by its dashed
+    and underscored spellings, is refused before ``--out`` is opened; no
+    spelling silently wins."""
+    path, out = tmp_path / "config.json", tmp_path / "out.json"
+    path.write_text(text)
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"mubsig: error: {message.format(path=path)}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_cli_run_refuses_an_unwritable_out_before_the_session(fmt, tmp_path, monkeypatch,
                                                               capsys):

@@ -106,9 +106,9 @@ def _load_config_file(path: Path) -> dict:
         raw = path.read_text()
     except OSError as exc:
         raise _CliError(f"cannot read config file: {exc}") from exc
-    try:   # RecursionError: nested too deep
+    try:
         data = json.loads(raw, object_pairs_hook=_object_of_unique_keys)
-    except (ValueError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:   # RecursionError: nested too deep
         raise _CliError(f"malformed config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise _CliError(f"config file {path} must hold a JSON object")

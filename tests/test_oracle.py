@@ -92,7 +92,8 @@ def _record_fields(record):
             "alice_outcome": pair(record.alice_outcome), "alice_decode": int(record.alice_decode),
             "eve_outcome": pair(record.eve_outcome),
             "eve_decode": None if record.eve_decode is None else int(record.eve_decode),
-            "eve_forward": text(record.eve_forward_basis), "sifted": record.alice_prep_family is record.bob_basis.family}
+            "eve_forward": text(record.eve_forward_basis),
+            "sifted": record.alice_prep_family is record.bob_basis.family}
 
 
 def _pinned_records():
